@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .expr import (
@@ -460,13 +459,3 @@ def format_instance(inst: EquationInstance) -> str:
     for name in CLASS_SPECS[inst.class_id].elements:
         lines.append(f"element.{name} = {format_expr(inst.elements[name])}")
     return "\n".join(lines) + "\n"
-
-
-def load_instance(path: str) -> EquationInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
-
-
-def save_instance(inst: EquationInstance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_instance(inst))

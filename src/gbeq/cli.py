@@ -13,7 +13,8 @@ Exit status partitions the outcomes:
     1  a mathematical failure: a NONZERO residual, a rejected
        precondition, or a Hopf-Cole obstruction
     2  an input error: unreadable or malformed files, unparsable
-       expressions (reported with their position), unknown flags
+       expressions or undefined arithmetic such as 1/0 (reported
+       with their position), unknown flags
 
 Repeating an invocation with the same inputs and --seed reproduces
 the report byte for byte.  Expression-valued flags accept either the
@@ -29,7 +30,6 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .classes import (
-    CLASS_SPECS,
     ClassError,
     ClassId,
     EquationInstance,
@@ -57,7 +57,13 @@ from .hopfcole import (
     cole_hopf_solution,
     verify_diagram,
 )
-from .report import ConditionReport, OBSTRUCTION, REJECTED, VerificationReport
+from .report import (
+    ConditionReport,
+    OBSTRUCTION,
+    REJECTED,
+    VerificationReport,
+    worst_verdict,
+)
 from .symmetry import SymmetryGroupElement, is_symmetry, structure_constants
 from .transforms import (
     ApplyResult,
@@ -78,16 +84,6 @@ from .verify import residual, transport_check
 EXIT_PASS = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
-
-_RANK = {
-    "SYMBOLIC_ZERO": 0,
-    "NUMERIC_ZERO": 1,
-    "MEMBER": 1,
-    "NONZERO": 2,
-    REJECTED: 3,
-    OBSTRUCTION: 4,
-}
-
 
 class InputError(Exception):
     """A malformed invocation or file; maps to exit status 2."""
@@ -179,10 +175,6 @@ def _parse_floats(text: str, n: int, what: str) -> List[float]:
         return [float(p) for p in parts]
     except ValueError:
         raise InputError(f"{what}: {text!r} is not numeric")
-
-
-def _worst(*verdicts: str) -> str:
-    return max(verdicts, key=lambda v: _RANK.get(v, 2))
 
 
 def _from_report(rep: VerificationReport) -> int:
@@ -347,7 +339,6 @@ def _cmd_hopf_cole(args: argparse.Namespace) -> int:
             rep_u.ok, rep_u.verdict, rep_u.summary,
         ),
     ]
-    verdicts = [rep_v.verdict, rep_u.verdict]
 
     if args.transform:
         tr = _load_transform(args.transform)
@@ -361,7 +352,6 @@ def _cmd_hopf_cole(args: argparse.Namespace) -> int:
                 tr, pair=pair, solutions=[v], tol=args.tol, seed=args.seed
             )
             conditions.extend(diag.conditions)
-            verdicts.append(diag.verdict)
         except HopfColeObstruction as exc:
             conditions.append(
                 ConditionReport(
@@ -369,7 +359,6 @@ def _cmd_hopf_cole(args: argparse.Namespace) -> int:
                     False, OBSTRUCTION, str(exc),
                 )
             )
-            verdicts.append(OBSTRUCTION)
         except TransformError as exc:
             conditions.append(
                 ConditionReport(
@@ -377,10 +366,9 @@ def _cmd_hopf_cole(args: argparse.Namespace) -> int:
                     False, REJECTED, str(exc),
                 )
             )
-            verdicts.append(REJECTED)
 
     rep = VerificationReport(
-        verdict=_worst(*verdicts),
+        verdict=worst_verdict(c.verdict for c in conditions),
         residual_text="v residual, bridged u residual, and the bridge square",
         tolerance=args.tol,
         seed=args.seed,

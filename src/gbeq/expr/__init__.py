@@ -41,6 +41,7 @@ from .nodes import (
     rat,
     sqrt,
     var,
+    walk,
 )
 from .numeric import EvalError, Evaluator, evaluate
 from .parse import ParseError, parse
@@ -64,5 +65,5 @@ __all__ = [
     "contains_func", "contains_var", "diff_n", "differentiate", "div",
     "evaluate", "exp", "expand", "format_expr", "func", "integral",
     "is_zero", "ln", "mul", "normal_form", "parse", "pow_", "rat",
-    "ratio_normal", "simplify", "sqrt", "substitute", "var",
+    "ratio_normal", "simplify", "sqrt", "substitute", "var", "walk",
 ]

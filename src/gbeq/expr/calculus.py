@@ -27,6 +27,7 @@ from .nodes import (
     pow_,
     rat,
     var,
+    walk,
 )
 
 
@@ -145,14 +146,17 @@ def substitute(e: Expr, mapping: Mapping[str, Expr], ctx: Optional[Context] = No
 
 
 def _subst(e: Expr, mapping: Dict[str, Expr], ctx: Optional[Context]) -> Expr:
-    if isinstance(e, Rat):
-        return e
     if isinstance(e, Var):
         return mapping.get(e.name, e)
     if isinstance(e, Func):
         rep = mapping.get(e.name)
         if rep is None:
-            return _subst_func_args(e, mapping, ctx)
+            if e.args is None and any(n in mapping for n in e.argnames):
+                # a mapped signature variable makes the application
+                # explicit: f with x -> (y - 1) turns into f(t, y - 1)
+                new_args = [mapping.get(n, var(n)) for n in e.argnames]
+                return func(e.name, e.argnames, e.didx, new_args)
+            return e.rebuild(lambda a: _subst(a, mapping, ctx))
         deriv = rep
         for name, count in zip(e.argnames, e.didx):
             for _ in range(count):
@@ -161,66 +165,20 @@ def _subst(e: Expr, mapping: Dict[str, Expr], ctx: Optional[Context]) -> Expr:
             return deriv
         new_args = tuple(_subst(a, mapping, ctx) for a in e.args)
         return _subst(deriv, {n: a for n, a in zip(e.argnames, new_args)}, ctx)
-    if isinstance(e, Add):
-        return add(*[_subst(t, mapping, ctx) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(
-            rat(e.coeff),
-            *[pow_(_subst(b, mapping, ctx), ex) for b, ex in e.powers],
-        )
-    if isinstance(e, Pow):
-        return pow_(_subst(e.base, mapping, ctx), e.exponent)
-    if isinstance(e, App):
-        return app(e.fn, _subst(e.arg, mapping, ctx))
-    if isinstance(e, Int):
-        rep = mapping.get(e.var)
-        if rep is not None and not isinstance(rep, Var):
+    if isinstance(e, Int) and e.var in mapping:
+        rep = mapping[e.var]
+        if not isinstance(rep, Var):
             raise SubstitutionError(
                 f"cannot substitute a non-variable for the antiderivative "
                 f"variable {e.var}"
             )
-        new_var = rep.name if isinstance(rep, Var) else e.var
-        return integral(_subst(e.body, mapping, ctx), new_var)
-    raise ExprError(f"cannot substitute into {type(e).__name__}")
-
-
-def _subst_func_args(e: Func, mapping: Dict[str, Expr], ctx: Optional[Context]) -> Expr:
-    """Apply a mapping inside a function node whose own name is kept.
-
-    When a signature variable of a default-application node is mapped,
-    the application becomes explicit: f with x -> (y - 1) turns into
-    f(t, y - 1).
-    """
-    if e.args is not None:
-        new_args = tuple(_subst(a, mapping, ctx) for a in e.args)
-        if new_args == e.args:
-            return e
-        return func(e.name, e.argnames, e.didx, new_args)
-    if not any(n in mapping for n in e.argnames):
-        return e
-    new_args = tuple(mapping.get(n, var(n)) for n in e.argnames)
-    return func(e.name, e.argnames, e.didx, new_args)
+        return integral(_subst(e.body, mapping, ctx), rep.name)
+    return e.rebuild(lambda c: _subst(c, mapping, ctx))
 
 
 def contains_func(e: Expr, name: str) -> bool:
     """Does e mention the function symbol called name?"""
-    if isinstance(e, (Rat, Var)):
-        return False
-    if isinstance(e, Func):
-        if e.name == name:
-            return True
-        return e.args is not None and any(contains_func(a, name) for a in e.args)
-    if isinstance(e, App):
-        return contains_func(e.arg, name)
-    if isinstance(e, Int):
-        return contains_func(e.body, name)
-    if isinstance(e, Pow):
-        return contains_func(e.base, name)
-    if isinstance(e, Add):
-        return any(contains_func(t, name) for t in e.terms)
-    if isinstance(e, Mul):
-        return any(contains_func(b, name) for b, _ in e.powers)
-    raise ExprError(f"unknown node {type(e).__name__}")
+    return any(isinstance(n, Func) and n.name == name for n in walk(e))
 
 
 class CollectError(ExprError):
@@ -272,22 +230,8 @@ def _mentions_var_strict(e: Expr, name: str) -> bool:
     For collection purposes an unapplied symbol f(t, x) is an opaque
     coefficient; only explicit occurrences of the variable count.
     """
-    if isinstance(e, Var):
-        return e.name == name
-    if isinstance(e, Rat):
-        return False
-    if isinstance(e, Func):
-        return e.args is not None and any(
-            _mentions_var_strict(a, name) for a in e.args
-        )
-    if isinstance(e, App):
-        return _mentions_var_strict(e.arg, name)
-    if isinstance(e, Int):
-        return e.var == name or _mentions_var_strict(e.body, name)
-    if isinstance(e, Pow):
-        return _mentions_var_strict(e.base, name)
-    if isinstance(e, Add):
-        return any(_mentions_var_strict(t, name) for t in e.terms)
-    if isinstance(e, Mul):
-        return any(_mentions_var_strict(b, name) for b, _ in e.powers)
-    raise ExprError(f"unknown node {type(e).__name__}")
+    return any(
+        (isinstance(n, Var) and n.name == name)
+        or (isinstance(n, Int) and n.var == name)
+        for n in walk(e)
+    )

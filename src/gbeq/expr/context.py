@@ -8,14 +8,13 @@ unlocks rewrites like abs(a) -> a or (T_t^(1/2))^2 -> T_t.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .nodes import (
     App,
     Expr,
     ExprError,
     Func,
-    Int,
     Mul,
     Pow,
     Rat,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -78,6 +78,14 @@ class Expr:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def children(self) -> Tuple["Expr", ...]:
+        """The direct subexpressions, left to right; leaves have none."""
+        return ()
+
+    def rebuild(self, f: Callable[["Expr"], "Expr"]) -> "Expr":
+        """This node over f of each child, through the canonical constructors."""
+        return self
 
     def __repr__(self) -> str:
         from .fmt import format_expr
@@ -175,6 +183,14 @@ class Func(Expr):
 
     __hash__ = Expr.__hash__
 
+    def children(self) -> Tuple[Expr, ...]:
+        return self.args or ()
+
+    def rebuild(self, f: Callable[[Expr], Expr]) -> Expr:
+        if self.args is None:
+            return self
+        return func(self.name, self.argnames, self.didx, [f(a) for a in self.args])
+
 
 class App(Expr):
     """Application of a fixed elementary function (exp, ln, abs, ...)."""
@@ -193,6 +209,12 @@ class App(Expr):
         return isinstance(other, App) and self._key == other._key
 
     __hash__ = Expr.__hash__
+
+    def children(self) -> Tuple[Expr, ...]:
+        return (self.arg,)
+
+    def rebuild(self, f: Callable[[Expr], Expr]) -> Expr:
+        return app(self.fn, f(self.arg))
 
 
 class Int(Expr):
@@ -215,6 +237,12 @@ class Int(Expr):
         return isinstance(other, Int) and self._key == other._key
 
     __hash__ = Expr.__hash__
+
+    def children(self) -> Tuple[Expr, ...]:
+        return (self.body,)
+
+    def rebuild(self, f: Callable[[Expr], Expr]) -> Expr:
+        return integral(f(self.body), self.var)
 
 
 class Pow(Expr):
@@ -240,6 +268,12 @@ class Pow(Expr):
 
     __hash__ = Expr.__hash__
 
+    def children(self) -> Tuple[Expr, ...]:
+        return (self.base,)
+
+    def rebuild(self, f: Callable[[Expr], Expr]) -> Expr:
+        return pow_(f(self.base), self.exponent)
+
 
 class Add(Expr):
     """A flattened, sorted sum of at least two unlike terms."""
@@ -255,6 +289,12 @@ class Add(Expr):
         return isinstance(other, Add) and self._key == other._key
 
     __hash__ = Expr.__hash__
+
+    def children(self) -> Tuple[Expr, ...]:
+        return self.terms
+
+    def rebuild(self, f: Callable[[Expr], Expr]) -> Expr:
+        return add(*[f(t) for t in self.terms])
 
 
 class Mul(Expr):
@@ -275,6 +315,12 @@ class Mul(Expr):
         return isinstance(other, Mul) and self._key == other._key
 
     __hash__ = Expr.__hash__
+
+    def children(self) -> Tuple[Expr, ...]:
+        return tuple(b for b, _ in self.powers)
+
+    def rebuild(self, f: Callable[[Expr], Expr]) -> Expr:
+        return mul(rat(self.coeff), *[pow_(f(b), ex) for b, ex in self.powers])
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +770,21 @@ def integral(body: ExprLike, var_name: str) -> Expr:
 # structure helpers
 
 
+def walk(e: Expr) -> Iterator[Expr]:
+    """Every node of e in preorder, children left to right, without recursion."""
+    return _preorder(e, ())
+
+
+def _preorder(e: Expr, closed: tuple) -> Iterator[Expr]:
+    """walk, yielding nodes of the types in closed without their subtrees."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, closed):
+            stack.extend(reversed(node.children()))
+
+
 def atoms_of(e: Expr) -> list:
     """All leaf unknowns of e: Vars, unapplied Func symbols, Int nodes.
 
@@ -733,58 +794,18 @@ def atoms_of(e: Expr) -> list:
     """
     seen = set()
     out = []
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, (Var, Int)):
-            if node not in seen:
-                seen.add(node)
-                out.append(node)
-            return
-        if isinstance(node, Func):
-            if node not in seen:
-                seen.add(node)
-                out.append(node)
-            if node.args is not None:
-                for a in node.args:
-                    walk(a)
-            return
-        if isinstance(node, App):
-            walk(node.arg)
-        elif isinstance(node, Pow):
-            walk(node.base)
-        elif isinstance(node, Add):
-            for t in node.terms:
-                walk(t)
-        elif isinstance(node, Mul):
-            for b, _ in node.powers:
-                walk(b)
-
-    walk(e)
+    for node in _preorder(e, (Int,)):
+        if isinstance(node, (Var, Func, Int)) and node not in seen:
+            seen.add(node)
+            out.append(node)
     return out
 
 
 def contains_var(e: Expr, name: str) -> bool:
     """Does e mention the variable ``name`` (including via default args)?"""
-    if isinstance(e, Var):
-        return e.name == name
-    if isinstance(e, Rat):
-        return False
-    if isinstance(e, Func):
-        if e.args is None:
-            return name in e.argnames
-        return any(contains_var(a, name) for a in e.args)
-    if isinstance(e, App):
-        return contains_var(e.arg, name)
-    if isinstance(e, Int):
-        return e.var == name or contains_var(e.body, name)
-    if isinstance(e, Pow):
-        return contains_var(e.base, name)
-    if isinstance(e, Add):
-        return any(contains_var(t, name) for t in e.terms)
-    if isinstance(e, Mul):
-        return any(contains_var(b, name) for b, _ in e.powers)
-    raise ExprError(f"unknown node {type(e)}")
-
-
-def is_rational_const(e: Expr) -> bool:
-    return isinstance(e, Rat)
+    return any(
+        (isinstance(n, Var) and n.name == name)
+        or (isinstance(n, Func) and n.args is None and name in n.argnames)
+        or (isinstance(n, Int) and n.var == name)
+        for n in walk(e)
+    )

@@ -16,6 +16,8 @@ suffix after an underscore (X_tx).  A following '(' makes an explicit
 application, checked against the declared arity.  The builtins exp,
 ln, sqrt, abs, sign, sin, cos take one argument; int(body, v) names
 an antiderivative with respect to the declared variable v.
+Undefined arithmetic (1/0, 0^(-1), 0^(1/2), sign(0)) is a ParseError
+at the offending operator.
 """
 
 from __future__ import annotations
@@ -120,6 +122,15 @@ def parse(text: str, ctx: Context) -> Expr:
         pos += 1
         return tok
 
+    def build(at: int, make, *args) -> Expr:
+        """make(*args), reporting undefined arithmetic at column at."""
+        try:
+            return make(*args)
+        except ZeroDivisionError:
+            raise ParseError("division by zero", text, at) from None
+        except ExprError as exc:
+            raise ParseError(str(exc), text, at) from None
+
     def expect(kind: str) -> Token:
         tok = peek()
         if tok[0] != kind:
@@ -137,9 +148,9 @@ def parse(text: str, ctx: Context) -> Expr:
     def parse_product() -> Expr:
         node = parse_unary()
         while peek()[0] in ("*", "/"):
-            op = advance()[0]
+            op, _, at = advance()
             rhs = parse_unary()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
+            node = mul(node, rhs) if op == "*" else build(at, div, node, rhs)
         return node
 
     def parse_unary() -> Expr:
@@ -155,7 +166,7 @@ def parse(text: str, ctx: Context) -> Expr:
             exponent = parse_unary()
             if not isinstance(exponent, Rat):
                 raise ParseError("exponent must be a rational constant", text, at)
-            return pow_(base, exponent.value)
+            return build(at, pow_, base, exponent.value)
         return base
 
     def parse_atom() -> Expr:
@@ -205,7 +216,7 @@ def parse(text: str, ctx: Context) -> Expr:
             args = parse_args()
             if len(args) != 1:
                 raise ParseError(f"{name} takes one argument", text, at)
-            return app(name, args[0])
+            return build(at, app, name, args[0])
         base, underscore, suffix = name.partition("_")
         if base in ctx.variables:
             if underscore:

@@ -24,15 +24,12 @@ from .nodes import (
     MINUS_ONE,
     Mul,
     ONE,
-    ONE_FR,
     Pow,
     Rat,
     Var,
-    ZERO,
+    _as_coeff_powers,
     add,
     app,
-    func,
-    integral,
     mul,
     pow_,
     rat,
@@ -41,26 +38,16 @@ from .nodes import (
 
 def simplify(e: Expr, ctx: Optional[Context] = None) -> Expr:
     """Rebuild e bottom-up, applying assumption-aware rewrites."""
-    if isinstance(e, (Rat, Var)):
-        return e
-    if isinstance(e, Func):
-        if e.args is None:
-            return e
-        return func(e.name, e.argnames, e.didx, tuple(simplify(a, ctx) for a in e.args))
     if isinstance(e, App):
         return _simplify_app(e.fn, simplify(e.arg, ctx), ctx)
-    if isinstance(e, Int):
-        return integral(simplify(e.body, ctx), e.var)
     if isinstance(e, Pow):
         return _simplify_pow(simplify(e.base, ctx), e.exponent, ctx)
-    if isinstance(e, Add):
-        return add(*[simplify(t, ctx) for t in e.terms])
     if isinstance(e, Mul):
         factors: List[Expr] = [rat(e.coeff)]
         for b, ex in e.powers:
             factors.append(_simplify_pow(simplify(b, ctx), ex, ctx))
         return _pair_sign_factors(mul(*factors), ctx)
-    raise ExprError(f"cannot simplify {type(e).__name__}")
+    return e.rebuild(lambda c: simplify(c, ctx))
 
 
 def _simplify_app(fn: str, arg: Expr, ctx: Optional[Context]) -> Expr:
@@ -163,59 +150,45 @@ def _pair_sign_factors(e: Expr, ctx: Optional[Context]) -> Expr:
 
 def expand(e: Expr) -> Expr:
     """Distribute products over sums and expand positive integer powers."""
-    if isinstance(e, (Rat, Var)):
-        return e
-    if isinstance(e, Func):
-        if e.args is None:
-            return e
-        return func(e.name, e.argnames, e.didx, tuple(expand(a) for a in e.args))
-    if isinstance(e, App):
-        return app(e.fn, expand(e.arg))
-    if isinstance(e, Int):
-        return integral(expand(e.body), e.var)
-    if isinstance(e, Pow):
-        return pow_(expand(e.base), e.exponent)
-    if isinstance(e, Add):
-        return add(*[expand(t) for t in e.terms])
-    if isinstance(e, Mul):
-        sums: List[Tuple[Expr, int]] = []
-        passive: List[Expr] = [rat(e.coeff)]
-        for b, ex in e.powers:
-            b = expand(b)
-            if isinstance(b, Add) and ex.denominator == 1 and ex > 0:
-                sums.append((b, int(ex)))
-            elif isinstance(b, Add) and ex > 0 and ex.denominator != 1 and ex > 1:
-                whole = int(ex)  # floor for positive ex
-                frac = ex - whole
-                if whole:
-                    sums.append((b, whole))
-                passive.append(pow_(b, frac))
-            else:
-                passive.append(pow_(b, ex))
-        if not sums:
-            return mul(*passive)
-        # convolve over placeholder atoms: products of placeholders are
-        # plain monomial merges, so exp arguments and other composite
-        # bases are not re-folded on every intermediate product, and
-        # merging between rounds keeps the term count polynomial
-        back: Dict[str, Expr] = {}
-        seen: Dict[Expr, Var] = {}
-        terms: List[Expr] = [ONE]
-        for base, count in sums:
-            hidden = _hide_atoms(base, back, seen)
-            for _ in range(count):
-                merged = add(*[mul(t, s) for t in terms for s in hidden])
-                terms = list(merged.terms) if isinstance(merged, Add) else [merged]
-        passive_prod = mul(*passive)
-        return add(*[mul(_unhide(t, back), passive_prod) for t in terms])
-    raise ExprError(f"cannot expand {type(e).__name__}")
+    if not isinstance(e, Mul):
+        return e.rebuild(expand)
+    sums: List[Tuple[Expr, int]] = []
+    passive: List[Expr] = [rat(e.coeff)]
+    for b, ex in e.powers:
+        b = expand(b)
+        if isinstance(b, Add) and ex.denominator == 1 and ex > 0:
+            sums.append((b, int(ex)))
+        elif isinstance(b, Add) and ex > 0 and ex.denominator != 1 and ex > 1:
+            whole = int(ex)  # floor for positive ex
+            frac = ex - whole
+            if whole:
+                sums.append((b, whole))
+            passive.append(pow_(b, frac))
+        else:
+            passive.append(pow_(b, ex))
+    if not sums:
+        return mul(*passive)
+    # convolve over placeholder atoms: products of placeholders are
+    # plain monomial merges, so exp arguments and other composite
+    # bases are not re-folded on every intermediate product, and
+    # merging between rounds keeps the term count polynomial
+    back: Dict[str, Expr] = {}
+    seen: Dict[Expr, Var] = {}
+    terms: List[Expr] = [ONE]
+    for base, count in sums:
+        hidden = _hide_atoms(base, back, seen)
+        for _ in range(count):
+            merged = add(*[mul(t, s) for t in terms for s in hidden])
+            terms = list(merged.terms) if isinstance(merged, Add) else [merged]
+    passive_prod = mul(*passive)
+    return add(*[mul(_unhide(t, back), passive_prod) for t in terms])
 
 
 def _hide_atoms(a: Add, back: Dict[str, Expr], seen: Dict[Expr, Var]) -> List[Expr]:
     """Rewrite the terms of a sum over fresh placeholder variables."""
     out = []
     for m in a.terms:
-        c, powers = _coeff_powers(m)
+        c, powers = _as_coeff_powers(m)
         parts: List[Expr] = [rat(c)]
         for b, ex in powers:
             v = seen.get(b)
@@ -232,7 +205,7 @@ def _unhide(t: Expr, back: Dict[str, Expr]) -> Expr:
     """Swap the placeholder variables back for their bases."""
     if isinstance(t, Rat):
         return t
-    c, powers = _coeff_powers(t)
+    c, powers = _as_coeff_powers(t)
     parts: List[Expr] = [rat(c)]
     for v, ex in powers:
         parts.append(pow_(back[v.name], ex))
@@ -276,7 +249,7 @@ def ratio_normal(e: Expr) -> Tuple[Expr, Expr]:
         den_pow: Dict[Expr, Fraction] = {}
         den_coeff = Fraction(1)
         for _, d in pairs:
-            c, powers = _coeff_powers(d)
+            c, powers = _as_coeff_powers(d)
             den_coeff = _lcm_fr(den_coeff, abs(c))
             for b, ex in powers:
                 if den_pow.get(b, Fraction(0)) < ex:
@@ -298,7 +271,7 @@ def _content_normal(pair: Tuple[Expr, Expr]) -> Tuple[Expr, Expr]:
     of swelling before expansion.  The quotient's value is unchanged.
     """
     n, d = pair
-    c, powers = _coeff_powers(d)
+    c, powers = _as_coeff_powers(d)
     out = []
     changed = False
     for b, ex in powers:
@@ -336,14 +309,6 @@ def _add_content(a: Add) -> Fraction:
         return Fraction(1)
     g = Fraction(num, den)
     return -g if lead < 0 else g
-
-
-def _coeff_powers(e: Expr) -> Tuple[Fraction, Tuple[Tuple[Expr, Fraction], ...]]:
-    if isinstance(e, Rat):
-        return e.value, ()
-    if isinstance(e, Mul):
-        return e.coeff, e.powers
-    return Fraction(1), ((e, ONE_FR),)
 
 
 def _lcm_fr(a: Fraction, b: Fraction) -> Fraction:

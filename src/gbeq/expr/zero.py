@@ -7,6 +7,11 @@ derivative atom as an independent unknown, or, when function symbols
 appear with explicit arguments or under antiderivatives, by binding
 every symbol to a random polynomial stand-in so that all occurrences
 stay consistent.
+
+Both stages, and the residual sampler of gbeq.verify, run one loop,
+sample_zero: a seeded draw function proposes points, the loop skips
+points that cannot be evaluated, applies a relative-tolerance test to
+the sum of the terms, and stops at the first point that fails it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .context import Context
 from .context import NEGATIVE as FLAG_NEGATIVE
@@ -24,13 +29,10 @@ from .context import POSITIVE as FLAG_POSITIVE
 from .fmt import format_expr
 from .nodes import (
     Add,
-    App,
     Expr,
     ExprError,
     Func,
     Int,
-    Mul,
-    Pow,
     Rat,
     Var,
     ZERO,
@@ -40,6 +42,7 @@ from .nodes import (
     pow_,
     rat,
     var,
+    walk,
 )
 from .numeric import EvalError, Evaluator
 from .simplify import normal_form, simplify
@@ -108,32 +111,26 @@ def is_zero(
             NONZERO, nf, tol, seed, samples=[({}, float(nf.value))],
             max_abs=abs(float(nf.value)),
         )
+    rng = random.Random(seed)
     if _needs_standins(nf):
-        return _sample_standins(nf, ctx, tol, n_samples, seed)
-    return _sample_jets(nf, ctx, tol, n_samples, seed)
+        result = sample_zero(
+            nf, _standin_draw(nf, ctx, rng), n_samples, n_samples * 30,
+            SamplingError("could not draw valid stand-in rounds"), tol, seed,
+        )
+        result.note = "stand-in sampling"
+        return result
+    return sample_zero(
+        nf, _jet_draw(nf, ctx, rng), n_samples, n_samples * 20,
+        SamplingError("could not draw valid sample points"), tol, seed,
+    )
 
 
 def _needs_standins(e: Expr) -> bool:
     """Explicit applications and antiderivatives correlate occurrences."""
-    if isinstance(e, (Rat, Var)):
-        return False
-    if isinstance(e, Func):
-        return e.args is not None
-    if isinstance(e, Int):
-        return True
-    if isinstance(e, App):
-        return _needs_standins(e.arg)
-    if isinstance(e, Pow):
-        return _needs_standins(e.base)
-    if isinstance(e, Add):
-        return any(_needs_standins(t) for t in e.terms)
-    if isinstance(e, Mul):
-        return any(_needs_standins(b) for b, _ in e.powers)
-    raise ExprError(f"unknown node {type(e).__name__}")
-
-
-def _terms_of(e: Expr) -> Tuple[Expr, ...]:
-    return e.terms if isinstance(e, Add) else (e,)
+    return any(
+        isinstance(n, Int) or (isinstance(n, Func) and n.args is not None)
+        for n in walk(e)
+    )
 
 
 def _draw_signed(rng: random.Random, sign: Optional[int]) -> float:
@@ -149,84 +146,80 @@ def _atom_sign(ctx: Optional[Context], atom: Expr) -> Optional[int]:
     return ctx.sign_of(atom)
 
 
-def _check_terms(
-    terms: Tuple[Expr, ...],
-    evaluator: Evaluator,
-    point: Dict[str, float],
-    tol: float,
-) -> Tuple[float, float]:
-    """Return (total, allowance) for the relative-tolerance test."""
-    values = [evaluator(t, point) for t in terms]
-    total = sum(values)
-    scale = max([1.0] + [abs(v) for v in values])
-    return total, tol * scale
+Draw = Callable[[], Optional[Tuple[Evaluator, Dict[str, float]]]]
 
 
-def _sample_jets(
-    nf: Expr,
-    ctx: Optional[Context],
-    tol: float,
+def sample_zero(
+    e: Expr,
+    draw: Draw,
     n_samples: int,
+    max_attempts: int,
+    failure: Exception,
+    tol: float,
     seed: int,
 ) -> ZeroResult:
-    rng = random.Random(seed)
-    atoms = atoms_of(nf)
-    terms = _terms_of(nf)
+    """Grade e on n_samples seeded points: NUMERIC_ZERO or NONZERO.
+
+    draw returns an evaluator and the point to evaluate at, or None to
+    reject the draw; points where a term raises EvalError are skipped
+    as well.  failure is raised once max_attempts draws have not
+    produced enough points.  A point passes when the sum of the terms
+    stays within tol times the largest term magnitude (at least 1);
+    the first point that does not makes e NONZERO.
+    """
+    terms = e.terms if isinstance(e, Add) else (e,)
     samples: List[Tuple[Dict[str, float], float]] = []
     max_abs = 0.0
     attempts = 0
     while len(samples) < n_samples:
         attempts += 1
-        if attempts > n_samples * 20:
-            raise SamplingError("could not draw valid sample points")
-        values = {a: _draw_signed(rng, _atom_sign(ctx, a)) for a in atoms}
-        point = {a.name: v for a, v in values.items() if isinstance(a, Var)}
-        evaluator = Evaluator(atom_values=values)
+        if attempts > max_attempts:
+            raise failure
+        drawn = draw()
+        if drawn is None:
+            continue
+        evaluator, point = drawn
         try:
-            total, allowance = _check_terms(terms, evaluator, point, tol)
+            values = [evaluator(t, point) for t in terms]
         except EvalError:
             continue
-        label = {format_expr(a): v for a, v in values.items()}
-        samples.append((label, total))
+        total = sum(values)
+        samples.append((point, total))
         max_abs = max(max_abs, abs(total))
-        if abs(total) > allowance:
-            return ZeroResult(
-                NONZERO, nf, tol, seed, samples=samples, max_abs=max_abs
-            )
-    return ZeroResult(
-        NUMERIC_ZERO, nf, tol, seed, samples=samples, max_abs=max_abs
-    )
+        if abs(total) > tol * max([1.0] + [abs(v) for v in values]):
+            return ZeroResult(NONZERO, e, tol, seed, samples=samples, max_abs=max_abs)
+    return ZeroResult(NUMERIC_ZERO, e, tol, seed, samples=samples, max_abs=max_abs)
+
+
+def _jet_draw(nf: Expr, ctx: Optional[Context], rng: random.Random) -> Draw:
+    """Independent values for every atom of nf, each derivative its own unknown."""
+    atoms = atoms_of(nf)
+
+    def draw() -> Tuple[Evaluator, Dict[str, float]]:
+        values = {a: _draw_signed(rng, _atom_sign(ctx, a)) for a in atoms}
+        # the point labels every atom; variables are read from it by name
+        point = {format_expr(a): v for a, v in values.items()}
+        return Evaluator(atom_values=values), point
+
+    return draw
 
 
 # -- stand-in sampling ------------------------------------------------------
 
 
-def _collect_symbols(e: Expr, funcs: Dict[str, Tuple[str, ...]], vars_: set) -> None:
-    if isinstance(e, Rat):
-        return
-    if isinstance(e, Var):
-        vars_.add(e.name)
-        return
-    if isinstance(e, Func):
-        funcs[e.name] = e.argnames
-        vars_.update(e.argnames)
-        if e.args is not None:
-            for a in e.args:
-                _collect_symbols(a, funcs, vars_)
-        return
-    if isinstance(e, App):
-        _collect_symbols(e.arg, funcs, vars_)
-    elif isinstance(e, Int):
-        vars_.add(e.var)
-        _collect_symbols(e.body, funcs, vars_)
-    elif isinstance(e, Pow):
-        _collect_symbols(e.base, funcs, vars_)
-    elif isinstance(e, Add):
-        for t in e.terms:
-            _collect_symbols(t, funcs, vars_)
-    elif isinstance(e, Mul):
-        for b, _ in e.powers:
-            _collect_symbols(b, funcs, vars_)
+def _collect_symbols(e: Expr) -> Tuple[Dict[str, Tuple[str, ...]], set]:
+    """Function signatures by name, and every variable name e involves."""
+    funcs: Dict[str, Tuple[str, ...]] = {}
+    var_names: set = set()
+    for n in walk(e):
+        if isinstance(n, Var):
+            var_names.add(n.name)
+        elif isinstance(n, Func):
+            funcs[n.name] = n.argnames
+            var_names.update(n.argnames)
+        elif isinstance(n, Int):
+            var_names.add(n.var)
+    return funcs, var_names
 
 
 def _func_constraints(
@@ -288,55 +281,31 @@ def _random_standin(
     return add(*terms)
 
 
-def _sample_standins(
-    nf: Expr,
-    ctx: Optional[Context],
-    tol: float,
-    n_samples: int,
-    seed: int,
-) -> ZeroResult:
-    rng = random.Random(seed)
-    funcs: Dict[str, Tuple[str, ...]] = {}
-    var_names: set = set()
-    _collect_symbols(nf, funcs, var_names)
-    terms = _terms_of(nf)
+def _standin_draw(nf: Expr, ctx: Optional[Context], rng: random.Random) -> Draw:
+    """Variable values plus one random polynomial per function symbol of nf.
+
+    Draws whose stand-ins break the sign assumptions of ctx are rejected.
+    """
+    funcs, var_names = _collect_symbols(nf)
     constraints = {
         name: _func_constraints(ctx, name, sig) for name, sig in funcs.items()
     }
 
-    samples: List[Tuple[Dict[str, float], float]] = []
-    max_abs = 0.0
-    attempts = 0
-    while len(samples) < n_samples:
-        attempts += 1
-        if attempts > n_samples * 30:
-            raise SamplingError("could not draw valid stand-in rounds")
-        point = {}
-        for name in sorted(var_names):
-            sign = _atom_sign(ctx, var(name))
-            point[name] = _draw_signed(rng, sign)
+    def draw() -> Optional[Tuple[Evaluator, Dict[str, float]]]:
+        point = {
+            name: _draw_signed(rng, _atom_sign(ctx, var(name)))
+            for name in sorted(var_names)
+        }
         bindings = {
             name: _random_standin(rng, sig, constraints[name])
             for name, sig in sorted(funcs.items())
         }
         evaluator = Evaluator(bindings=bindings)
         if not _constraints_hold(evaluator, funcs, constraints, point):
-            continue
-        try:
-            total, allowance = _check_terms(terms, evaluator, point, tol)
-        except EvalError:
-            continue
-        samples.append((dict(point), total))
-        max_abs = max(max_abs, abs(total))
-        if abs(total) > allowance:
-            return ZeroResult(
-                NONZERO, nf, tol, seed, samples=samples, max_abs=max_abs,
-                note="stand-in sampling",
-            )
-    return ZeroResult(
-        NUMERIC_ZERO, nf, tol, seed, samples=samples, max_abs=max_abs,
-        note="stand-in sampling",
-    )
+            return None
+        return evaluator, point
+
+    return draw
 
 
 def _constraints_hold(

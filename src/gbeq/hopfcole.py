@@ -46,6 +46,7 @@ from .report import (
     ConditionReport,
     OBSTRUCTION,
     VerificationReport,
+    worst_verdict,
 )
 from .transforms import (
     ApplyResult,
@@ -258,13 +259,8 @@ def verify_diagram(
                     )
                 )
 
-    all_ok = all(c.ok for c in conditions)
-    worst = "SYMBOLIC_ZERO"
-    for c in conditions:
-        if c.verdict == "NUMERIC_ZERO":
-            worst = "NUMERIC_ZERO"
     return VerificationReport(
-        verdict=worst if all_ok else "NONZERO",
+        verdict=worst_verdict(c.verdict for c in conditions),
         residual_text="bridge square: element face and solution face",
         tolerance=tol,
         seed=seed,

@@ -3,13 +3,32 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-from .expr import Expr, ZeroResult, format_expr
+from .expr import NONZERO, NUMERIC_ZERO, SYMBOLIC_ZERO
 
 REJECTED = "REJECTED_PRECONDITION"
 OBSTRUCTION = "OBSTRUCTION"
 MEMBER = "MEMBER"
+
+_RANK = {
+    SYMBOLIC_ZERO: 0,
+    NUMERIC_ZERO: 1,
+    MEMBER: 1,
+    NONZERO: 2,
+    REJECTED: 3,
+    OBSTRUCTION: 4,
+}
+
+
+def worst_verdict(verdicts: Iterable[str]) -> str:
+    """The weakest evidence among verdicts; SYMBOLIC_ZERO when there are none.
+
+    The order is SYMBOLIC_ZERO < NUMERIC_ZERO = MEMBER < NONZERO <
+    REJECTED_PRECONDITION < OBSTRUCTION, and ties keep the first.
+    Verdicts outside that list rank with NONZERO.
+    """
+    return max(verdicts, key=lambda v: _RANK.get(v, 2), default=SYMBOLIC_ZERO)
 
 
 @dataclass
@@ -46,8 +65,6 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        from .expr import NUMERIC_ZERO, SYMBOLIC_ZERO
-
         if self.conditions:
             return all(c.ok for c in self.conditions) and self.verdict not in (
                 REJECTED,
@@ -69,15 +86,3 @@ class VerificationReport:
         if self.conditions:
             out["conditions"] = [c.to_json() for c in self.conditions]
         return out
-
-
-def report_from_zero(result: ZeroResult, summary: str = "") -> VerificationReport:
-    """Wrap a ZeroResult in a report."""
-    return VerificationReport(
-        verdict=result.verdict,
-        residual_text=format_expr(result.residual),
-        tolerance=result.tolerance,
-        seed=result.seed,
-        summary=summary or result.summary(),
-        samples=list(result.samples),
-    )

@@ -45,7 +45,7 @@ from .expr import (
     var,
 )
 from .hopfcole import cole_hopf_solution
-from .report import ConditionReport, REJECTED, VerificationReport
+from .report import ConditionReport, REJECTED, VerificationReport, worst_verdict
 from .transforms import ProjectiveTuple, apply_projective, compose
 
 _COORDS = ("t", "x", "u")
@@ -482,13 +482,8 @@ def is_symmetry(
             )
         )
 
-    all_ok = all(c.ok for c in conditions)
-    worst = "SYMBOLIC_ZERO"
-    for c in conditions:
-        if c.verdict == "NUMERIC_ZERO":
-            worst = "NUMERIC_ZERO"
     return VerificationReport(
-        verdict=worst if all_ok else "NONZERO",
+        verdict=worst_verdict(c.verdict for c in conditions),
         residual_text="PDE residual of each transported catalog solution",
         tolerance=tol,
         seed=seed,
@@ -517,7 +512,7 @@ def flow_generator_check(index: int, tol: float = 1e-9, seed: int = 42) -> Verif
         )
     all_ok = all(c.ok for c in conditions)
     return VerificationReport(
-        verdict="SYMBOLIC_ZERO" if all_ok else "NONZERO",
+        verdict=worst_verdict(c.verdict for c in conditions),
         residual_text=f"flow derivative at s = 0 minus e{index}",
         tolerance=tol,
         seed=seed,

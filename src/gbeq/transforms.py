@@ -54,7 +54,6 @@ from .expr import (
     format_expr,
     integral,
     is_zero,
-    normal_form,
     parse,
     pow_,
     rat,
@@ -1564,13 +1563,3 @@ def format_transform(tr: Union[Transform, ImplicitInverseOf]) -> str:
         else:
             lines.append(f"param.{name} = {format_expr(value)}")
     return "\n".join(lines) + "\n"
-
-
-def load_transform(path: str) -> Transform:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_transform(fh.read())
-
-
-def save_transform(tr: Transform, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_transform(tr))

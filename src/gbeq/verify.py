@@ -14,7 +14,10 @@ before anything else runs.
 
 Sampling is governed by a SampleDomain: per-variable interval unions,
 named exclusion predicates (poles of a solution, say), a sample
-count, and a seed.  Identical inputs and seed give identical reports.
+count, and a seed.  Function-free residuals are sampled on the domain
+through the sampling loop of is_zero (gbeq.expr.zero.sample_zero);
+residuals with opaque symbols go through is_zero itself.  Identical
+inputs and seed give identical reports.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 from .classes import CLASS_SPECS, EquationInstance, build_pde
 from .expr import (
-    Add,
     App,
     Context,
     EvalError,
@@ -33,11 +35,7 @@ from .expr import (
     Expr,
     Func,
     Int,
-    Mul,
     NONZERO,
-    NUMERIC_ZERO,
-    Pow,
-    Rat,
     SYMBOLIC_ZERO,
     Var,
     ZERO,
@@ -47,8 +45,10 @@ from .expr import (
     normal_form,
     simplify,
     substitute,
+    walk,
 )
-from .report import ConditionReport, REJECTED, VerificationReport
+from .expr.zero import Draw, sample_zero
+from .report import ConditionReport, REJECTED, VerificationReport, worst_verdict
 from .transforms import (
     ApplyResult,
     ImplicitInverseOf,
@@ -150,83 +150,7 @@ def default_domain(count: int = 30, seed: int = 42) -> SampleDomain:
 
 
 def _has_opaque_symbols(e: Expr) -> bool:
-    return any(isinstance(a, (Func, Int)) for a in atoms_of(e)) or _has_apps(e)
-
-
-def _has_apps(e: Expr) -> bool:
-    if isinstance(e, (Rat, Var, Func)):
-        return isinstance(e, Func) and e.args is not None
-    if isinstance(e, App):
-        return True
-    if isinstance(e, Int):
-        return True
-    if isinstance(e, Pow):
-        return _has_apps(e.base)
-    if isinstance(e, Add):
-        return any(_has_apps(t) for t in e.terms)
-    if isinstance(e, Mul):
-        return any(_has_apps(b) for b, _ in e.powers)
-    return False
-
-
-def _var_names(e: Expr) -> List[str]:
-    return sorted({a.name for a in atoms_of(e) if isinstance(a, Var)})
-
-
-def _sample_residual(
-    res_expr: Expr,
-    domain: SampleDomain,
-    tol: float,
-    seed: int,
-) -> VerificationReport:
-    """Grade a function-free residual by its sampled values."""
-    names = _var_names(res_expr)
-    terms = res_expr.terms if isinstance(res_expr, Add) else (res_expr,)
-    ev = Evaluator()
-    rng = random.Random(seed)
-    samples: List[Tuple[Dict[str, float], float]] = []
-    max_abs = 0.0
-    attempts = 0
-    while len(samples) < domain.count:
-        attempts += 1
-        if attempts > max(1, domain.count) * 50:
-            raise VerifyError(
-                "could not draw enough valid points for the residual"
-            )
-        point = domain.draw(names, rng)
-        if not all(ex.holds(point) for ex in domain.exclusions):
-            continue
-        try:
-            values = [ev(term, point) for term in terms]
-        except EvalError:
-            continue
-        total = sum(values)
-        scale = max([1.0] + [abs(v) for v in values])
-        samples.append((point, total))
-        max_abs = max(max_abs, abs(total))
-        if abs(total) > tol * scale:
-            return VerificationReport(
-                verdict=NONZERO,
-                residual_text=format_expr(res_expr),
-                tolerance=tol,
-                seed=seed,
-                summary=(
-                    f"residual nonzero: |{total:.6g}| at "
-                    + ", ".join(f"{k} = {v:.6g}" for k, v in sorted(point.items()))
-                ),
-                samples=samples,
-            )
-    return VerificationReport(
-        verdict=NUMERIC_ZERO,
-        residual_text=format_expr(res_expr),
-        tolerance=tol,
-        seed=seed,
-        summary=(
-            f"residual within tolerance on {len(samples)} points "
-            f"(max |value| {max_abs:.3g})"
-        ),
-        samples=samples,
-    )
+    return any(isinstance(n, (App, Func, Int)) for n in walk(e))
 
 
 def residual(
@@ -269,15 +193,46 @@ def residual(
             res_expr, ctx, tol=tol, n_samples=domain.count, seed=eff_seed,
             normalize=False,
         )
-        return VerificationReport(
-            verdict=zr.verdict,
-            residual_text=format_expr(res_expr),
-            tolerance=tol,
-            seed=eff_seed,
-            summary="opaque symbols present; " + zr.summary(),
-            samples=list(zr.samples),
+        summary = "opaque symbols present; " + zr.summary()
+    else:
+        zr = sample_zero(
+            res_expr, _domain_draw(res_expr, domain, random.Random(eff_seed)),
+            domain.count, max(1, domain.count) * 50,
+            VerifyError("could not draw enough valid points for the residual"),
+            tol, eff_seed,
         )
-    return _sample_residual(res_expr, domain, tol, eff_seed)
+        if zr.verdict == NONZERO:
+            point, total = zr.samples[-1]
+            summary = f"residual nonzero: |{total:.6g}| at " + ", ".join(
+                f"{k} = {v:.6g}" for k, v in sorted(point.items())
+            )
+        else:
+            summary = (
+                f"residual within tolerance on {len(zr.samples)} points "
+                f"(max |value| {zr.max_abs:.3g})"
+            )
+    return VerificationReport(
+        verdict=zr.verdict,
+        residual_text=format_expr(res_expr),
+        tolerance=tol,
+        seed=eff_seed,
+        summary=summary,
+        samples=list(zr.samples),
+    )
+
+
+def _domain_draw(e: Expr, domain: SampleDomain, rng: random.Random) -> Draw:
+    """Points of the domain in e's variables; excluded points are rejected."""
+    names = sorted({a.name for a in atoms_of(e) if isinstance(a, Var)})
+    ev = Evaluator()
+
+    def draw() -> Optional[Tuple[Evaluator, Dict[str, float]]]:
+        point = domain.draw(names, rng)
+        if not all(ex.holds(point) for ex in domain.exclusions):
+            return None
+        return ev, point
+
+    return draw
 
 
 def push_solution(
@@ -408,13 +363,8 @@ def transport_check(
                 )
             )
 
-    all_ok = all(c.ok for c in conditions)
-    worst = SYMBOLIC_ZERO
-    for c in conditions:
-        if c.verdict == NUMERIC_ZERO:
-            worst = NUMERIC_ZERO
     return VerificationReport(
-        verdict=worst if all_ok else NONZERO,
+        verdict=worst_verdict(c.verdict for c in conditions),
         residual_text="element agreement and pushed-solution residual",
         tolerance=tol,
         seed=seed,

@@ -295,6 +295,19 @@ def test_verify_solution_exit_partition(corpus, tmp_path):
     assert main(["verify-solution", str(files["burgers.gbeq"]), "--solution", "t +*"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "solution, column",
+    [("1/0", 2), ("0^(-1)", 2), ("x^(1/0)", 5), ("sign(0)", 1), ("0^(1/2)", 2)],
+)
+def test_undefined_arithmetic_is_an_input_error(corpus, capsys, solution, column):
+    tmp, files = corpus
+    argv = ["verify-solution", str(files["burgers.gbeq"]), "--solution", solution]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("gbeq verify-solution: --solution: ")
+    assert f"at column {column}\n" in err
+
+
 def test_solution_can_come_from_a_file(corpus, capsys):
     tmp, files = corpus
     code = main([

@@ -26,7 +26,6 @@ from gbeq.expr import (
     sqrt,
     var,
 )
-from gbeq.expr.nodes import is_rational_const
 
 from conftest import random_tree
 
@@ -39,8 +38,6 @@ def test_rat_values():
     assert rat(3).value == Fraction(3)
     assert rat(1, 2).value == Fraction(1, 2)
     assert rat(Fraction(-7, 3)).value == Fraction(-7, 3)
-    assert is_rational_const(rat(0))
-    assert not is_rational_const(t)
 
 
 def test_add_merges_like_terms():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gbeq.expr import format_expr, is_zero, parse, var
+from gbeq.expr import NUMERIC_ZERO, ZeroResult, format_expr, is_zero, parse, var
 from gbeq.symmetry import (
     SymmetryGroupElement,
     VectorField,
@@ -122,6 +122,30 @@ def test_flow_generators_match_the_algebra():
     for idx in range(1, 6):
         rep = flow_generator_check(idx)
         assert rep.verdict == "SYMBOLIC_ZERO", idx
+
+
+def test_flow_generator_check_keeps_numeric_evidence(monkeypatch):
+    # a component that only passed by sampling must not be reported
+    # as a symbolic proof of the whole generator
+    import gbeq.symmetry
+
+    real = gbeq.symmetry.is_zero
+    calls = []
+
+    def first_numeric(e, ctx=None, **kw):
+        zr = real(e, ctx, **kw)
+        calls.append(zr)
+        if len(calls) == 1:
+            return ZeroResult(NUMERIC_ZERO, zr.residual, zr.tolerance, zr.seed)
+        return zr
+
+    monkeypatch.setattr(gbeq.symmetry, "is_zero", first_numeric)
+    rep = flow_generator_check(2)
+    assert [c.verdict for c in rep.conditions] == [
+        "NUMERIC_ZERO", "SYMBOLIC_ZERO", "SYMBOLIC_ZERO",
+    ]
+    assert rep.ok
+    assert rep.verdict == "NUMERIC_ZERO"
 
 
 def test_generator_components():

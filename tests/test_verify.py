@@ -7,6 +7,7 @@ import pytest
 
 from gbeq.classes import ClassId, EquationInstance, class_context
 from gbeq.expr import ZERO, format_expr, parse, rat, var
+from gbeq.report import worst_verdict
 from gbeq.transforms import LinzTransform, ReducedTransform, apply_f, apply_linz
 from gbeq.verify import (
     DEFAULT_PIECES,
@@ -134,3 +135,12 @@ def test_transport_check_flags_wrong_target():
     wrong = EquationInstance(ClassId.LINZ_F, {"f": parse("t", ctx)})
     rep = transport_check(tr, src, wrong, parse("2/x", ctx))
     assert not rep.ok
+
+
+def test_worst_verdict_ranks_evidence():
+    assert worst_verdict([]) == "SYMBOLIC_ZERO"
+    assert worst_verdict(["SYMBOLIC_ZERO", "NUMERIC_ZERO", "SYMBOLIC_ZERO"]) == "NUMERIC_ZERO"
+    assert worst_verdict(["MEMBER", "NUMERIC_ZERO"]) == "MEMBER"
+    assert worst_verdict(["NONZERO", "NUMERIC_ZERO"]) == "NONZERO"
+    assert worst_verdict(["NONZERO", "REJECTED_PRECONDITION"]) == "REJECTED_PRECONDITION"
+    assert worst_verdict(["OBSTRUCTION", "REJECTED_PRECONDITION"]) == "OBSTRUCTION"
