@@ -18,6 +18,12 @@ ln, sqrt, abs, sign, sin, cos take one argument; int(body, v) names
 an antiderivative with respect to the declared variable v.
 Undefined arithmetic (1/0, 0^(-1), 0^(1/2), sign(0)) is a ParseError
 at the offending operator.
+
+Every parenthesis, argument list, unary minus and exponent opens one
+nesting level, the whole input being level 1.  Input nested deeper
+than MAX_NESTING levels is a ParseError at the token that opens the
+extra level: the parser and the passes that walk the tree it builds
+recurse per level, and would otherwise exhaust the interpreter stack.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ from .nodes import (
 )
 
 BUILTINS = set(APP_NAMES) | {"sqrt", "int"}
+
+MAX_NESTING = 100
 
 
 class ParseError(ExprError):
@@ -112,6 +120,7 @@ def parse(text: str, ctx: Context) -> Expr:
     """Parse ``text`` against the declarations in ``ctx``."""
     tokens = _tokenize(text)
     pos = 0
+    depth = 0
 
     def peek() -> Token:
         return tokens[pos]
@@ -154,10 +163,19 @@ def parse(text: str, ctx: Context) -> Expr:
         return node
 
     def parse_unary() -> Expr:
+        nonlocal depth
+        depth += 1
+        if depth > MAX_NESTING:
+            raise ParseError(
+                f"expression nested deeper than {MAX_NESTING} levels", text, peek()[2]
+            )
         if peek()[0] == "-":
             advance()
-            return -parse_unary()
-        return parse_power()
+            node = -parse_unary()
+        else:
+            node = parse_power()
+        depth -= 1
+        return node
 
     def parse_power() -> Expr:
         base = parse_atom()

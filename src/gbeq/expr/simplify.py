@@ -1,11 +1,22 @@
-"""Canonicalization passes beyond the constructors, and zero testing.
+"""Canonicalization passes beyond the constructors.
 
 simplify applies rewrites whose validity depends on the assumption
 set: resolving abs and sign, pairing sign(a)*a into abs(a), folding
 even powers of abs, and upgrading opaque Pow nodes once positivity is
-known.  expand distributes products over sums.  ratio_normal puts an
-expression over a common denominator, which together with expand
-decides every rational identity exactly.
+known.
+
+expand, ratio_normal and normal_form go through the polynomial kernel
+of gbeq.expr.poly and back to a tree.  The kernel holds a polynomial
+as a dict from monomial to coefficient over kernel atoms (Var, Func,
+Int, opaque Pow, App other than exp, radicals of rationals, and sums
+kept whole under a negative or fractional exponent, each with its
+arguments expanded), with all exp factors of a monomial merged into
+one.  A quotient keeps its denominator factored as content-normal
+bases with exponents, and sums of quotients go over the least common
+multiple of those bases; no polynomial gcd is taken.  Each call builds
+its own kernel, whose memo maps every distinct subtree to its
+polynomial and its quotient once and is dropped on return.  Clearing
+denominators this way decides every rational identity exactly.
 """
 
 from __future__ import annotations
@@ -15,25 +26,18 @@ from typing import Dict, List, Optional, Tuple
 
 from .context import Context
 from .nodes import (
-    Add,
     App,
     Expr,
-    ExprError,
-    Func,
-    Int,
     MINUS_ONE,
     Mul,
     ONE,
     Pow,
-    Rat,
-    Var,
-    _as_coeff_powers,
-    add,
     app,
     mul,
     pow_,
     rat,
 )
+from .poly import Kernel
 
 
 def simplify(e: Expr, ctx: Optional[Context] = None) -> Expr:
@@ -150,174 +154,20 @@ def _pair_sign_factors(e: Expr, ctx: Optional[Context]) -> Expr:
 
 def expand(e: Expr) -> Expr:
     """Distribute products over sums and expand positive integer powers."""
-    if not isinstance(e, Mul):
-        return e.rebuild(expand)
-    sums: List[Tuple[Expr, int]] = []
-    passive: List[Expr] = [rat(e.coeff)]
-    for b, ex in e.powers:
-        b = expand(b)
-        if isinstance(b, Add) and ex.denominator == 1 and ex > 0:
-            sums.append((b, int(ex)))
-        elif isinstance(b, Add) and ex > 0 and ex.denominator != 1 and ex > 1:
-            whole = int(ex)  # floor for positive ex
-            frac = ex - whole
-            if whole:
-                sums.append((b, whole))
-            passive.append(pow_(b, frac))
-        else:
-            passive.append(pow_(b, ex))
-    if not sums:
-        return mul(*passive)
-    # convolve over placeholder atoms: products of placeholders are
-    # plain monomial merges, so exp arguments and other composite
-    # bases are not re-folded on every intermediate product, and
-    # merging between rounds keeps the term count polynomial
-    back: Dict[str, Expr] = {}
-    seen: Dict[Expr, Var] = {}
-    terms: List[Expr] = [ONE]
-    for base, count in sums:
-        hidden = _hide_atoms(base, back, seen)
-        for _ in range(count):
-            merged = add(*[mul(t, s) for t in terms for s in hidden])
-            terms = list(merged.terms) if isinstance(merged, Add) else [merged]
-    passive_prod = mul(*passive)
-    return add(*[mul(_unhide(t, back), passive_prod) for t in terms])
-
-
-def _hide_atoms(a: Add, back: Dict[str, Expr], seen: Dict[Expr, Var]) -> List[Expr]:
-    """Rewrite the terms of a sum over fresh placeholder variables."""
-    out = []
-    for m in a.terms:
-        c, powers = _as_coeff_powers(m)
-        parts: List[Expr] = [rat(c)]
-        for b, ex in powers:
-            v = seen.get(b)
-            if v is None:
-                v = Var(f"@{len(back)}")
-                seen[b] = v
-                back[v.name] = b
-            parts.append(pow_(v, ex))
-        out.append(mul(*parts))
-    return out
-
-
-def _unhide(t: Expr, back: Dict[str, Expr]) -> Expr:
-    """Swap the placeholder variables back for their bases."""
-    if isinstance(t, Rat):
-        return t
-    c, powers = _as_coeff_powers(t)
-    parts: List[Expr] = [rat(c)]
-    for v, ex in powers:
-        parts.append(pow_(back[v.name], ex))
-    return mul(*parts)
+    k = Kernel()
+    return k.tree(k.expand(e))
 
 
 def ratio_normal(e: Expr) -> Tuple[Expr, Expr]:
-    """Write e as num/den with denominators cleared, both expanded.
+    """Write e as num/den with denominators cleared: num expanded, den factored.
 
     Only integer exponents are split across the quotient; fractional
     powers stay whole so no sign information is lost.  e is zero on
     its domain exactly when the returned numerator is zero.
     """
-    if isinstance(e, (Rat,)):
-        return rat(e.value.numerator), rat(e.value.denominator)
-    if isinstance(e, (Var, Func, App, Int)):
-        return e, ONE
-    if isinstance(e, Pow):
-        if e.exponent < 0:
-            return ONE, pow_(e.base, -e.exponent)
-        return e, ONE
-    if isinstance(e, Mul):
-        num_parts: List[Expr] = [rat(e.coeff.numerator)]
-        den_parts: List[Expr] = [rat(e.coeff.denominator)]
-        for b, ex in e.powers:
-            if ex.denominator != 1:
-                num_parts.append(pow_(b, ex) if ex > 0 else ONE)
-                if ex < 0:
-                    den_parts.append(pow_(b, -ex))
-                continue
-            nb, db = ratio_normal(b)
-            if ex > 0:
-                num_parts.append(pow_(nb, ex))
-                den_parts.append(pow_(db, ex))
-            else:
-                num_parts.append(pow_(db, -ex))
-                den_parts.append(pow_(nb, -ex))
-        return mul(*num_parts), mul(*den_parts)
-    if isinstance(e, Add):
-        pairs = [_content_normal(ratio_normal(t)) for t in e.terms]
-        den_pow: Dict[Expr, Fraction] = {}
-        den_coeff = Fraction(1)
-        for _, d in pairs:
-            c, powers = _as_coeff_powers(d)
-            den_coeff = _lcm_fr(den_coeff, abs(c))
-            for b, ex in powers:
-                if den_pow.get(b, Fraction(0)) < ex:
-                    den_pow[b] = ex
-        den = mul(rat(den_coeff), *[pow_(b, ex) for b, ex in den_pow.items()])
-        num_terms = []
-        for n, d in pairs:
-            num_terms.append(expand(mul(n, den, pow_(d, -1))))
-        return expand(add(*num_terms)), den
-    raise ExprError(f"cannot normalize {type(e).__name__}")
-
-
-def _content_normal(pair: Tuple[Expr, Expr]) -> Tuple[Expr, Expr]:
-    """Scale rational content out of Add bases in the denominator.
-
-    Proportional bases gathered from different terms (1 + t versus
-    2 + 2*t versus -1 - t) then agree structurally, so the common
-    denominator stays tight and the per-term quotients cancel instead
-    of swelling before expansion.  The quotient's value is unchanged.
-    """
-    n, d = pair
-    c, powers = _as_coeff_powers(d)
-    out = []
-    changed = False
-    for b, ex in powers:
-        if isinstance(b, Add) and ex.denominator == 1:
-            g = _add_content(b)
-            if g != 1:
-                b = add(*[mul(rat(Fraction(1) / g), t) for t in b.terms])
-                c = c * g ** int(ex)
-                changed = True
-        out.append((b, ex))
-    if not changed:
-        return n, d
-    return n, mul(rat(c), *[pow_(b, ex) for b, ex in out])
-
-
-def _add_content(a: Add) -> Fraction:
-    """Rational content of a sum, signed to make the leading term positive."""
-    import math
-
-    num = 0
-    den = 1
-    lead = Fraction(1)
-    for i, t in enumerate(a.terms):
-        if isinstance(t, Rat):
-            c = t.value
-        elif isinstance(t, Mul):
-            c = t.coeff
-        else:
-            c = Fraction(1)
-        if i == 0:
-            lead = c
-        num = math.gcd(num, abs(c.numerator))
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    if num == 0:
-        return Fraction(1)
-    g = Fraction(num, den)
-    return -g if lead < 0 else g
-
-
-def _lcm_fr(a: Fraction, b: Fraction) -> Fraction:
-    # least common multiple of two positive rationals
-    import math
-
-    num = (a.numerator * b.numerator) // math.gcd(a.numerator, b.numerator)
-    den = math.gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
+    k = Kernel()
+    n, d = k.ratio(e)
+    return k.tree(n), d
 
 
 def normal_form(e: Expr, ctx: Optional[Context] = None) -> Expr:
@@ -326,6 +176,6 @@ def normal_form(e: Expr, ctx: Optional[Context] = None) -> Expr:
     The result is zero (the Rat node 0) exactly when e vanishes
     identically on its domain, provided e is rational in its atoms.
     """
-    s = simplify(e, ctx)
-    n, _ = ratio_normal(expand(s))
-    return simplify(expand(n), ctx)
+    k = Kernel()
+    n, _ = k.expanded_ratio(k.expand(simplify(e, ctx)))
+    return simplify(k.tree(n), ctx)

@@ -104,23 +104,33 @@ def is_zero(
     nf = normal_form(e, ctx)
     if nf == ZERO:
         return ZeroResult(SYMBOLIC_ZERO, nf, tol, seed)
-    if not normalize:
-        nf = simplify(e, ctx)
-    if isinstance(nf, Rat):
+    return sampled_verdict(nf if normalize else simplify(e, ctx), ctx, tol, n_samples, seed)
+
+
+def sampled_verdict(
+    e: Expr, ctx: Optional[Context], tol: float, n_samples: int, seed: int
+) -> ZeroResult:
+    """The numeric stage of is_zero, for an e already known not to be symbolically 0.
+
+    Constants are graded directly; otherwise e is sampled per jet
+    coordinate, or with polynomial stand-ins when symbols appear with
+    explicit arguments or under antiderivatives.
+    """
+    if isinstance(e, Rat):
         return ZeroResult(
-            NONZERO, nf, tol, seed, samples=[({}, float(nf.value))],
-            max_abs=abs(float(nf.value)),
+            NONZERO, e, tol, seed, samples=[({}, float(e.value))],
+            max_abs=abs(float(e.value)),
         )
     rng = random.Random(seed)
-    if _needs_standins(nf):
+    if _needs_standins(e):
         result = sample_zero(
-            nf, _standin_draw(nf, ctx, rng), n_samples, n_samples * 30,
+            e, _standin_draw(e, ctx, rng), n_samples, n_samples * 30,
             SamplingError("could not draw valid stand-in rounds"), tol, seed,
         )
         result.note = "stand-in sampling"
         return result
     return sample_zero(
-        nf, _jet_draw(nf, ctx, rng), n_samples, n_samples * 20,
+        e, _jet_draw(e, ctx, rng), n_samples, n_samples * 20,
         SamplingError("could not draw valid sample points"), tol, seed,
     )
 

@@ -16,8 +16,9 @@ Sampling is governed by a SampleDomain: per-variable interval unions,
 named exclusion predicates (poles of a solution, say), a sample
 count, and a seed.  Function-free residuals are sampled on the domain
 through the sampling loop of is_zero (gbeq.expr.zero.sample_zero);
-residuals with opaque symbols go through is_zero itself.  Identical
-inputs and seed give identical reports.
+residuals with opaque symbols go through the numeric stage of is_zero
+(sampled_verdict), since the residual's normal form is already known
+not to be 0.  Identical inputs and seed give identical reports.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .expr import (
     substitute,
     walk,
 )
-from .expr.zero import Draw, sample_zero
+from .expr.zero import Draw, sample_zero, sampled_verdict
 from .report import ConditionReport, REJECTED, VerificationReport, worst_verdict
 from .transforms import (
     ApplyResult,
@@ -189,10 +190,7 @@ def residual(
             summary="residual reduced to 0 symbolically",
         )
     if _has_opaque_symbols(res_expr):
-        zr = is_zero(
-            res_expr, ctx, tol=tol, n_samples=domain.count, seed=eff_seed,
-            normalize=False,
-        )
+        zr = sampled_verdict(simplify(res_expr, ctx), ctx, tol, domain.count, eff_seed)
         summary = "opaque symbols present; " + zr.summary()
     else:
         zr = sample_zero(

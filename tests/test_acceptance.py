@@ -7,6 +7,7 @@ asserts its own two-minute ceiling; everything else is a few seconds.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -130,7 +131,10 @@ DRAWS_PER_FAMILY = 100
 def test_groupoid_laws_all_families(acceptance_detail):
     t0 = time.monotonic()
     failures = []
+    family_s = {}
+    verdicts = collections.Counter()
     for fam in GROUPOID_FAMILIES:
+        fam_t0 = time.monotonic()
         rng = random.Random(GROUPOID_SEEDS[fam])
         for i in range(DRAWS_PER_FAMILY):
             f = draw_transform(fam, rng)
@@ -152,6 +156,7 @@ def test_groupoid_laws_all_families(acceptance_detail):
             for name in sorted(r1.pullback):
                 pulled = substitute(r2.pullback[name], back, ctx)
                 z = is_zero(r1.pullback[name] - pulled, ctx)
+                verdicts[z.verdict] += 1
                 if not z:
                     failures.append((fam, i, "associativity", name, z.verdict))
 
@@ -160,10 +165,14 @@ def test_groupoid_laws_all_families(acceptance_detail):
                 failures.append((fam, i, "inverse is implicit"))
             elif not transforms_equal(compose(finv, f), ident, ctx):
                 failures.append((fam, i, "inverse"))
+        family_s[fam] = time.monotonic() - fam_t0
     elapsed = time.monotonic() - t0
     acceptance_detail(
         f"{len(GROUPOID_FAMILIES)} families x {DRAWS_PER_FAMILY} draws, "
-        f"{len(failures)} failures, {elapsed:.1f}s"
+        f"{len(failures)} failures, {elapsed:.1f}s; "
+        + ", ".join(f"{fam} {sec:.1f}s" for fam, sec in family_s.items())
+        + "; associativity "
+        + ", ".join(f"{v} {n}" for v, n in sorted(verdicts.items()))
     )
     assert not failures, failures[:5]
     assert elapsed < 120.0, f"suite took {elapsed:.1f}s, budget is 120s"

@@ -7,7 +7,8 @@ import pytest
 
 from gbeq.classes import ClassId, EquationInstance, class_context, format_instance
 from gbeq.cli import EXIT_INPUT, EXIT_MATH, EXIT_PASS, main
-from gbeq.expr import ZERO, parse, rat
+from gbeq.expr import ZERO, format_expr, parse, rat
+from gbeq.expr.parse import MAX_NESTING
 from gbeq.hopfcole import heat_instance
 from gbeq.transforms import (
     DivTransform,
@@ -306,6 +307,33 @@ def test_undefined_arithmetic_is_an_input_error(corpus, capsys, solution, column
     err = capsys.readouterr().err
     assert err.startswith("gbeq verify-solution: --solution: ")
     assert f"at column {column}\n" in err
+
+
+def test_deep_nesting_is_an_input_error(corpus, capsys):
+    tmp, files = corpus
+    deep = tmp / "deep.txt"
+    deep.write_text("(" * 2000 + "x" + ")" * 2000 + "\n")
+    argv = ["verify-solution", str(files["burgers.gbeq"]), "--solution", f"@{deep}"]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"nested deeper than {MAX_NESTING} levels at column {MAX_NESTING + 1}\n" in err
+    assert "Traceback" not in err
+
+
+def test_nesting_at_the_limit_parses_and_formats(corpus, capsys):
+    tmp, files = corpus
+    # the whole input is level 1; each parenthesis opens one more
+    depth = MAX_NESTING - 1
+    text = "x*(1 + " * depth + "t" + ")" * depth
+    ctx = class_context(ClassId.BURGERS)
+    e = parse(text, ctx)
+    assert format_expr(e) == text
+    assert parse(format_expr(e), ctx) == e
+    at_limit = tmp / "at_limit.txt"
+    at_limit.write_text("(" * depth + "2/x" + ")" * depth + "\n")
+    argv = ["verify-solution", str(files["burgers.gbeq"]), "--solution", f"@{at_limit}"]
+    assert main(argv) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["verdict"] == "SYMBOLIC_ZERO"
 
 
 def test_solution_can_come_from_a_file(corpus, capsys):

@@ -144,3 +144,23 @@ def test_worst_verdict_ranks_evidence():
     assert worst_verdict(["NONZERO", "NUMERIC_ZERO"]) == "NONZERO"
     assert worst_verdict(["NONZERO", "REJECTED_PRECONDITION"]) == "REJECTED_PRECONDITION"
     assert worst_verdict(["OBSTRUCTION", "REJECTED_PRECONDITION"]) == "OBSTRUCTION"
+
+
+def test_residual_normalizes_once(monkeypatch):
+    # opaque symbols (exp, ln) send the residual to the sampler; its
+    # normal form, already known not to be 0, is not computed again
+    import gbeq.expr.zero as zero_module
+    import gbeq.verify as verify_module
+
+    calls = []
+
+    def counting(e, ctx=None, _real=verify_module.normal_form):
+        calls.append(e)
+        return _real(e, ctx)
+
+    monkeypatch.setattr(verify_module, "normal_form", counting)
+    monkeypatch.setattr(zero_module, "normal_form", counting)
+    rep = residual(BURGERS, parse("exp(ln(2) - ln(x))", BCTX))
+    assert len(calls) == 1
+    assert rep.verdict == "NUMERIC_ZERO"
+    assert "opaque symbols present" in rep.summary
