@@ -27,7 +27,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from .classes import (
     ClassError,
@@ -39,7 +39,6 @@ from .classes import (
     linearizable_from_linear,
     parse_instance,
 )
-from .degdiv import DegDivError, DegDivSolution, DegDivQuadrature, solve_deg_div
 from .expr import (
     Context,
     ContextError,
@@ -80,6 +79,9 @@ from .transforms import (
     parse_transform,
 )
 from .verify import residual, transport_check
+
+if TYPE_CHECKING:
+    from .degdiv import DegDivQuadrature
 
 EXIT_PASS = 0
 EXIT_MATH = 1
@@ -450,6 +452,9 @@ def _format_grid(quad: DegDivQuadrature, n: int) -> str:
 
 
 def _cmd_deg_div_solve(args: argparse.Namespace) -> int:
+    # the only command that needs numpy
+    from .degdiv import DegDivError, DegDivSolution, solve_deg_div
+
     ctx = Context()
     ctx.add_var("t")
     ctx.add_var("x")

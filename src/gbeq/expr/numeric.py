@@ -4,16 +4,18 @@ Function symbols evaluate through bindings, which map a symbol name to
 a closed-form expression in its signature variables; derivative nodes
 differentiate the binding symbolically before evaluating, so all
 occurrences of a symbol stay consistent.  Int nodes integrate their
-body numerically from a fixed base point with adaptive quadrature.
+body numerically from a fixed base point with adaptive quadrature:
+QUADPACK's QAGS as scipy.integrate.quad runs it, whose first 21-point
+Gauss-Kronrod step is ported here so that integrands it settles never
+import scipy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple
-
-from scipy.integrate import quad
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .calculus import differentiate
 from .nodes import (
@@ -42,7 +44,8 @@ class Evaluator:
             Each value is an expression in the symbol's signature
             variables.
         base_point: lower limit used for Int nodes.
-        quad_tol: absolute tolerance passed to the quadrature.
+        quad_tol: tolerance of the quadrature, used as both its absolute
+            and its relative tolerance.
     """
 
     def __init__(
@@ -145,11 +148,143 @@ class Evaluator:
             inner[e.var] = s
             return self._eval(e.body, inner)
 
-        value, _ = quad(
-            f, self.base_point, upper, epsabs=self.quad_tol, epsrel=self.quad_tol,
-            limit=200,
-        )
+        value = _qags_first_step(f, self.base_point, upper, self.quad_tol, self.quad_tol)
+        if value is None:
+            from scipy.integrate import quad
+
+            value, _ = quad(
+                f, self.base_point, upper, epsabs=self.quad_tol, epsrel=self.quad_tol,
+                limit=_QAGS_LIMIT,
+            )
         return value
+
+
+# QUADPACK (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, 1983),
+# dqk21's constants: the nonnegative 21-point Kronrod abscissae, whose
+# entries 1, 3, ..., 9 are the 10-point Gauss abscissae, their Kronrod
+# weights, and the Gauss weights.
+_XGK = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.000000000000000000000000000000000,
+)
+_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+_EPMACH = sys.float_info.epsilon  # d1mach(4)
+_UFLOW = sys.float_info.min  # d1mach(1)
+_QAGS_LIMIT = 200
+
+
+def _qk21(
+    f: Callable[[float], float], a: float, b: float,
+) -> Tuple[float, float, float, float]:
+    """dqk21: (result, abserr, resabs, resasc) of the 21-point rule on [a, b].
+
+    A line-by-line port: the same evaluation order of f and the same
+    order of every sum, so the floats are those of the Fortran routine.
+    """
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    dhlgth = abs(hlgth)
+    fv1 = [0.0] * 10
+    fv2 = [0.0] * 10
+    resg = 0.0
+    fc = f(centr)
+    resk = _WGK[10] * fc
+    resabs = abs(resk)
+    for j in range(5):
+        jtw = 2 * j + 1
+        absc = hlgth * _XGK[jtw]
+        fval1 = f(centr - absc)
+        fval2 = f(centr + absc)
+        fv1[jtw] = fval1
+        fv2[jtw] = fval2
+        fsum = fval1 + fval2
+        resg = resg + _WG[j] * fsum
+        resk = resk + _WGK[jtw] * fsum
+        resabs = resabs + _WGK[jtw] * (abs(fval1) + abs(fval2))
+    for j in range(5):
+        jtwm1 = 2 * j
+        absc = hlgth * _XGK[jtwm1]
+        fval1 = f(centr - absc)
+        fval2 = f(centr + absc)
+        fv1[jtwm1] = fval1
+        fv2[jtwm1] = fval2
+        fsum = fval1 + fval2
+        resk = resk + _WGK[jtwm1] * fsum
+        resabs = resabs + _WGK[jtwm1] * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    return result, abserr, resabs, resasc
+
+
+def _qags_first_step(
+    f: Callable[[float], float], a: float, b: float, epsabs: float, epsrel: float,
+) -> Optional[float]:
+    """The value quad(f, a, b, ...) returns if QAGS stops after one step.
+
+    Mirrors scipy's quad on finite limits (an empty interval is 0, the
+    limits are swapped into order and the result negated) and dqagse's
+    test after its first dqk21 call: the step is returned when dqagse
+    would return it with ier == 0.  None means dqagse would bisect, or
+    flag roundoff or bad tolerances, and the caller must run quad; so
+    does a step with an infinite or NaN result or error estimate.
+    """
+    if a == b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return None
+    if epsabs <= 0.0 and epsrel < max(50.0 * _EPMACH, 0.5e-28):
+        return None
+    flip = b < a
+    if flip:
+        a, b = b, a
+    # dqagse calls dqk21's resabs and resasc defabs and resabs
+    result, abserr, defabs, resabs = _qk21(f, a, b)
+    if not (math.isfinite(result) and math.isfinite(abserr)):
+        return None
+    errbnd = max(epsabs, epsrel * abs(result))
+    if abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd:
+        return None
+    if (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
+        return -result if flip else result
+    return None
 
 
 def _float_pow(base: float, exponent: Fraction) -> float:

@@ -2,9 +2,15 @@
 byte-stable reruns."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import gbeq
 from gbeq.classes import ClassId, EquationInstance, class_context, format_instance
 from gbeq.cli import EXIT_INPUT, EXIT_MATH, EXIT_PASS, main
 from gbeq.expr import ZERO, format_expr, parse, rat
@@ -420,3 +426,31 @@ def test_deg_div_solve_bad_parameters(corpus):
 def test_unknown_subcommand_raises_argparse_exit():
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+_IMPORT_GUARD = textwrap.dedent("""
+    import sys
+
+    def loaded(*names):
+        return sorted(n for n in names if n in sys.modules)
+
+    import gbeq.expr
+    assert loaded("scipy") == [], loaded("scipy")
+    from gbeq.cli import main
+    assert loaded("numpy", "scipy") == [], loaded("numpy", "scipy")
+    assert main(["verify-solution", sys.argv[1], "--solution", "2/x"]) == 0
+    assert loaded("numpy", "scipy") == [], loaded("numpy", "scipy")
+""")
+
+
+def test_cold_paths_import_neither_numpy_nor_scipy(corpus):
+    # a fresh interpreter: this process has long since imported both
+    tmp, files = corpus
+    src = str(Path(gbeq.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, str(files["burgers.gbeq"])],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

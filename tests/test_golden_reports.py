@@ -28,6 +28,12 @@ INPUTS = {
         "element.H0 = int(F_x, x) - F + F(t, 0)\n"
     ),
     "integral.gbeq": "class = LINZ_F\nelement.f = int(2*x*exp(x^2), x) - exp(x^2) + 1\n",
+    # the kink at x = 1/3 keeps the first Gauss-Kronrod step from settling
+    # on samples right of it, so those quadratures fall back to scipy's quad
+    "kinked.gbeq": (
+        "class = LINZ_F\nelement.f = int(abs(x - 1/3)^(1/2), x)"
+        " - 2/3*sign(x - 1/3)*abs(x - 1/3)^(3/2) - 2/27*3^(1/2)\n"
+    ),
     "heat.gbeq": format_instance(heat_instance()),
     "reduced.tr": "family = REDUCED\nparam.T = 4*t + 1\nparam.X0 = t^2\nparam.eps = 1\n",
     "linear_scale.tr": (
@@ -54,6 +60,7 @@ SCRIPT = {
     ],
     "verify_standins": ["verify-solution", "opaque.gbeq", "--solution", "2/x"],
     "verify_integral": ["verify-solution", "integral.gbeq", "--solution", "2/x"],
+    "verify_kinked_integral": ["verify-solution", "kinked.gbeq", "--solution", "2/x"],
     "transport": [
         "transport", "reduced.tr", "linz_f.gbeq", "target.gbeq",
         "--solution", "2/x",
@@ -103,9 +110,10 @@ def test_script_covers_every_sampler_verdict(reports):
     assert verdicts["verify_domain"] == "NUMERIC_ZERO"
     assert verdicts["verify_standins"] == "NUMERIC_ZERO"
     assert verdicts["verify_integral"] == "NUMERIC_ZERO"
+    assert verdicts["verify_kinked_integral"] == "NUMERIC_ZERO"
     # stand-in points carry only variables; jet points would also
     # label the opaque atoms
-    for name in ("verify_standins", "verify_integral"):
+    for name in ("verify_standins", "verify_integral", "verify_kinked_integral"):
         first = json.loads(reports[name])["samples"][0]["point"]
         assert set(first) <= {"t", "x"}
 
