@@ -66,7 +66,7 @@ class Evaluator:
 
     def _eval(self, e: Expr, point: Dict[str, float]) -> float:
         if isinstance(e, Rat):
-            return float(e.value)
+            return _float(e.value)
         if isinstance(e, Var):
             try:
                 return point[e.name]
@@ -75,7 +75,7 @@ class Evaluator:
         if isinstance(e, Add):
             return sum(self._eval(t, point) for t in e.terms)
         if isinstance(e, Mul):
-            out = float(e.coeff)
+            out = _float(e.coeff)
             for b, ex in e.powers:
                 out *= _float_pow(self._eval(b, point), ex)
             return out
@@ -287,20 +287,32 @@ def _qags_first_step(
     return None
 
 
+def _float(q: Fraction) -> float:
+    """q as a float; past the float range, the infinity of q's sign."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
 def _float_pow(base: float, exponent: Fraction) -> float:
-    if exponent.denominator == 1:
-        n = int(exponent)
-        if base == 0.0 and n < 0:
-            raise EvalError("division by zero")
-        return base**n
-    if base < 0.0:
-        if exponent.denominator % 2 == 1:
-            mag = abs(base) ** float(exponent)
-            return mag if exponent.numerator % 2 == 0 else -mag
-        raise EvalError(f"negative base {base} under even root")
+    """base^exponent; past the float range, a signed infinity.
+
+    An infinity is never small enough for a zero test to accept, so a
+    point that overflows counts against the zero verdict.
+    """
     if base == 0.0 and exponent < 0:
         raise EvalError("division by zero")
-    return base ** float(exponent)
+    if base < 0.0 and exponent.denominator % 2 == 0:
+        raise EvalError(f"negative base {base} under even root")
+    negative = base < 0.0 and exponent.numerator % 2 == 1
+    try:
+        if exponent.denominator == 1:
+            return base ** int(exponent)
+        mag = abs(base) ** float(exponent)
+    except OverflowError:
+        return -math.inf if negative else math.inf
+    return -mag if negative else mag
 
 
 def evaluate(

@@ -17,6 +17,7 @@ the sum of the terms, and stops at the first point that fails it.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -117,9 +118,9 @@ def sampled_verdict(
     explicit arguments or under antiderivatives.
     """
     if isinstance(e, Rat):
+        value = Evaluator()(e, {})
         return ZeroResult(
-            NONZERO, e, tol, seed, samples=[({}, float(e.value))],
-            max_abs=abs(float(e.value)),
+            NONZERO, e, tol, seed, samples=[({}, value)], max_abs=abs(value)
         )
     rng = random.Random(seed)
     if _needs_standins(e):
@@ -175,7 +176,9 @@ def sample_zero(
     as well.  failure is raised once max_attempts draws have not
     produced enough points.  A point passes when the sum of the terms
     stays within tol times the largest term magnitude (at least 1);
-    the first point that does not makes e NONZERO.
+    the first point that does not makes e NONZERO.  So does a point
+    whose sum is not finite: past the float range nothing vouches for
+    zero.
     """
     terms = e.terms if isinstance(e, Add) else (e,)
     samples: List[Tuple[Dict[str, float], float]] = []
@@ -196,7 +199,9 @@ def sample_zero(
         total = sum(values)
         samples.append((point, total))
         max_abs = max(max_abs, abs(total))
-        if abs(total) > tol * max([1.0] + [abs(v) for v in values]):
+        if not math.isfinite(total) or abs(total) > tol * max(
+            [1.0] + [abs(v) for v in values]
+        ):
             return ZeroResult(NONZERO, e, tol, seed, samples=samples, max_abs=max_abs)
     return ZeroResult(NUMERIC_ZERO, e, tol, seed, samples=samples, max_abs=max_abs)
 

@@ -39,7 +39,6 @@ from .expr import (
     is_zero,
     rat,
     simplify,
-    substitute,
     var,
 )
 from .report import (
@@ -49,11 +48,11 @@ from .report import (
     worst_verdict,
 )
 from .transforms import (
-    ApplyResult,
     LinearTransform,
     LinzTransform,
     apply_linear,
     apply_linz,
+    push_solution,
     transform_context,
 )
 
@@ -148,19 +147,6 @@ class BridgePair:
         return cls(linear=linear, linearizable=linearizable_from_linear(linear))
 
 
-def _push_solution(
-    sol: Expr, res: ApplyResult, dep: str, ctx: Context
-) -> Optional[Expr]:
-    """The transformed solution in target coordinates, or None if implicit."""
-    if res.inverse is None:
-        return None
-    at_source = substitute(res.map.u, {dep: sol}, ctx)
-    pushed = substitute(
-        at_source, {"t": res.inverse.t, "x": res.inverse.x}, ctx
-    )
-    return simplify(pushed, ctx)
-
-
 def verify_diagram(
     tr: LinearTransform,
     pair: Optional[BridgePair] = None,
@@ -243,8 +229,8 @@ def verify_diagram(
             sol_ctx = class_context(ClassId.LINEAR)
             for idx, v in enumerate(solutions):
                 u = cole_hopf_solution(v, sol_ctx)
-                v_pushed = _push_solution(v, linear_res, "v", sol_ctx)
-                u_pushed = _push_solution(u, linz_res, "u", sol_ctx)
+                v_pushed = push_solution(linear_res, v, sol_ctx)
+                u_pushed = push_solution(linz_res, u, sol_ctx)
                 want = cole_hopf_solution(v_pushed, sol_ctx)
                 zr = is_zero(u_pushed - want, sol_ctx, tol=tol, seed=seed)
                 conditions.append(

@@ -46,7 +46,12 @@ from .expr import (
 )
 from .hopfcole import cole_hopf_solution
 from .report import ConditionReport, REJECTED, VerificationReport, worst_verdict
-from .transforms import ProjectiveTuple, apply_projective, compose
+from .transforms import (
+    ProjectiveTuple,
+    apply_projective,
+    compose,
+    push_solution,
+)
 
 _COORDS = ("t", "x", "u")
 
@@ -404,19 +409,6 @@ def solution_catalog() -> List[Expr]:
     return [cole_hopf_solution(v, ctx) for v in vs]
 
 
-def _push_through(p: ProjectiveTuple, sol: Expr, ctx: Context) -> Expr:
-    """The solution in target coordinates, via the tuple's point maps.
-
-    Projective coordinate changes always invert in closed form, so the
-    pushed solution is available directly.
-    """
-    res = apply_projective(p, EquationInstance(ClassId.BURGERS, {}))
-    at_source = substitute(res.map.u, {"u": sol}, ctx)
-    return simplify(
-        substitute(at_source, {"t": res.inverse.t, "x": res.inverse.x}, ctx), ctx
-    )
-
-
 def is_symmetry(
     g: Union[ProjectiveTuple, SymmetryGroupElement],
     tol: float = 1e-9,
@@ -464,8 +456,10 @@ def is_symmetry(
         )
 
     pde = build_pde(inst)
+    # projective coordinate changes always invert in closed form
+    res = apply_projective(p, inst)
     for idx, sol in enumerate(solutions):
-        pushed = _push_through(p, sol, ctx)
+        pushed = push_solution(res, sol, ctx)
         residual = simplify(substitute(pde, {dep: pushed}, ctx), ctx)
         # value semantics: a float-entry tuple is a symmetry only up to
         # rounding, so the residual is judged by its sampled size

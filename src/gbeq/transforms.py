@@ -17,11 +17,24 @@ one equation class:
     LINEAR      on LINEAR:   v -> V1 v + V0, with V0 constrained to be
                              a pushed solution
 
+Every family lifts into GENERAL (to_general) and every class embeds
+into SUPER, so apply has one pullback formula, _general_pullback: the
+lifted map acts on the member embedded in SUPER, and the elements of
+the member's own class are read off the result.  Three families keep
+closed forms of their own:
+
+    PROJECTIVE  f~ = kappa^2 f / det, since the general route made its
+                sweep items 2-3 times slower
+    AFFINE_DIV  compose and invert on exact rational numbers; apply
+                goes through the DIV map it names
+    LINEAR      a~, b~, c~ free of V0, which linear_constraint needs
+                before V0 is known to be admissible
+
 apply_* returns the transformed elements both as pullbacks (functions
 of the source coordinates) and, whenever the coordinate change inverts
 in closed form, as a target-coordinate instance.  compose and invert
-stay inside each family; every family also lifts into GENERAL, and
-tests cross-check the closed compositions against that route.
+stay inside each family; tests cross-check the closed compositions
+against the GENERAL route.
 """
 
 from __future__ import annotations
@@ -418,6 +431,25 @@ class ApplyResult:
         return self.target is not None
 
 
+def push_solution(
+    res: ApplyResult, solution: Expr, ctx: Optional[Context] = None
+) -> Optional[Expr]:
+    """A source solution rewritten in target coordinates, or None.
+
+    None means the coordinate change has no closed-form inverse, so
+    the image exists only parametrically.
+    """
+    if res.inverse is None:
+        return None
+    if ctx is None:
+        ctx = res.source.context()
+    at_source = substitute(res.map.u, {res.source.dependent: solution}, ctx)
+    return simplify(
+        substitute(at_source, {"t": res.inverse.t, "x": res.inverse.x}, ctx),
+        ctx,
+    )
+
+
 def _d(e: Expr, v: str, ctx: Context) -> Expr:
     return differentiate(e, v, ctx)
 
@@ -504,7 +536,7 @@ def closed_inverse(
     if aff is None:
         return None
     P, Q = aff
-    if isinstance(simplify(P, ctx), Rat) and simplify(P, ctx) == ZERO:
+    if P == ZERO:
         return None
     PS = _compose_tx(P, S, None, ctx)
     QS = _compose_tx(Q, S, None, ctx)
@@ -519,131 +551,116 @@ def closed_inverse(
 def _finish_apply(
     inst: EquationInstance,
     family: str,
-    target_class: ClassId,
     ctx: Context,
     fmap: PointMap,
     pullback: Dict[str, Expr],
-    u_inverse_of: Optional[Callable[[Expr, Expr], Expr]],
-    T: Expr,
-    X: Expr,
-    note: str = "",
+    u_inverse_of: Callable[[Expr, Expr], Expr],
 ) -> ApplyResult:
-    """Build the shared part of an ApplyResult.
+    """Build the shared part of an ApplyResult, with the target in inst's class.
 
     u_inverse_of(S, xi) must return the source dependent variable as an
     expression in the target coordinates (with the target dependent
     written through the same symbol name).
     """
     pullback = {k: simplify(v, ctx) for k, v in pullback.items()}
-    inv = closed_inverse(T, X, ctx)
-    target = None
-    inverse = None
-    if inv is not None and u_inverse_of is not None:
-        S, xi = inv
-        u_back = u_inverse_of(S, xi)
-        dep = CLASS_SPECS[target_class].dependent
-        mapping = {"t": S, "x": xi, dep: u_back}
-        elements = {
-            k: simplify(substitute(v, mapping, ctx), ctx)
-            for k, v in pullback.items()
-        }
-        target = EquationInstance(target_class, elements)
-        inverse = PointMap(t=S, x=xi, u=simplify(u_back, ctx))
-    else:
-        note = (note + " " if note else "") + (
-            f"{IMPLICIT}: coordinate change has no closed-form inverse here"
+    inv = closed_inverse(fmap.t, fmap.x, ctx)
+    if inv is None:
+        return ApplyResult(
+            inst, family, fmap, pullback, target=None, inverse=None,
+            note=f"{IMPLICIT}: coordinate change has no closed-form inverse here",
         )
+    S, xi = inv
+    u_back = u_inverse_of(S, xi)
+    mapping = {"t": S, "x": xi, inst.dependent: u_back}
+    elements = {
+        k: simplify(substitute(v, mapping, ctx), ctx) for k, v in pullback.items()
+    }
     return ApplyResult(
-        source=inst,
-        family=family,
-        map=fmap,
-        pullback=pullback,
-        target=target,
-        inverse=inverse,
-        note=note.strip(),
+        inst, family, fmap, pullback,
+        target=EquationInstance(inst.class_id, elements),
+        inverse=PointMap(t=S, x=xi, u=simplify(u_back, ctx)),
     )
 
 
-def apply_general(tr: GeneralTransform, inst: EquationInstance) -> ApplyResult:
-    """Transform a SUPER member (or anything embeddable into SUPER)."""
-    if inst.class_id != ClassId.SUPER:
-        inst = embed(inst, ClassId.SUPER)
-    ctx = _merged_context(inst, "GENERAL")
-    T, X, U1, U0 = tr.T, tr.X, tr.U1, tr.U0
-    F, H1, H0 = inst.elements["F"], inst.elements["H1"], inst.elements["H0"]
-    u = ctx.fn("u")
+_LINZ_CLASSES = (ClassId.LINZ_ABC, ClassId.LINZ_BF, ClassId.LINZ_F)
 
-    T_t = _d(T, "t", ctx)
-    X_t, X_x = _d(X, "t", ctx), _d(X, "x", ctx)
-    X_xx = _d(X_x, "x", ctx)
+
+def _general_pullback(
+    g: GeneralTransform, sup: EquationInstance, cls: ClassId, ctx: Context
+) -> Dict[str, Expr]:
+    """The SUPER pullback of sup under g, read off as the elements of cls.
+
+    SUPER keeps F, H1, H0 with the source u free.  A GBE class reads f
+    off F~ alone.  A LINZ class reads a = F~, b = H1~ - (F~)_x / X_x and
+    f = H0~ at the source u where the target u~ = U1 u + U0 vanishes.
+    The elements a class drops vanish by the shape of its family, so
+    they are not built.
+    """
+    T, X, U1, U0 = g.T, g.X, g.U1, g.U0
+    F, H1, H0 = sup.elements["F"], sup.elements["H1"], sup.elements["H0"]
+    T_t, X_x = _d(T, "t", ctx), _d(X, "x", ctx)
+    F_new = div(X_x * X_x * F, T_t)
+    if cls is not ClassId.SUPER and cls not in _LINZ_CLASSES:
+        return {"f": F_new}
+    u = ctx.fn("u")
+    if cls is not ClassId.SUPER:
+        # put u into the small source elements, not the pulled-back trees
+        u = div(-U0, U1)
+        H1 = substitute(H1, {"u": u}, ctx)
+        H0 = substitute(H0, {"u": u}, ctx)
     U1_t, U1_x = _d(U1, "t", ctx), _d(U1, "x", ctx)
     U0_t, U0_x = _d(U0, "t", ctx), _d(U0, "x", ctx)
     # derivatives of U = U1 u + U0 at frozen u
     U_t = U1_t * u + U0_t
     U_x = U1_x * u + U0_x
     U_xx = _d(U1_x, "x", ctx) * u + _d(U0_x, "x", ctx)
-
-    F_new = div(X_x * X_x * F, T_t)
-    H1_new = div(
-        X_x * H1 + X_xx * F - rat(2) * X_x * div(U1_x, U1) * F + X_t, T_t
-    )
     H0_new = div(
         U1 * H0
         + rat(2) * U_x * div(U1_x, U1) * F
         - (U_t + F * U_xx + H1 * U_x),
         T_t,
     )
-    pullback = {"F": F_new, "H1": H1_new, "H0": H0_new}
-    fmap = PointMap(t=T, x=X, u=simplify(U1 * u + U0, ctx))
+    if cls is ClassId.LINZ_F:
+        return {"f": H0_new}
+    H1_new = div(
+        X_x * H1
+        + _d(X_x, "x", ctx) * F
+        - rat(2) * X_x * div(U1_x, U1) * F
+        + _d(X, "t", ctx),
+        T_t,
+    )
+    if cls is ClassId.SUPER:
+        return {"F": F_new, "H1": H1_new, "H0": H0_new}
+    b_new = H1_new - div(_d(F_new, "x", ctx), X_x)
+    read = {"a": F_new, "b": b_new, "f": H0_new}
+    return {k: read[k] for k in CLASS_SPECS[cls].elements}
+
+
+def _apply_lifted(tr: Transform, inst: EquationInstance) -> ApplyResult:
+    """Apply tr through its GENERAL lift, read off in inst's own class."""
+    ctx = _merged_context(inst, tr.family, getattr(tr, "sign_Tt", 1))
+    g = to_general(tr)
+    sup = embed(inst, ClassId.SUPER)
+    pullback = _general_pullback(g, sup, inst.class_id, ctx)
+    u = ctx.fn("u")
+    fmap = PointMap(t=g.T, x=g.X, u=simplify(g.U1 * u + g.U0, ctx))
 
     def u_back(S: Expr, xi: Expr) -> Expr:
-        U1S = _compose_tx(U1, S, xi, ctx)
-        U0S = _compose_tx(U0, S, xi, ctx)
+        U1S = _compose_tx(g.U1, S, xi, ctx)
+        U0S = _compose_tx(g.U0, S, xi, ctx)
         return div(u - U0S, U1S)
 
-    return _finish_apply(
-        inst, "GENERAL", ClassId.SUPER, ctx, fmap, pullback, u_back, T, X
-    )
+    return _finish_apply(inst, tr.family, ctx, fmap, pullback, u_back)
+
+
+def apply_general(tr: GeneralTransform, inst: EquationInstance) -> ApplyResult:
+    """Transform a SUPER member (or anything embeddable into SUPER)."""
+    return _apply_lifted(tr, embed(inst, ClassId.SUPER))
 
 
 def apply_linz(tr: LinzTransform, inst: EquationInstance) -> ApplyResult:
     """Transform a LINZ_ABC member by u -> u / X_x + U0."""
-    if inst.class_id != ClassId.LINZ_ABC:
-        inst = embed(inst, ClassId.LINZ_ABC)
-    ctx = _merged_context(inst, "LINZ")
-    T, X, U0 = tr.T, tr.X, tr.U0
-    a, b, f = inst.elements["a"], inst.elements["b"], inst.elements["f"]
-    u = ctx.fn("u")
-
-    T_t = _d(T, "t", ctx)
-    X_t, X_x = _d(X, "t", ctx), _d(X, "x", ctx)
-    X_xx = _d(X_x, "x", ctx)
-    a_x = _d(a, "x", ctx)
-    W = X_x * U0
-    W_t, W_x = _d(W, "t", ctx), _d(W, "x", ctx)
-    W_xx = _d(W_x, "x", ctx)
-
-    a_new = div(X_x * X_x * a, T_t)
-    b_new = div(X_x * b + X_xx * a - X_x * X_x * U0 * a + X_t, T_t)
-    f_new = div(
-        div(f, T_t)
-        - div(_d(W * b, "x", ctx), T_t)
-        + div((W * W - rat(2) * W_x) * a_x, rat(2) * T_t)
-        + div((W * W_x - W_xx) * a, T_t)
-        - div(W_t, T_t),
-        X_x,
-    )
-    pullback = {"a": a_new, "b": b_new, "f": f_new}
-    fmap = PointMap(t=T, x=X, u=simplify(div(u, X_x) + U0, ctx))
-
-    def u_back(S: Expr, xi: Expr) -> Expr:
-        X_xS = _compose_tx(X_x, S, xi, ctx)
-        U0S = _compose_tx(U0, S, xi, ctx)
-        return X_xS * (u - U0S)
-
-    return _finish_apply(
-        inst, "LINZ", ClassId.LINZ_ABC, ctx, fmap, pullback, u_back, T, X
-    )
+    return _apply_lifted(tr, embed(inst, ClassId.LINZ_ABC))
 
 
 def _gauged_x(tr: Union[GaugedTransform, ReducedTransform], ctx: Context) -> Expr:
@@ -651,96 +668,14 @@ def _gauged_x(tr: Union[GaugedTransform, ReducedTransform], ctx: Context) -> Exp
     return rat(tr.eps) * (sqrt(T_t) * X_VAR + tr.X0)
 
 
-def _reduced_u0(T: Expr, X0: Expr, ctx: Context) -> Expr:
-    T_t = _d(T, "t", ctx)
-    T_tt = _d(T_t, "t", ctx)
-    return div(T_tt, rat(2) * pow_(T_t, Fraction(3, 2))) * X_VAR + div(
-        _d(X0, "t", ctx), T_t
-    )
-
-
 def apply_bf(tr: GaugedTransform, inst: EquationInstance) -> ApplyResult:
     """Transform a LINZ_BF member with the gauged family."""
-    if inst.class_id != ClassId.LINZ_BF:
-        inst = embed(inst, ClassId.LINZ_BF)
-    ctx = _merged_context(inst, "GAUGED")
-    T, X0, U0 = tr.T, tr.X0, tr.U0
-    eps = rat(tr.eps)
-    b, f = inst.elements["b"], inst.elements["f"]
-
-    T_t = _d(T, "t", ctx)
-    T_tt = _d(T_t, "t", ctx)
-    rootT = sqrt(T_t)
-    u = ctx.fn("u")
-    U0_t, U0_x = _d(U0, "t", ctx), _d(U0, "x", ctx)
-
-    b_new = eps * (
-        div(b, rootT)
-        + div(T_tt, rat(2) * T_t * rootT) * X_VAR
-        + div(_d(X0, "t", ctx), T_t)
-        - U0
-    )
-    f_new = eps * (
-        div(f, T_t * rootT)
-        - div(_d(U0 * b, "x", ctx), T_t)
-        + div(U0 * U0_x, rootT)
-        - div(U0_t, T_t)
-        - div(_d(U0_x, "x", ctx), T_t)
-        - div(T_tt * U0, rat(2) * T_t * T_t)
-    )
-    X = _gauged_x(tr, ctx)
-    pullback = {"b": b_new, "f": f_new}
-    fmap = PointMap(t=T, x=X, u=simplify(eps * (div(u, rootT) + U0), ctx))
-
-    def u_back(S: Expr, xi: Expr) -> Expr:
-        rootS = _compose_tx(rootT, S, None, ctx)
-        U0S = _compose_tx(U0, S, xi, ctx)
-        return rootS * (eps * u - U0S)
-
-    return _finish_apply(
-        inst, "GAUGED", ClassId.LINZ_BF, ctx, fmap, pullback, u_back, T, X
-    )
+    return _apply_lifted(tr, embed(inst, ClassId.LINZ_BF))
 
 
 def apply_f(tr: ReducedTransform, inst: EquationInstance) -> ApplyResult:
     """Transform a LINZ_F member with the reduced family."""
-    if inst.class_id != ClassId.LINZ_F:
-        inst = embed(inst, ClassId.LINZ_F)
-    ctx = _merged_context(inst, "REDUCED")
-    T, X0 = tr.T, tr.X0
-    eps = rat(tr.eps)
-    f = inst.elements["f"]
-
-    T_t = _d(T, "t", ctx)
-    T_tt = _d(T_t, "t", ctx)
-    T_ttt = _d(T_tt, "t", ctx)
-    X0_t = _d(X0, "t", ctx)
-    X0_tt = _d(X0_t, "t", ctx)
-    u = ctx.fn("u")
-
-    f_new = eps * (
-        div(f, pow_(T_t, Fraction(3, 2)))
-        + div(
-            rat(3) * T_tt * T_tt - rat(2) * T_t * T_ttt,
-            rat(4) * pow_(T_t, Fraction(7, 2)),
-        )
-        * X_VAR
-        + div(X0_t * T_tt - X0_tt * T_t, pow_(T_t, Fraction(3)))
-    )
-    X = _gauged_x(tr, ctx)
-    U0 = _reduced_u0(T, X0, ctx)
-    rootT = sqrt(T_t)
-    pullback = {"f": f_new}
-    fmap = PointMap(t=T, x=X, u=simplify(eps * (div(u, rootT) + U0), ctx))
-
-    def u_back(S: Expr, xi: Expr) -> Expr:
-        rootS = _compose_tx(rootT, S, None, ctx)
-        U0S = _compose_tx(U0, S, xi, ctx)
-        return rootS * (eps * u - U0S)
-
-    return _finish_apply(
-        inst, "REDUCED", ClassId.LINZ_F, ctx, fmap, pullback, u_back, T, X
-    )
+    return _apply_lifted(tr, embed(inst, ClassId.LINZ_F))
 
 
 def _proj_maps(tr: ProjectiveTuple, ctx: Context) -> Tuple[Expr, Expr, Expr]:
@@ -764,27 +699,22 @@ def _num_expr(v: Number) -> Expr:
 
 
 def apply_projective(tr: ProjectiveTuple, inst: EquationInstance) -> ApplyResult:
-    """Transform a GBE_TX member by a projective tuple."""
-    if inst.class_id != ClassId.GBE_TX:
-        inst = embed(inst, ClassId.GBE_TX)
+    """Transform a GBE_TX member by a projective tuple.
+
+    Keeps its closed form f~ = kappa^2 f / det: through the general
+    pullback a PROJECTIVE sweep item ran 2-3 times slower.
+    """
+    inst = embed(inst, ClassId.GBE_TX)
     ctx = _merged_context(inst, "PROJECTIVE")
     T, X, U = _proj_maps(tr, ctx)
-    u = ctx.fn("u")
-    f = inst.elements["f"]
     det = _num_expr(tr.det)
     k = _num_expr(tr.kappa)
-    pullback = {"f": div(k * k * f, det)}
+    pullback = {"f": div(k * k * inst.elements["f"], det)}
     fmap = PointMap(t=T, x=X, u=simplify(U, ctx))
-
-    inv = invert(tr)
-    Si, Xi, Ui = _proj_maps(inv, ctx)
-
-    def u_back(S: Expr, xi: Expr) -> Expr:
-        # the inverse tuple's u-map, with (t, x, u) read as target coords
-        return Ui
-
+    # the inverse tuple's u-map, with (t, x, u) read as target coords
+    U_inv = _proj_maps(invert(tr), ctx)[2]
     return _finish_apply(
-        inst, "PROJECTIVE", ClassId.GBE_TX, ctx, fmap, pullback, u_back, T, X
+        inst, "PROJECTIVE", ctx, fmap, pullback, lambda S, xi: U_inv
     )
 
 
@@ -826,7 +756,6 @@ def apply_div(
         ClassId.GBE_DIV, ClassId.GBE_DIV_NONDEG, ClassId.GBE_DIV_DEG
     ):
         inst = embed(inst, ClassId.GBE_DIV)
-    target_class = inst.class_id
     ctx = _merged_context(inst, "DIV", tr.sign_Tt)
     constraint = div_constraint(tr, inst)
     zr = is_zero(constraint, ctx, tol=tol, seed=seed)
@@ -835,38 +764,7 @@ def apply_div(
             "classifying constraint fails; the map does not stay in the "
             f"class (residual {format_expr(zr.residual)[:120]})"
         )
-
-    T, X0 = tr.T, tr.X0
-    k = rat(tr.kappa)
-    s = rat(tr.sign_Tt)
-    T_t = _d(T, "t", ctx)
-    T_tt = _d(T_t, "t", ctx)
-    root = sqrt(app("abs", T_t))
-    u = ctx.fn("u")
-    f = inst.elements["f"]
-
-    X = k * root * X_VAR + X0
-    U = (
-        div(k * root, T_t) * u
-        + div(k * T_tt * root, rat(2) * T_t * T_t) * X_VAR
-        + div(_d(X0, "t", ctx), T_t)
-    )
-    pullback = {"f": k * k * s * f}
-    fmap = PointMap(t=T, x=X, u=simplify(U, ctx))
-
-    def u_back(S: Expr, xi: Expr) -> Expr:
-        rootS = _compose_tx(root, S, None, ctx)
-        T_tS = _compose_tx(T_t, S, None, ctx)
-        T_ttS = _compose_tx(T_tt, S, None, ctx)
-        X0_tS = _compose_tx(_d(X0, "t", ctx), S, None, ctx)
-        return div(T_tS, k * rootS) * (
-            u - div(k * T_ttS * rootS, rat(2) * T_tS * T_tS) * xi
-            - div(X0_tS, T_tS)
-        )
-
-    return _finish_apply(
-        inst, "DIV", target_class, ctx, fmap, pullback, u_back, T, X
-    )
+    return _apply_lifted(tr, inst)
 
 
 def linear_constraint(tr: LinearTransform, inst: EquationInstance) -> Expr:
@@ -914,6 +812,11 @@ def _pullback_residual(
 def _linear_pullback(
     tr: LinearTransform, inst: EquationInstance, ctx: Context
 ) -> Dict[str, Expr]:
+    """a, b, c of the target, in closed form and free of V0.
+
+    linear_constraint needs these before V0 is known to be admissible,
+    and reading c off the general H0~ would pull V0 into it.
+    """
     T, X, V1 = tr.T, tr.X, tr.V1
     a, b, c = inst.elements["a"], inst.elements["b"], inst.elements["c"]
     T_t = _d(T, "t", ctx)
@@ -961,9 +864,7 @@ def apply_linear(
         V0S = _compose_tx(tr.V0, S, xi, ctx)
         return div(v - V0S, V1S)
 
-    return _finish_apply(
-        inst, "LINEAR", ClassId.LINEAR, ctx, fmap, pullback, v_back, tr.T, tr.X
-    )
+    return _finish_apply(inst, "LINEAR", ctx, fmap, pullback, v_back)
 
 
 APPLY_BY_FAMILY = {
@@ -1054,7 +955,6 @@ def to_general(tr: Transform) -> GeneralTransform:
         ctx = transform_context("PROJECTIVE")
         ctx.add_function("u", ("t", "x"))
         T, X, U = _proj_maps(tr, ctx)
-        u = ctx.fn("u")
         U0 = simplify(substitute(U, {"u": ZERO}, ctx), ctx)
         U1 = simplify(substitute(U - U0, {"u": ONE}, ctx), ctx)
         return GeneralTransform(T=T, X=X, U1=U1, U0=U0)
@@ -1079,10 +979,12 @@ def to_general(tr: Transform) -> GeneralTransform:
 
 
 def to_gauged(tr: ReducedTransform) -> GaugedTransform:
+    """The GAUGED member with U0 = T_tt/(2 T_t^(3/2)) x + X0_t/T_t."""
     ctx = transform_context("REDUCED")
-    return GaugedTransform(
-        T=tr.T, X0=tr.X0, U0=_reduced_u0(tr.T, tr.X0, ctx), eps=tr.eps
-    )
+    T_t = _d(tr.T, "t", ctx)
+    T_tt, X0_t = _d(T_t, "t", ctx), _d(tr.X0, "t", ctx)
+    U0 = div(T_tt, rat(2) * pow_(T_t, Fraction(3, 2))) * X_VAR + div(X0_t, T_t)
+    return GaugedTransform(T=tr.T, X0=tr.X0, U0=U0, eps=tr.eps)
 
 
 def _compose_general(
@@ -1126,7 +1028,7 @@ def compose(second: Transform, first: Transform) -> Transform:
     if isinstance(first, GaugedTransform):
         ctx = transform_context("GAUGED")
         T1, X01, U01 = first.T, first.X0, first.U0
-        e1, e2 = rat(first.eps), rat(second.eps)
+        e1 = rat(first.eps)
         T2t = _d(second.T, "t", ctx)
         rootT2_at_T1 = simplify(sqrt(_compose_tx(T2t, T1, None, ctx)), ctx)
         X1full = _gauged_x(first, ctx)
@@ -1184,11 +1086,7 @@ def compose(second: Transform, first: Transform) -> Transform:
         )
     if isinstance(first, LinearTransform):
         ctx = transform_context("LINEAR")
-        g = _compose_general(
-            GeneralTransform(second.T, second.X, second.V1, second.V0),
-            GeneralTransform(first.T, first.X, first.V1, first.V0),
-            ctx,
-        )
+        g = _compose_general(to_general(second), to_general(first), ctx)
         return LinearTransform(T=g.T, X=g.X, V1=g.U1, V0=g.U0)
     raise TransformError(f"cannot compose {type(first).__name__}")
 
@@ -1234,8 +1132,7 @@ def invert(tr: Transform) -> Union[Transform, ImplicitInverseOf]:
         return LinzTransform(T=g.T, X=g.X, U0=g.U0)
     if isinstance(tr, GaugedTransform):
         ctx = transform_context("GAUGED")
-        X = _gauged_x(tr, ctx)
-        inv = closed_inverse(tr.T, X, ctx)
+        inv = closed_inverse(tr.T, _gauged_x(tr, ctx), ctx)
         if inv is None:
             return ImplicitInverseOf(tr)
         S, xi = inv
@@ -1294,7 +1191,7 @@ def invert(tr: Transform) -> Union[Transform, ImplicitInverseOf]:
             kappa=Fraction(1) / k,
         )
     if isinstance(tr, LinearTransform):
-        g = invert(GeneralTransform(tr.T, tr.X, tr.V1, tr.V0))
+        g = invert(to_general(tr))
         if isinstance(g, ImplicitInverseOf):
             return ImplicitInverseOf(tr)
         return LinearTransform(T=g.T, X=g.X, V1=g.U1, V0=g.U0)

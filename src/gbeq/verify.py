@@ -30,7 +30,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 from .classes import CLASS_SPECS, EquationInstance, build_pde
 from .expr import (
     App,
-    Context,
     EvalError,
     Evaluator,
     Expr,
@@ -51,12 +50,12 @@ from .expr import (
 from .expr.zero import Draw, sample_zero, sampled_verdict
 from .report import ConditionReport, REJECTED, VerificationReport, worst_verdict
 from .transforms import (
-    ApplyResult,
     ImplicitInverseOf,
     Transform,
     TransformError,
     _merged_context,
     apply_transform,
+    push_solution,
 )
 
 DEFAULT_PIECES = ((-2.0, -0.1), (0.1, 2.0))
@@ -231,25 +230,6 @@ def _domain_draw(e: Expr, domain: SampleDomain, rng: random.Random) -> Draw:
         return ev, point
 
     return draw
-
-
-def push_solution(
-    res: ApplyResult, solution: Expr, ctx: Optional[Context] = None
-) -> Optional[Expr]:
-    """A source solution rewritten in target coordinates, or None.
-
-    None means the coordinate change has no closed-form inverse, so
-    the image exists only parametrically.
-    """
-    if res.inverse is None:
-        return None
-    if ctx is None:
-        ctx = res.source.context()
-    at_source = substitute(res.map.u, {res.source.dependent: solution}, ctx)
-    return simplify(
-        substitute(at_source, {"t": res.inverse.t, "x": res.inverse.x}, ctx),
-        ctx,
-    )
 
 
 def _rejected(

@@ -315,6 +315,22 @@ def test_undefined_arithmetic_is_an_input_error(corpus, capsys, solution, column
     assert f"at column {column}\n" in err
 
 
+@pytest.mark.parametrize("solution", ["x^99999999", "10^400*x"])
+def test_overflowing_residual_is_nonzero(corpus, capsys, tmp_path, solution):
+    # both residuals are nonzero polynomials whose values leave the float
+    # range (x^99999999 only for |x| > 1; below that they underflow to 0):
+    # the overflowing points must decide, not be skipped
+    tmp, files = corpus
+    out = tmp_path / "rep.json"
+    argv = [
+        "verify-solution", str(files["burgers.gbeq"]), "--solution", solution,
+        "--out", str(out),
+    ]
+    assert main(argv) == EXIT_MATH
+    assert json.loads(out.read_text())["verdict"] == "NONZERO"
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_deep_nesting_is_an_input_error(corpus, capsys):
     tmp, files = corpus
     deep = tmp / "deep.txt"

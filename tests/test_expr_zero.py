@@ -38,6 +38,9 @@ def test_rational_constant_short_circuits(ctx):
     z = is_zero(rat(3), ctx)
     assert z.verdict == NONZERO
     assert not bool(z)
+    # past the float range the witness is an infinity, not an OverflowError
+    big = is_zero(rat(10**400), ctx)
+    assert big.verdict == NONZERO and big.max_abs == float("inf")
 
 
 def test_transcendental_identity_needs_samples(ctx):

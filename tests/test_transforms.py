@@ -5,14 +5,26 @@ from fractions import Fraction
 
 import pytest
 
-from gbeq.classes import ClassId, EquationInstance, check_membership, class_context
+from gbeq.classes import (
+    CLASS_SPECS,
+    ClassId,
+    EquationInstance,
+    check_membership,
+    class_context,
+    embed,
+)
 from gbeq.expr import (
+    SYMBOLIC_ZERO,
     ZERO,
     contains_var,
+    differentiate,
+    div,
     format_expr,
     is_zero,
     parse,
+    pow_,
     rat,
+    sqrt,
     substitute,
     var,
 )
@@ -30,6 +42,7 @@ from gbeq.transforms import (
     apply_bf,
     apply_div,
     apply_f,
+    apply_general,
     apply_linz,
     apply_transform,
     closed_inverse,
@@ -381,6 +394,163 @@ def test_side_family_groupoid_laws(family):
         inv = invert(tr)
         assert not isinstance(inv, ImplicitInverseOf)
         assert transforms_equal(compose(inv, tr), ident)
+
+
+# -- the paper's family formulas as oracles ---------------------------------
+#
+# Each narrow family's pullback written out in closed form, as the paper
+# states it; apply must agree with it exactly, on seeded draws and on
+# members whose elements are opaque symbols.
+
+
+def _d(e, v, ctx):
+    return differentiate(e, v, ctx)
+
+
+def linz_formula(tr, el, ctx):
+    """u -> u / X_x + U0 on LINZ_ABC, with W = X_x U0."""
+    a, b, f = el["a"], el["b"], el["f"]
+    T_t = _d(tr.T, "t", ctx)
+    X_t, X_x = _d(tr.X, "t", ctx), _d(tr.X, "x", ctx)
+    X_xx = _d(X_x, "x", ctx)
+    a_x = _d(a, "x", ctx)
+    W = X_x * tr.U0
+    W_t, W_x = _d(W, "t", ctx), _d(W, "x", ctx)
+    W_xx = _d(W_x, "x", ctx)
+    return {
+        "a": div(X_x * X_x * a, T_t),
+        "b": div(X_x * b + X_xx * a - X_x * X_x * tr.U0 * a + X_t, T_t),
+        "f": div(
+            div(f, T_t)
+            - div(_d(W * b, "x", ctx), T_t)
+            + div((W * W - rat(2) * W_x) * a_x, rat(2) * T_t)
+            + div((W * W_x - W_xx) * a, T_t)
+            - div(W_t, T_t),
+            X_x,
+        ),
+    }
+
+
+def gauged_formula(tr, el, ctx):
+    """x -> eps (sqrt(T_t) x + X0), u -> eps (u / sqrt(T_t) + U0) on LINZ_BF."""
+    b, f, U0 = el["b"], el["f"], tr.U0
+    eps = rat(tr.eps)
+    T_t = _d(tr.T, "t", ctx)
+    T_tt = _d(T_t, "t", ctx)
+    rootT = sqrt(T_t)
+    U0_t, U0_x = _d(U0, "t", ctx), _d(U0, "x", ctx)
+    return {
+        "b": eps * (
+            div(b, rootT)
+            + div(T_tt, rat(2) * T_t * rootT) * var("x")
+            + div(_d(tr.X0, "t", ctx), T_t)
+            - U0
+        ),
+        "f": eps * (
+            div(f, T_t * rootT)
+            - div(_d(U0 * b, "x", ctx), T_t)
+            + div(U0 * U0_x, rootT)
+            - div(U0_t, T_t)
+            - div(_d(U0_x, "x", ctx), T_t)
+            - div(T_tt * U0, rat(2) * T_t * T_t)
+        ),
+    }
+
+
+def reduced_formula(tr, el, ctx):
+    """The GAUGED map whose U0 sends b = 0 to b = 0, on LINZ_F."""
+    T_t = _d(tr.T, "t", ctx)
+    T_tt = _d(T_t, "t", ctx)
+    T_ttt = _d(T_tt, "t", ctx)
+    X0_t = _d(tr.X0, "t", ctx)
+    X0_tt = _d(X0_t, "t", ctx)
+    return {
+        "f": rat(tr.eps) * (
+            div(el["f"], pow_(T_t, Fraction(3, 2)))
+            + div(
+                rat(3) * T_tt * T_tt - rat(2) * T_t * T_ttt,
+                rat(4) * pow_(T_t, Fraction(7, 2)),
+            )
+            * var("x")
+            + div(X0_t * T_tt - X0_tt * T_t, pow_(T_t, Fraction(3)))
+        )
+    }
+
+
+def div_formula(tr, el, ctx):
+    """x -> kappa |T_t|^(1/2) x + X0 on GBE_DIV."""
+    return {"f": rat(tr.kappa * tr.kappa * tr.sign_Tt) * el["f"]}
+
+
+FAMILY_FORMULAS = {
+    "LINZ": linz_formula,
+    "GAUGED": gauged_formula,
+    "REDUCED": reduced_formula,
+    "DIV": div_formula,
+}
+
+ORACLE_DRAWS = 6
+
+
+def opaque_members(cid):
+    """Opaque b and f with a = 1, as in acceptance 2, then with opaque a too."""
+    ctx = class_context(cid)
+    el = {k: ctx.fn(k) for k in CLASS_SPECS[cid].elements}
+    if "a" not in el:
+        return [EquationInstance(cid, el)]
+    return [EquationInstance(cid, {**el, "a": rat(1)}), EquationInstance(cid, el)]
+
+
+def oracle_cases(family):
+    """(transform, member) pairs: seeded draws, then opaque members."""
+    rng = random.Random(500 + sorted(FAMILY_FORMULAS).index(family))
+    cid = INSTANCE_CLASS[family]
+    cases = [
+        (draw_transform(family, rng), draw_instance(cid, rng))
+        for _ in range(ORACLE_DRAWS)
+    ]
+    for member in opaque_members(cid):
+        cases += [(draw_transform(family, rng), member) for _ in range(2)]
+    return cases
+
+
+def _oracle_context(inst):
+    ctx = class_context(inst.class_id)
+    for name in CLASS_SPECS[inst.class_id].nonvanishing:
+        ctx.assume_nonzero(ctx.fn(name))
+    return ctx
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_FORMULAS))
+def test_apply_matches_family_formula(family):
+    for i, (tr, inst) in enumerate(oracle_cases(family)):
+        ctx = _oracle_context(inst)
+        want = FAMILY_FORMULAS[family](tr, inst.elements, ctx)
+        got = apply_transform(tr, inst).pullback
+        assert set(got) == set(want)
+        for name in want:
+            zr = is_zero(got[name] - want[name], ctx)
+            assert zr.verdict == SYMBOLIC_ZERO, (i, name, format_expr(zr.residual))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_FORMULAS))
+def test_restriction_inverts_embed(family):
+    """The narrow target, embedded in SUPER, is the general target.
+
+    This is where the elements the restriction drops are checked to
+    vanish: F = 1 for LINZ_BF and LINZ_F, b = 0 for LINZ_F, the
+    u-coefficient of H1 equal to F for a LINZ target, and H0 = 0 for
+    GBE_DIV.
+    """
+    for i, (tr, inst) in enumerate(oracle_cases(family)):
+        ctx = _oracle_context(inst)
+        narrow = apply_transform(tr, inst).target
+        wide = apply_general(to_general(tr), embed(inst, ClassId.SUPER)).target
+        assert narrow is not None and wide is not None
+        lifted = embed(narrow, ClassId.SUPER)
+        for name in ("F", "H1", "H0"):
+            zr = is_zero(lifted.elements[name] - wide.elements[name], ctx)
+            assert zr.verdict == SYMBOLIC_ZERO, (i, name, format_expr(zr.residual))
 
 
 def test_transforms_equal_distinguishes():
