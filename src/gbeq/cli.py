@@ -119,7 +119,7 @@ def _status(line: str) -> None:
 
 
 def _report_json(rep: VerificationReport) -> str:
-    return json.dumps(rep.to_json(), indent=2, sort_keys=True) + "\n"
+    return json.dumps(rep.to_json(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _load_instance(path: str) -> EquationInstance:
@@ -424,7 +424,9 @@ def _cmd_symmetry_table(args: argparse.Namespace) -> int:
         payload["failures"] = [
             {"i": i, "j": j, "bracket": text} for i, j, text in table.failures
         ]
-    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(
+        args.out, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    )
     state = "closed" if table.closed else "not closed"
     _status(f"symmetry-table: {state} ({table.n} fields)")
     return EXIT_PASS if table.closed else EXIT_MATH

@@ -1,8 +1,12 @@
-"""Differentiation, substitution, and polynomial collection."""
+"""Differentiation, substitution, and polynomial collection.
+
+differentiate and substitute each keep a memo from node to result for
+one call, so a subtree that recurs is differentiated or substituted
+once; the memo dies with the call.
+"""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Mapping, Optional
 
 from .context import Context
@@ -19,6 +23,7 @@ from .nodes import (
     Var,
     ZERO,
     ONE,
+    _as_coeff_powers,
     add,
     app,
     func,
@@ -47,6 +52,18 @@ def differentiate(e: Expr, wrt: str, ctx: Optional[Context] = None) -> Expr:
     through their arguments.  abs and sign need the context to resolve
     signs and raise DifferentiationError otherwise.
     """
+    return _derived(e, wrt, ctx, {})
+
+
+def _derived(e: Expr, wrt: str, ctx: Optional[Context], memo: Dict[Expr, Expr]) -> Expr:
+    r = memo.get(e)
+    if r is None:
+        r = memo[e] = _diff_node(e, wrt, ctx, memo)
+    return r
+
+
+def _diff_node(e: Expr, wrt: str, ctx: Optional[Context], memo: Dict[Expr, Expr]) -> Expr:
+    """differentiate of one node, its children differentiated through the memo."""
     if isinstance(e, Rat):
         return ZERO
     if isinstance(e, Var):
@@ -60,18 +77,18 @@ def differentiate(e: Expr, wrt: str, ctx: Optional[Context] = None) -> Expr:
             return Func(e.name, e.argnames, didx, None)
         parts = []
         for i, a in enumerate(e.args):
-            da = differentiate(a, wrt, ctx)
+            da = _derived(a, wrt, ctx, memo)
             if da == ZERO:
                 continue
             didx = e.didx[:i] + (e.didx[i] + 1,) + e.didx[i + 1 :]
             parts.append(mul(Func(e.name, e.argnames, didx, e.args), da))
         return add(*parts)
     if isinstance(e, Add):
-        return add(*[differentiate(t, wrt, ctx) for t in e.terms])
+        return add(*[_derived(t, wrt, ctx, memo) for t in e.terms])
     if isinstance(e, Mul):
         parts = []
         for i, (b, ex) in enumerate(e.powers):
-            db = differentiate(b, wrt, ctx)
+            db = _derived(b, wrt, ctx, memo)
             if db == ZERO:
                 continue
             rest = [(b2, ex2) for j, (b2, ex2) in enumerate(e.powers) if j != i]
@@ -84,18 +101,18 @@ def differentiate(e: Expr, wrt: str, ctx: Optional[Context] = None) -> Expr:
             parts.append(factor)
         return mul(rat(e.coeff), add(*parts)) if parts else ZERO
     if isinstance(e, Pow):
-        db = differentiate(e.base, wrt, ctx)
+        db = _derived(e.base, wrt, ctx, memo)
         if db == ZERO:
             return ZERO
         return mul(rat(e.exponent), pow_(e.base, e.exponent - 1), db)
     if isinstance(e, App):
-        da = differentiate(e.arg, wrt, ctx)
+        da = _derived(e.arg, wrt, ctx, memo)
         if da == ZERO:
             return ZERO
         if e.fn == "exp":
             return mul(e, da)
         if e.fn == "ln":
-            return mul(pow_(e.arg, Fraction(-1)), da)
+            return mul(pow_(e.arg, -1), da)
         if e.fn == "sin":
             return mul(app("cos", e.arg), da)
         if e.fn == "cos":
@@ -120,7 +137,7 @@ def differentiate(e: Expr, wrt: str, ctx: Optional[Context] = None) -> Expr:
     if isinstance(e, Int):
         if e.var == wrt:
             return e.body
-        return integral(differentiate(e.body, wrt, ctx), e.var)
+        return integral(_derived(e.body, wrt, ctx, memo), e.var)
     raise ExprError(f"cannot differentiate {type(e).__name__}")
 
 
@@ -142,10 +159,22 @@ def substitute(e: Expr, mapping: Mapping[str, Expr], ctx: Optional[Context] = No
     """
     if not mapping:
         return e
-    return _subst(e, dict(mapping), ctx)
+    return _substituted(e, dict(mapping), ctx, {})
 
 
-def _subst(e: Expr, mapping: Dict[str, Expr], ctx: Optional[Context]) -> Expr:
+def _substituted(
+    e: Expr, mapping: Dict[str, Expr], ctx: Optional[Context], memo: Dict[Expr, Expr]
+) -> Expr:
+    r = memo.get(e)
+    if r is None:
+        r = memo[e] = _subst_node(e, mapping, ctx, memo)
+    return r
+
+
+def _subst_node(
+    e: Expr, mapping: Dict[str, Expr], ctx: Optional[Context], memo: Dict[Expr, Expr]
+) -> Expr:
+    """substitute of one node, its children substituted through the memo."""
     if isinstance(e, Var):
         return mapping.get(e.name, e)
     if isinstance(e, Func):
@@ -156,15 +185,16 @@ def _subst(e: Expr, mapping: Dict[str, Expr], ctx: Optional[Context]) -> Expr:
                 # explicit: f with x -> (y - 1) turns into f(t, y - 1)
                 new_args = [mapping.get(n, var(n)) for n in e.argnames]
                 return func(e.name, e.argnames, e.didx, new_args)
-            return e.rebuild(lambda a: _subst(a, mapping, ctx))
+            return e.rebuild(lambda a: _substituted(a, mapping, ctx, memo))
         deriv = rep
         for name, count in zip(e.argnames, e.didx):
             for _ in range(count):
                 deriv = differentiate(deriv, name, ctx)
         if e.args is None:
             return deriv
-        new_args = tuple(_subst(a, mapping, ctx) for a in e.args)
-        return _subst(deriv, {n: a for n, a in zip(e.argnames, new_args)}, ctx)
+        new_args = tuple(_substituted(a, mapping, ctx, memo) for a in e.args)
+        # a new mapping, so a memo of its own
+        return substitute(deriv, dict(zip(e.argnames, new_args)), ctx)
     if isinstance(e, Int) and e.var in mapping:
         rep = mapping[e.var]
         if not isinstance(rep, Var):
@@ -172,8 +202,8 @@ def _subst(e: Expr, mapping: Dict[str, Expr], ctx: Optional[Context]) -> Expr:
                 f"cannot substitute a non-variable for the antiderivative "
                 f"variable {e.var}"
             )
-        return integral(_subst(e.body, mapping, ctx), rep.name)
-    return e.rebuild(lambda c: _subst(c, mapping, ctx))
+        return integral(_substituted(e.body, mapping, ctx, memo), rep.name)
+    return e.rebuild(lambda c: _substituted(c, mapping, ctx, memo))
 
 
 def contains_func(e: Expr, name: str) -> bool:
@@ -208,7 +238,7 @@ def collect(e: Expr, atom: Expr, ctx: Optional[Context] = None) -> Dict[int, Exp
         if isinstance(term, Rat):
             buckets.setdefault(0, []).append(term)
             continue
-        coeff, powers = (term.coeff, term.powers) if isinstance(term, Mul) else (Fraction(1), ((term, Fraction(1)),))
+        coeff, powers = _as_coeff_powers(term)
         degree = 0
         rest = [rat(coeff)]
         for b, exn in powers:

@@ -7,7 +7,6 @@ rendered with '/', so 3/(4*x^2) rather than 3*4^-1*x^-2.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Tuple
 
 from .nodes import (
@@ -20,6 +19,7 @@ from .nodes import (
     Mul,
     Pow,
     Rat,
+    RationalLike,
     Var,
 )
 
@@ -40,7 +40,7 @@ def format_expr(e: Expr) -> str:
     return body if sign > 0 else "-" + body
 
 
-def _fmt_fraction(v: Fraction) -> str:
+def _fmt_fraction(v: RationalLike) -> str:
     if v.denominator == 1:
         return str(v.numerator)
     return f"{v.numerator}/{v.denominator}"
@@ -58,7 +58,7 @@ def _signed_term(e: Expr) -> Tuple[int, str]:
     return 1, _fmt_factor(e)
 
 
-def _fmt_monomial(coeff: Fraction, powers: Tuple[Tuple[Expr, Fraction], ...]) -> str:
+def _fmt_monomial(coeff: RationalLike, powers: Tuple[Tuple[Expr, RationalLike], ...]) -> str:
     num_parts: List[str] = []
     den_parts: List[str] = []
     if coeff.numerator != 1:
@@ -78,7 +78,7 @@ def _fmt_monomial(coeff: Fraction, powers: Tuple[Tuple[Expr, Fraction], ...]) ->
     return f"{num}/({'*'.join(den_parts)})"
 
 
-def _fmt_power(base: Expr, exponent: Fraction) -> str:
+def _fmt_power(base: Expr, exponent: RationalLike) -> str:
     body = _fmt_base(base)
     if exponent == 1:
         return body

@@ -3,9 +3,16 @@
 Every constructor in this module returns a node in canonical form:
 sums are flattened, sorted, and merged by monomial; products carry a
 single rational coefficient and a sorted tuple of (base, exponent)
-pairs with exact Fraction exponents; rational powers of rational
-numbers extract perfect roots.  Structural equality of canonical nodes
-is the cheap equality test everything else builds on.
+pairs; rational powers of rational numbers extract perfect roots.
+Structural equality of canonical nodes is the cheap equality test
+everything else builds on.
+
+Every rational a node stores (Rat.value, Mul.coeff, Mul and Pow
+exponents) is a plain int when it is integral and a Fraction only
+otherwise, so the common integer case never pays for Fraction
+arithmetic, hashing or comparison.  Equal ints and Fractions hash and
+compare alike, so the two never split a key.  Integer powers of
+rationals go through _rat_int_power, because int ** -n is a float.
 
 Rewrites that are only valid under positivity or nonvanishing
 assumptions are *not* performed here; see simplify.simplify, which
@@ -16,7 +23,6 @@ a shared base, or exp(a)*exp(b) -> exp(a+b)).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -106,17 +112,17 @@ def as_expr(value: ExprLike) -> Expr:
 
 
 class Rat(Expr):
-    """An exact rational constant."""
+    """An exact rational constant: an int when integral, else a Fraction."""
 
     __slots__ = ("value",)
 
-    def __init__(self, value: Fraction):
+    def __init__(self, value: RationalLike):
         self.value = value
         self._key = (_KIND_RAT, value)
         # hashes build on child hashes and numerator/denominator pairs
         # rather than the nested key: Fraction.__hash__ costs a modular
         # inverse, and rehashing whole subtrees made construction
-        # quadratic on expand-heavy paths
+        # quadratic on expand-heavy paths (ints carry the same pair)
         self._hash = hash((_KIND_RAT, value.numerator, value.denominator))
 
     def __eq__(self, other: object) -> bool:
@@ -255,7 +261,7 @@ class Pow(Expr):
 
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: Fraction):
+    def __init__(self, base: Expr, exponent: RationalLike):
         self.base = base
         self.exponent = exponent
         self._key = (_KIND_POW, base._key, exponent)
@@ -298,11 +304,13 @@ class Add(Expr):
 
 
 class Mul(Expr):
-    """coeff * prod(base_i ^ exp_i) with sorted bases and Fraction exponents."""
+    """coeff * prod(base_i ^ exp_i) with sorted bases and rational exponents."""
 
     __slots__ = ("coeff", "powers")
 
-    def __init__(self, coeff: Fraction, powers: Tuple[Tuple[Expr, Fraction], ...]):
+    def __init__(
+        self, coeff: RationalLike, powers: Tuple[Tuple[Expr, RationalLike], ...]
+    ):
         self.coeff = coeff
         self.powers = powers
         self._key = (_KIND_MUL, coeff) + tuple((b._key, e) for b, e in powers)
@@ -327,23 +335,35 @@ class Mul(Expr):
 # canonical constructors
 
 
-ZERO_FR = Fraction(0)
-ONE_FR = Fraction(1)
-
+_CACHE_SIZE = 4096
 _rat_cache: dict = {}
+
+
+def _exact(q: RationalLike) -> RationalLike:
+    """q as an int when it is integral, else q unchanged."""
+    if q.__class__ is int or q.denominator != 1:
+        return q
+    return q.numerator
+
+
+def _rat_int_power(value: RationalLike, n: int) -> RationalLike:
+    """value ** n for an integer n, exactly; raises ZeroDivisionError for 0 ** -n."""
+    if n < 0:
+        return _exact(Fraction(value) ** n)
+    return _exact(value ** n)
 
 
 def rat(value: RationalLike, den: Optional[int] = None) -> Rat:
     """Make a rational constant; rat(1, 2) is one half."""
     if den is not None:
         value = Fraction(value, den)
-    elif not isinstance(value, Fraction):
+    elif not isinstance(value, (int, Fraction)):
         value = Fraction(value)
     node = _rat_cache.get(value)
     if node is None:
-        node = Rat(value)
-        if len(_rat_cache) < 4096:
-            _rat_cache[value] = node
+        node = Rat(_exact(value))
+        if len(_rat_cache) < _CACHE_SIZE:
+            _rat_cache[node.value] = node
     return node
 
 
@@ -372,19 +392,21 @@ def func(
     return Func(name, argnames, tuple(didx), args)
 
 
-def _as_coeff_powers(e: Expr) -> Tuple[Fraction, Tuple[Tuple[Expr, Fraction], ...]]:
+def _as_coeff_powers(
+    e: Expr,
+) -> Tuple[RationalLike, Tuple[Tuple[Expr, RationalLike], ...]]:
     """Split a canonical node into (coefficient, monomial)."""
     if isinstance(e, Rat):
         return e.value, ()
     if isinstance(e, Mul):
         return e.coeff, e.powers
-    return ONE_FR, ((e, ONE_FR),)
+    return 1, ((e, 1),)
 
 
 def add(*terms: ExprLike) -> Expr:
     """Canonical sum: flatten, merge like monomials, drop zeros, sort."""
     acc: dict = {}
-    const = ZERO_FR
+    const = 0
     stack = [as_expr(t) for t in terms]
     stack.reverse()
     while stack:
@@ -421,7 +443,11 @@ def _term_order(term: Expr):
     return (tuple((b._key, e) for b, e in powers),)
 
 
-def _make_mul(coeff: Fraction, powers: Tuple[Tuple[Expr, Fraction], ...]) -> Expr:
+def _make_mul(
+    coeff: RationalLike, powers: Tuple[Tuple[Expr, RationalLike], ...]
+) -> Expr:
+    """coeff * powers as a canonical node; powers must be canonical already."""
+    coeff = _exact(coeff)
     if coeff == 0:
         return ZERO
     if not powers:
@@ -431,7 +457,7 @@ def _make_mul(coeff: Fraction, powers: Tuple[Tuple[Expr, Fraction], ...]) -> Exp
     return Mul(coeff, powers)
 
 
-def _scale_expr(coeff: Fraction, e: Expr) -> Expr:
+def _scale_expr(coeff: RationalLike, e: Expr) -> Expr:
     """coeff * e with the scalar distributed over sums.
 
     Keeps exp arguments flat, so that exp(s) * exp(-s) cancels through
@@ -460,23 +486,23 @@ def mul(*factors: ExprLike) -> Expr:
     convention: x * x^-1 -> 1).  All exp factors combine into a single
     exp of the summed, exponent-weighted arguments.
     """
-    coeff = ONE_FR
+    coeff: RationalLike = 1
     acc: dict = {}
     order: list = []
     exp_arg_terms: list = []
 
-    def push(base: Expr, exponent: Fraction) -> None:
+    def push(base: Expr, exponent: RationalLike) -> None:
         nonlocal coeff
         if exponent == 0:
             return
         if isinstance(base, Rat):
             if exponent.denominator == 1:
-                coeff *= base.value ** int(exponent)
+                coeff *= _rat_int_power(base.value, exponent)
                 return
             # non-integer power of a rational: keep prime bases
             for b2, e2 in _rat_power_parts(base.value, exponent):
                 if isinstance(b2, Rat) and e2.denominator == 1:
-                    coeff *= b2.value ** int(e2)
+                    coeff *= _rat_int_power(b2.value, e2)
                 else:
                     _accumulate(b2, e2)
             return
@@ -488,7 +514,7 @@ def mul(*factors: ExprLike) -> Expr:
             raise ExprError("internal: Mul base must be flattened before push")
         _accumulate(base, exponent)
 
-    def _accumulate(base: Expr, exponent: Fraction) -> None:
+    def _accumulate(base: Expr, exponent: RationalLike) -> None:
         if base in acc:
             acc[base] += exponent
         else:
@@ -507,7 +533,7 @@ def mul(*factors: ExprLike) -> Expr:
             for b, e in node.powers:
                 push(b, e)
             continue
-        push(node, ONE_FR)
+        push(node, 1)
 
     if coeff == 0:
         return ZERO
@@ -519,7 +545,7 @@ def mul(*factors: ExprLike) -> Expr:
         if isinstance(e, Rat):
             coeff *= e.value
         else:
-            b, ee = (e, ONE_FR) if not isinstance(e, Mul) else (None, None)
+            b, ee = (e, 1) if not isinstance(e, Mul) else (None, None)
             if b is None:
                 # exp() constructor may return coeff*exp(..) only via
                 # rational folding, which cannot happen here
@@ -531,10 +557,10 @@ def mul(*factors: ExprLike) -> Expr:
         e = acc[base]
         if e == 0:
             continue
-        if isinstance(base, Rat):
-            if e.denominator == 1:
-                coeff *= base.value ** int(e)
-                continue
+        e = _exact(e)
+        if isinstance(base, Rat) and e.__class__ is int:
+            coeff *= _rat_int_power(base.value, e)
+            continue
         powers.append((base, e))
     powers.sort(key=lambda be: be[0]._key)
     if coeff == 0:
@@ -558,25 +584,40 @@ def _int_root_split(n: int, root: int) -> Iterable[Tuple[int, int]]:
         yield m, 1
 
 
-def _rat_power_parts(value: Fraction, exponent: Fraction) -> list:
+_rat_power_cache: dict = {}
+
+
+def _rat_power_parts(value: RationalLike, exponent: Fraction) -> tuple:
     """Split value**exponent into (base, exponent) parts with prime bases.
 
-    value must be a positive or negative rational; negative values with
-    an even exponent denominator produce an opaque Pow part.
+    value must be a positive or negative rational and exponent a
+    non-integral Fraction; negative values with an even exponent
+    denominator produce an opaque Pow part.  Results are kept in a
+    table bounded like rat's, since the same radicals recur.
     """
+    key = (value, exponent)
+    parts = _rat_power_cache.get(key)
+    if parts is None:
+        parts = _split_rat_power(value, exponent)
+        if len(_rat_power_cache) < _CACHE_SIZE:
+            _rat_power_cache[key] = parts
+    return parts
+
+
+def _split_rat_power(value: RationalLike, exponent: Fraction) -> tuple:
     parts: list = []
     if value < 0:
         if exponent.denominator % 2 == 1:
             # odd root of a negative number is real; pull the sign out
             sign = -1 if exponent.numerator % 2 == 1 else 1
-            parts.append((rat(sign), ONE_FR))
+            parts.append((rat(sign), 1))
             value = -value
         else:
-            return [(Pow(rat(value), exponent), ONE_FR)]
+            return ((Pow(rat(value), exponent), 1),)
     if value == 1:
         if not parts:
-            parts.append((ONE, ONE_FR))
-        return parts
+            parts.append((ONE, 1))
+        return tuple(parts)
     num, den = value.numerator, value.denominator
     for n, e_sign in ((num, 1), (den, -1)):
         if n == 1:
@@ -586,15 +627,15 @@ def _rat_power_parts(value: Fraction, exponent: Fraction) -> list:
             continue
         for p, k in _int_root_split(n, exponent.denominator):
             total = exponent * k * e_sign
-            whole = Fraction(int(math.floor(total)), 1) if total.denominator == 1 else Fraction(total.numerator // total.denominator)
+            whole = total.numerator // total.denominator
             fracpart = total - whole
             if whole != 0:
                 parts.append((rat(p), whole))
             if fracpart != 0:
                 parts.append((rat(p), fracpart))
     if not parts:
-        parts.append((ONE, ONE_FR))
-    return parts
+        parts.append((ONE, 1))
+    return tuple(parts)
 
 
 def _is_surely_positive(e: Expr) -> bool:
@@ -621,32 +662,34 @@ def pow_(base: ExprLike, exponent: RationalLike) -> Expr:
     node is produced and left for assumption-aware simplification.
     """
     base = as_expr(base)
-    if not isinstance(exponent, Fraction):
-        exponent = Fraction(exponent)
+    if exponent.__class__ is not int:
+        if not isinstance(exponent, Fraction):
+            exponent = Fraction(exponent)
+        exponent = _exact(exponent)
     if exponent == 0:
         return ONE
     if exponent == 1:
         return base
     if isinstance(base, Rat):
-        if exponent.denominator == 1:
-            return rat(base.value ** int(exponent))
+        if exponent.__class__ is int:
+            return rat(_rat_int_power(base.value, exponent))
         if base.value == 0:
             raise ExprError("zero raised to a fractional power")
-        return mul(*[_make_mul(ONE_FR, ((b, e),)) if not (isinstance(b, Rat) and e == 1) else b for b, e in _rat_power_parts(base.value, exponent)])
+        return mul(*[_make_mul(1, ((b, e),)) if not (isinstance(b, Rat) and e == 1) else b for b, e in _rat_power_parts(base.value, exponent)])
     if isinstance(base, Mul):
-        ok = exponent.denominator == 1 or (
+        ok = exponent.__class__ is int or (
             base.coeff > 0 and all(_merge_ok(b, e, exponent) for b, e in base.powers)
         )
         if ok:
             parts = [pow_(rat(base.coeff), exponent)]
             for b, e in base.powers:
-                parts.append(_pow_single(b, e * exponent))
+                parts.append(_pow_single(b, _exact(e * exponent)))
             return mul(*parts)
         return Pow(base, exponent)
     return _pow_single(base, exponent)
 
 
-def _merge_ok(b: Expr, inner: Fraction, outer: Fraction) -> bool:
+def _merge_ok(b: Expr, inner: RationalLike, outer: RationalLike) -> bool:
     """Is (b^inner)^outer -> b^(inner*outer) valid without assumptions?"""
     if outer.denominator == 1:
         return True
@@ -655,7 +698,7 @@ def _merge_ok(b: Expr, inner: Fraction, outer: Fraction) -> bool:
     return _is_surely_positive(b)
 
 
-def _pow_single(base: Expr, exponent: Fraction) -> Expr:
+def _pow_single(base: Expr, exponent: RationalLike) -> Expr:
     """Power of a non-Rat, non-Mul base with exponent folding guards."""
     if exponent == 0:
         return ONE
@@ -674,11 +717,11 @@ def _pow_single(base: Expr, exponent: Fraction) -> Expr:
         if _merge_ok(base.base, base.exponent, exponent):
             return pow_(base.base, base.exponent * exponent)
         return Pow(base, exponent)
-    return _make_mul(ONE_FR, ((base, exponent),))
+    return _make_mul(1, ((base, exponent),))
 
 
 def div(a: ExprLike, b: ExprLike) -> Expr:
-    return mul(as_expr(a), pow_(as_expr(b), Fraction(-1)))
+    return mul(as_expr(a), pow_(as_expr(b), -1))
 
 
 def app(fn: str, arg: ExprLike) -> Expr:
@@ -705,7 +748,7 @@ def app(fn: str, arg: ExprLike) -> Expr:
             # sign is defined away from zeros, where its modulus is 1
             return ONE
         coeff, powers = _as_coeff_powers(arg)
-        inner = _make_mul(ONE_FR, powers)
+        inner = _make_mul(1, powers)
         if _is_surely_positive(inner):
             return mul(rat(abs(coeff)), inner)
         if abs(coeff) != 1:
@@ -726,7 +769,7 @@ def app(fn: str, arg: ExprLike) -> Expr:
         if coeff < 0:
             return mul(MINUS_ONE, app("sign", _make_mul(-coeff, powers)))
         if coeff != 1:
-            return app("sign", _make_mul(ONE_FR, powers))
+            return app("sign", _make_mul(1, powers))
         return App("sign", arg)
     if fn == "sin":
         if arg == ZERO:

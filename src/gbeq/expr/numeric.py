@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from .calculus import differentiate
@@ -28,6 +27,7 @@ from .nodes import (
     Mul,
     Pow,
     Rat,
+    RationalLike,
     Var,
 )
 
@@ -46,6 +46,10 @@ class Evaluator:
         base_point: lower limit used for Int nodes.
         quad_tol: tolerance of the quadrature, used as both its absolute
             and its relative tolerance.
+
+    Each call evaluates every distinct subtree once per point: a memo
+    from node to value lives for one point, and _eval_func and
+    _eval_int start a fresh one where they move to another point.
     """
 
     def __init__(
@@ -62,9 +66,16 @@ class Evaluator:
         self._deriv_cache: Dict[Tuple[str, Tuple[int, ...]], Expr] = {}
 
     def __call__(self, e: Expr, point: Mapping[str, float]) -> float:
-        return self._eval(e, dict(point))
+        return self._eval(e, dict(point), {})
 
-    def _eval(self, e: Expr, point: Dict[str, float]) -> float:
+    def _eval(self, e: Expr, point: Dict[str, float], memo: Dict[Expr, float]) -> float:
+        v = memo.get(e)
+        if v is None:
+            v = memo[e] = self._eval_node(e, point, memo)
+        return v
+
+    def _eval_node(self, e: Expr, point: Dict[str, float], memo: Dict[Expr, float]) -> float:
+        """The value of one node at point, its children evaluated through memo."""
         if isinstance(e, Rat):
             return _float(e.value)
         if isinstance(e, Var):
@@ -73,16 +84,16 @@ class Evaluator:
             except KeyError:
                 raise EvalError(f"no value for variable {e.name}") from None
         if isinstance(e, Add):
-            return sum(self._eval(t, point) for t in e.terms)
+            return sum(self._eval(t, point, memo) for t in e.terms)
         if isinstance(e, Mul):
             out = _float(e.coeff)
             for b, ex in e.powers:
-                out *= _float_pow(self._eval(b, point), ex)
+                out *= _float_pow(self._eval(b, point, memo), ex)
             return out
         if isinstance(e, Pow):
-            return _float_pow(self._eval(e.base, point), e.exponent)
+            return _float_pow(self._eval(e.base, point, memo), e.exponent)
         if isinstance(e, App):
-            v = self._eval(e.arg, point)
+            v = self._eval(e.arg, point, memo)
             if e.fn == "exp":
                 if v > 700.0:
                     raise EvalError("exp overflow")
@@ -107,7 +118,7 @@ class Evaluator:
                 v = self.atom_values.get(e)
                 if v is not None:
                     return v
-            return self._eval_func(e, point)
+            return self._eval_func(e, point, memo)
         if isinstance(e, Int):
             if self.atom_values:
                 v = self.atom_values.get(e)
@@ -116,7 +127,7 @@ class Evaluator:
             return self._eval_int(e, point)
         raise EvalError(f"cannot evaluate {type(e).__name__}")
 
-    def _eval_func(self, e: Func, point: Dict[str, float]) -> float:
+    def _eval_func(self, e: Func, point: Dict[str, float], memo: Dict[Expr, float]) -> float:
         binding = self.bindings.get(e.name)
         if binding is None:
             raise EvalError(f"no binding for function symbol {e.name}")
@@ -135,8 +146,8 @@ class Evaluator:
                     raise EvalError(f"no value for {an} applying {e.name}")
                 argvals.append(point[an])
         else:
-            argvals = [self._eval(a, point) for a in e.args]
-        return self._eval(deriv, dict(zip(e.argnames, argvals)))
+            argvals = [self._eval(a, point, memo) for a in e.args]
+        return self._eval(deriv, dict(zip(e.argnames, argvals)), {})
 
     def _eval_int(self, e: Int, point: Dict[str, float]) -> float:
         if e.var not in point:
@@ -146,7 +157,7 @@ class Evaluator:
         def f(s: float) -> float:
             inner = dict(point)
             inner[e.var] = s
-            return self._eval(e.body, inner)
+            return self._eval(e.body, inner, {})
 
         value = _qags_first_step(f, self.base_point, upper, self.quad_tol, self.quad_tol)
         if value is None:
@@ -287,7 +298,7 @@ def _qags_first_step(
     return None
 
 
-def _float(q: Fraction) -> float:
+def _float(q: RationalLike) -> float:
     """q as a float; past the float range, the infinity of q's sign."""
     try:
         return float(q)
@@ -295,7 +306,7 @@ def _float(q: Fraction) -> float:
         return math.inf if q > 0 else -math.inf
 
 
-def _float_pow(base: float, exponent: Fraction) -> float:
+def _float_pow(base: float, exponent: RationalLike) -> float:
     """base^exponent; past the float range, a signed infinity.
 
     An infinity is never small enough for a zero test to accept, so a

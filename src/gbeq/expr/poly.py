@@ -56,7 +56,9 @@ from .nodes import (
     Var,
     ZERO,
     _as_coeff_powers,
+    _exact,
     _make_mul,
+    _rat_int_power,
     _scale_expr,
     _term_order,
     exp,
@@ -77,10 +79,6 @@ _POW = 3
 _CONST: Mono = (0,)
 
 
-def _num(c: Fraction) -> Coeff:
-    return c.numerator if c.denominator == 1 else c
-
-
 def _strip(m: Mono) -> Mono:
     end = len(m)
     while end > 1 and not m[end - 1]:
@@ -99,7 +97,7 @@ def _clean(p: Poly) -> Poly:
     return out
 
 
-def _base_order(power: Tuple[Expr, Fraction]):
+def _base_order(power: Tuple[Expr, Coeff]):
     return power[0]._key
 
 
@@ -187,7 +185,7 @@ class Kernel:
     def _exp_power(self, i: int, k: Coeff) -> Union[int, Poly]:
         r = self.exp_powers.get((i, k))
         if r is None:
-            arg = _scale_expr(Fraction(k), self.exp_node[i].arg)
+            arg = _scale_expr(k, self.exp_node[i].arg)
             r = self.exp_powers[(i, k)] = self._exp(exp(arg))
         return r
 
@@ -230,7 +228,7 @@ class Kernel:
             whole = math.floor(e)
             rest = e - whole
             if self.kind[pos] == _RADICAL:
-                f: Poly = {_CONST: _num(node.value ** whole)}
+                f: Poly = {_CONST: _rat_int_power(node.value, whole)}
             else:
                 f = self.power(self.expand(node), whole, node)
             if rest:
@@ -307,7 +305,7 @@ class Kernel:
 
     def _mono_power(self, m: Mono, c: Coeff, k: Coeff) -> Poly:
         """(c*m)**k for an integer k."""
-        c = _num(Fraction(c) ** k) if k < 0 or c.__class__ is Fraction else c ** k
+        c = _rat_int_power(c, k)
         if k < 0:
             for pos, e in enumerate(m):
                 if pos and e and self.kind[pos] == _SUM:
@@ -328,7 +326,7 @@ class Kernel:
 
     def _expand(self, e: Expr) -> Poly:
         if isinstance(e, Rat):
-            return {_CONST: _num(e.value)} if e.value else {}
+            return {_CONST: e.value} if e.value else {}
         if isinstance(e, Var):
             return self._atom(e, _PLAIN)
         if isinstance(e, Add):
@@ -337,7 +335,7 @@ class Kernel:
                 _add_into(out, self.expand(t))
             return _clean(out)
         if isinstance(e, Mul):
-            p: Poly = {_CONST: _num(e.coeff)}
+            p: Poly = {_CONST: e.coeff}
             for b, ex in e.powers:
                 p = self.mul(p, self.factor(b, ex))
             return p
@@ -351,7 +349,7 @@ class Kernel:
     def expand_tree(self, e: Expr) -> Expr:
         return self.tree(self.expand(e))
 
-    def factor(self, b: Expr, ex: Fraction) -> Poly:
+    def factor(self, b: Expr, ex: Coeff) -> Poly:
         """The polynomial of b**ex for a base b of a canonical product."""
         if isinstance(b, Rat):
             return self._monomial(pow_(b, ex))
@@ -360,7 +358,7 @@ class Kernel:
             whole = math.floor(ex) if ex > 0 else 0
             q = self.power(p, whole, b)
             if ex != whole:
-                q = self.mul(q, self._atom(self.tree(p), _SUM, _num(ex - whole)))
+                q = self.mul(q, self._atom(self.tree(p), _SUM, _exact(ex - whole)))
             return q
         if not p:
             return self._monomial(pow_(ZERO, ex))  # raises for ex < 0
@@ -377,10 +375,10 @@ class Kernel:
         """The polynomial of a product tree, factor by factor."""
         if not isinstance(p, Mul):
             return self.expand(p)
-        out: Poly = {_CONST: _num(p.coeff)}
+        out: Poly = {_CONST: p.coeff}
         for b, ex in p.powers:
             if isinstance(b, Rat):
-                f = self._atom(b, _RADICAL, _num(ex))
+                f = self._atom(b, _RADICAL, ex)
             else:
                 f = self.factor(b, ex)
             out = self.mul(out, f)
@@ -395,12 +393,12 @@ class Kernel:
             return hit[1]
         terms = []
         for m, c in p.items():
-            powers = [(self.base[pos], Fraction(e)) for pos, e in enumerate(m) if pos and e]
+            powers = [(self.base[pos], _exact(e)) for pos, e in enumerate(m) if pos and e]
             if m[0]:
-                powers.append((self.exp_node[m[0]], Fraction(1)))
+                powers.append((self.exp_node[m[0]], 1))
             if len(powers) > 1:
                 powers.sort(key=_base_order)
-            terms.append(_make_mul(Fraction(c), tuple(powers)))
+            terms.append(_make_mul(c, tuple(powers)))
         if not terms:
             t: Expr = ZERO
         elif len(terms) == 1:
@@ -481,7 +479,7 @@ class Kernel:
         groups: Dict[tuple, Poly] = {}
         parts: Dict[tuple, tuple] = {}
         lcm = 1
-        top: Dict[Expr, Fraction] = {}
+        top: Dict[Expr, Coeff] = {}
         for n, d in pairs:
             c, powers, key = self._content_normal(d)
             acc = groups.get(key)
@@ -499,7 +497,7 @@ class Kernel:
             if not n:
                 continue
             c, powers = parts[key]
-            q: Poly = {_CONST: _num(Fraction(lcm) / c)}
+            q: Poly = {_CONST: _exact(Fraction(lcm) / c)}
             for base, ex in top.items():
                 k = ex - powers.get(base, 0)
                 if k:
@@ -514,7 +512,7 @@ class Kernel:
         if hit is not None:
             return hit
         c, powers = _as_coeff_powers(d)
-        out: Dict[Expr, Fraction] = {}
+        out: Dict[Expr, Coeff] = {}
         for b, ex in powers:
             if isinstance(b, Add) and ex.denominator == 1:
                 g, b = self._primitive(b)
@@ -540,7 +538,7 @@ class Kernel:
             hit = (g, b)
         else:
             scale = 1 / g
-            p = {m: _num(c * scale) for m, c in self.expand(b).items()}
+            p = {m: _exact(c * scale) for m, c in self.expand(b).items()}
             hit = (g, self.tree(p))
         self.primitive[b] = hit
         return hit

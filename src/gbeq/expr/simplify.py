@@ -3,7 +3,8 @@
 simplify applies rewrites whose validity depends on the assumption
 set: resolving abs and sign, pairing sign(a)*a into abs(a), folding
 even powers of abs, and upgrading opaque Pow nodes once positivity is
-known.
+known.  Each call keeps a memo from node to result, so a subtree that
+recurs, however often, is simplified once; the memo dies with the call.
 
 expand, ratio_normal and normal_form go through the polynomial kernel
 of gbeq.expr.poly and back to a tree.  The kernel holds a polynomial
@@ -21,7 +22,6 @@ denominators this way decides every rational identity exactly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .context import Context
@@ -32,6 +32,7 @@ from .nodes import (
     Mul,
     ONE,
     Pow,
+    RationalLike,
     app,
     mul,
     pow_,
@@ -42,16 +43,28 @@ from .poly import Kernel
 
 def simplify(e: Expr, ctx: Optional[Context] = None) -> Expr:
     """Rebuild e bottom-up, applying assumption-aware rewrites."""
+    return _simplified(e, ctx, {})
+
+
+def _simplified(e: Expr, ctx: Optional[Context], memo: Dict[Expr, Expr]) -> Expr:
+    r = memo.get(e)
+    if r is None:
+        r = memo[e] = _simplify_node(e, ctx, memo)
+    return r
+
+
+def _simplify_node(e: Expr, ctx: Optional[Context], memo: Dict[Expr, Expr]) -> Expr:
+    """simplify of one node, its children simplified through the memo."""
     if isinstance(e, App):
-        return _simplify_app(e.fn, simplify(e.arg, ctx), ctx)
+        return _simplify_app(e.fn, _simplified(e.arg, ctx, memo), ctx)
     if isinstance(e, Pow):
-        return _simplify_pow(simplify(e.base, ctx), e.exponent, ctx)
+        return _simplify_pow(_simplified(e.base, ctx, memo), e.exponent, ctx)
     if isinstance(e, Mul):
         factors: List[Expr] = [rat(e.coeff)]
         for b, ex in e.powers:
-            factors.append(_simplify_pow(simplify(b, ctx), ex, ctx))
+            factors.append(_simplify_pow(_simplified(b, ctx, memo), ex, ctx))
         return _pair_sign_factors(mul(*factors), ctx)
-    return e.rebuild(lambda c: simplify(c, ctx))
+    return e.rebuild(lambda c: _simplified(c, ctx, memo))
 
 
 def _simplify_app(fn: str, arg: Expr, ctx: Optional[Context]) -> Expr:
@@ -69,7 +82,7 @@ def _simplify_app(fn: str, arg: Expr, ctx: Optional[Context]) -> Expr:
     return app(fn, arg)
 
 
-def _simplify_pow(base: Expr, exponent: Fraction, ctx: Optional[Context]) -> Expr:
+def _simplify_pow(base: Expr, exponent: RationalLike, ctx: Optional[Context]) -> Expr:
     """pow_ plus upgrades that need the context.
 
     Even integer powers of abs and sign shed the wrapper when the

@@ -291,7 +291,7 @@ def _random_standin(
         factors: List[Expr] = [rat(coeff)]
         for name, power in zip(argnames, alpha):
             if power:
-                factors.append(pow_(var(name), Fraction(power)))
+                factors.append(pow_(var(name), power))
         terms.append(mul(*factors))
     return add(*terms)
 

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Tuple, Union
 
 from .expr import NONZERO, NUMERIC_ZERO, SYMBOLIC_ZERO
 
@@ -29,6 +30,15 @@ def worst_verdict(verdicts: Iterable[str]) -> str:
     Verdicts outside that list rank with NONZERO.
     """
     return max(verdicts, key=lambda v: _RANK.get(v, 2), default=SYMBOLIC_ZERO)
+
+
+def _json_number(v: float) -> Union[float, str]:
+    """v, or "inf", "-inf" or "nan" when it is not finite: strict JSON has no such numbers."""
+    if math.isfinite(v):
+        return v
+    if math.isnan(v):
+        return "nan"
+    return "inf" if v > 0 else "-inf"
 
 
 @dataclass
@@ -77,7 +87,8 @@ class VerificationReport:
             "verdict": self.verdict,
             "residual_text": self.residual_text,
             "samples": [
-                {"point": point, "value": value} for point, value in self.samples
+                {"point": point, "value": _json_number(value)}
+                for point, value in self.samples
             ],
             "tolerance": self.tolerance,
             "seed": self.seed,

@@ -572,9 +572,9 @@ def _finish_apply(
     S, xi = inv
     u_back = u_inverse_of(S, xi)
     mapping = {"t": S, "x": xi, inst.dependent: u_back}
-    elements = {
-        k: simplify(substitute(v, mapping, ctx), ctx) for k, v in pullback.items()
-    }
+    # the pullback is simplified and substitute rebuilds through the
+    # canonical constructors, so the elements need no second pass
+    elements = {k: substitute(v, mapping, ctx) for k, v in pullback.items()}
     return ApplyResult(
         inst, family, fmap, pullback,
         target=EquationInstance(inst.class_id, elements),

@@ -315,11 +315,22 @@ def test_undefined_arithmetic_is_an_input_error(corpus, capsys, solution, column
     assert f"at column {column}\n" in err
 
 
-@pytest.mark.parametrize("solution", ["x^99999999", "10^400*x"])
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, as strict JSON parsers do."""
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("solution", ["x^99999999", "10^400*x", "x^(-99999999)"])
 def test_overflowing_residual_is_nonzero(corpus, capsys, tmp_path, solution):
-    # both residuals are nonzero polynomials whose values leave the float
-    # range (x^99999999 only for |x| > 1; below that they underflow to 0):
-    # the overflowing points must decide, not be skipped
+    # the residuals are nonzero and their values leave the float range
+    # (x^99999999 only for |x| > 1, where x^(-99999999) underflows to 0;
+    # x^(-99999999) for |x| < 1, where its residual is inf - inf): the
+    # overflowing points must decide, not be skipped, and the report
+    # must still be strict JSON
     tmp, files = corpus
     out = tmp_path / "rep.json"
     argv = [
@@ -327,7 +338,12 @@ def test_overflowing_residual_is_nonzero(corpus, capsys, tmp_path, solution):
         "--out", str(out),
     ]
     assert main(argv) == EXIT_MATH
-    assert json.loads(out.read_text())["verdict"] == "NONZERO"
+    report = strict_json(out.read_text())
+    assert report["verdict"] == "NONZERO"
+    assert all(
+        isinstance(s["value"], float) or s["value"] in ("inf", "-inf", "nan")
+        for s in report["samples"]
+    )
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -356,6 +372,19 @@ def test_nesting_at_the_limit_parses_and_formats(corpus, capsys):
     argv = ["verify-solution", str(files["burgers.gbeq"]), "--solution", f"@{at_limit}"]
     assert main(argv) == EXIT_PASS
     assert json.loads(capsys.readouterr().out)["verdict"] == "SYMBOLIC_ZERO"
+
+
+def test_nested_product_at_the_limit_is_nonzero(corpus, capsys):
+    # x*(1 + x*(1 + ... t)) at the nesting limit is not a solution; its
+    # residual repeats each level many times, which the passes' per-call
+    # memos work through once
+    tmp, files = corpus
+    depth = MAX_NESTING - 1
+    nested = tmp / "nested.txt"
+    nested.write_text("x*(1 + " * depth + "t" + ")" * depth + "\n")
+    argv = ["verify-solution", str(files["burgers.gbeq"]), "--solution", f"@{nested}"]
+    assert main(argv) == EXIT_MATH
+    assert strict_json(capsys.readouterr().out)["verdict"] == "NONZERO"
 
 
 def test_solution_can_come_from_a_file(corpus, capsys):

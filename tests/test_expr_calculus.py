@@ -1,5 +1,7 @@
 """Differentiation, substitution, and polynomial collection."""
 
+import math
+
 import pytest
 
 from gbeq.expr import (
@@ -11,6 +13,7 @@ from gbeq.expr import (
     contains_func,
     diff_n,
     differentiate,
+    evaluate,
     exp,
     format_expr,
     func,
@@ -22,6 +25,7 @@ from gbeq.expr import (
     substitute,
     var,
 )
+from gbeq.expr.parse import MAX_NESTING
 
 
 @pytest.fixture
@@ -146,3 +150,16 @@ def test_derivative_of_integral_atom_in_product(ctx):
     e = mul(var("t"), integral(f, "x"))
     r = differentiate(e, "t", ctx)
     assert format_expr(r) == "t*int(f_t, x) + int(f, x)"
+
+
+def test_derivative_of_a_continued_fraction_at_the_nesting_limit(ctx):
+    # 1/(1 + 1/(1 + ... x)): its derivative repeats every inner level in
+    # each factor
+    depth = MAX_NESTING - 1
+    e = parse("1/(1 + " * depth + "x" + ")" * depth, ctx)
+    r = differentiate(e, "x", ctx)
+    c, dc = 0.5, 1.0
+    for _ in range(depth):
+        c = 1.0 / (1.0 + c)
+        dc = -c * c * dc
+    assert math.isclose(evaluate(r, {"x": 0.5}), dc, rel_tol=1e-9)
