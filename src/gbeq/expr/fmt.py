@@ -73,7 +73,8 @@ def _fmt_monomial(coeff: RationalLike, powers: Tuple[Tuple[Expr, RationalLike], 
     num = "*".join(num_parts)
     if not den_parts:
         return num
-    if len(den_parts) == 1 and "*" not in den_parts[0]:
+    if len(den_parts) == 1:
+        # a lone number or _fmt_power factor binds tighter than '/'
         return f"{num}/{den_parts[0]}"
     return f"{num}/({'*'.join(den_parts)})"
 

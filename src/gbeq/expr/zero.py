@@ -46,7 +46,7 @@ from .nodes import (
     walk,
 )
 from .numeric import EvalError, Evaluator
-from .simplify import normal_form, simplify
+from .simplify import normal_form
 
 SYMBOLIC_ZERO = "SYMBOLIC_ZERO"
 NUMERIC_ZERO = "NUMERIC_ZERO"
@@ -91,21 +91,16 @@ def is_zero(
     tol: float = 1e-9,
     n_samples: int = 30,
     seed: int = 42,
-    normalize: bool = True,
 ) -> ZeroResult:
     """Test whether e vanishes identically, symbolically then numerically.
 
-    By default the numeric stage samples the cleared-denominator
-    normal form, which is the right notion for identities between
-    opaque symbols.  With normalize=False it samples the expression's
-    own values instead (after plain simplification), so verdicts carry
-    value semantics: small-but-nonzero residuals of approximate data
-    count as NUMERIC_ZERO.
+    The numeric stage samples the cleared-denominator normal form,
+    which is the right notion for identities between opaque symbols.
     """
     nf = normal_form(e, ctx)
     if nf == ZERO:
         return ZeroResult(SYMBOLIC_ZERO, nf, tol, seed)
-    return sampled_verdict(nf if normalize else simplify(e, ctx), ctx, tol, n_samples, seed)
+    return sampled_verdict(nf, ctx, tol, n_samples, seed)
 
 
 def sampled_verdict(

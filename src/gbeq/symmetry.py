@@ -10,8 +10,9 @@ fields on (t, x, u) space:
     e5 = t d_x + d_u
 
 This module computes brackets and structure constants exactly, builds
-the one-parameter flows of the basis fields as projective tuples, and
-decides membership of a tuple in the symmetry group by the criterion
+the one-parameter flows of the basis fields as exact projective tuples
+(e2 scales by exp(eps)), and decides membership of a tuple in the
+symmetry group by the criterion
 
     alpha delta - beta gamma = kappa^2 > 0,
 
@@ -20,7 +21,6 @@ which also admits the discrete reflection (kappa = -1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -31,8 +31,11 @@ from .expr import (
     Context,
     Expr,
     Mul,
+    ONE,
     Rat,
     ZERO,
+    ZeroResult,
+    as_expr,
     differentiate,
     exp,
     expand,
@@ -44,6 +47,7 @@ from .expr import (
     substitute,
     var,
 )
+from .expr.nodes import ExprLike
 from .hopfcole import cole_hopf_solution
 from .report import ConditionReport, REJECTED, VerificationReport, worst_verdict
 from .transforms import (
@@ -300,29 +304,25 @@ def format_structure_table(table: Optional[StructureTable] = None) -> str:
 # flows
 
 
-Number = Union[Fraction, float]
+def flow(index: int, eps: ExprLike) -> ProjectiveTuple:
+    """The time-eps flow of basis field e_index, as an exact projective tuple.
 
-
-def flow(index: int, eps: Number) -> ProjectiveTuple:
-    """The time-eps flow of basis field e_index, as a projective tuple.
-
-    Exact for every field except e2, whose flow involves exp(eps) and
-    therefore returns float entries unless eps = 0.
+    e2 scales by exp(eps), so its entries stay symbolic unless eps is a
+    logarithm: flow(2, ln(rat(2))) is (4, 0, 0, 1, 2, 0, 0).  A float
+    eps raises TypeError.
     """
-    one, zero = Fraction(1), Fraction(0)
+    eps = as_expr(eps)
     if index == 1:
-        return ProjectiveTuple(one, Fraction(eps), zero, one, one, zero, zero)
+        return ProjectiveTuple(ONE, eps, ZERO, ONE, ONE, ZERO, ZERO)
     if index == 2:
-        if eps == 0:
-            return ProjectiveTuple(one, zero, zero, one, one, zero, zero)
-        g = math.exp(float(eps))
-        return ProjectiveTuple(g * g, 0.0, 0.0, 1.0, g, 0.0, 0.0)
+        g = exp(eps)
+        return ProjectiveTuple(g * g, ZERO, ZERO, ONE, g, ZERO, ZERO)
     if index == 3:
-        return ProjectiveTuple(one, zero, -Fraction(eps), one, one, zero, zero)
+        return ProjectiveTuple(ONE, ZERO, -eps, ONE, ONE, ZERO, ZERO)
     if index == 4:
-        return ProjectiveTuple(one, zero, zero, one, one, Fraction(eps), zero)
+        return ProjectiveTuple(ONE, ZERO, ZERO, ONE, ONE, eps, ZERO)
     if index == 5:
-        return ProjectiveTuple(one, zero, zero, one, one, zero, Fraction(eps))
+        return ProjectiveTuple(ONE, ZERO, ZERO, ONE, ONE, ZERO, eps)
     raise SymmetryError(f"no basis field e{index}")
 
 
@@ -367,8 +367,7 @@ def flow_generator(index: int) -> VectorField:
 
 def reflection() -> ProjectiveTuple:
     """x -> -x, u -> -u; the discrete symmetry outside the flows."""
-    one, zero = Fraction(1), Fraction(0)
-    return ProjectiveTuple(one, zero, zero, one, -one, zero, zero)
+    return ProjectiveTuple(1, 0, 0, 1, -1, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -385,13 +384,9 @@ class SymmetryGroupElement:
         return self.tuple
 
 
-def satisfies_group_constraint(p: ProjectiveTuple, tol: float = 1e-12) -> bool:
-    """alpha delta - beta gamma = kappa^2, exactly or within tol."""
-    det = p.det
-    k2 = p.kappa * p.kappa
-    if isinstance(det, Fraction) and isinstance(k2, Fraction):
-        return det == k2
-    return abs(float(det) - float(k2)) <= tol * max(1.0, abs(float(det)))
+def satisfies_group_constraint(p: ProjectiveTuple) -> ZeroResult:
+    """alpha delta - beta gamma = kappa^2, as a ZeroResult (truthy when it holds)."""
+    return is_zero(p.det - p.kappa * p.kappa)
 
 
 def solution_catalog() -> List[Expr]:
@@ -429,20 +424,17 @@ def is_symmetry(
     ctx = class_context(ClassId.BURGERS)
     dep = inst.dependent
 
-    det, k2 = p.det, p.kappa * p.kappa
-    constraint_ok = satisfies_group_constraint(p)
-    if not constraint_ok:
-        constraint_verdict = REJECTED
-    elif isinstance(det, Fraction) and isinstance(k2, Fraction):
-        constraint_verdict = "SYMBOLIC_ZERO"
-    else:
-        constraint_verdict = "NUMERIC_ZERO"
+    constraint = satisfies_group_constraint(p)
+    constraint_ok = bool(constraint)
     conditions = [
         ConditionReport(
             description="group constraint alpha delta - beta gamma = kappa^2",
             ok=constraint_ok,
-            verdict=constraint_verdict,
-            detail=f"det = {det}, kappa^2 = {k2}",
+            verdict=constraint.verdict if constraint_ok else REJECTED,
+            detail=(
+                f"det = {format_expr(p.det)}, "
+                f"kappa^2 = {format_expr(p.kappa * p.kappa)}"
+            ),
         )
     ]
     if not constraint_ok:
@@ -461,9 +453,7 @@ def is_symmetry(
     for idx, sol in enumerate(solutions):
         pushed = push_solution(res, sol, ctx)
         residual = simplify(substitute(pde, {dep: pushed}, ctx), ctx)
-        # value semantics: a float-entry tuple is a symmetry only up to
-        # rounding, so the residual is judged by its sampled size
-        zr = is_zero(residual, ctx, tol=tol, seed=seed, normalize=False)
+        zr = is_zero(residual, ctx, tol=tol, seed=seed)
         conditions.append(
             ConditionReport(
                 description=(

@@ -10,7 +10,8 @@ one equation class:
                              u -> eps (u / T_t^(1/2) + U0),  T_t > 0
     REDUCED     on LINZ_F:   the GAUGED subfamily whose U0 is
                              T_tt/(2 T_t^(3/2)) x + X0_t/T_t
-    PROJECTIVE  on GBE_TX:   fractional-linear in t, affine in x
+    PROJECTIVE  on GBE_TX:   fractional-linear in t, affine in x, with
+                             exact constant entries defined up to scale
     DIV         on GBE_DIV:  t -> T, x -> kappa |T_t|^(1/2) x + X0, with
                              a classifying constraint tying T, X0 to f
     AFFINE_DIV  on GBE_DIV:  the affine T subfamily of DIV
@@ -24,7 +25,8 @@ the member's own class are read off the result.  Three families keep
 closed forms of their own:
 
     PROJECTIVE  f~ = kappa^2 f / det, since the general route made its
-                sweep items 2-3 times slower
+                sweep items 2-3 times slower; compose and invert are the
+                3x3 matrix product and adjugate, left unscaled
     AFFINE_DIV  compose and invert on exact rational numbers; apply
                 goes through the DIV map it names
     LINEAR      a~, b~, c~ free of V0, which linear_constraint needs
@@ -58,7 +60,9 @@ from .expr import (
     ONE,
     Rat,
     ZERO,
+    add,
     app,
+    as_expr,
     collect,
     contains_var,
     differentiate,
@@ -162,9 +166,6 @@ class ReducedTransform:
         return {"T": self.T, "X0": self.X0, "eps": self.eps}
 
 
-Number = Union[Fraction, float]
-
-
 @dataclass(frozen=True)
 class ProjectiveTuple:
     """(alpha, beta, gamma, delta, kappa, mu0, mu1), scale-equivalent.
@@ -173,56 +174,47 @@ class ProjectiveTuple:
     x -> (kappa x + mu1 t + mu0)/(gamma t + delta)
     u -> (kappa (gamma t + delta) u - kappa gamma x + mu1 delta - mu0 gamma)
              / (alpha delta - beta gamma)
+
+    Entries are exact constant expressions; ints and Fractions are
+    coerced to Rat nodes and a float raises TypeError.
     """
 
-    alpha: Number
-    beta: Number
-    gamma: Number
-    delta: Number
-    kappa: Number
-    mu0: Number
-    mu1: Number
+    alpha: Expr
+    beta: Expr
+    gamma: Expr
+    delta: Expr
+    kappa: Expr
+    mu0: Expr
+    mu1: Expr
 
     family = "PROJECTIVE"
     param_names = ("alpha", "beta", "gamma", "delta", "kappa", "mu0", "mu1")
 
     def __post_init__(self) -> None:
-        if self.det == 0:
+        for name in self.param_names:
+            object.__setattr__(self, name, as_expr(getattr(self, name)))
+        if self.det == ZERO:
             raise TransformError("alpha*delta - beta*gamma must not vanish")
-        if self.kappa == 0:
+        if self.kappa == ZERO:
             raise TransformError("kappa must not vanish")
 
     @property
-    def det(self) -> Number:
+    def det(self) -> Expr:
         return self.alpha * self.delta - self.beta * self.gamma
 
-    def entries(self) -> Tuple[Number, ...]:
+    def entries(self) -> Tuple[Expr, ...]:
         return (
             self.alpha, self.beta, self.gamma, self.delta,
             self.kappa, self.mu0, self.mu1,
         )
 
-    def params(self) -> Dict[str, Number]:
+    def params(self) -> Dict[str, Expr]:
         return dict(zip(self.param_names, self.entries()))
 
-    def matrix(self) -> Tuple[Tuple[Number, ...], ...]:
+    def matrix(self) -> Tuple[Tuple[Expr, ...], ...]:
         """Action on the projective column (t : x : 1)."""
         a, b, g, d, k, m0, m1 = self.entries()
-        zero = a * 0
-        return ((a, zero, b), (m1, k, m0), (g, zero, d))
-
-    def canonical(self) -> "ProjectiveTuple":
-        """Scale so the largest-magnitude entry is +-1 and kappa > 0."""
-        pivot = max(self.entries(), key=abs)
-        scale = Fraction(1) / pivot if isinstance(pivot, Fraction) else 1.0 / pivot
-        if self.kappa * scale < 0:
-            scale = -scale
-        return ProjectiveTuple(*[e * scale for e in self.entries()])
-
-    def close_to(self, other: "ProjectiveTuple", tol: float = 1e-12) -> bool:
-        a = self.canonical().entries()
-        b = other.canonical().entries()
-        return all(abs(float(p) - float(q)) <= tol for p, q in zip(a, b))
+        return ((a, ZERO, b), (m1, k, m0), (g, ZERO, d))
 
 
 @dataclass(frozen=True)
@@ -679,23 +671,14 @@ def apply_f(tr: ReducedTransform, inst: EquationInstance) -> ApplyResult:
 
 
 def _proj_maps(tr: ProjectiveTuple, ctx: Context) -> Tuple[Expr, Expr, Expr]:
-    a, b, g, d, k, m0, m1 = [_num_expr(v) for v in tr.entries()]
+    a, b, g, d, k, m0, m1 = tr.entries()
     t, x = T_VAR, X_VAR
     u = ctx.fn("u")
     den = g * t + d
     T = div(a * t + b, den)
     X = div(k * x + m1 * t + m0, den)
-    det = _num_expr(tr.det)
-    U = div(k * den * u - k * g * x + m1 * d - m0 * g, det)
+    U = div(k * den * u - k * g * x + m1 * d - m0 * g, tr.det)
     return T, X, U
-
-
-def _num_expr(v: Number) -> Expr:
-    if isinstance(v, Fraction):
-        return rat(v)
-    if isinstance(v, int):
-        return rat(v)
-    return rat(Fraction(v).limit_denominator(10**12))
 
 
 def apply_projective(tr: ProjectiveTuple, inst: EquationInstance) -> ApplyResult:
@@ -707,9 +690,8 @@ def apply_projective(tr: ProjectiveTuple, inst: EquationInstance) -> ApplyResult
     inst = embed(inst, ClassId.GBE_TX)
     ctx = _merged_context(inst, "PROJECTIVE")
     T, X, U = _proj_maps(tr, ctx)
-    det = _num_expr(tr.det)
-    k = _num_expr(tr.kappa)
-    pullback = {"f": div(k * k * inst.elements["f"], det)}
+    k = tr.kappa
+    pullback = {"f": div(k * k * inst.elements["f"], tr.det)}
     fmap = PointMap(t=T, x=X, u=simplify(U, ctx))
     # the inverse tuple's u-map, with (t, x, u) read as target coords
     U_inv = _proj_maps(invert(tr), ctx)[2]
@@ -912,9 +894,7 @@ def identity_reduced() -> ReducedTransform:
 
 
 def identity_projective() -> ProjectiveTuple:
-    one = Fraction(1)
-    zero = Fraction(0)
-    return ProjectiveTuple(one, zero, zero, one, one, zero, zero)
+    return ProjectiveTuple(1, 0, 0, 1, 1, 0, 0)
 
 
 def identity_div() -> DivTransform:
@@ -1047,13 +1027,14 @@ def compose(second: Transform, first: Transform) -> Transform:
         g = compose(_as_gauged(second), _as_gauged(first))
         return ReducedTransform(T=g.T, X0=g.X0, eps=g.eps)
     if isinstance(first, ProjectiveTuple):
+        # the maps ignore a common nonzero scale, so no normalization
         m2 = second.matrix()
         m1 = first.matrix()
         prod = tuple(
-            tuple(sum(m2[i][k] * m1[k][j] for k in range(3)) for j in range(3))
+            tuple(add(*(m2[i][k] * m1[k][j] for k in range(3))) for j in range(3))
             for i in range(3)
         )
-        return _unmat(prod).canonical()
+        return _unmat(prod)
     if isinstance(first, DivTransform):
         ctx = transform_context("DIV", first.sign_Tt)
         T1, X01 = first.T, first.X0
@@ -1095,7 +1076,7 @@ def _as_gauged(tr: Union[GaugedTransform, ReducedTransform]) -> GaugedTransform:
     return tr if isinstance(tr, GaugedTransform) else to_gauged(tr)
 
 
-def _unmat(m: Tuple[Tuple[Number, ...], ...]) -> ProjectiveTuple:
+def _unmat(m: Tuple[Tuple[Expr, ...], ...]) -> ProjectiveTuple:
     return ProjectiveTuple(
         alpha=m[0][0], beta=m[0][2], gamma=m[2][0], delta=m[2][2],
         kappa=m[1][1], mu0=m[1][2], mu1=m[1][0],
@@ -1152,14 +1133,13 @@ def invert(tr: Transform) -> Union[Transform, ImplicitInverseOf]:
         return ReducedTransform(T=g.T, X0=g.X0, eps=g.eps)
     if isinstance(tr, ProjectiveTuple):
         a, b, g, d, k, m0, m1 = tr.entries()
-        det = tr.det
         # adjugate of the 3x3 matrix, block by block
         adj = (
-            (d * k, a * 0, -b * k),
-            (m0 * g - m1 * d, det, b * m1 - a * m0),
-            (-g * k, a * 0, a * k),
+            (d * k, ZERO, -b * k),
+            (m0 * g - m1 * d, tr.det, b * m1 - a * m0),
+            (-g * k, ZERO, a * k),
         )
-        return _unmat(adj).canonical()
+        return _unmat(adj)
     if isinstance(tr, DivTransform):
         ctx = transform_context("DIV", tr.sign_Tt)
         T_t = _d(tr.T, "t", ctx)
@@ -1202,13 +1182,23 @@ def transforms_equal(
     a: Transform, b: Transform, ctx: Optional[Context] = None,
     tol: float = 1e-9, seed: int = 42,
 ) -> bool:
-    """Parameter-wise identity test within one family."""
+    """Parameter-wise identity test within one family, PROJECTIVE up to scale."""
     if type(a) is not type(b):
         return False
     if isinstance(a, ImplicitInverseOf):
         return transforms_equal(a.of, b.of, ctx, tol=tol, seed=seed)
     if isinstance(a, ProjectiveTuple):
-        return a.close_to(b)
+        # equal up to scale: a_p b_i - b_p a_i = 0 for a pivot a_p != 0
+        ea, eb = a.entries(), b.entries()
+        p = next(i for i, v in enumerate(ea) if v != ZERO)
+        minors = [ea[p] * bi - eb[p] * ai for ai, bi in zip(ea, eb)]
+        if any(isinstance(m, Rat) and m != ZERO for m in minors):
+            return False
+        family_ctx = ctx or transform_context(a.family)
+        return all(
+            isinstance(m, Rat) or is_zero(m, family_ctx, tol=tol, seed=seed)
+            for m in minors
+        )
     for name in a.param_names:
         pa, pb = getattr(a, name), getattr(b, name)
         if isinstance(pa, (Fraction, int)) or isinstance(pb, (Fraction, int)):

@@ -58,6 +58,16 @@ ROUND_TRIPS = [
 def test_fixed_point_strings(ctx, text):
     e = parse(text, ctx)
     assert format_expr(e) == text
+
+
+@pytest.mark.parametrize(
+    "text", ["x/(12 - 2*t)", "x/sin(2*t)", "x/(12 - 2*t)^(1/2)", "3/(2*x)"]
+)
+def test_lone_denominator_factor_parenthesized_once(ctx, text):
+    # a single denominator factor was wrapped twice, as in x/((12 - 2*t))
+    e = parse(text, ctx)
+    assert format_expr(e) == text
+    assert parse(format_expr(e), ctx) == e
     assert parse(format_expr(e), ctx) == e
 
 

@@ -1,12 +1,22 @@
 """The five-dimensional symmetry algebra and its exponentiated flows."""
 
 import itertools
-import math
 from fractions import Fraction
 
 import pytest
 
-from gbeq.expr import NUMERIC_ZERO, ZeroResult, format_expr, is_zero, parse, var
+from gbeq.expr import (
+    NUMERIC_ZERO,
+    ONE,
+    ZERO,
+    ZeroResult,
+    format_expr,
+    is_zero,
+    ln,
+    parse,
+    rat,
+    var,
+)
 from gbeq.symmetry import (
     SymmetryGroupElement,
     VectorField,
@@ -23,7 +33,12 @@ from gbeq.symmetry import (
     solution_catalog,
     structure_constants,
 )
-from gbeq.transforms import ProjectiveTuple, compose
+from gbeq.transforms import (
+    ProjectiveTuple,
+    compose,
+    identity_projective,
+    transforms_equal,
+)
 
 
 FROZEN_BRACKETS = {
@@ -83,30 +98,45 @@ def test_jacobi_identity_all_triples():
 
 def test_flows_are_projective_tuples():
     for idx in range(1, 6):
-        p = flow(idx, 0.37)
+        p = flow(idx, Fraction(37, 100))
         assert isinstance(p, ProjectiveTuple)
         assert satisfies_group_constraint(p)
     # eps = 0 recovers the identity for every flow
     for idx in range(1, 6):
-        p = flow(idx, 0.0)
-        assert p.close_to(ProjectiveTuple(*map(Fraction, (1, 0, 0, 1, 1, 0, 0))))
+        assert transforms_equal(flow(idx, 0), identity_projective())
 
 
 def test_scaling_flow_frozen_values():
-    p = flow(2, math.log(2.0))
-    assert p.alpha == pytest.approx(4.0)
-    assert p.beta == 0.0
-    assert p.gamma == 0.0
-    assert p.delta == pytest.approx(1.0)
-    assert p.kappa == pytest.approx(2.0)
+    p = flow(2, ln(rat(2)))
+    assert p.alpha == rat(4)
+    assert p.beta == ZERO
+    assert p.gamma == ZERO
+    assert p.delta == ONE
+    assert p.kappa == rat(2)
+
+
+def test_scaling_flow_with_transcendental_entries_is_symbolic():
+    p = flow(2, Fraction(1, 2))
+    assert format_expr(p.alpha) == "exp(1)"
+    assert format_expr(p.kappa) == "exp(1/2)"
+    rep = is_symmetry(p)
+    assert [c.verdict for c in rep.conditions] == ["SYMBOLIC_ZERO"] * 5
+    assert rep.conditions[0].detail == "det = exp(1), kappa^2 = exp(1)"
 
 
 def test_flow_one_parameter_group_law():
+    a, b = Fraction(3, 10), Fraction(1, 2)
     for idx in range(1, 6):
-        a = flow(idx, 0.3)
-        b = flow(idx, 0.5)
-        ab = compose(b, a)
-        assert ab.close_to(flow(idx, 0.8)), idx
+        ab = compose(flow(idx, b), flow(idx, a))
+        assert transforms_equal(ab, flow(idx, a + b)), idx
+        assert not transforms_equal(ab, flow(idx, a)), idx
+
+
+def test_float_entries_are_refused():
+    with pytest.raises(TypeError):
+        flow(2, 0.5)
+    with pytest.raises(TypeError):
+        ProjectiveTuple(1, 0, 0, 1, 1.0, 0, 0)
 
 
 def test_flow_maps_symbolic():
@@ -161,7 +191,7 @@ def test_reflection_is_a_symmetry():
 
 
 def test_reflected_group_element():
-    g = SymmetryGroupElement(flow(2, math.log(2.0)), reflect=True)
+    g = SymmetryGroupElement(flow(2, ln(rat(2))), reflect=True)
     eff = g.effective()
     rep = is_symmetry(eff)
     assert rep.ok
