@@ -14,7 +14,8 @@ Exit status partitions the outcomes:
        precondition, or a Hopf-Cole obstruction
     2  an input error: unreadable or malformed files, unparsable
        expressions or undefined arithmetic such as 1/0 (reported
-       with their position), unknown flags
+       with their position), abs or sign that must be differentiated
+       without a sign assumption, unknown flags
 
 Repeating an invocation with the same inputs and --seed reproduces
 the report byte for byte.  Expression-valued flags accept either the
@@ -42,6 +43,7 @@ from .classes import (
 from .expr import (
     Context,
     ContextError,
+    DifferentiationError,
     Expr,
     NEGATIVE,
     NONZERO_FLAG,
@@ -724,7 +726,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as exc:
         print(f"gbeq {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ParseError, ClassError, ContextError) as exc:
+    except (ParseError, ClassError, ContextError, DifferentiationError) as exc:
         print(f"gbeq {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

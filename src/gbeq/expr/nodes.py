@@ -18,7 +18,15 @@ Rewrites that are only valid under positivity or nonvanishing
 assumptions are *not* performed here; see simplify.simplify, which
 takes a Context.  The constructors only apply rules that hold on the
 domain of definition of both sides (for instance exponent addition on
-a shared base, or exp(a)*exp(b) -> exp(a+b)).
+a shared base, exp(a)*exp(b) -> exp(a+b), or exp(c*ln(a)) -> a^c for
+rational c).
+
+Each node's __init__ also sets _rewritable, from its children as it
+sets _hash: true when _rewritten_here holds for a node of the subtree,
+that is, when it holds an abs, a sign or an opaque Pow, the only nodes
+simplify rewrites.  Leaves, unapplied Func symbols and trees over them
+with +, *, exp, ln, sin, cos, applied functions and antiderivatives are
+false, and simplify hands them back as they are.
 """
 
 from __future__ import annotations
@@ -46,10 +54,19 @@ class ExprError(Exception):
     """Base class for expression-level errors."""
 
 
+def _rewritten_here(n: "Expr") -> bool:
+    """Does simplify rewrite the node n itself, whatever its children?
+
+    Every node's _rewritable is this, or'd over its subtree; a rewrite
+    added to simplify must be added here too.
+    """
+    return isinstance(n, Pow) or (isinstance(n, App) and n.fn in ("abs", "sign"))
+
+
 class Expr:
     """Base class of all expression nodes."""
 
-    __slots__ = ("_hash", "_key")
+    __slots__ = ("_hash", "_key", "_rewritable")
 
     # Arithmetic sugar so formula code reads like the mathematics.
     def __add__(self, other: "ExprLike") -> "Expr":
@@ -124,6 +141,7 @@ class Rat(Expr):
         # inverse, and rehashing whole subtrees made construction
         # quadratic on expand-heavy paths (ints carry the same pair)
         self._hash = hash((_KIND_RAT, value.numerator, value.denominator))
+        self._rewritable = _rewritten_here(self)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Rat) and self.value == other.value
@@ -140,6 +158,7 @@ class Var(Expr):
         self.name = name
         self._key = (_KIND_VAR, name)
         self._hash = hash(self._key)
+        self._rewritable = _rewritten_here(self)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Var) and self.name == other.name
@@ -178,9 +197,13 @@ class Func(Expr):
         if args is None:
             argkey: tuple = (0,)
             arghash: tuple = (0,)
+            self._rewritable = _rewritten_here(self)
         else:
             argkey = (1,) + tuple(a._key for a in args)
             arghash = (1,) + tuple(a._hash for a in args)
+            self._rewritable = _rewritten_here(self) or any(
+                a._rewritable for a in args
+            )
         self._key = (_KIND_FUNC, name, argnames, didx, argkey)
         self._hash = hash((_KIND_FUNC, name, argnames, didx, arghash))
 
@@ -210,6 +233,7 @@ class App(Expr):
         self.arg = arg
         self._key = (_KIND_APP, fn, arg._key)
         self._hash = hash((_KIND_APP, fn, arg._hash))
+        self._rewritable = _rewritten_here(self) or arg._rewritable
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, App) and self._key == other._key
@@ -238,6 +262,7 @@ class Int(Expr):
         self.var = var
         self._key = (_KIND_INT, var, body._key)
         self._hash = hash((_KIND_INT, var, body._hash))
+        self._rewritable = _rewritten_here(self) or body._rewritable
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Int) and self._key == other._key
@@ -268,6 +293,7 @@ class Pow(Expr):
         self._hash = hash(
             (_KIND_POW, base._hash, exponent.numerator, exponent.denominator)
         )
+        self._rewritable = _rewritten_here(self) or base._rewritable
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Pow) and self._key == other._key
@@ -290,6 +316,9 @@ class Add(Expr):
         self.terms = terms
         self._key = (_KIND_ADD,) + tuple(t._key for t in terms)
         self._hash = hash((_KIND_ADD,) + tuple(t._hash for t in terms))
+        self._rewritable = _rewritten_here(self) or any(
+            t._rewritable for t in terms
+        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Add) and self._key == other._key
@@ -317,6 +346,9 @@ class Mul(Expr):
         self._hash = hash(
             (_KIND_MUL, coeff.numerator, coeff.denominator)
             + tuple((b._hash, e.numerator, e.denominator) for b, e in powers)
+        )
+        self._rewritable = _rewritten_here(self) or any(
+            b._rewritable for b, _ in powers
         )
 
     def __eq__(self, other: object) -> bool:
@@ -540,17 +572,16 @@ def mul(*factors: ExprLike) -> Expr:
 
     # fold all exponential factors into one
     if exp_arg_terms:
-        s = add(*exp_arg_terms)
-        e = exp(s)
+        e = exp(add(*exp_arg_terms))
         if isinstance(e, Rat):
             coeff *= e.value
+        elif isinstance(e, Mul):
+            # a logarithm folded out, as in exp(x + ln(2*x)) * exp(-x)
+            coeff *= e.coeff
+            for b, ee in e.powers:
+                _accumulate(b, ee)
         else:
-            b, ee = (e, 1) if not isinstance(e, Mul) else (None, None)
-            if b is None:
-                # exp() constructor may return coeff*exp(..) only via
-                # rational folding, which cannot happen here
-                raise ExprError("internal: unexpected exp result")
-            _accumulate(b, ee)
+            _accumulate(e, 1)
 
     powers = []
     for base in order:
@@ -783,11 +814,17 @@ def app(fn: str, arg: ExprLike) -> Expr:
 
 
 def exp(arg: ExprLike) -> Expr:
+    """exp with exp(c*ln(a)) -> a^c for rational c, wherever ln a is defined."""
     arg = as_expr(arg)
     if arg == ZERO:
         return ONE
     if isinstance(arg, App) and arg.fn == "ln":
         return arg.arg
+    if isinstance(arg, Mul) and len(arg.powers) == 1 and arg.powers[0][1] == 1:
+        b = arg.powers[0][0]
+        # ln 0 is undefined; folding it would divide by zero for c < 0
+        if isinstance(b, App) and b.fn == "ln" and b.arg != ZERO:
+            return pow_(b.arg, arg.coeff)
     return App("exp", arg)
 
 

@@ -3,8 +3,12 @@
 simplify applies rewrites whose validity depends on the assumption
 set: resolving abs and sign, pairing sign(a)*a into abs(a), folding
 even powers of abs, and upgrading opaque Pow nodes once positivity is
-known.  Each call keeps a memo from node to result, so a subtree that
-recurs, however often, is simplified once; the memo dies with the call.
+known.  A subtree whose _rewritable flag is false holds none of these
+nodes and is returned as it is, without a visit (see
+nodes._rewritten_here; a new rewrite here must extend that predicate,
+or it is skipped on every tree the flag does not mark).  Each call
+keeps a memo from flagged node to result, so a subtree that recurs,
+however often, is simplified once; the memo dies with the call.
 
 expand, ratio_normal and normal_form go through the polynomial kernel
 of gbeq.expr.poly and back to a tree.  The kernel holds a polynomial
@@ -47,6 +51,8 @@ def simplify(e: Expr, ctx: Optional[Context] = None) -> Expr:
 
 
 def _simplified(e: Expr, ctx: Optional[Context], memo: Dict[Expr, Expr]) -> Expr:
+    if not e._rewritable:
+        return e
     r = memo.get(e)
     if r is None:
         r = memo[e] = _simplify_node(e, ctx, memo)

@@ -315,6 +315,28 @@ def test_undefined_arithmetic_is_an_input_error(corpus, capsys, solution, column
     assert f"at column {column}\n" in err
 
 
+def test_exp_merge_folding_to_a_product_verifies(corpus, capsys):
+    # the merged exponential exp(ln(2*x)) is the product 2*x
+    tmp, files = corpus
+    argv = [
+        "verify-solution", str(files["burgers.gbeq"]),
+        "--solution", "exp(x + ln(2*x))*exp(-x)",
+    ]
+    assert main(argv) == EXIT_MATH
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solution", ["abs(x)", "abs(x)/x"])
+def test_underivable_solution_is_an_input_error(corpus, capsys, solution):
+    # abs(x) has no derivative without a sign assumption on x
+    tmp, files = corpus
+    argv = ["verify-solution", str(files["burgers.gbeq"]), "--solution", solution]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("gbeq verify-solution: cannot differentiate abs(x)")
+    assert "Traceback" not in err
+
+
 def strict_json(text):
     """json.loads that rejects NaN and Infinity, as strict JSON parsers do."""
 

@@ -2,7 +2,8 @@
 
 Each pass keeps a memo from node to result for one call (for Evaluator,
 for one evaluation point), so a subtree that recurs is worked on once.
-The per-node workers are wrapped to count their visits.
+simplify works only on subtrees it may rewrite and passes the rest
+through.  The per-node workers are wrapped to count their visits.
 """
 
 import importlib
@@ -15,6 +16,7 @@ from gbeq.expr import (
     Context,
     Evaluator,
     ONE,
+    app,
     differentiate,
     div,
     evaluate,
@@ -85,21 +87,46 @@ def visits(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("e", [CF, D_CF], ids=["cf", "d_cf"])
+def abs_at_bottom(e):
+    """e with abs(x) for x, so every subtree over x is one simplify rewrites."""
+    return substitute(e, {"x": app("abs", x)})
+
+
+CLEAN = {"cf": CF, "d_cf": D_CF}
+FLAGGED = {name: abs_at_bottom(e) for name, e in CLEAN.items()}
+
+
+@pytest.mark.parametrize("e", ["cf", "d_cf"])
 @pytest.mark.parametrize(
-    "run",
+    "inputs, run",
     [
-        lambda e: simplify(e, CTX),
-        lambda e: differentiate(e, "x", CTX),
-        lambda e: substitute(e, {"x": t + 1}, CTX),
-        lambda e: evaluate(e, {"x": 0.5}),
+        # simplify passes a clean tree through untouched, so it is
+        # counted on the trees with abs at the bottom
+        (FLAGGED, lambda e: simplify(e, CTX)),
+        (CLEAN, lambda e: differentiate(e, "x", CTX)),
+        (CLEAN, lambda e: substitute(e, {"x": t + 1}, CTX)),
+        (CLEAN, lambda e: evaluate(e, {"x": 0.5})),
     ],
     ids=["simplify", "differentiate", "substitute", "evaluate"],
 )
-def test_each_distinct_subtree_is_visited_once(visits, e, run):
+def test_each_distinct_subtree_is_visited_once(visits, e, inputs, run):
+    e = inputs[e]
     run(e)
-    assert set(visits) == set(walk(e))
+    if inputs is FLAGGED:
+        # every inner node is over abs(x); the leaves 1 and x are not
+        assert {n for n in walk(e) if n._rewritable} == {
+            n for n in walk(e) if n.children()
+        }
+        assert set(visits) == {n for n in walk(e) if n._rewritable}
+    else:
+        assert set(visits) == set(walk(e))
     assert max(visits.values()) == 1
+
+
+@pytest.mark.parametrize("e", [CF, D_CF], ids=["cf", "d_cf"])
+def test_simplify_visits_nothing_on_a_clean_tree(visits, e):
+    assert simplify(e, CTX) is e
+    assert not visits
 
 
 def test_the_derivative_repeats_subtrees():

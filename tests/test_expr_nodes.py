@@ -84,6 +84,23 @@ def test_exp_factors_fold():
     assert ln(ONE) == ZERO
 
 
+def test_exp_merge_that_folds_to_a_product():
+    # exp(x + ln(2x)) * exp(-x) merges into exp(ln(2x)), which is 2x
+    assert mul(exp(add(x, ln(mul(2, x)))), exp(mul(-1, x))) == mul(2, x)
+    assert mul(x, exp(add(t, mul(-1, ln(x)))), exp(mul(-1, t))) == ONE
+    half_ln = mul(Fraction(1, 2), ln(x))
+    assert mul(t, exp(x), exp(add(half_ln, mul(-1, x)))) == mul(t, sqrt(x))
+
+
+def test_exp_of_a_rational_multiple_of_ln_folds():
+    assert exp(mul(2, ln(rat(2)))) == rat(4)
+    assert exp(mul(-1, ln(x))) == pow_(x, -1)
+    assert exp(mul(Fraction(1, 2), ln(t))) == sqrt(t)
+    # ln 0 is undefined: the node stays, and no constructor divides by 0
+    kept = exp(mul(-1, ln(ZERO)))
+    assert format_expr(kept) == "exp(-ln(0))"
+
+
 def test_division_formatting():
     f = func("f", ("t", "x"))
     assert format_expr(div(1, sqrt(f))) == "1/f^(1/2)"

@@ -1,0 +1,152 @@
+"""simplify passes a subtree it cannot rewrite through as the same object.
+
+A node is marked _rewritable when its subtree holds an abs, a sign or
+an opaque Pow, the only nodes simplify rewrites (nodes._rewritten_here).
+simplify returns an unmarked subtree as it is.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, strategies as st
+
+from gbeq.expr import (
+    Add,
+    App,
+    Context,
+    Func,
+    Int,
+    Mul,
+    Pow,
+    add,
+    app,
+    differentiate,
+    func,
+    integral,
+    mul,
+    normal_form,
+    pow_,
+    rat,
+    simplify,
+    substitute,
+    var,
+    walk,
+)
+from gbeq.expr.nodes import _rewritten_here
+from gbeq.expr.simplify import _pair_sign_factors, _simplify_app, _simplify_pow
+
+from conftest import random_tree
+
+t = var("t")
+x = var("x")
+
+
+def context(flag=None):
+    c = Context()
+    c.add_var("t")
+    c.add_var("x")
+    if flag == "positive":
+        c.assume_positive(x)
+    elif flag == "negative":
+        c.assume_negative(x)
+    return c
+
+
+PLAIN, POS, NEG = context(), context("positive"), context("negative")
+
+# replacements for x that put a node simplify rewrites at the leaves
+BOTTOMS = (
+    app("abs", x),
+    mul(app("sign", x), x),  # pairs into abs(x) without assumptions
+    pow_(pow_(x, 2), Fraction(1, 2)),  # stays an opaque Pow
+)
+
+
+def flagged_tree(rng):
+    """A random tree over t and x, x replaced by one of BOTTOMS.
+
+    Some are wrapped in an applied function or an antiderivative, so
+    every node type with children occurs.
+    """
+    e = substitute(random_tree(rng), {"x": rng.choice(BOTTOMS)})
+    wrap = rng.random()
+    if wrap < 0.2:
+        return func("g", ("t", "x"), None, (t, e))
+    if wrap < 0.4:
+        return add(integral(e, "x"), t)
+    return e
+
+
+def assert_flags_match_subtrees(e):
+    for n in walk(e):
+        assert n._rewritable == any(_rewritten_here(m) for m in walk(n)), n
+
+
+def full_rebuild(e, ctx):
+    """simplify as it was before the flag: every node rebuilt, nothing passed through."""
+    if isinstance(e, App):
+        return _simplify_app(e.fn, full_rebuild(e.arg, ctx), ctx)
+    if isinstance(e, Pow):
+        return _simplify_pow(full_rebuild(e.base, ctx), e.exponent, ctx)
+    if isinstance(e, Mul):
+        factors = [rat(e.coeff)]
+        for b, ex in e.powers:
+            factors.append(_simplify_pow(full_rebuild(b, ctx), ex, ctx))
+        return _pair_sign_factors(mul(*factors), ctx)
+    if isinstance(e, Add):
+        return add(*[full_rebuild(term, ctx) for term in e.terms])
+    if isinstance(e, Func) and e.args is not None:
+        return func(e.name, e.argnames, e.didx, [full_rebuild(a, ctx) for a in e.args])
+    if isinstance(e, Int):
+        return integral(full_rebuild(e.body, ctx), e.var)
+    return e
+
+
+@given(st.integers(0, 10 ** 6))
+def test_flag_matches_the_subtree_through_every_pass(seed):
+    e = flagged_tree(random.Random(seed))
+    for r in (
+        e,
+        simplify(e),
+        simplify(e, POS),
+        substitute(e, {"t": x + 1}),
+        substitute(e, {"t": app("abs", t)}),
+        differentiate(e, "x", POS),
+        differentiate(e, "t", NEG),
+        normal_form(e, POS),
+    ):
+        assert_flags_match_subtrees(r)
+
+
+@given(st.integers(0, 10 ** 6))
+def test_simplify_returns_an_unflagged_tree_itself(seed):
+    e = random_tree(random.Random(seed))
+    assert not e._rewritable
+    assert simplify(e) is e
+    assert simplify(e, POS) is e
+
+
+@given(st.integers(0, 10 ** 6))
+def test_simplify_matches_the_full_rebuild(seed):
+    e = flagged_tree(random.Random(seed))
+    for ctx in (None, PLAIN, POS, NEG):
+        assert simplify(e, ctx) == full_rebuild(e, ctx)
+
+
+def test_a_product_over_a_repeated_pow_base_is_folded():
+    # mul keeps (-2)^(1/2) * (-2)^(1/2) as a square of the opaque Pow;
+    # simplify and substitute both rebuild the product and fold it
+    root = pow_(rat(-2), Fraction(1, 2))
+    e = mul(x, root, root)
+    assert simplify(e) == mul(-2, x) == full_rebuild(e, None)
+    assert substitute(e, {"t": t + 1}) == mul(-2, x)
+
+
+def test_leaves_and_unapplied_symbols_are_unflagged():
+    assert not rat(2)._rewritable
+    assert not x._rewritable
+    assert not func("f", ("t", "x"))._rewritable
+    assert app("abs", x)._rewritable
+    assert app("sign", x + 1)._rewritable
+    assert app("exp", app("abs", x))._rewritable
+    assert not app("exp", x)._rewritable

@@ -44,12 +44,20 @@ def test_rational_constant_short_circuits(ctx):
 
 
 def test_transcendental_identity_needs_samples(ctx):
-    e = parse("exp(2*ln(t)) - t^2", ctx)
+    # the constructors fold exp(c*ln(a)) but not an exp of a sum of logs
+    e = parse("exp(ln(t) + ln(x)) - t*x", ctx)
     z = is_zero(e, ctx)
     assert z.verdict == NUMERIC_ZERO
     assert len(z.samples) == 30
     assert z.max_abs <= z.tolerance
     assert "not symbolically zero" in z.summary()
+
+
+@pytest.mark.parametrize("text", ["exp(2*ln(t)) - t^2", "exp(2*ln(2)) - 4"])
+def test_exp_of_a_rational_multiple_of_ln_is_symbolic(ctx, text):
+    z = is_zero(parse(text, ctx), ctx)
+    assert z.verdict == SYMBOLIC_ZERO
+    assert not z.samples
 
 
 def test_nonzero_reports_witness(ctx):

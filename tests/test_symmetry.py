@@ -115,6 +115,19 @@ def test_scaling_flow_frozen_values():
     assert p.kappa == rat(2)
 
 
+def test_scaling_flow_by_a_multiple_of_a_logarithm_is_exact(monkeypatch):
+    p = flow(2, 2 * ln(rat(2)))
+    assert p.entries() == tuple(rat(v) for v in (16, 0, 0, 1, 4, 0, 0))
+    # every minor is a Rat, so no identity goes to the zero test
+    import gbeq.transforms
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_zero called on an exact tuple")
+
+    monkeypatch.setattr(gbeq.transforms, "is_zero", refuse)
+    assert transforms_equal(p, ProjectiveTuple(16, 0, 0, 1, 4, 0, 0))
+
+
 def test_scaling_flow_with_transcendental_entries_is_symbolic():
     p = flow(2, Fraction(1, 2))
     assert format_expr(p.alpha) == "exp(1)"
