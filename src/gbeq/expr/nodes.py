@@ -27,11 +27,25 @@ that is, when it holds an abs, a sign or an opaque Pow, the only nodes
 simplify rewrites.  Leaves, unapplied Func symbols and trees over them
 with +, *, exp, ln, sin, cos, applied functions and antiderivatives are
 false, and simplify hands them back as they are.
+
+rat, add, mul, pow_ and _rat_power_parts are memoized, each behind its
+own functools.lru_cache of MEMO_SIZE entries (typed, so an int, a
+Fraction and a float argument never share an entry).  Each is a pure
+function of its arguments' structure, and lru_cache stores no call that
+raises, so a hit returns a node equal to the one a fresh call would
+build and every result and printed form stays as it is.  The groupoid
+checks rebuild the same sub-products over and over: within one sweep
+item, more than half of the mul, add and pow_ calls repeat an earlier
+call's arguments.  The bound is set by peak RSS, since the caches keep
+their argument and result trees alive: 1024 entries add under 2 MB to
+the peak RSS of each benchmark workload, 16384 took sweep-light from
+37 to 65 MB.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
@@ -367,8 +381,8 @@ class Mul(Expr):
 # canonical constructors
 
 
-_CACHE_SIZE = 4096
-_rat_cache: dict = {}
+MEMO_SIZE = 1024
+_memoized = lru_cache(maxsize=MEMO_SIZE, typed=True)
 
 
 def _exact(q: RationalLike) -> RationalLike:
@@ -385,18 +399,18 @@ def _rat_int_power(value: RationalLike, n: int) -> RationalLike:
     return _exact(value ** n)
 
 
+@_memoized
 def rat(value: RationalLike, den: Optional[int] = None) -> Rat:
-    """Make a rational constant; rat(1, 2) is one half."""
+    """Make a rational constant; rat(1, 2) is one half.
+
+    Only ints and Fractions are taken: a float is refused with a
+    TypeError, never rationalized.
+    """
     if den is not None:
         value = Fraction(value, den)
     elif not isinstance(value, (int, Fraction)):
-        value = Fraction(value)
-    node = _rat_cache.get(value)
-    if node is None:
-        node = Rat(_exact(value))
-        if len(_rat_cache) < _CACHE_SIZE:
-            _rat_cache[node.value] = node
-    return node
+        raise TypeError(f"cannot make an exact rational of {value!r}")
+    return Rat(_exact(value))
 
 
 ZERO = rat(0)
@@ -435,8 +449,13 @@ def _as_coeff_powers(
     return 1, ((e, 1),)
 
 
+@_memoized
 def add(*terms: ExprLike) -> Expr:
-    """Canonical sum: flatten, merge like monomials, drop zeros, sort."""
+    """Canonical sum: flatten, merge like monomials, drop zeros, sort.
+
+    A term that merges with no other is kept as the same object.
+    """
+    # monomial -> (summed coefficient, the term itself while it is alone)
     acc: dict = {}
     const = 0
     stack = [as_expr(t) for t in terms]
@@ -451,12 +470,13 @@ def add(*terms: ExprLike) -> Expr:
             continue
         coeff, powers = _as_coeff_powers(node)
         prev = acc.get(powers)
-        acc[powers] = coeff if prev is None else prev + coeff
+        acc[powers] = (coeff, node) if prev is None else (prev[0] + coeff, None)
     out = []
-    for powers, coeff in acc.items():
-        if coeff == 0:
-            continue
-        out.append(_make_mul(coeff, powers))
+    for powers, (coeff, node) in acc.items():
+        if node is not None:
+            out.append(node)
+        elif coeff != 0:
+            out.append(_make_mul(coeff, powers))
     if const != 0:
         out.append(rat(const))
     if not out:
@@ -511,12 +531,15 @@ def _scale_expr(coeff: RationalLike, e: Expr) -> Expr:
     return mul(rat(coeff), e)
 
 
+@_memoized
 def mul(*factors: ExprLike) -> Expr:
     """Canonical product: flatten, fold rationals, merge equal bases.
 
     Exponents on a shared base always add (a domain-of-definition
     convention: x * x^-1 -> 1).  All exp factors combine into a single
-    exp of the summed, exponent-weighted arguments.
+    exp of the summed, exponent-weighted arguments.  An opaque Pow base
+    whose exponents add up to anything but 1 is folded as pow_ folds
+    it, so mul(r, r) and pow_(r, 2) build the same node.
     """
     coeff: RationalLike = 1
     acc: dict = {}
@@ -584,6 +607,7 @@ def mul(*factors: ExprLike) -> Expr:
             _accumulate(e, 1)
 
     powers = []
+    folded = []
     for base in order:
         e = acc[base]
         if e == 0:
@@ -592,10 +616,15 @@ def mul(*factors: ExprLike) -> Expr:
         if isinstance(base, Rat) and e.__class__ is int:
             coeff *= _rat_int_power(base.value, e)
             continue
+        if isinstance(base, Pow) and e != 1:
+            folded.append(_pow_single(base, e))
+            continue
         powers.append((base, e))
     powers.sort(key=lambda be: be[0]._key)
     if coeff == 0:
         return ZERO
+    if folded:
+        return mul(_make_mul(coeff, tuple(powers)), *folded)
     return _make_mul(coeff, tuple(powers))
 
 
@@ -615,27 +644,14 @@ def _int_root_split(n: int, root: int) -> Iterable[Tuple[int, int]]:
         yield m, 1
 
 
-_rat_power_cache: dict = {}
-
-
+@_memoized
 def _rat_power_parts(value: RationalLike, exponent: Fraction) -> tuple:
     """Split value**exponent into (base, exponent) parts with prime bases.
 
     value must be a positive or negative rational and exponent a
     non-integral Fraction; negative values with an even exponent
-    denominator produce an opaque Pow part.  Results are kept in a
-    table bounded like rat's, since the same radicals recur.
+    denominator produce an opaque Pow part.
     """
-    key = (value, exponent)
-    parts = _rat_power_cache.get(key)
-    if parts is None:
-        parts = _split_rat_power(value, exponent)
-        if len(_rat_power_cache) < _CACHE_SIZE:
-            _rat_power_cache[key] = parts
-    return parts
-
-
-def _split_rat_power(value: RationalLike, exponent: Fraction) -> tuple:
     parts: list = []
     if value < 0:
         if exponent.denominator % 2 == 1:
@@ -684,18 +700,20 @@ def _is_surely_positive(e: Expr) -> bool:
     return False
 
 
+@_memoized
 def pow_(base: ExprLike, exponent: RationalLike) -> Expr:
     """Canonical rational power.
 
     Integer exponents distribute over products and merge with inner
     exponents unconditionally.  Fractional exponents distribute only
     when validity does not depend on signs; otherwise an opaque Pow
-    node is produced and left for assumption-aware simplification.
+    node is produced and left for assumption-aware simplification.  A
+    float exponent is refused with a TypeError, never rationalized.
     """
     base = as_expr(base)
     if exponent.__class__ is not int:
-        if not isinstance(exponent, Fraction):
-            exponent = Fraction(exponent)
+        if not isinstance(exponent, (int, Fraction)):
+            raise TypeError(f"cannot take an exact power {exponent!r}")
         exponent = _exact(exponent)
     if exponent == 0:
         return ONE

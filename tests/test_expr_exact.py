@@ -160,3 +160,18 @@ def test_zero_to_a_negative_power_still_raises():
         pow_(rat(0), -1)
     with pytest.raises(ParseError):
         parse("0^(-1)", CTX)
+
+
+def test_floats_are_refused_not_rationalized():
+    # the equal exact calls go first: a float must not hit their memo entries
+    assert pow_(x, Fraction(1, 2)) == sqrt(x)
+    assert pow_(x, Fraction(2)) == mul(x, x)
+    assert rat(Fraction(1, 10)) == rat(1, 10)
+    for make in (
+        lambda: rat(0.1),
+        lambda: rat(0.5, 2),
+        lambda: pow_(x, 0.5),
+        lambda: x ** 2.0,
+    ):
+        with pytest.raises(TypeError):
+            make()

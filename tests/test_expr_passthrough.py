@@ -134,10 +134,12 @@ def test_simplify_matches_the_full_rebuild(seed):
 
 
 def test_a_product_over_a_repeated_pow_base_is_folded():
-    # mul keeps (-2)^(1/2) * (-2)^(1/2) as a square of the opaque Pow;
-    # simplify and substitute both rebuild the product and fold it
+    # mul folds (-2)^(1/2) * (-2)^(1/2) to -2 as pow_ folds the square,
+    # so the product is canonical at construction; simplify and
+    # substitute rebuild it to the same node
     root = pow_(rat(-2), Fraction(1, 2))
     e = mul(x, root, root)
+    assert e == mul(x, pow_(root, 2)) == mul(-2, x)
     assert simplify(e) == mul(-2, x) == full_rebuild(e, None)
     assert substitute(e, {"t": t + 1}) == mul(-2, x)
 
