@@ -15,7 +15,8 @@ Exit status partitions the outcomes:
     2  an input error: unreadable or malformed files, unparsable
        expressions or undefined arithmetic such as 1/0 (reported
        with their position), abs or sign that must be differentiated
-       without a sign assumption, unknown flags
+       without a sign assumption, an expression with no valid sample
+       point in the domain (such as ln(-1-x^2)), unknown flags
 
 Repeating an invocation with the same inputs and --seed reproduces
 the report byte for byte.  Expression-valued flags accept either the
@@ -49,6 +50,7 @@ from .expr import (
     NONZERO_FLAG,
     ParseError,
     POSITIVE,
+    SamplingError,
     format_expr,
     parse,
 )
@@ -80,7 +82,7 @@ from .transforms import (
     invert,
     parse_transform,
 )
-from .verify import residual, transport_check
+from .verify import VerifyError, residual, transport_check
 
 if TYPE_CHECKING:
     from .degdiv import DegDivQuadrature
@@ -231,6 +233,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     try:
         res = apply_transform(tr, inst, tol=args.tol, seed=args.seed)
+        # the target is built on this first read
+        target = res.target
     except TransformError as exc:
         rep = VerificationReport(
             verdict=REJECTED,
@@ -243,7 +247,6 @@ def _cmd_transform(args: argparse.Namespace) -> int:
             _write_text(args.out, _report_json(rep))
         _status(f"transform: {REJECTED} ({exc})")
         return EXIT_MATH
-    target = res.target
     note = ""
     if target is None:
         target = EquationInstance(inst.class_id, dict(res.pullback))
@@ -726,7 +729,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InputError as exc:
         print(f"gbeq {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ParseError, ClassError, ContextError, DifferentiationError) as exc:
+    except (
+        ParseError, ClassError, ContextError, DifferentiationError,
+        SamplingError, VerifyError,
+    ) as exc:
         print(f"gbeq {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

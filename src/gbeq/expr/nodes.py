@@ -650,7 +650,9 @@ def _rat_power_parts(value: RationalLike, exponent: Fraction) -> tuple:
 
     value must be a positive or negative rational and exponent a
     non-integral Fraction; negative values with an even exponent
-    denominator produce an opaque Pow part.
+    denominator produce an opaque Pow part whose exponent lies strictly
+    between 0 and 1, with the whole power z^floor(e) pulled out as a
+    rational factor, so (-2)^(3/2) is -2*((-2)^(1/2)).
     """
     parts: list = []
     if value < 0:
@@ -660,7 +662,12 @@ def _rat_power_parts(value: RationalLike, exponent: Fraction) -> tuple:
             parts.append((rat(sign), 1))
             value = -value
         else:
-            return ((Pow(rat(value), exponent), 1),)
+            # z^(n + r) = z^n z^r for integer n
+            whole = exponent.numerator // exponent.denominator
+            if whole != 0:
+                parts.append((rat(_rat_int_power(value, whole)), 1))
+            parts.append((Pow(rat(value), exponent - whole), 1))
+            return tuple(parts)
     if value == 1:
         if not parts:
             parts.append((ONE, 1))

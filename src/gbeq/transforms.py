@@ -34,15 +34,19 @@ closed forms of their own:
 
 apply_* returns the transformed elements both as pullbacks (functions
 of the source coordinates) and, whenever the coordinate change inverts
-in closed form, as a target-coordinate instance.  compose and invert
-stay inside each family; tests cross-check the closed compositions
-against the GENERAL route.
+in closed form, as a target-coordinate instance.  The pullbacks and the
+forward map are built by the call; the target instance, the inverse
+map and the note are built together on the first read of any of them,
+so a caller that reads only pullbacks never inverts the map.  compose
+and invert stay inside each family; tests cross-check the closed
+compositions against the GENERAL route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, partial
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from .classes import (
@@ -406,17 +410,45 @@ class PointMap:
         }
 
 
+_Closed = Tuple[Optional[EquationInstance], Optional[PointMap], str]
+
+
 @dataclass
 class ApplyResult:
-    """Everything apply_* knows about the transformed instance."""
+    """Everything apply_* knows about the transformed instance.
+
+    source, family, map and pullback are built by apply_*.  target,
+    inverse and note are built together the first time any of them is
+    read, by the one step _finish_apply hands over, and then kept: the
+    groupoid checks read only the pullback of most results, and the
+    closed-form inversion behind the target was most of their apply
+    time.  An error in that step surfaces on the first read.
+    """
 
     source: EquationInstance
     family: str
     map: PointMap
     pullback: Dict[str, Expr]
-    target: Optional[EquationInstance]
-    inverse: Optional[PointMap]
-    note: str = ""
+    _closed_step: Callable[[], _Closed] = field(repr=False, compare=False)
+
+    @cached_property
+    def _closed(self) -> _Closed:
+        return self._closed_step()
+
+    @property
+    def target(self) -> Optional[EquationInstance]:
+        """The transformed member in target coordinates, or None."""
+        return self._closed[0]
+
+    @property
+    def inverse(self) -> Optional[PointMap]:
+        """Source coordinates in target ones, or None."""
+        return self._closed[1]
+
+    @property
+    def note(self) -> str:
+        """Why target is None; empty when it is not."""
+        return self._closed[2]
 
     @property
     def closed_form_target(self) -> bool:
@@ -548,29 +580,48 @@ def _finish_apply(
     pullback: Dict[str, Expr],
     u_inverse_of: Callable[[Expr, Expr], Expr],
 ) -> ApplyResult:
-    """Build the shared part of an ApplyResult, with the target in inst's class.
+    """Build an ApplyResult whose target, once read, is in inst's class.
 
     u_inverse_of(S, xi) must return the source dependent variable as an
     expression in the target coordinates (with the target dependent
-    written through the same symbol name).
+    written through the same symbol name).  It runs only when the
+    target, inverse or note is first read.
     """
     pullback = {k: simplify(v, ctx) for k, v in pullback.items()}
+    # the step gets its own copy of the pullback and not inst, so
+    # mutating either after apply returns cannot change the target
+    step = partial(
+        _closed_form, inst.class_id, inst.dependent, ctx, fmap,
+        dict(pullback), u_inverse_of,
+    )
+    return ApplyResult(inst, family, fmap, pullback, _closed_step=step)
+
+
+def _closed_form(
+    class_id: ClassId,
+    dependent: str,
+    ctx: Context,
+    fmap: PointMap,
+    pullback: Dict[str, Expr],
+    u_inverse_of: Callable[[Expr, Expr], Expr],
+) -> _Closed:
+    """(target, inverse, note) of an ApplyResult: see _finish_apply."""
     inv = closed_inverse(fmap.t, fmap.x, ctx)
     if inv is None:
-        return ApplyResult(
-            inst, family, fmap, pullback, target=None, inverse=None,
-            note=f"{IMPLICIT}: coordinate change has no closed-form inverse here",
+        return (
+            None, None,
+            f"{IMPLICIT}: coordinate change has no closed-form inverse here",
         )
     S, xi = inv
     u_back = u_inverse_of(S, xi)
-    mapping = {"t": S, "x": xi, inst.dependent: u_back}
+    mapping = {"t": S, "x": xi, dependent: u_back}
     # the pullback is simplified and substitute rebuilds through the
     # canonical constructors, so the elements need no second pass
     elements = {k: substitute(v, mapping, ctx) for k, v in pullback.items()}
-    return ApplyResult(
-        inst, family, fmap, pullback,
-        target=EquationInstance(inst.class_id, elements),
-        inverse=PointMap(t=S, x=xi, u=simplify(u_back, ctx)),
+    return (
+        EquationInstance(class_id, elements),
+        PointMap(t=S, x=xi, u=simplify(u_back, ctx)),
+        "",
     )
 
 
@@ -693,11 +744,12 @@ def apply_projective(tr: ProjectiveTuple, inst: EquationInstance) -> ApplyResult
     k = tr.kappa
     pullback = {"f": div(k * k * inst.elements["f"], tr.det)}
     fmap = PointMap(t=T, x=X, u=simplify(U, ctx))
-    # the inverse tuple's u-map, with (t, x, u) read as target coords
-    U_inv = _proj_maps(invert(tr), ctx)[2]
-    return _finish_apply(
-        inst, "PROJECTIVE", ctx, fmap, pullback, lambda S, xi: U_inv
-    )
+
+    def u_back(S: Expr, xi: Expr) -> Expr:
+        # the inverse tuple's u-map, with (t, x, u) read as target coords
+        return _proj_maps(invert(tr), ctx)[2]
+
+    return _finish_apply(inst, "PROJECTIVE", ctx, fmap, pullback, u_back)
 
 
 def div_constraint(tr: DivTransform, inst: EquationInstance) -> Expr:

@@ -337,6 +337,24 @@ def test_underivable_solution_is_an_input_error(corpus, capsys, solution):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "solution, message",
+    [
+        ("ln(-1-x^2)", "could not draw valid sample points"),
+        ("(-1-x^2)^(1/2)", "could not draw enough valid points for the residual"),
+    ],
+)
+def test_solution_without_valid_sample_points_is_an_input_error(
+    corpus, capsys, solution, message
+):
+    # no real point makes the solution defined, so nothing can be sampled
+    tmp, files = corpus
+    argv = ["verify-solution", str(files["burgers.gbeq"]), "--solution", solution]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"gbeq verify-solution: {message}\n"
+
+
 def strict_json(text):
     """json.loads that rejects NaN and Infinity, as strict JSON parsers do."""
 

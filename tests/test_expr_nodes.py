@@ -7,6 +7,7 @@ import pytest
 
 from gbeq.expr import (
     ONE,
+    SYMBOLIC_ZERO,
     ZERO,
     Expr,
     ExprError,
@@ -19,6 +20,7 @@ from gbeq.expr import (
     format_expr,
     func,
     integral,
+    is_zero,
     ln,
     mul,
     pow_,
@@ -64,6 +66,20 @@ def test_rational_powers_fold():
     # partial extraction of square factors
     assert sqrt(rat(8)) == mul(2, sqrt(rat(2)))
     assert format_expr(sqrt(rat(2))) == "2^(1/2)"
+
+
+def test_negative_radicals_keep_only_the_fractional_exponent_opaque():
+    # z^(n + r) = z^n z^r: the whole power leaves the opaque Pow
+    root = pow_(rat(-2), Fraction(1, 2))
+    assert pow_(rat(-2), Fraction(3, 2)) == mul(-2, root)
+    assert mul(root, root, root) == mul(-2, root)
+    assert format_expr(pow_(rat(-2), Fraction(-1, 2))) == "-((-2)^(1/2))/2"
+    assert pow_(rat(-8), Fraction(-5, 4)) == mul(
+        Fraction(1, 64), pow_(rat(-8), Fraction(3, 4))
+    )
+    assert is_zero(
+        pow_(rat(-2), Fraction(3, 2)) - mul(-2, root)
+    ).verdict == SYMBOLIC_ZERO
 
 
 def test_zero_base_negative_power_raises():
