@@ -1,9 +1,10 @@
-"""Byte-for-byte JSON reports of a fixed CLI script.
+"""Byte-for-byte outputs of a fixed CLI script.
 
 The files under tests/golden/ pin the sampled points, values and
 summaries the verifiers print for a fixed seed, so a refactor of the
 samplers or verdict combination that changes what a user sees fails
-here.  `PYTHONPATH=src python tests/test_golden_reports.py` rewrites
+here.  The .tr files pin the printed parameters of compose and invert
+in the families that restrict from their GENERAL lift.  `PYTHONPATH=src python tests/test_golden_reports.py` rewrites
 them from the current code; do that only for an intended change of output.
 """
 
@@ -45,6 +46,27 @@ INPUTS = {
         "param.gamma = -1\nparam.delta = 1\nparam.kappa = 1\n"
         "param.mu0 = 0\nparam.mu1 = 0\n"
     ),
+    # Mobius T, eps = -1 and sign_Tt = -1 for compose and invert
+    "gauged.tr": (
+        "family = GAUGED\nparam.T = (2*t + 1)/(t + 3)\nparam.X0 = t^2 - 1\n"
+        "param.U0 = t*x + 1\nparam.eps = 1\n"
+    ),
+    "gauged_neg.tr": (
+        "family = GAUGED\nparam.T = 4*t + 1\nparam.X0 = 1 - t^2/8\n"
+        "param.U0 = x^2 - t\nparam.eps = -1\n"
+    ),
+    "reduced_neg.tr": (
+        "family = REDUCED\nparam.T = (2*t + 1)/(t + 3)\n"
+        "param.X0 = 1 - t/2\nparam.eps = -1\n"
+    ),
+    "div.tr": (
+        "family = DIV\nparam.T = 4*t + 1\nparam.X0 = t - 2\n"
+        "param.kappa = 3/2\nparam.sign_Tt = 1\n"
+    ),
+    "div_neg.tr": (
+        "family = DIV\nparam.T = 1/(t + 1)\nparam.X0 = 2*t + 1\n"
+        "param.kappa = -2\nparam.sign_Tt = -1\n"
+    ),
 }
 
 SCRIPT = {
@@ -70,7 +92,18 @@ SCRIPT = {
         "--transform", "linear_scale.tr",
     ],
     "symmetry_check": ["symmetry-check", "projective.tr", "--seed", "7"],
+    "compose_gauged.tr": ["compose", "gauged_neg.tr", "gauged.tr"],
+    "compose_reduced.tr": ["compose", "reduced_neg.tr", "reduced.tr"],
+    "compose_div.tr": ["compose", "div_neg.tr", "div.tr"],
+    "invert_gauged.tr": ["invert", "gauged_neg.tr"],
+    "invert_reduced.tr": ["invert", "reduced_neg.tr"],
+    "invert_div.tr": ["invert", "div_neg.tr"],
 }
+
+
+def golden_name(name: str) -> str:
+    """The file a script entry writes: a JSON report unless it names a suffix."""
+    return name if "." in name else f"{name}.json"
 
 
 def run_script(work: Path) -> dict:
@@ -84,7 +117,7 @@ def run_script(work: Path) -> dict:
     out = {}
     for name, argv in SCRIPT.items():
         argv = [str(work / a) if a in INPUTS or a == "target.gbeq" else a for a in argv]
-        path = work / f"{name}.json"
+        path = work / golden_name(name)
         main(argv + ["--out", str(path)])
         out[name] = path.read_bytes()
     return out
@@ -97,13 +130,16 @@ def reports(tmp_path_factory):
 
 @pytest.mark.parametrize("name", sorted(SCRIPT))
 def test_report_matches_golden(reports, name):
-    assert reports[name] == (GOLDEN / f"{name}.json").read_bytes()
+    assert reports[name] == (GOLDEN / golden_name(name)).read_bytes()
 
 
 def test_script_covers_every_sampler_verdict(reports):
     import json
 
-    verdicts = {name: json.loads(reports[name])["verdict"] for name in SCRIPT}
+    verdicts = {
+        name: json.loads(reports[name])["verdict"]
+        for name in SCRIPT if golden_name(name).endswith(".json")
+    }
     assert verdicts["verify_symbolic"] == "SYMBOLIC_ZERO"
     assert verdicts["verify_numeric"] == "NUMERIC_ZERO"
     assert verdicts["verify_nonzero"] == "NONZERO"
@@ -124,4 +160,4 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, data in run_script(Path(tmp)).items():
-            (GOLDEN / f"{name}.json").write_bytes(data)
+            (GOLDEN / golden_name(name)).write_bytes(data)
