@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .expr import (
@@ -101,7 +102,15 @@ class ClassError(Exception):
 
 
 def class_context(cid: ClassId) -> Context:
-    """A context declaring t, x, the dependent symbol, and the elements."""
+    """A context declaring t, x, the dependent symbol, and the elements.
+
+    Each call returns a fresh copy, which the caller may extend.
+    """
+    return _class_template(cid).copy()
+
+
+@lru_cache(maxsize=None)
+def _class_template(cid: ClassId) -> Context:
     spec = CLASS_SPECS[cid]
     ctx = Context()
     ctx.add_var("t")

@@ -65,6 +65,7 @@ from .report import (
     OBSTRUCTION,
     REJECTED,
     VerificationReport,
+    rejected_report,
     worst_verdict,
 )
 from .symmetry import SymmetryGroupElement, is_symmetry, structure_constants
@@ -236,12 +237,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         # the target is built on this first read
         target = res.target
     except TransformError as exc:
-        rep = VerificationReport(
-            verdict=REJECTED,
-            residual_text=str(exc),
-            tolerance=args.tol,
-            seed=args.seed,
-            summary=f"transform not applicable: {exc}",
+        rep = rejected_report(
+            str(exc), args.tol, args.seed, "transform not applicable: "
         )
         if args.out:
             _write_text(args.out, _report_json(rep))
@@ -293,13 +290,7 @@ def _cmd_gauge(args: argparse.Namespace) -> int:
             assumptions=_parse_assume(args.assume),
         )
     except TransformError as exc:
-        rep = VerificationReport(
-            verdict=REJECTED,
-            residual_text=str(exc),
-            tolerance=args.tol,
-            seed=args.seed,
-            summary=f"gauge {args.mode}: {exc}",
-        )
+        rep = rejected_report(str(exc), args.tol, args.seed, f"gauge {args.mode}: ")
         _write_text(args.out, _report_json(rep))
         _status(f"gauge {args.mode}: {REJECTED}")
         return EXIT_MATH
@@ -485,13 +476,7 @@ def _cmd_deg_div_solve(args: argparse.Namespace) -> int:
     try:
         quad = solve_deg_div(sol, t_span=(t_lo, t_hi), degree=args.degree)
     except DegDivError as exc:
-        rep = VerificationReport(
-            verdict=REJECTED,
-            residual_text=str(exc),
-            tolerance=args.tol,
-            seed=0,
-            summary=f"deg-div-solve: {exc}",
-        )
+        rep = rejected_report(str(exc), args.tol, 0, "deg-div-solve: ")
         _write_text(args.out, _report_json(rep))
         _status(f"deg-div-solve: {REJECTED} ({exc})")
         return EXIT_MATH

@@ -50,6 +50,7 @@ from .report import (
 from .transforms import (
     LinearTransform,
     LinzTransform,
+    _merged_context,
     apply_linear,
     apply_linz,
     push_solution,
@@ -179,13 +180,7 @@ def verify_diagram(
     linear_res = apply_linear(tr, linear, tol=tol, seed=seed)
     linz_res = apply_linz(lifted, linz)
 
-    ctx = class_context(ClassId.LINEAR).copy()
-    fam = transform_context("LINEAR")
-    for name, sig in fam.functions.items():
-        ctx.add_function(name, sig)
-    for target, flags in fam.assumptions.items():
-        for flag in flags:
-            ctx.assume(target, flag)
+    ctx = _merged_context(linear, "LINEAR")
     ctx.add_function("u", ("t", "x"))
 
     conditions: List[ConditionReport] = []

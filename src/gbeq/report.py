@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .expr import NONZERO, NUMERIC_ZERO, SYMBOLIC_ZERO
 
@@ -97,3 +97,21 @@ class VerificationReport:
         if self.conditions:
             out["conditions"] = [c.to_json() for c in self.conditions]
         return out
+
+
+def rejected_report(
+    reason: str,
+    tol: float,
+    seed: int,
+    summary_prefix: str,
+    conditions: Sequence[ConditionReport] = (),
+) -> VerificationReport:
+    """A REJECTED_PRECONDITION report whose residual text is the reason."""
+    return VerificationReport(
+        verdict=REJECTED,
+        residual_text=reason,
+        tolerance=tol,
+        seed=seed,
+        summary=summary_prefix + reason,
+        conditions=list(conditions),
+    )

@@ -21,8 +21,13 @@ one equation class:
 Every family lifts into GENERAL (to_general) and every class embeds
 into SUPER, so apply has one pullback formula, _general_pullback: the
 lifted map acts on the member embedded in SUPER, and the elements of
-the member's own class are read off the result.  Three families keep
-closed forms of their own:
+the member's own class are read off the result.  compose and invert
+work the same way: they compose or invert the GENERAL lifts, and one
+restriction, _restrict, reads the family's own parameters back (X0 is
+X at x = 0; eps, kappa and sign_Tt come from the factors).  REDUCED
+and DIV fix their u-map by their coordinate change, so for them only
+(T, X) is composed or inverted.  Three families keep closed forms of
+their own:
 
     PROJECTIVE  f~ = kappa^2 f / det, since the general route made its
                 sweep items 2-3 times slower; compose and invert are the
@@ -37,16 +42,16 @@ of the source coordinates) and, whenever the coordinate change inverts
 in closed form, as a target-coordinate instance.  The pullbacks and the
 forward map are built by the call; the target instance, the inverse
 map and the note are built together on the first read of any of them,
-so a caller that reads only pullbacks never inverts the map.  compose
-and invert stay inside each family; tests cross-check the closed
-compositions against the GENERAL route.
+so a caller that reads only pullbacks never inverts the map.  A mixed
+pair composes in GENERAL; tests check the restricted compositions and
+inverses against closed-form formulas in each family's parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from .classes import (
@@ -58,6 +63,7 @@ from .classes import (
     embed,
 )
 from .expr import (
+    Add,
     Context,
     Expr,
     NONZERO,
@@ -301,6 +307,11 @@ class LinearTransform:
         return {"T": self.T, "X": self.X, "V1": self.V1, "V0": self.V0}
 
 
+# eps, kappa and sign_Tt: the exact numbers beside a family's
+# expressions; optional in a file, multiplied under compose
+_FAMILY_NUMBERS = ("eps", "kappa", "sign_Tt")
+
+
 Transform = Union[
     GeneralTransform,
     LinzTransform,
@@ -349,7 +360,15 @@ _FAMILY_SIGNATURES: Dict[str, Dict[str, Tuple[str, ...]]] = {
 
 
 def transform_context(family: str, sign_Tt: int = 1) -> Context:
-    """Declarations and assumptions under which a family's params parse."""
+    """Declarations and assumptions under which a family's params parse.
+
+    Each call returns a fresh copy, which the caller may extend.
+    """
+    return _transform_template(family, sign_Tt).copy()
+
+
+@lru_cache(maxsize=None)
+def _transform_template(family: str, sign_Tt: int) -> Context:
     ctx = Context()
     t = ctx.add_var("t")
     ctx.add_var("x")
@@ -377,15 +396,20 @@ def transform_context(family: str, sign_Tt: int = 1) -> Context:
 
 
 def _merged_context(inst: EquationInstance, family: str, sign_Tt: int = 1) -> Context:
-    """Class context plus family declarations and assumptions."""
-    ctx = class_context(inst.class_id).copy()
-    fam = transform_context(family, sign_Tt)
+    """Class context plus family declarations and assumptions, as a fresh copy."""
+    return _merged_template(inst.class_id, family, sign_Tt).copy()
+
+
+@lru_cache(maxsize=None)
+def _merged_template(cid: ClassId, family: str, sign_Tt: int) -> Context:
+    ctx = class_context(cid)
+    fam = _transform_template(family, sign_Tt)
     for name, sig in fam.functions.items():
         ctx.add_function(name, sig)
     for target, flags in fam.assumptions.items():
         for flag in flags:
             ctx.assume(target, flag)
-    for name in CLASS_SPECS[inst.class_id].nonvanishing:
+    for name in CLASS_SPECS[cid].nonvanishing:
         ctx.assume_nonzero(ctx.fn(name))
     return ctx
 
@@ -706,11 +730,6 @@ def apply_linz(tr: LinzTransform, inst: EquationInstance) -> ApplyResult:
     return _apply_lifted(tr, embed(inst, ClassId.LINZ_ABC))
 
 
-def _gauged_x(tr: Union[GaugedTransform, ReducedTransform], ctx: Context) -> Expr:
-    T_t = _d(tr.T, "t", ctx)
-    return rat(tr.eps) * (sqrt(T_t) * X_VAR + tr.X0)
-
-
 def apply_bf(tr: GaugedTransform, inst: EquationInstance) -> ApplyResult:
     """Transform a LINZ_BF member with the gauged family."""
     return _apply_lifted(tr, embed(inst, ClassId.LINZ_BF))
@@ -992,15 +1011,15 @@ def to_general(tr: Transform) -> GeneralTransform:
         return GeneralTransform(T=T, X=X, U1=U1, U0=U0)
     if isinstance(tr, DivTransform):
         ctx = transform_context("DIV", tr.sign_Tt)
-        T_t = _d(tr.T, "t", ctx)
+        T, X = _coordinates(tr)
+        T_t = _d(T, "t", ctx)
         T_tt = _d(T_t, "t", ctx)
-        root = sqrt(app("abs", T_t))
-        k = rat(tr.kappa)
+        X_x = _d(X, "x", ctx)  # kappa |T_t|^(1/2)
         return GeneralTransform(
-            T=tr.T,
-            X=k * root * X_VAR + tr.X0,
-            U1=div(k * root, T_t),
-            U0=div(k * T_tt * root, rat(2) * T_t * T_t) * X_VAR
+            T=T,
+            X=X,
+            U1=div(X_x, T_t),
+            U0=div(T_tt * X_x, rat(2) * T_t * T_t) * X_VAR
             + div(_d(tr.X0, "t", ctx), T_t),
         )
     if isinstance(tr, AffineDivTransform):
@@ -1008,6 +1027,24 @@ def to_general(tr: Transform) -> GeneralTransform:
     if isinstance(tr, LinearTransform):
         return GeneralTransform(T=tr.T, X=tr.X, U1=tr.V1, U0=tr.V0)
     raise TransformError(f"cannot lift {type(tr).__name__}")
+
+
+def _coordinates(tr: Transform) -> Tuple[Expr, Expr]:
+    """t -> T and x -> X of to_general(tr), without building its u-map.
+
+    REDUCED and DIV fix their u-map by (T, X), so compose and invert
+    need no more of them.  Their u-map would differentiate X0, which
+    may hold an abs whose sign no context knows.
+    """
+    if isinstance(tr, DivTransform):
+        ctx = transform_context("DIV", tr.sign_Tt)
+        root = sqrt(app("abs", _d(tr.T, "t", ctx)))
+        return tr.T, rat(tr.kappa) * root * X_VAR + tr.X0
+    if isinstance(tr, ReducedTransform):
+        # the GAUGED member with U0 = 0 has the same coordinate change
+        tr = GaugedTransform(T=tr.T, X0=tr.X0, U0=ZERO, eps=tr.eps)
+    g = to_general(tr)
+    return g.T, g.X
 
 
 def to_gauged(tr: ReducedTransform) -> GaugedTransform:
@@ -1019,26 +1056,49 @@ def to_gauged(tr: ReducedTransform) -> GaugedTransform:
     return GaugedTransform(T=tr.T, X0=tr.X0, U0=U0, eps=tr.eps)
 
 
-def _compose_general(
-    second: GeneralTransform, first: GeneralTransform, ctx: Context
-) -> GeneralTransform:
-    T1, X1, U11, U01 = first.T, first.X, first.U1, first.U0
-    comp = lambda e: simplify(_compose_tx(e, T1, X1, ctx), ctx)
-    return GeneralTransform(
-        T=simplify(_compose_tx(second.T, T1, None, ctx), ctx),
-        X=comp(second.X),
-        U1=simplify(comp(second.U1) * U11, ctx),
-        U0=simplify(comp(second.U1) * U01 + comp(second.U0), ctx),
-    )
+def _restrict(
+    family: type,
+    T: Expr,
+    x_at: Callable[[Expr], Expr],
+    u_map: Callable[[], Tuple[Expr, Expr]],
+    numbers: Dict[str, Union[Fraction, int]],
+) -> Transform:
+    """The member of family whose GENERAL lift maps t to T.
+
+    x_at(e) is the lift's x-map with e put for x, and u_map() its
+    (U1, U0); each is built only when read.  GENERAL, LINZ and LINEAR
+    read X = x_at(x) and the u-map as they are.  GAUGED, REDUCED and
+    DIV read X0 = x_at(0), and GAUGED reads U0, both times eps.  eps,
+    kappa and sign_Tt come in numbers, from the factors.  REDUCED and
+    DIV fix their u-map by (T, X), so they never call u_map.
+    """
+    names = family.param_names
+    eps = numbers.get("eps", 1)
+    read = {"T": T}
+    if "X" in names:
+        read["X"] = x_at(X_VAR)
+    if "X0" in names:
+        read["X0"] = _signed(eps, x_at(ZERO))
+    if "U0" in names or "V0" in names:
+        U1, U0 = u_map()
+        read.update(U1=U1, V1=U1, U0=_signed(eps, U0), V0=U0)
+    return family(**{n: read[n] for n in names if n not in numbers}, **numbers)
+
+
+def _signed(eps: Union[Fraction, int], e: Expr) -> Expr:
+    """eps e for eps = +1 or -1, a sign distributed over a sum."""
+    if eps == 1:
+        return e
+    return add(*(-term for term in e.terms)) if isinstance(e, Add) else -e
 
 
 def compose(second: Transform, first: Transform) -> Transform:
     """The transform acting as `first, then second`.
 
-    Members of one family compose within it in closed form.  A mixed
-    pair is lifted through to_general and composed there, so the
-    result is a GeneralTransform (or LinearTransform when one factor
-    acts on v).
+    Members of one family compose within it: PROJECTIVE and AFFINE_DIV
+    in closed form, every other family by composing the GENERAL lifts
+    and restricting the result.  A mixed pair is lifted through
+    to_general and composed there, so the result is a GeneralTransform.
     """
     if isinstance(second, ImplicitInverseOf) or isinstance(first, ImplicitInverseOf):
         raise TransformError(
@@ -1049,35 +1109,7 @@ def compose(second: Transform, first: Transform) -> Transform:
             raise TransformError(
                 "transforms acting on v only compose with their own family"
             )
-        ctx = transform_context("GENERAL")
-        return _compose_general(to_general(second), to_general(first), ctx)
-    if isinstance(first, GeneralTransform):
-        return _compose_general(second, first, transform_context("GENERAL"))
-    if isinstance(first, LinzTransform):
-        ctx = transform_context("LINZ")
-        g = _compose_general(to_general(second), to_general(first), ctx)
-        return LinzTransform(T=g.T, X=g.X, U0=g.U0)
-    if isinstance(first, GaugedTransform):
-        ctx = transform_context("GAUGED")
-        T1, X01, U01 = first.T, first.X0, first.U0
-        e1 = rat(first.eps)
-        T2t = _d(second.T, "t", ctx)
-        rootT2_at_T1 = simplify(sqrt(_compose_tx(T2t, T1, None, ctx)), ctx)
-        X1full = _gauged_x(first, ctx)
-        T_new = simplify(_compose_tx(second.T, T1, None, ctx), ctx)
-        X0_new = simplify(
-            rootT2_at_T1 * X01 + e1 * _compose_tx(second.X0, T1, None, ctx), ctx
-        )
-        U0_new = simplify(
-            div(U01, rootT2_at_T1) + e1 * _compose_tx(second.U0, T1, X1full, ctx),
-            ctx,
-        )
-        return GaugedTransform(
-            T=T_new, X0=X0_new, U0=U0_new, eps=first.eps * second.eps
-        )
-    if isinstance(first, ReducedTransform):
-        g = compose(_as_gauged(second), _as_gauged(first))
-        return ReducedTransform(T=g.T, X0=g.X0, eps=g.eps)
+        second, first = to_general(second), to_general(first)
     if isinstance(first, ProjectiveTuple):
         # the maps ignore a common nonzero scale, so no normalization
         m2 = second.matrix()
@@ -1087,23 +1119,6 @@ def compose(second: Transform, first: Transform) -> Transform:
             for i in range(3)
         )
         return _unmat(prod)
-    if isinstance(first, DivTransform):
-        ctx = transform_context("DIV", first.sign_Tt)
-        T1, X01 = first.T, first.X0
-        T2t = _d(second.T, "t", ctx)
-        root2_at_T1 = simplify(
-            sqrt(app("abs", _compose_tx(T2t, T1, None, ctx))), ctx
-        )
-        return DivTransform(
-            T=simplify(_compose_tx(second.T, T1, None, ctx), ctx),
-            X0=simplify(
-                rat(second.kappa) * root2_at_T1 * X01
-                + _compose_tx(second.X0, T1, None, ctx),
-                ctx,
-            ),
-            kappa=first.kappa * second.kappa,
-            sign_Tt=first.sign_Tt * second.sign_Tt,
-        )
     if isinstance(first, AffineDivTransform):
         k1, k2 = first.kappa, second.kappa
         c11, c12 = first.c1, second.c1
@@ -1117,15 +1132,24 @@ def compose(second: Transform, first: Transform) -> Transform:
             c3=k2 * c12 * first.c3 + second.c2 * first.c0 + second.c3,
             kappa=kappa_new,
         )
-    if isinstance(first, LinearTransform):
-        ctx = transform_context("LINEAR")
-        g = _compose_general(to_general(second), to_general(first), ctx)
-        return LinearTransform(T=g.T, X=g.X, V1=g.U1, V0=g.U0)
-    raise TransformError(f"cannot compose {type(first).__name__}")
+    ctx = transform_context(first.family, getattr(first, "sign_Tt", 1))
+    (T2, X2), (T1, X1) = _coordinates(second), _coordinates(first)
+    comp = lambda e, x1=X1: simplify(_compose_tx(e, T1, x1, ctx), ctx)
 
+    def x_at(x: Expr) -> Expr:
+        return comp(X2, X1 if x is X_VAR else substitute(X1, {"x": x}, ctx))
 
-def _as_gauged(tr: Union[GaugedTransform, ReducedTransform]) -> GaugedTransform:
-    return tr if isinstance(tr, GaugedTransform) else to_gauged(tr)
+    def u_map() -> Tuple[Expr, Expr]:
+        g2, g1 = to_general(second), to_general(first)
+        U1_2 = comp(g2.U1)
+        return simplify(U1_2 * g1.U1, ctx), simplify(U1_2 * g1.U0 + comp(g2.U0), ctx)
+
+    numbers = {
+        n: getattr(second, n) * getattr(first, n)
+        for n in _FAMILY_NUMBERS if n in first.param_names
+    }
+    T = simplify(_compose_tx(T2, T1, None, ctx), ctx)
+    return _restrict(type(first), T, x_at, u_map, numbers)
 
 
 def _unmat(m: Tuple[Tuple[Expr, ...], ...]) -> ProjectiveTuple:
@@ -1138,51 +1162,15 @@ def _unmat(m: Tuple[Tuple[Expr, ...], ...]) -> ProjectiveTuple:
 def invert(tr: Transform) -> Union[Transform, ImplicitInverseOf]:
     """The inverse transform, or an ImplicitInverseOf marker.
 
-    The marker appears when the coordinate change cannot be inverted
-    in closed form (T not a Mobius map of t, or X not affine in x);
-    the inverse still exists as a groupoid element and can be checked
-    by applying the forward transform.
+    PROJECTIVE and AFFINE_DIV invert in closed form; every other family
+    inverts its GENERAL lift and restricts the result.  The marker
+    appears when the coordinate change cannot be inverted in closed
+    form (T not a Mobius map of t, or X not affine in x); the inverse
+    still exists as a groupoid element and can be checked by applying
+    the forward transform.
     """
     if isinstance(tr, ImplicitInverseOf):
         return tr.of
-    if isinstance(tr, GeneralTransform):
-        ctx = transform_context("GENERAL")
-        inv = closed_inverse(tr.T, tr.X, ctx)
-        if inv is None:
-            return ImplicitInverseOf(tr)
-        S, xi = inv
-        U1S = _compose_tx(tr.U1, S, xi, ctx)
-        U0S = _compose_tx(tr.U0, S, xi, ctx)
-        return GeneralTransform(
-            T=S, X=xi,
-            U1=simplify(div(ONE, U1S), ctx),
-            U0=simplify(-div(U0S, U1S), ctx),
-        )
-    if isinstance(tr, LinzTransform):
-        g = invert(to_general(tr))
-        if isinstance(g, ImplicitInverseOf):
-            return ImplicitInverseOf(tr)
-        return LinzTransform(T=g.T, X=g.X, U0=g.U0)
-    if isinstance(tr, GaugedTransform):
-        ctx = transform_context("GAUGED")
-        inv = closed_inverse(tr.T, _gauged_x(tr, ctx), ctx)
-        if inv is None:
-            return ImplicitInverseOf(tr)
-        S, xi = inv
-        S_t = _d(S, "t", ctx)
-        rootS = sqrt(S_t)
-        eps = rat(tr.eps)
-        return GaugedTransform(
-            T=S,
-            X0=simplify(-eps * _compose_tx(tr.X0, S, None, ctx) * rootS, ctx),
-            U0=simplify(-eps * div(_compose_tx(tr.U0, S, xi, ctx), rootS), ctx),
-            eps=tr.eps,
-        )
-    if isinstance(tr, ReducedTransform):
-        g = invert(to_gauged(tr))
-        if isinstance(g, ImplicitInverseOf):
-            return ImplicitInverseOf(tr)
-        return ReducedTransform(T=g.T, X0=g.X0, eps=g.eps)
     if isinstance(tr, ProjectiveTuple):
         a, b, g, d, k, m0, m1 = tr.entries()
         # adjugate of the 3x3 matrix, block by block
@@ -1192,26 +1180,6 @@ def invert(tr: Transform) -> Union[Transform, ImplicitInverseOf]:
             (-g * k, ZERO, a * k),
         )
         return _unmat(adj)
-    if isinstance(tr, DivTransform):
-        ctx = transform_context("DIV", tr.sign_Tt)
-        T_t = _d(tr.T, "t", ctx)
-        root = sqrt(app("abs", T_t))
-        X = rat(tr.kappa) * root * X_VAR + tr.X0
-        inv = closed_inverse(tr.T, X, ctx)
-        if inv is None:
-            return ImplicitInverseOf(tr)
-        S, xi = inv
-        S_t = _d(S, "t", ctx)
-        rootS = sqrt(app("abs", S_t))
-        return DivTransform(
-            T=S,
-            X0=simplify(
-                -div(_compose_tx(tr.X0, S, None, ctx) * rootS, rat(tr.kappa)),
-                ctx,
-            ),
-            kappa=Fraction(1) / tr.kappa,
-            sign_Tt=tr.sign_Tt,
-        )
     if isinstance(tr, AffineDivTransform):
         k, c0, c1, c2, c3 = tr.kappa, tr.c0, tr.c1, tr.c2, tr.c3
         c1i = Fraction(1) / c1
@@ -1222,12 +1190,26 @@ def invert(tr: Transform) -> Union[Transform, ImplicitInverseOf]:
             c3=(c2 * c0 - c3 * c1 * c1) / (k * c1 * c1 * c1),
             kappa=Fraction(1) / k,
         )
-    if isinstance(tr, LinearTransform):
-        g = invert(to_general(tr))
-        if isinstance(g, ImplicitInverseOf):
-            return ImplicitInverseOf(tr)
-        return LinearTransform(T=g.T, X=g.X, V1=g.U1, V0=g.U0)
-    raise TransformError(f"cannot invert {type(tr).__name__}")
+    ctx = transform_context(tr.family, getattr(tr, "sign_Tt", 1))
+    inv = closed_inverse(*_coordinates(tr), ctx)
+    if inv is None:
+        return ImplicitInverseOf(tr)
+    S, xi = inv
+
+    def x_at(x: Expr) -> Expr:
+        return xi if x is X_VAR else simplify(substitute(xi, {"x": x}, ctx), ctx)
+
+    def u_map() -> Tuple[Expr, Expr]:
+        g = to_general(tr)
+        U1S = _compose_tx(g.U1, S, xi, ctx)
+        U0S = _compose_tx(g.U0, S, xi, ctx)
+        return simplify(div(ONE, U1S), ctx), simplify(-div(U0S, U1S), ctx)
+
+    # eps and sign_Tt are their own inverses
+    numbers = {n: getattr(tr, n) for n in _FAMILY_NUMBERS if n in tr.param_names}
+    if "kappa" in numbers:
+        numbers["kappa"] = Fraction(1) / tr.kappa
+    return _restrict(type(tr), S, x_at, u_map, numbers)
 
 
 def transforms_equal(
@@ -1416,11 +1398,9 @@ FAMILY_TYPES: Dict[str, type] = {
     "LINEAR": LinearTransform,
 }
 
-_NUMERIC_PARAMS = {"eps", "kappa", "sign_Tt"} | set(ProjectiveTuple.param_names) | {
+_NUMERIC_PARAMS = set(_FAMILY_NUMBERS) | set(ProjectiveTuple.param_names) | {
     "c0", "c1", "c2", "c3"
 }
-
-_OPTIONAL_PARAMS = {"eps", "kappa", "sign_Tt"}
 
 
 def parse_transform(text: str) -> Transform:
@@ -1483,7 +1463,7 @@ def parse_transform(text: str) -> Transform:
             kwargs[name] = int(num) if name == "sign_Tt" else num
         else:
             kwargs[name] = parse(value, ctx)
-    missing = [n for n in expected if n not in kwargs and n not in _OPTIONAL_PARAMS]
+    missing = [n for n in expected if n not in kwargs and n not in _FAMILY_NUMBERS]
     if missing:
         raise TransformError(f"{family} needs parameters {missing}")
     built = cls(**kwargs)

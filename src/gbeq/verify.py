@@ -48,7 +48,13 @@ from .expr import (
     walk,
 )
 from .expr.zero import Draw, sample_zero, sampled_verdict
-from .report import ConditionReport, REJECTED, VerificationReport, worst_verdict
+from .report import (
+    ConditionReport,
+    REJECTED,
+    VerificationReport,
+    rejected_report,
+    worst_verdict,
+)
 from .transforms import (
     ImplicitInverseOf,
     Transform,
@@ -232,19 +238,6 @@ def _domain_draw(e: Expr, domain: SampleDomain, rng: random.Random) -> Draw:
     return draw
 
 
-def _rejected(
-    reason: str, tol: float, seed: int, conditions: List[ConditionReport]
-) -> VerificationReport:
-    return VerificationReport(
-        verdict=REJECTED,
-        residual_text=reason,
-        tolerance=tol,
-        seed=seed,
-        summary="transform rejected: " + reason,
-        conditions=conditions,
-    )
-
-
 def transport_check(
     tr: Union[Transform, ImplicitInverseOf],
     source: EquationInstance,
@@ -267,10 +260,10 @@ def transport_check(
     """
     conditions: List[ConditionReport] = []
     if isinstance(tr, ImplicitInverseOf):
-        return _rejected(
+        return rejected_report(
             "an implicit inverse cannot be applied; verify its forward "
             "transform instead",
-            tol, seed, conditions,
+            tol, seed, "transform rejected: ",
         )
     try:
         res = apply_transform(tr, source, tol=tol, seed=seed)
@@ -283,7 +276,9 @@ def transport_check(
                 detail=str(exc),
             )
         )
-        return _rejected(str(exc), tol, seed, conditions)
+        return rejected_report(
+            str(exc), tol, seed, "transform rejected: ", conditions
+        )
 
     expected = set(res.pullback)
     claimed = set(CLASS_SPECS[target.class_id].elements)

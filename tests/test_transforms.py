@@ -1,5 +1,6 @@
 """Transformation families: applications, group laws, gauges, inverses."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -14,8 +15,10 @@ from gbeq.classes import (
     embed,
 )
 from gbeq.expr import (
+    NUMERIC_ZERO,
     SYMBOLIC_ZERO,
     ZERO,
+    app,
     contains_var,
     differentiate,
     div,
@@ -59,7 +62,10 @@ from gbeq.transforms import (
     identity_reduced,
     invert,
     parse_transform,
+    _merged_context,
+    to_gauged,
     to_general,
+    transform_context,
     transforms_equal,
 )
 
@@ -551,9 +557,174 @@ def test_restriction_inverts_embed(family):
             assert zr.verdict == SYMBOLIC_ZERO, (i, name, format_expr(zr.residual))
 
 
+# -- compose and invert in closed form, as oracles --------------------------
+#
+# GAUGED, REDUCED and DIV compose and invert by restricting from their
+# GENERAL lifts.  Here the same operations are written out in each
+# family's own parameters, and every parameter must agree exactly.
+
+
+def _at(e, T, ctx, X=None):
+    return substitute(e, {"t": T} if X is None else {"t": T, "x": X}, ctx)
+
+
+def gauged_compose(second, first, ctx):
+    T1, e1 = first.T, rat(first.eps)
+    root = sqrt(_at(_d(second.T, "t", ctx), T1, ctx))
+    X1 = e1 * (sqrt(_d(T1, "t", ctx)) * var("x") + first.X0)
+    return GaugedTransform(
+        T=_at(second.T, T1, ctx),
+        X0=root * first.X0 + e1 * _at(second.X0, T1, ctx),
+        U0=div(first.U0, root) + e1 * _at(second.U0, T1, ctx, X1),
+        eps=first.eps * second.eps,
+    )
+
+
+def gauged_invert(tr, ctx):
+    eps = rat(tr.eps)
+    X = eps * (sqrt(_d(tr.T, "t", ctx)) * var("x") + tr.X0)
+    S, xi = closed_inverse(tr.T, X, ctx)
+    root_S = sqrt(_d(S, "t", ctx))
+    return GaugedTransform(
+        T=S,
+        X0=-eps * _at(tr.X0, S, ctx) * root_S,
+        U0=-eps * div(_at(tr.U0, S, ctx, xi), root_S),
+        eps=tr.eps,
+    )
+
+
+def reduced_compose(second, first, ctx):
+    g = gauged_compose(to_gauged(second), to_gauged(first), ctx)
+    return ReducedTransform(T=g.T, X0=g.X0, eps=g.eps)
+
+
+def reduced_invert(tr, ctx):
+    g = gauged_invert(to_gauged(tr), ctx)
+    return ReducedTransform(T=g.T, X0=g.X0, eps=g.eps)
+
+
+def div_compose(second, first, ctx):
+    T1 = first.T
+    root = sqrt(app("abs", _at(_d(second.T, "t", ctx), T1, ctx)))
+    return DivTransform(
+        T=_at(second.T, T1, ctx),
+        X0=rat(second.kappa) * root * first.X0 + _at(second.X0, T1, ctx),
+        kappa=first.kappa * second.kappa,
+        sign_Tt=first.sign_Tt * second.sign_Tt,
+    )
+
+
+def div_invert(tr, ctx):
+    k = rat(tr.kappa)
+    X = k * sqrt(app("abs", _d(tr.T, "t", ctx))) * var("x") + tr.X0
+    S, xi = closed_inverse(tr.T, X, ctx)
+    root_S = sqrt(app("abs", _d(S, "t", ctx)))
+    return DivTransform(
+        T=S,
+        X0=-div(_at(tr.X0, S, ctx) * root_S, k),
+        kappa=1 / tr.kappa,
+        sign_Tt=tr.sign_Tt,
+    )
+
+
+GROUPOID_FORMULAS = {
+    "GAUGED": (gauged_compose, gauged_invert),
+    "REDUCED": (reduced_compose, reduced_invert),
+    "DIV": (div_compose, div_invert),
+}
+
+# Mobius time maps by the sign of T_t: 5/(t + 3)^2 and -1/(t + 1)^2
+MOBIUS_T = {1: "(2*t + 1)/(t + 3)", -1: "1/(t + 1)"}
+
+
+def _with_time(tr, T, sign):
+    """tr with time map T, whose T_t has the given sign."""
+    if isinstance(tr, DivTransform):
+        return dataclasses.replace(tr, T=T, sign_Tt=sign)
+    return dataclasses.replace(tr, T=T, eps=Fraction(-1))
+
+
+def groupoid_oracle_cases(family):
+    """(second, first) pairs: seeded draws, then first with a Mobius T,
+    then first with an opaque T, each with eps = -1 or sign_Tt = -1."""
+    rng = random.Random(700 + sorted(GROUPOID_FORMULAS).index(family))
+    sign = -1 if family == "DIV" else 1
+    ctx = transform_context(family, sign)
+    times = [parse(MOBIUS_T[sign], ctx), ctx.fn("T")]
+    cases = []
+    for i in range(3 * ORACLE_DRAWS):
+        second, first = draw_transform(family, rng), draw_transform(family, rng)
+        if i % 3:
+            first = _with_time(first, times[i % 3 - 1], sign)
+        cases.append((second, first))
+    return cases
+
+
+def _assert_same(got, want, ctx, where, verdicts=(SYMBOLIC_ZERO,)):
+    assert type(got) is type(want), where
+    for name in want.param_names:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, (Fraction, int)):
+            assert Fraction(a) == Fraction(b), (where, name)
+            continue
+        zr = is_zero(a - b, ctx)
+        ok = zr.verdict in (SYMBOLIC_ZERO if name == "T" else verdicts)
+        assert ok, (where, name, zr.verdict, format_expr(zr.residual))
+
+
+@pytest.mark.parametrize("family", sorted(GROUPOID_FORMULAS))
+def test_compose_matches_family_formula(family):
+    compose_formula, _ = GROUPOID_FORMULAS[family]
+    for i, (second, first) in enumerate(groupoid_oracle_cases(family)):
+        ctx = transform_context(family, getattr(first, "sign_Tt", 1))
+        want = compose_formula(second, first, ctx)
+        _assert_same(compose(second, first), want, ctx, i)
+
+
+@pytest.mark.parametrize("family", sorted(GROUPOID_FORMULAS))
+def test_invert_matches_family_formula(family):
+    _, invert_formula = GROUPOID_FORMULAS[family]
+    for i, (_, tr) in enumerate(groupoid_oracle_cases(family)):
+        ctx = transform_context(family, getattr(tr, "sign_Tt", 1))
+        got = invert(tr)
+        if i % 3 == 2:
+            # an opaque T has no closed-form inverse on either route
+            assert isinstance(got, ImplicitInverseOf) and got.of == tr
+            continue
+        # For a Mobius T the formula takes the root of S_t and the
+        # restriction the root of 1/T_t(S).  Roots of sums are atoms
+        # to the normal form, so only sampling sees that they agree.
+        verdicts = (SYMBOLIC_ZERO, NUMERIC_ZERO) if i % 3 else (SYMBOLIC_ZERO,)
+        _assert_same(got, invert_formula(tr, ctx), ctx, i, verdicts)
+
+
 def test_transforms_equal_distinguishes():
     a = identity_linz()
     b = LinzTransform(T=var("t"), X=var("x"), U0=rat(1))
     assert not transforms_equal(a, b)
     assert not transforms_equal(a, identity_reduced())
     assert transforms_equal(a, identity_linz())
+
+
+def test_context_builders_hand_out_fresh_copies():
+    """Each call builds from a cached template; a caller's changes stay its own."""
+    inst = EquationInstance(ClassId.LINZ_F, {"f": ZERO})
+    builders = (
+        lambda: class_context(ClassId.LINZ_F),
+        lambda: transform_context("DIV", -1),
+        lambda: _merged_context(inst, "REDUCED"),
+    )
+    for build in builders:
+        ctx = build()
+        before = (
+            dict(ctx.variables),
+            dict(ctx.functions),
+            {k: set(v) for k, v in ctx.assumptions.items()},
+        )
+        ctx.add_var("y")
+        ctx.add_function("g", ("t", "x"))
+        ctx.assume_name("g", "positive")
+        for flags in ctx.assumptions.values():
+            flags.add("nonzero")
+        again = build()
+        assert (again.variables, again.functions, again.assumptions) == before
