@@ -561,7 +561,8 @@ def test_restriction_inverts_embed(family):
 #
 # GAUGED, REDUCED and DIV compose and invert by restricting from their
 # GENERAL lifts.  Here the same operations are written out in each
-# family's own parameters, and every parameter must agree exactly.
+# family's own parameters; every parameter must agree symbolically,
+# except the roots a Mobius T leaves in an inverse (see below).
 
 
 def _at(e, T, ctx, X=None):
