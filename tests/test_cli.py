@@ -128,6 +128,17 @@ def corpus(tmp_path):
             )
         ),
     )
+    put(
+        "linear_square.tr",
+        format_transform(
+            LinearTransform(
+                T=P("t", ClassId.LINEAR),
+                X=P("x", ClassId.LINEAR),
+                V1=rat(1),
+                V0=P("x^2", ClassId.LINEAR),
+            )
+        ),
+    )
     put("expr.txt", "u_t + u*u_x + u_xx\n")
     put("bad_expr.txt", "t +* x\n")
     put("solution.txt", "2/x\n")
@@ -203,6 +214,17 @@ def test_inapplicable_transform_exits_math(corpus, tmp_path):
     assert code == EXIT_MATH
     rep = json.loads(out.read_text())
     assert rep["verdict"] == "REJECTED_PRECONDITION"
+
+
+def test_linear_offset_off_the_solutions_exits_math(corpus, tmp_path):
+    tmp, files = corpus
+    out = tmp_path / "rep.json"
+    code = main([
+        "transform", str(files["linear_square.tr"]), str(files["heat.gbeq"]),
+        "--out", str(out),
+    ])
+    assert code == EXIT_MATH
+    assert json.loads(out.read_text())["verdict"] == "REJECTED_PRECONDITION"
 
 
 def test_compose_lifts_mixed_families(corpus, tmp_path):

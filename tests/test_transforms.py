@@ -31,6 +31,7 @@ from gbeq.expr import (
     substitute,
     var,
 )
+from gbeq.hopfcole import heat_catalog, heat_instance
 from gbeq.transforms import (
     AffineDivTransform,
     DivTransform,
@@ -360,6 +361,22 @@ def test_linear_only_composes_with_linear():
         compose(lin, linz)
     both = compose(lin, draw_linear(rng))
     assert isinstance(both, LinearTransform)
+
+
+def test_linear_rejects_v0_that_is_not_a_pushed_solution():
+    heat = heat_instance()
+    tr = LinearTransform(T=var("t"), X=var("x"), V1=rat(1), V0=P("x^2", ClassId.LINEAR))
+    with pytest.raises(TransformError, match="V0 is not a pushed solution"):
+        apply_transform(tr, heat)
+
+
+def test_linear_admits_v0_pushed_from_a_heat_solution():
+    rng = random.Random(13)
+    heat = heat_instance()
+    for v in heat_catalog():
+        tr = draw_linear(rng)
+        tr = dataclasses.replace(tr, V0=tr.V1 * v)
+        assert check_membership(apply_transform(tr, heat).target).verdict == "MEMBER"
 
 
 def test_to_general_matches_family_application():
