@@ -26,16 +26,16 @@ work the same way: they compose or invert the GENERAL lifts, and one
 restriction, _restrict, reads the family's own parameters back (X0 is
 X at x = 0; eps, kappa and sign_Tt come from the factors).  REDUCED
 and DIV fix their u-map by their coordinate change, so for them only
-(T, X) is composed or inverted.  Three families keep closed forms of
-their own:
+(T, X) is composed or inverted.  DIV and LINEAR check a constraint
+before the lifted apply: DIV's is written out in T and X0, LINEAR's is
+H0~ where the target v~ vanishes, read off the same pullback.  Two
+families keep closed forms of their own:
 
     PROJECTIVE  f~ = kappa^2 f / det, since the general route made its
                 sweep items 2-3 times slower; compose and invert are the
                 3x3 matrix product and adjugate, left unscaled
     AFFINE_DIV  compose and invert on exact rational numbers; apply
                 goes through the DIV map it names
-    LINEAR      a~, b~, c~ free of V0, which linear_constraint needs
-                before V0 is known to be admissible
 
 apply_* returns the transformed elements both as pullbacks (functions
 of the source coordinates) and, whenever the coordinate change inverts
@@ -118,9 +118,6 @@ class GeneralTransform:
     family = "GENERAL"
     param_names = ("T", "X", "U1", "U0")
 
-    def params(self) -> Dict[str, Expr]:
-        return {"T": self.T, "X": self.X, "U1": self.U1, "U0": self.U0}
-
 
 @dataclass(frozen=True)
 class LinzTransform:
@@ -132,9 +129,6 @@ class LinzTransform:
 
     family = "LINZ"
     param_names = ("T", "X", "U0")
-
-    def params(self) -> Dict[str, Expr]:
-        return {"T": self.T, "X": self.X, "U0": self.U0}
 
 
 @dataclass(frozen=True)
@@ -153,9 +147,6 @@ class GaugedTransform:
         if self.eps not in (Fraction(1), Fraction(-1)):
             raise TransformError("eps must be +1 or -1")
 
-    def params(self) -> Dict[str, Union[Expr, Fraction]]:
-        return {"T": self.T, "X0": self.X0, "U0": self.U0, "eps": self.eps}
-
 
 @dataclass(frozen=True)
 class ReducedTransform:
@@ -171,9 +162,6 @@ class ReducedTransform:
     def __post_init__(self) -> None:
         if self.eps not in (Fraction(1), Fraction(-1)):
             raise TransformError("eps must be +1 or -1")
-
-    def params(self) -> Dict[str, Union[Expr, Fraction]]:
-        return {"T": self.T, "X0": self.X0, "eps": self.eps}
 
 
 @dataclass(frozen=True)
@@ -218,9 +206,6 @@ class ProjectiveTuple:
             self.kappa, self.mu0, self.mu1,
         )
 
-    def params(self) -> Dict[str, Expr]:
-        return dict(zip(self.param_names, self.entries()))
-
     def matrix(self) -> Tuple[Tuple[Expr, ...], ...]:
         """Action on the projective column (t : x : 1)."""
         a, b, g, d, k, m0, m1 = self.entries()
@@ -244,12 +229,6 @@ class DivTransform:
             raise TransformError("kappa must not vanish")
         if self.sign_Tt not in (1, -1):
             raise TransformError("sign_Tt must be +1 or -1")
-
-    def params(self) -> Dict[str, Union[Expr, Fraction, int]]:
-        return {
-            "T": self.T, "X0": self.X0,
-            "kappa": self.kappa, "sign_Tt": self.sign_Tt,
-        }
 
 
 @dataclass(frozen=True)
@@ -275,12 +254,6 @@ class AffineDivTransform:
             object.__setattr__(self, "c1", -self.c1)
             object.__setattr__(self, "kappa", -self.kappa)
 
-    def params(self) -> Dict[str, Fraction]:
-        return {
-            "c0": self.c0, "c1": self.c1, "c2": self.c2, "c3": self.c3,
-            "kappa": self.kappa,
-        }
-
     def to_div(self) -> DivTransform:
         t = T_VAR
         return DivTransform(
@@ -302,9 +275,6 @@ class LinearTransform:
 
     family = "LINEAR"
     param_names = ("T", "X", "V1", "V0")
-
-    def params(self) -> Dict[str, Expr]:
-        return {"T": self.T, "X": self.X, "V1": self.V1, "V0": self.V0}
 
 
 # eps, kappa and sign_Tt: the exact numbers beside a family's
@@ -344,8 +314,6 @@ class ImplicitInverseOf:
     def param_names(self) -> Tuple[str, ...]:
         return self.of.param_names
 
-    def params(self):
-        return self.of.params()
 
 _FAMILY_SIGNATURES: Dict[str, Dict[str, Tuple[str, ...]]] = {
     "GENERAL": {"T": ("t",), "X": ("t", "x"), "U1": ("t", "x"), "U0": ("t", "x")},
@@ -660,19 +628,27 @@ def _general_pullback(
     SUPER keeps F, H1, H0 with the source u free.  A GBE class reads f
     off F~ alone.  A LINZ class reads a = F~, b = H1~ - (F~)_x / X_x and
     f = H0~ at the source u where the target u~ = U1 u + U0 vanishes.
-    The elements a class drops vanish by the shape of its family, so
-    they are not built.
+    LINEAR reads a = F~ and b = H1~.  Its H0~ is c~ (U1 u + U0) - R,
+    where R, the target residual of V0 pulled back, is linear in U0
+    and c~ does not involve U0.  So with U0 dropped H0~ = c~ U1 u, c
+    is that at u = 1/U1, and V0 never enters its tree.  The elements a
+    class drops vanish by the shape of its family, so they are not
+    built.
     """
     T, X, U1, U0 = g.T, g.X, g.U1, g.U0
     F, H1, H0 = sup.elements["F"], sup.elements["H1"], sup.elements["H0"]
     T_t, X_x = _d(T, "t", ctx), _d(X, "x", ctx)
     F_new = div(X_x * X_x * F, T_t)
-    if cls is not ClassId.SUPER and cls not in _LINZ_CLASSES:
+    if cls is ClassId.SUPER:
+        u = ctx.fn("u")
+    elif cls is ClassId.LINEAR:
+        U0, u = ZERO, div(ONE, U1)
+    elif cls in _LINZ_CLASSES:
+        u = div(-U0, U1)
+    else:
         return {"f": F_new}
-    u = ctx.fn("u")
     if cls is not ClassId.SUPER:
         # put u into the small source elements, not the pulled-back trees
-        u = div(-U0, U1)
         H1 = substitute(H1, {"u": u}, ctx)
         H0 = substitute(H0, {"u": u}, ctx)
     U1_t, U1_x = _d(U1, "t", ctx), _d(U1, "x", ctx)
@@ -698,6 +674,8 @@ def _general_pullback(
     )
     if cls is ClassId.SUPER:
         return {"F": F_new, "H1": H1_new, "H0": H0_new}
+    if cls is ClassId.LINEAR:
+        return {"a": F_new, "b": H1_new, "c": H0_new}
     b_new = H1_new - div(_d(F_new, "x", ctx), X_x)
     read = {"a": F_new, "b": b_new, "f": H0_new}
     return {k: read[k] for k in CLASS_SPECS[cls].elements}
@@ -709,7 +687,7 @@ def _apply_lifted(tr: Transform, inst: EquationInstance) -> ApplyResult:
     g = to_general(tr)
     sup = embed(inst, ClassId.SUPER)
     pullback = _general_pullback(g, sup, inst.class_id, ctx)
-    u = ctx.fn("u")
+    u = ctx.fn(inst.dependent)
     fmap = PointMap(t=g.T, x=g.X, u=simplify(g.U1 * u + g.U0, ctx))
 
     def u_back(S: Expr, xi: Expr) -> Expr:
@@ -824,71 +802,13 @@ def linear_constraint(tr: LinearTransform, inst: EquationInstance) -> Expr:
     """Residual of the pushed zero solution; must vanish for admissibility.
 
     V0 must be a solution of the target equation in disguise: pushing
-    v = 0 forward gives v~ = V0 along the map, and this is its target
-    residual pulled back to the source coordinates.
+    v = 0 forward gives v~ = V0 along the map.  This is H0~ at the
+    source v where v~ vanishes (the LINZ read of f), which is minus
+    the target residual of V0 pulled back to the source coordinates.
     """
     ctx = _merged_context(inst, "LINEAR")
-    pb = _linear_pullback(tr, inst, ctx)
-    return _pullback_residual(
-        phi=tr.V0,
-        coeffs=pb,
-        T=tr.T,
-        X=tr.X,
-        ctx=ctx,
-    )
-
-
-def _pullback_residual(
-    phi: Expr, coeffs: Dict[str, Expr], T: Expr, X: Expr, ctx: Context
-) -> Expr:
-    """Target residual of the function whose pullback is phi.
-
-    For psi(t~, x~) with phi = psi o (T, X):
-        psi_x~ o map = phi_x / X_x
-        psi_t~ o map = (phi_t - (X_t / X_x) phi_x) / T_t
-    so the target linear residual can be formed without inverting.
-    """
-    T_t = _d(T, "t", ctx)
-    X_t, X_x = _d(X, "t", ctx), _d(X, "x", ctx)
-    phi_t, phi_x = _d(phi, "t", ctx), _d(phi, "x", ctx)
-    psi_x = div(phi_x, X_x)
-    psi_xx = div(_d(psi_x, "x", ctx), X_x)
-    psi_t = div(phi_t - div(X_t, X_x) * phi_x, T_t)
-    return (
-        psi_t
-        + coeffs["a"] * psi_xx
-        + coeffs["b"] * psi_x
-        + coeffs["c"] * phi
-    )
-
-
-def _linear_pullback(
-    tr: LinearTransform, inst: EquationInstance, ctx: Context
-) -> Dict[str, Expr]:
-    """a, b, c of the target, in closed form and free of V0.
-
-    linear_constraint needs these before V0 is known to be admissible,
-    and reading c off the general H0~ would pull V0 into it.
-    """
-    T, X, V1 = tr.T, tr.X, tr.V1
-    a, b, c = inst.elements["a"], inst.elements["b"], inst.elements["c"]
-    T_t = _d(T, "t", ctx)
-    X_t, X_x = _d(X, "t", ctx), _d(X, "x", ctx)
-    X_xx = _d(X_x, "x", ctx)
-    V1_t, V1_x = _d(V1, "t", ctx), _d(V1, "x", ctx)
-    V1_xx = _d(V1_x, "x", ctx)
-    a_new = div(X_x * X_x * a, T_t)
-    b_new = div(
-        X_x * b + X_xx * a - rat(2) * X_x * div(V1_x, V1) * a + X_t, T_t
-    )
-    c_new = div(
-        c
-        - div(V1_x, V1) * b
-        + div(rat(2) * V1_x * V1_x - V1 * V1_xx, V1 * V1) * a
-        - div(V1_t, V1),
-        T_t,
-    )
-    return {"a": a_new, "b": b_new, "c": c_new}
+    sup = embed(inst, ClassId.SUPER)
+    return _general_pullback(to_general(tr), sup, ClassId.LINZ_F, ctx)["f"]
 
 
 def apply_linear(
@@ -897,27 +817,17 @@ def apply_linear(
     tol: float = 1e-9,
     seed: int = 42,
 ) -> ApplyResult:
-    """Transform a LINEAR member by v -> V1 v + V0."""
+    """Transform a LINEAR member by v -> V1 v + V0, checking V0 first."""
     if inst.class_id != ClassId.LINEAR:
         raise ClassError("apply_linear expects a LINEAR instance")
     ctx = _merged_context(inst, "LINEAR")
-    constraint = linear_constraint(tr, inst)
-    zr = is_zero(constraint, ctx, tol=tol, seed=seed)
+    zr = is_zero(linear_constraint(tr, inst), ctx, tol=tol, seed=seed)
     if not zr:
         raise TransformError(
             "V0 is not a pushed solution; the map leaves the class "
             f"(residual {format_expr(zr.residual)[:120]})"
         )
-    pullback = _linear_pullback(tr, inst, ctx)
-    v = ctx.fn("v")
-    fmap = PointMap(t=tr.T, x=tr.X, u=simplify(tr.V1 * v + tr.V0, ctx))
-
-    def v_back(S: Expr, xi: Expr) -> Expr:
-        V1S = _compose_tx(tr.V1, S, xi, ctx)
-        V0S = _compose_tx(tr.V0, S, xi, ctx)
-        return div(v - V0S, V1S)
-
-    return _finish_apply(inst, "LINEAR", ctx, fmap, pullback, v_back)
+    return _apply_lifted(tr, inst)
 
 
 APPLY_BY_FAMILY = {

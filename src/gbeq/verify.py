@@ -195,7 +195,7 @@ def residual(
             summary="residual reduced to 0 symbolically",
         )
     if _has_opaque_symbols(res_expr):
-        zr = sampled_verdict(simplify(res_expr, ctx), ctx, tol, domain.count, eff_seed)
+        zr = sampled_verdict(res_expr, ctx, tol, domain.count, eff_seed)
         summary = "opaque symbols present; " + zr.summary()
     else:
         zr = sample_zero(

@@ -19,6 +19,7 @@ from gbeq.expr import (
     SYMBOLIC_ZERO,
     ZERO,
     app,
+    contains_func,
     contains_var,
     differentiate,
     div,
@@ -62,7 +63,9 @@ from gbeq.transforms import (
     identity_projective,
     identity_reduced,
     invert,
+    linear_constraint,
     parse_transform,
+    _general_pullback,
     _merged_context,
     to_gauged,
     to_general,
@@ -572,6 +575,107 @@ def test_restriction_inverts_embed(family):
         for name in ("F", "H1", "H0"):
             zr = is_zero(lifted.elements[name] - wide.elements[name], ctx)
             assert zr.verdict == SYMBOLIC_ZERO, (i, name, format_expr(zr.residual))
+
+
+# LINEAR reads a, b, c and its V0 constraint off the general pullback.
+# Here both are written out in closed form: a, b, c free of V0, and the
+# target residual of the pushed V0 formed without inverting the map.
+
+
+def linear_formula(tr, el, ctx):
+    """v -> V1 v + V0 on LINEAR."""
+    a, b, c = el["a"], el["b"], el["c"]
+    V1 = tr.V1
+    T_t = _d(tr.T, "t", ctx)
+    X_t, X_x = _d(tr.X, "t", ctx), _d(tr.X, "x", ctx)
+    V1_t, V1_x = _d(V1, "t", ctx), _d(V1, "x", ctx)
+    V1_xx = _d(V1_x, "x", ctx)
+    return {
+        "a": div(X_x * X_x * a, T_t),
+        "b": div(
+            X_x * b + _d(X_x, "x", ctx) * a - rat(2) * X_x * div(V1_x, V1) * a
+            + X_t,
+            T_t,
+        ),
+        "c": div(
+            c
+            - div(V1_x, V1) * b
+            + div(rat(2) * V1_x * V1_x - V1 * V1_xx, V1 * V1) * a
+            - div(V1_t, V1),
+            T_t,
+        ),
+    }
+
+
+def linear_residual_formula(tr, coeffs, ctx):
+    """Target residual of psi, the function with V0 = psi o (T, X).
+
+    psi_x~ o map = V0_x / X_x and
+    psi_t~ o map = (V0_t - (X_t / X_x) V0_x) / T_t.
+    """
+    T_t = _d(tr.T, "t", ctx)
+    X_t, X_x = _d(tr.X, "t", ctx), _d(tr.X, "x", ctx)
+    phi = tr.V0
+    phi_t, phi_x = _d(phi, "t", ctx), _d(phi, "x", ctx)
+    psi_x = div(phi_x, X_x)
+    psi_xx = div(_d(psi_x, "x", ctx), X_x)
+    psi_t = div(phi_t - div(X_t, X_x) * phi_x, T_t)
+    return psi_t + coeffs["a"] * psi_xx + coeffs["b"] * psi_x + coeffs["c"] * phi
+
+
+def linear_oracle_cases():
+    """Seeded draws on three members, every other one with V1 scaled by
+    1 + x^2, each with V0 = 0, a pushed heat solution V1 v, and x^2."""
+    rng = random.Random(600)
+    cid = ClassId.LINEAR
+    members = [
+        heat_instance(),
+        EquationInstance(cid, {"a": rat(2), "b": var("x"), "c": var("t")}),
+        opaque_members(cid)[-1],
+    ]
+    cases = []
+    for inst in members:
+        for k in range(4):
+            tr = draw_linear(rng)
+            if k % 2:
+                tr = dataclasses.replace(tr, V1=tr.V1 * P("1 + x^2", cid))
+            v = rng.choice(heat_catalog())
+            for V0 in (ZERO, tr.V1 * v, P("x^2", cid)):
+                cases.append((dataclasses.replace(tr, V0=V0), inst))
+    return cases
+
+
+def _linear_read(tr, inst, ctx):
+    sup = embed(inst, ClassId.SUPER)
+    return _general_pullback(to_general(tr), sup, ClassId.LINEAR, ctx)
+
+
+def test_linear_pullback_and_constraint_match_closed_forms():
+    for i, (tr, inst) in enumerate(linear_oracle_cases()):
+        ctx = _merged_context(inst, "LINEAR")
+        want = linear_formula(tr, inst.elements, ctx)
+        routes = [_linear_read(tr, inst, ctx)]
+        if tr.V0 == ZERO:
+            # always admissible, so apply runs and must agree too
+            routes.append(apply_transform(tr, inst).pullback)
+        for got in routes:
+            assert set(got) == set(want)
+            for name in want:
+                zr = is_zero(got[name] - want[name], ctx)
+                assert zr.verdict == SYMBOLIC_ZERO, (i, name, format_expr(zr.residual))
+        # the constraint is minus the target residual of the pushed V0
+        old = linear_residual_formula(tr, want, ctx)
+        zr = is_zero(linear_constraint(tr, inst) + old, ctx)
+        assert zr.verdict == SYMBOLIC_ZERO, (i, "constraint", format_expr(zr.residual))
+
+
+def test_linear_c_is_free_of_v0():
+    rng = random.Random(601)
+    inst = opaque_members(ClassId.LINEAR)[-1]
+    ctx = _merged_context(inst, "LINEAR")
+    tr = dataclasses.replace(draw_linear(rng), V0=ctx.fn("V0"))
+    assert not contains_func(_linear_read(tr, inst, ctx)["c"], "V0")
+    assert contains_func(linear_constraint(tr, inst), "V0")
 
 
 # -- compose and invert in closed form, as oracles --------------------------
