@@ -45,6 +45,7 @@ from .expr import (
     Context,
     ContextError,
     DifferentiationError,
+    EvalError,
     Expr,
     NEGATIVE,
     NONZERO_FLAG,
@@ -91,6 +92,11 @@ if TYPE_CHECKING:
 EXIT_PASS = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
+
+# deg-div-solve fits on 4 * degree + 1 points, so its matrices grow as
+# degree^2; on that uniform grid the fit has lost rank from about degree
+# 300 on, and past 1000 a solve only costs seconds and memory
+MAX_DEGREE = 1000
 
 class InputError(Exception):
     """A malformed invocation or file; maps to exit status 2."""
@@ -444,14 +450,21 @@ def _cmd_symmetry_check(args: argparse.Namespace) -> int:
 
 def _format_grid(quad: DegDivQuadrature, n: int) -> str:
     lines = ["t\tT\tX0"]
-    for tv in quad.grid(n):
-        lines.append(f"{float(tv)!r}\t{quad.T(tv)!r}\t{quad.X0(tv)!r}")
+    for tv, Tv, Xv in zip(*quad.sample(n)):
+        lines.append(f"{float(tv)!r}\t{float(Tv)!r}\t{float(Xv)!r}")
     return "\n".join(lines) + "\n"
 
 
 def _cmd_deg_div_solve(args: argparse.Namespace) -> int:
     # the only command that needs numpy
-    from .degdiv import DegDivError, DegDivSolution, solve_deg_div
+    from .degdiv import MIN_POINTS, DegDivError, DegDivSolution, solve_deg_div
+
+    if not 1 <= args.degree <= MAX_DEGREE:
+        raise InputError(f"--degree {args.degree}: need 1 <= DEGREE <= {MAX_DEGREE}")
+    if args.points < MIN_POINTS:
+        raise InputError(
+            f"--points {args.points}: the residual stencil needs at least {MIN_POINTS}"
+        )
 
     ctx = Context()
     ctx.add_var("t")
@@ -475,12 +488,15 @@ def _cmd_deg_div_solve(args: argparse.Namespace) -> int:
         raise InputError(str(exc))
     try:
         quad = solve_deg_div(sol, t_span=(t_lo, t_hi), degree=args.degree)
+        rep = quad.report(tol=args.tol, n=args.points)
+    except EvalError as exc:
+        # a coefficient undefined on the span: unusable input
+        raise InputError(str(exc))
     except DegDivError as exc:
         rep = rejected_report(str(exc), args.tol, 0, "deg-div-solve: ")
         _write_text(args.out, _report_json(rep))
         _status(f"deg-div-solve: {REJECTED} ({exc})")
         return EXIT_MATH
-    rep = quad.report(tol=args.tol, n=args.points)
     _write_text(args.out, _report_json(rep))
     if args.grid_out:
         _write_text(args.grid_out, _format_grid(quad, args.points))
@@ -688,11 +704,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--degree", type=int, default=64,
-        help="Chebyshev fit degree (default 64)",
+        help=f"Chebyshev fit degree, 1 to {MAX_DEGREE} (default 64)",
     )
     p.add_argument(
         "--points", type=int, default=201,
-        help="residual / grid sample count (default 201)",
+        help="residual / grid sample count, at least 9 (default 201)",
     )
     _out_flag(p, "the JSON report")
     p.add_argument(

@@ -24,17 +24,26 @@ derivatives that built the solution.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
+from numpy.polynomial import polyutils as pu
 
-from .expr import Expr, Evaluator, as_expr, contains_var, format_expr
+from .expr import EvalError, Expr, Evaluator, as_expr, contains_var, format_expr
 from .report import VerificationReport
 
-__all__ = ["DegDivSolution", "DegDivQuadrature", "DegDivError", "solve_deg_div"]
+__all__ = [
+    "DegDivSolution", "DegDivQuadrature", "DegDivError", "MIN_POINTS",
+    "solve_deg_div",
+]
+
+# numpy < 1.25 has no numpy.exceptions
+_RankWarning = getattr(np, "exceptions", np).RankWarning
 
 
 class DegDivError(Exception):
@@ -59,6 +68,8 @@ _D1 = _central_weights(4, 1)
 _D2 = _central_weights(4, 2)
 _D3 = _central_weights(4, 3)
 _MARGIN = 4
+# the fewest grid points a residual check can use: one interior point
+MIN_POINTS = 2 * _MARGIN + 1
 
 
 def _fd(values: np.ndarray, h: float, weights: np.ndarray, order: int) -> np.ndarray:
@@ -67,13 +78,66 @@ def _fd(values: np.ndarray, h: float, weights: np.ndarray, order: int) -> np.nda
     return out
 
 
-def _eval_grid(e: Expr, ts: np.ndarray) -> np.ndarray:
+def _eval_coefficient(name: str, e: Expr, ts: np.ndarray) -> np.ndarray:
+    """The coefficient e, called name in messages, on ts.
+
+    Raises EvalError, naming the coefficient, at the first point where
+    it is undefined or not a finite float.
+    """
     ev = Evaluator()
-    return np.array([ev(e, {"t": float(tv)}) for tv in ts])
+    out = np.empty(len(ts))
+    for i, tv in enumerate(ts):
+        try:
+            out[i] = ev(e, {"t": float(tv)})
+        except (ArithmeticError, ValueError, EvalError) as exc:
+            raise EvalError(
+                f"{name} = {format_expr(e)} is undefined at t = {float(tv)!r}: {exc}"
+            ) from None
+        if not math.isfinite(out[i]):
+            raise EvalError(
+                f"{name} = {format_expr(e)} is not finite at t = {float(tv)!r}"
+            )
+    return out
+
+
+@lru_cache(maxsize=4)
+def _fit_factor(
+    t_lo: float, t_hi: float, n: int, degree: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The least-squares Chebyshev fit on linspace(t_lo, t_hi, n), factored.
+
+    Returns (Ut, s, V) with fit coefficients V @ ((Ut @ values) / s):
+    the pseudo-inverse, in SVD form, of the column-scaled design matrix
+    that Chebyshev.fit hands to lstsq, with the column scales folded
+    into V.  As in lstsq, singular values at most n * eps times the
+    largest count as zero, so len(s) is the rank.  Applying the factors
+    in turn rather than their product keeps lstsq's accuracy on an
+    ill-conditioned grid: at degree 150, f1 = f2 = 0 leaves an ODE 1
+    residual of 1e-7 this way and 3e-6 through the product.  The arrays
+    are read-only, since every caller shares them.
+    """
+    ts = np.linspace(t_lo, t_hi, n)
+    van = C.chebvander(pu.mapdomain(ts, (t_lo, t_hi), (-1.0, 1.0)), degree)
+    scl = np.sqrt(np.square(van).sum(0))
+    scl[scl == 0] = 1
+    u, s, vt = np.linalg.svd(van / scl, full_matrices=False)
+    r = int(np.count_nonzero(s > n * np.finfo(float).eps * s[0]))
+    factors = (u[:, :r].T.copy(), s[:r].copy(), vt[:r].T / scl[:, None])
+    for a in factors:
+        a.flags.writeable = False
+    return factors
 
 
 def _fit(values: np.ndarray, ts: np.ndarray, degree: int) -> C.Chebyshev:
-    return C.Chebyshev.fit(ts, values, deg=degree, domain=[ts[0], ts[-1]])
+    """The degree-`degree` least-squares Chebyshev fit of values on ts.
+
+    ts is a linspace grid, whose factors are computed once and reused;
+    a rank below degree + 1 warns as Chebyshev.fit does.
+    """
+    ut, s, v = _fit_factor(float(ts[0]), float(ts[-1]), len(ts), degree)
+    if len(s) != degree + 1:
+        warnings.warn("The fit may be poorly conditioned", _RankWarning, stacklevel=2)
+    return C.Chebyshev(v @ ((ut @ values) / s), domain=[ts[0], ts[-1]])
 
 
 @dataclass(frozen=True)
@@ -133,6 +197,15 @@ class DegDivQuadrature:
     def grid(self, n: int = 201) -> np.ndarray:
         return np.linspace(self.t_lo, self.t_hi, n)
 
+    def sample(self, n: int = 201) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(t, T, X0) on grid(n), each series evaluated in one call.
+
+        chebval runs the same Clenshaw steps element by element, so the
+        values equal T(tv) and X0(tv) bit for bit.
+        """
+        ts = self.grid(n)
+        return ts, self.T_series(ts), self.X0_series(ts)
+
     def ode_residuals(self, n: int = 201) -> Tuple[float, float]:
         """Max abs residual of each ODE, via finite differences only.
 
@@ -140,18 +213,16 @@ class DegDivQuadrature:
         with central stencils; nothing is reused from the spectral
         construction except the sampled values themselves.
         """
-        ts = self.grid(n)
+        ts, Tv, Xv = self.sample(n)
         h = float(ts[1] - ts[0])
-        Tv = np.array([self.T(tv) for tv in ts])
-        Xv = np.array([self.X0(tv) for tv in ts])
         T_t = _fd(Tv, h, _D1, 1)
         T_tt = _fd(Tv, h, _D2, 2)
         T_ttt = _fd(Tv, h, _D3, 3)
         X0_t = _fd(Xv, h, _D1, 1)
         X0_tt = _fd(Xv, h, _D2, 2)
         interior = ts[_MARGIN:-_MARGIN]
-        f1v = _eval_grid(self.solution.f1, interior)
-        f2v = _eval_grid(self.solution.f2, interior)
+        f1v = _eval_coefficient("f1", self.solution.f1, interior)
+        f2v = _eval_coefficient("f2", self.solution.f2, interior)
         r1 = 4.0 * T_t * T_tt * f2v + 2.0 * T_t * T_ttt - 3.0 * T_tt**2
         r2 = (
             0.5 * float(self.solution.kappa) * np.sqrt(np.abs(T_t)) * T_tt * f1v
@@ -187,7 +258,8 @@ def solve_deg_div(
 
     All antiderivatives are anchored at the left endpoint, so the
     constants parametrise solutions relative to t_span[0].  Raises
-    DegDivError when the T branch has a pole inside the interval.
+    DegDivError when the T branch has a pole inside the interval, and
+    EvalError when f1 or f2 is undefined on the grid.
     """
     C0, C1, C2, C3, C4 = sol.constants
     t_lo, t_hi = float(t_span[0]), float(t_span[1])
@@ -195,9 +267,11 @@ def solve_deg_div(
         raise DegDivError("t_span must be increasing")
 
     ts = np.linspace(t_lo, t_hi, 4 * degree + 1)
+    f1_vals = _eval_coefficient("f1", sol.f1, ts)
+    f2_vals = _eval_coefficient("f2", sol.f2, ts)
 
     # T_t = sigma (C2 I2 + C1)^(-2), I2 = int exp(-2 int f2)
-    f2_fit = _fit(_eval_grid(sol.f2, ts), ts, degree)
+    f2_fit = _fit(f2_vals, ts, degree)
     I1 = f2_fit.integ(lbnd=t_lo)
     E = _fit(np.exp(-2.0 * I1(ts)), ts, degree)
     I2 = E.integ(lbnd=t_lo)
@@ -214,7 +288,6 @@ def solve_deg_div(
 
     # X0 = -(kappa/2) int T_t int (|T_t|^(1/2) T_tt / T_t^2) f1 + C3 T + C4
     T_tt_vals = T_t_fit.deriv()(ts)
-    f1_vals = _eval_grid(sol.f1, ts)
     J = np.sqrt(np.abs(T_t_vals)) * T_tt_vals / T_t_vals**2 * f1_vals
     I_inner = _fit(J, ts, degree).integ(lbnd=t_lo)
     K = _fit(T_t_vals * I_inner(ts), ts, degree)

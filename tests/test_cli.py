@@ -525,9 +525,37 @@ def test_deg_div_solve_pole_is_math_failure(corpus, tmp_path):
     assert json.loads(rep_path.read_text())["verdict"] == "REJECTED_PRECONDITION"
 
 
-def test_deg_div_solve_bad_parameters(corpus):
-    assert main(["deg-div-solve", "--f1", "x", "--f2", "0"]) == EXIT_INPUT
-    assert main(["deg-div-solve", "--f1", "0", "--f2", "0", "--constants", "0,0,0,0,0"]) == EXIT_INPUT
+def test_deg_div_solve_bad_parameters(corpus, capsys):
+    for extra, says in (
+        (["--f1", "x", "--f2", "0"], "f1 must not involve x"),
+        (["--f1", "0", "--f2", "0", "--constants", "0,0,0,0,0"], "must not both vanish"),
+        (["--f1", "0", "--f2", "0", "--degree", "-1"], "--degree -1: "),
+        (["--f1", "0", "--f2", "0", "--degree", "0"], "--degree 0: "),
+        (["--f1", "0", "--f2", "0", "--degree", "100000"], "--degree 100000: "),
+        (["--f1", "0", "--f2", "0", "--degree", "1001"], "--degree 1001: "),
+        (["--f1", "0", "--f2", "0", "--points", "0"], "--points 0: "),
+        (["--f1", "0", "--f2", "0", "--points", "3"], "--points 3: "),
+        (["--f1", "0", "--f2", "0", "--points", "8"], "--points 8: "),
+        # coefficients undefined somewhere on the span, named in the line
+        (["--f1", "0", "--f2", "ln(t)", "--t-span=-1,1"],
+         "f2 = ln(t) is undefined at t = -1.0: ln of a non-positive value"),
+        (["--f1", "0", "--f2", "1/t", "--t-span=-1,1"], "f2 = 1/t is undefined"),
+        (["--f1", "0", "--f2", "exp(1000*t)"], "f2 = exp(1000*t) is undefined"),
+        (["--f1", "1/(t-11/20)", "--f2", "0"], "f1 = 1/(-11/20 + t) is undefined"),
+    ):
+        assert main(["deg-div-solve", *extra]) == EXIT_INPUT, extra
+        err = capsys.readouterr().err
+        assert err.startswith("gbeq deg-div-solve: ") and says in err, (extra, err)
+        assert err.count("\n") == 1, (extra, err)
+
+
+def test_deg_div_solve_smallest_settings_run(corpus, tmp_path):
+    # degree 1 and the 9-point minimum are usable, if inaccurate
+    code = main([
+        "deg-div-solve", "--f1", "0", "--f2", "0", "--degree", "1",
+        "--points", "9", "--out", str(tmp_path / "rep.json"),
+    ])
+    assert code in (EXIT_PASS, EXIT_MATH)
 
 
 def test_unknown_subcommand_raises_argparse_exit():

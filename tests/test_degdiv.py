@@ -1,11 +1,16 @@
 """Quadrature solver for the degenerate divergence-form reduction."""
 
+import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from gbeq import degdiv
+from gbeq.cli import _format_grid
 from gbeq.degdiv import DegDivError, DegDivSolution, solve_deg_div
-from gbeq.expr import parse, rat, var, Context
+from gbeq.expr import EvalError, parse, rat, var, Context
 
 
 def tctx():
@@ -97,3 +102,94 @@ def test_report_carries_tolerance_and_samples():
     rep = quad.report(tol=1e-6, n=51)
     assert rep.tolerance == 1e-6
     assert rep.ok
+
+
+# --- the factored fit and whole-grid evaluation ---------------------------
+
+
+def _chebyshev_fit(values, ts, degree):
+    """The reference fit: numpy's own least squares on the same grid."""
+    return np.polynomial.Chebyshev.fit(ts, values, deg=degree, domain=[ts[0], ts[-1]])
+
+
+def _cases():
+    c = tctx()
+    t = var("t")
+    small = (Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1))
+    cases = [
+        DegDivSolution(f1=rat(0), f2=rat(0)),
+        DegDivSolution(f1=rat(0), f2=rat(0), constants=(0.0, 1.0, -0.5, 0.0, 0.0)),
+        DegDivSolution(f1=parse("t", c), f2=rat(0), constants=(0.0, 1.0, -0.5, 0.0, 0.0)),
+        DegDivSolution(f1=rat(0), f2=rat(1)),
+        DegDivSolution(f1=rat(0), f2=rat(0), sigma=-1),
+    ]
+    rng = random.Random(13)
+    for _ in range(6):
+        cases.append(DegDivSolution(
+            f1=rat(rng.choice(small)) + rat(rng.choice(small)) * t,
+            f2=rat(rng.choice(small)) * t ** rng.choice((0, 1, 2)),
+            kappa=rng.choice((Fraction(1), Fraction(2), Fraction(1, 2))),
+            constants=(rng.choice((0, 1)), 1, rng.choice((0, 0.25, 0.5)),
+                       rng.choice((-1, 0, 1)), rng.choice((-1, 0, 1))),
+            sigma=rng.choice((1, -1)),
+        ))
+    return cases
+
+
+@pytest.mark.parametrize("sol", _cases(), ids=str)
+def test_factored_fit_agrees_with_chebyshev_fit(sol, monkeypatch):
+    _, T_new, X0_new = solve_deg_div(sol).sample()
+    monkeypatch.setattr(degdiv, "_fit", _chebyshev_fit)
+    _, T_ref, X0_ref = solve_deg_div(sol).sample()
+    for new, ref in ((T_new, T_ref), (X0_new, X0_ref)):
+        # relative to the series' size, floored at 1: with C2 = 0, X0
+        # vanishes identically and both fits leave only rounding noise
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(new - ref)) <= 1e-12 * scale
+
+
+def test_rank_deficient_fit_warns():
+    degree = 300  # a uniform grid of 4 * degree + 1 points loses rank here
+    ts = np.linspace(0.1, 1.0, 4 * degree + 1)
+    with pytest.warns(degdiv._RankWarning, match="poorly conditioned"):
+        degdiv._fit(np.cos(ts), ts, degree)
+
+
+def test_fit_factor_is_cached_and_read_only():
+    sol = DegDivSolution(f1=rat(0), f2=rat(0))
+    solve_deg_div(sol)
+    hits = degdiv._fit_factor.cache_info().hits
+    solve_deg_div(sol)
+    # five fits per solve, all on the one grid
+    assert degdiv._fit_factor.cache_info().hits == hits + 5
+    for a in degdiv._fit_factor(0.1, 1.0, 257, 64):
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("sol", _cases()[:4], ids=str)
+def test_grid_values_equal_pointwise_values(sol):
+    quad = solve_deg_div(sol)
+    for n in (9, 201):
+        ts, T, X0 = quad.sample(n)
+        assert np.array_equal(ts, quad.grid(n))
+        assert np.array_equal(T, [quad.T(tv) for tv in ts])
+        assert np.array_equal(X0, [quad.X0(tv) for tv in ts])
+    # the grid file formats exactly the values a per-point walk gives
+    pointwise = "".join(
+        f"\n{float(tv)!r}\t{quad.T(tv)!r}\t{quad.X0(tv)!r}" for tv in quad.grid(57)
+    )
+    assert _format_grid(quad, 57) == "t\tT\tX0" + pointwise + "\n"
+
+
+@pytest.mark.parametrize("f1, f2, span, where", [
+    ("0", "ln(t)", (-1.0, 1.0), "f2 = ln(t) is undefined at t = -1.0"),
+    ("0", "1/t", (-1.0, 1.0), "f2 = 1/t is undefined at t = 0.0"),
+    ("0", "exp(1000*t)", (0.1, 1.0), "f2 = exp(1000*t) is undefined"),
+    ("1/(t-11/20)", "0", (0.1, 1.0), "f1 = 1/(-11/20 + t) is undefined at t = 0.55"),
+    ("0", "t^(-400)", (1e-3, 1.0), "f2 = 1/t^400 is not finite at t = 0.001"),
+])
+def test_coefficient_undefined_on_span_names_it(f1, f2, span, where):
+    c = tctx()
+    sol = DegDivSolution(f1=parse(f1, c), f2=parse(f2, c))
+    with pytest.raises(EvalError, match=re.escape(where)):
+        solve_deg_div(sol, t_span=span)
