@@ -258,8 +258,9 @@ def solve_deg_div(
 
     All antiderivatives are anchored at the left endpoint, so the
     constants parametrise solutions relative to t_span[0].  Raises
-    DegDivError when the T branch has a pole inside the interval, and
-    EvalError when f1 or f2 is undefined on the grid.
+    DegDivError when the T branch has a pole inside the interval or a
+    sampled quantity overflows the float range, and EvalError when f1
+    or f2 is undefined on the grid.
     """
     C0, C1, C2, C3, C4 = sol.constants
     t_lo, t_hi = float(t_span[0]), float(t_span[1])
@@ -269,29 +270,41 @@ def solve_deg_div(
     ts = np.linspace(t_lo, t_hi, 4 * degree + 1)
     f1_vals = _eval_coefficient("f1", sol.f1, ts)
     f2_vals = _eval_coefficient("f2", sol.f2, ts)
+    span = f"[{t_lo}, {t_hi}]"
 
-    # T_t = sigma (C2 I2 + C1)^(-2), I2 = int exp(-2 int f2)
-    f2_fit = _fit(f2_vals, ts, degree)
-    I1 = f2_fit.integ(lbnd=t_lo)
-    E = _fit(np.exp(-2.0 * I1(ts)), ts, degree)
-    I2 = E.integ(lbnd=t_lo)
-    denom = C2 * I2(ts) + C1
-    crosses = float(np.min(denom)) < 0.0 < float(np.max(denom))
-    if crosses or np.min(np.abs(denom)) < 1e-9:
-        raise DegDivError(
-            "C2 int exp(-2 int f2) + C1 vanishes inside t_span; "
-            "the T branch has a pole here"
+    def finite(what: str, values: np.ndarray) -> np.ndarray:
+        if not np.isfinite(values).all():
+            raise DegDivError(f"{what} overflows on the span {span}")
+        return values
+
+    # overflow shows as a non-finite sample, checked after each step
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # T_t = sigma (C2 I2 + C1)^(-2), I2 = int exp(-2 int f2)
+        f2_fit = _fit(f2_vals, ts, degree)
+        I1 = f2_fit.integ(lbnd=t_lo)
+        E = _fit(finite("exp(-2 int f2)", np.exp(-2.0 * I1(ts))), ts, degree)
+        I2 = E.integ(lbnd=t_lo)
+        denom = finite("C2 int exp(-2 int f2) + C1", C2 * I2(ts) + C1)
+        crosses = float(np.min(denom)) < 0.0 < float(np.max(denom))
+        if crosses or np.min(np.abs(denom)) < 1e-9:
+            raise DegDivError(
+                "C2 int exp(-2 int f2) + C1 vanishes inside t_span; "
+                "the T branch has a pole here"
+            )
+        T_t_vals = finite("T_t", float(sol.sigma) * denom**-2)
+        T_t_fit = _fit(T_t_vals, ts, degree)
+        T_fit = T_t_fit.integ(lbnd=t_lo) + C0
+
+        # X0 = -(kappa/2) int T_t int (|T_t|^(1/2) T_tt / T_t^2) f1 + C3 T + C4
+        T_tt_vals = finite("T_tt", T_t_fit.deriv()(ts))
+        J = finite(
+            "|T_t|^(1/2) T_tt f1 / T_t^2",
+            np.sqrt(np.abs(T_t_vals)) * T_tt_vals / T_t_vals**2 * f1_vals,
         )
-    T_t_vals = float(sol.sigma) * denom**-2
-    T_t_fit = _fit(T_t_vals, ts, degree)
-    T_fit = T_t_fit.integ(lbnd=t_lo) + C0
-
-    # X0 = -(kappa/2) int T_t int (|T_t|^(1/2) T_tt / T_t^2) f1 + C3 T + C4
-    T_tt_vals = T_t_fit.deriv()(ts)
-    J = np.sqrt(np.abs(T_t_vals)) * T_tt_vals / T_t_vals**2 * f1_vals
-    I_inner = _fit(J, ts, degree).integ(lbnd=t_lo)
-    K = _fit(T_t_vals * I_inner(ts), ts, degree)
-    X0_fit = -0.5 * float(sol.kappa) * K.integ(lbnd=t_lo) + C3 * T_fit + C4
+        I_inner = _fit(J, ts, degree).integ(lbnd=t_lo)
+        outer = finite("T_t int (|T_t|^(1/2) T_tt f1 / T_t^2)", T_t_vals * I_inner(ts))
+        K = _fit(outer, ts, degree)
+        X0_fit = -0.5 * float(sol.kappa) * K.integ(lbnd=t_lo) + C3 * T_fit + C4
 
     return DegDivQuadrature(
         solution=sol,

@@ -45,7 +45,7 @@ from .nodes import (
 )
 from .numeric import EvalError, Evaluator, evaluate
 from .parse import ParseError, parse
-from .simplify import expand, normal_form, ratio_normal, simplify
+from .simplify import expand, normal_form, normal_form_is_zero, ratio_normal, simplify
 from .zero import (
     NONZERO,
     NUMERIC_ZERO,
@@ -64,6 +64,7 @@ __all__ = [
     "ZeroResult", "add", "app", "as_expr", "atoms_of", "collect",
     "contains_func", "contains_var", "diff_n", "differentiate", "div",
     "evaluate", "exp", "expand", "format_expr", "func", "integral",
-    "is_zero", "ln", "mul", "normal_form", "parse", "pow_", "rat",
-    "ratio_normal", "simplify", "sqrt", "substitute", "var", "walk",
+    "is_zero", "ln", "mul", "normal_form", "normal_form_is_zero", "parse",
+    "pow_", "rat", "ratio_normal", "simplify", "sqrt", "substitute", "var",
+    "walk",
 ]

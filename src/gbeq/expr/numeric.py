@@ -1,5 +1,10 @@
 """Floating-point evaluation of expressions.
 
+An expression is compiled once into a tape: a flat post-order list of
+operations, one per distinct subtree, each computing its value from
+values earlier on the tape.  Tapes are cached by expression, so every
+Evaluator shares them, and a call only runs the tape at its point.
+
 Function symbols evaluate through bindings, which map a symbol name to
 a closed-form expression in its signature variables; derivative nodes
 differentiate the binding symbolically before evaluating, so all
@@ -14,10 +19,13 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from functools import lru_cache
+from operator import itemgetter
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
 
 from .calculus import differentiate
 from .nodes import (
+    MEMO_SIZE,
     Add,
     App,
     Expr,
@@ -46,10 +54,14 @@ class Evaluator:
         base_point: lower limit used for Int nodes.
         quad_tol: tolerance of the quadrature, used as both its absolute
             and its relative tolerance.
+        atom_values: values that Func and Int nodes take as they are,
+            without evaluating their arguments or bodies.
 
-    Each call evaluates every distinct subtree once per point: a memo
-    from node to value lives for one point, and _eval_func and
-    _eval_int start a fresh one where they move to another point.
+    A call runs the expression's tape once (see _compile), so every
+    distinct subtree is evaluated once per point, in the order of a
+    depth-first walk, and the first operation that fails raises.  A
+    binding's derivative and an integrand run their own tapes at the
+    points they move to.
     """
 
     def __init__(
@@ -63,101 +75,61 @@ class Evaluator:
         self.base_point = base_point
         self.quad_tol = quad_tol
         self.atom_values = dict(atom_values) if atom_values else {}
-        self._deriv_cache: Dict[Tuple[str, Tuple[int, ...]], Expr] = {}
+        self._deriv_cache: Dict[Tuple[str, Tuple[int, ...]], _Tape] = {}
 
     def __call__(self, e: Expr, point: Mapping[str, float]) -> float:
-        return self._eval(e, dict(point), {})
+        return self._run(_tape(e), point)
 
-    def _eval(self, e: Expr, point: Dict[str, float], memo: Dict[Expr, float]) -> float:
-        v = memo.get(e)
-        if v is None:
-            v = memo[e] = self._eval_node(e, point, memo)
-        return v
+    def _run(self, tape: _Tape, point: Mapping[str, float]) -> float:
+        if tape.applied and self.atom_values:
+            # applied symbols with a value are leaves: their arguments
+            # are left out of the tape this call runs
+            hits = frozenset(
+                f for f in tape.applied if self.atom_values.get(f) is not None
+            )
+            if hits:
+                tape = _tape(tape.expr, hits)
+        vals: List[Any] = []
+        push = vals.append
+        for op in tape.code:
+            push(op(vals, point, self))
+        return vals[-1]
 
-    def _eval_node(self, e: Expr, point: Dict[str, float], memo: Dict[Expr, float]) -> float:
-        """The value of one node at point, its children evaluated through memo."""
-        if isinstance(e, Rat):
-            return _float(e.value)
-        if isinstance(e, Var):
-            try:
-                return point[e.name]
-            except KeyError:
-                raise EvalError(f"no value for variable {e.name}") from None
-        if isinstance(e, Add):
-            return sum(self._eval(t, point, memo) for t in e.terms)
-        if isinstance(e, Mul):
-            out = _float(e.coeff)
-            for b, ex in e.powers:
-                out *= _float_pow(self._eval(b, point, memo), ex)
-            return out
-        if isinstance(e, Pow):
-            return _float_pow(self._eval(e.base, point, memo), e.exponent)
-        if isinstance(e, App):
-            v = self._eval(e.arg, point, memo)
-            if e.fn == "exp":
-                if v > 700.0:
-                    raise EvalError("exp overflow")
-                return math.exp(v)
-            if e.fn == "ln":
-                if v <= 0.0:
-                    raise EvalError("ln of a non-positive value")
-                return math.log(v)
-            if e.fn == "abs":
-                return abs(v)
-            if e.fn == "sign":
-                if v == 0.0:
-                    raise EvalError("sign(0)")
-                return 1.0 if v > 0.0 else -1.0
-            if e.fn == "sin":
-                return math.sin(v)
-            if e.fn == "cos":
-                return math.cos(v)
-            raise EvalError(f"cannot evaluate {e.fn}")
-        if isinstance(e, Func):
-            if self.atom_values:
-                v = self.atom_values.get(e)
-                if v is not None:
-                    return v
-            return self._eval_func(e, point, memo)
-        if isinstance(e, Int):
-            if self.atom_values:
-                v = self.atom_values.get(e)
-                if v is not None:
-                    return v
-            return self._eval_int(e, point)
-        raise EvalError(f"cannot evaluate {type(e).__name__}")
-
-    def _eval_func(self, e: Func, point: Dict[str, float], memo: Dict[Expr, float]) -> float:
+    def _derivative(self, e: Func) -> _Tape:
+        """The tape of e's binding, differentiated as e's didx says."""
         binding = self.bindings.get(e.name)
         if binding is None:
             raise EvalError(f"no binding for function symbol {e.name}")
         key = (e.name, e.didx)
-        deriv = self._deriv_cache.get(key)
-        if deriv is None:
+        tape = self._deriv_cache.get(key)
+        if tape is None:
             deriv = binding
             for argname, count in zip(e.argnames, e.didx):
                 for _ in range(count):
                     deriv = differentiate(deriv, argname)
-            self._deriv_cache[key] = deriv
-        if e.args is None:
-            argvals = []
-            for an in e.argnames:
-                if an not in point:
-                    raise EvalError(f"no value for {an} applying {e.name}")
-                argvals.append(point[an])
-        else:
-            argvals = [self._eval(a, point, memo) for a in e.args]
-        return self._eval(deriv, dict(zip(e.argnames, argvals)), {})
+            tape = self._deriv_cache[key] = _tape(deriv)
+        return tape
 
-    def _eval_int(self, e: Int, point: Dict[str, float]) -> float:
+    def _eval_func(self, e: Func, point: Mapping[str, float]) -> float:
+        """e, a symbol at its own signature variables, through its binding."""
+        tape = self._derivative(e)
+        argvals = []
+        for an in e.argnames:
+            if an not in point:
+                raise EvalError(f"no value for {an} applying {e.name}")
+            argvals.append(point[an])
+        return self._run(tape, dict(zip(e.argnames, argvals)))
+
+    def _eval_int(self, e: Int, point: Mapping[str, float]) -> float:
         if e.var not in point:
             raise EvalError(f"no value for integration variable {e.var}")
         upper = point[e.var]
+        body = _tape(e.body)
 
         def f(s: float) -> float:
             inner = dict(point)
             inner[e.var] = s
-            return self._eval(e.body, inner, {})
+            return self._run(body, inner)
 
         value = _qags_first_step(f, self.base_point, upper, self.quad_tol, self.quad_tol)
         if value is None:
@@ -168,6 +140,206 @@ class Evaluator:
                 limit=_QAGS_LIMIT,
             )
         return value
+
+
+# -- tapes ------------------------------------------------------------------
+
+# an operation: (values so far, point, evaluator) -> its value
+_Op = Callable[[List[Any], Mapping[str, float], Evaluator], Any]
+
+
+class _Tape(NamedTuple):
+    """An expression compiled for evaluation.
+
+    code runs in order, op i appending value i.  keys[i] names what op
+    i computes: a node; a (base, exponent) factor of a product; or
+    ("binding", f), the binding check of an applied symbol f, whose
+    value is the tape of f's binding.  applied lists the applied
+    symbols, which an evaluator's atom_values may turn into leaves.
+    """
+
+    expr: Expr
+    code: Tuple[_Op, ...]
+    keys: Tuple[object, ...]
+    applied: Tuple[Func, ...]
+
+
+_VISIT, _EMIT, _FACTOR = range(3)
+
+
+def _compile(e: Expr, leaves: FrozenSet[Func] = frozenset()) -> _Tape:
+    """The tape of e, the applied symbols in leaves taken from atom_values.
+
+    The order is that of a depth-first walk, children left to right,
+    each distinct subtree (by equality) at its first occurrence: so the
+    first operation that fails is the one a recursive evaluation would
+    fail at.  A product computes each factor's power right after its
+    base, before the next base; an applied symbol checks its binding
+    before its arguments, which, taken from atom_values, it never
+    evaluates.  An Int's body is not on the tape: it runs its own at
+    every quadrature node.
+    """
+    slot: Dict[object, int] = {}
+    code: List[_Op] = []
+    keys: List[object] = []
+    applied: List[Func] = []
+
+    def emit(key: object, op: _Op) -> None:
+        slot[key] = len(code)
+        code.append(op)
+        keys.append(key)
+
+    stack: List[Tuple[int, Any]] = [(_VISIT, e)]
+    while stack:
+        action, n = stack.pop()
+        if action == _FACTOR:
+            if n not in slot:
+                emit(n, _pow_op(slot[n[0]], n[1]))
+        elif action == _EMIT:
+            emit(n, _node_op(n, slot))
+        elif n in slot:
+            continue
+        elif isinstance(n, Func) and n.args is not None:
+            if n in leaves:
+                emit(n, _given_op(n))
+                continue
+            applied.append(n)
+            emit(("binding", n), _binding_op(n))
+            stack.append((_EMIT, n))
+            stack.extend((_VISIT, a) for a in reversed(n.args))
+        elif isinstance(n, Mul):
+            stack.append((_EMIT, n))
+            for b, ex in reversed(n.powers):
+                if ex != 1:
+                    stack.append((_FACTOR, (b, ex)))
+                stack.append((_VISIT, b))
+        elif isinstance(n, (Add, App, Pow)):
+            stack.append((_EMIT, n))
+            stack.extend((_VISIT, c) for c in reversed(n.children()))
+        else:
+            emit(n, _leaf_op(n))
+    return _Tape(e, tuple(code), tuple(keys), tuple(applied))
+
+
+_tape = lru_cache(maxsize=MEMO_SIZE)(_compile)
+
+
+def _leaf_op(n: Expr) -> _Op:
+    if isinstance(n, Rat):
+        value = _float(n.value)
+        return lambda v, p, ev: value
+    if isinstance(n, Var):
+        name = n.name
+
+        def var_op(v: List[Any], p: Mapping[str, float], ev: Evaluator) -> float:
+            try:
+                return p[name]
+            except KeyError:
+                raise EvalError(f"no value for variable {name}") from None
+
+        return var_op
+    if isinstance(n, (Func, Int)):
+        evaluate_atom = Evaluator._eval_func if isinstance(n, Func) else Evaluator._eval_int
+
+        def atom_op(v: List[Any], p: Mapping[str, float], ev: Evaluator) -> float:
+            if ev.atom_values:
+                value = ev.atom_values.get(n)
+                if value is not None:
+                    return value
+            return evaluate_atom(ev, n, p)
+
+        return atom_op
+    return _failing_op(f"cannot evaluate {type(n).__name__}")
+
+
+def _node_op(n: Expr, slot: Dict[object, int]) -> _Op:
+    """The operation of an inner node, its operands already on the tape."""
+    if isinstance(n, Add):
+        terms = itemgetter(*[slot[t] for t in n.terms])
+        # the builtin sum, not a loop of +: from 3.12 on the two round
+        # differently
+        return lambda v, p, ev: sum(terms(v))
+    if isinstance(n, Mul):
+        return _mul_op(
+            _float(n.coeff), [slot[b] if ex == 1 else slot[(b, ex)] for b, ex in n.powers]
+        )
+    if isinstance(n, Pow):
+        return _pow_op(slot[n.base], n.exponent)
+    if isinstance(n, App):
+        return _app_op(n.fn, slot[n.arg])
+    # an applied symbol, after its binding check and its arguments
+    binding = slot[("binding", n)]
+    args = [slot[a] for a in n.args]
+    names = n.argnames
+    return lambda v, p, ev: ev._run(v[binding], dict(zip(names, [v[i] for i in args])))
+
+
+def _mul_op(coeff: float, factors: List[int]) -> _Op:
+    """coeff times the factor values, multiplied in one at a time."""
+
+    def mul_op(v: List[Any], p: Mapping[str, float], ev: Evaluator) -> float:
+        out = coeff
+        for i in factors:
+            out *= v[i]
+        return out
+
+    return mul_op
+
+
+def _pow_op(i: int, exponent: RationalLike) -> _Op:
+    return lambda v, p, ev: _float_pow(v[i], exponent)
+
+
+def _app_op(fn: str, i: int) -> _Op:
+    if fn == "exp":
+
+        def exp_op(v: List[Any], p: Mapping[str, float], ev: Evaluator) -> float:
+            x = v[i]
+            if x > 700.0:
+                raise EvalError("exp overflow")
+            return math.exp(x)
+
+        return exp_op
+    if fn == "ln":
+
+        def ln_op(v: List[Any], p: Mapping[str, float], ev: Evaluator) -> float:
+            x = v[i]
+            if x <= 0.0:
+                raise EvalError("ln of a non-positive value")
+            return math.log(x)
+
+        return ln_op
+    if fn == "abs":
+        return lambda v, p, ev: abs(v[i])
+    if fn == "sign":
+
+        def sign_op(v: List[Any], p: Mapping[str, float], ev: Evaluator) -> float:
+            x = v[i]
+            if x == 0.0:
+                raise EvalError("sign(0)")
+            return 1.0 if x > 0.0 else -1.0
+
+        return sign_op
+    if fn == "sin":
+        return lambda v, p, ev: math.sin(v[i])
+    if fn == "cos":
+        return lambda v, p, ev: math.cos(v[i])
+    return _failing_op(f"cannot evaluate {fn}")
+
+
+def _binding_op(n: Func) -> _Op:
+    return lambda v, p, ev: ev._derivative(n)
+
+
+def _given_op(n: Func) -> _Op:
+    return lambda v, p, ev: ev.atom_values[n]
+
+
+def _failing_op(message: str) -> _Op:
+    def fail(v: List[Any], p: Mapping[str, float], ev: Evaluator) -> float:
+        raise EvalError(message)
+
+    return fail
 
 
 # QUADPACK (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner, 1983),

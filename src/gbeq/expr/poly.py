@@ -424,23 +424,30 @@ class Kernel:
         """ratio of the tree of an expanded polynomial p.
 
         Terms without a negative exponent are their own numerator over
-        their coefficient's denominator; only the others are built as
+        their coefficient's denominator, so p is its own numerator over 1
+        when every coefficient is an int; only the others are built as
         trees and taken apart again.
         """
+        if all(c.__class__ is int for c in p.values()) and not any(
+            map(self._has_denominator, p)
+        ):
+            return p, ONE
         pairs = []
         for m, c in p.items():
-            if any(e < 0 for e in m) or self.pow_denominators and any(
-                e and self.kind[pos] == _POW and self.base[pos].exponent < 0
-                for pos, e in enumerate(m)
-            ):
+            if self._has_denominator(m):
                 pairs.append(self.ratio(self.tree({m: c})))
             elif c.__class__ is Fraction:
                 pairs.append(({m: c.numerator}, rat(c.denominator)))
             else:
                 pairs.append(({m: c}, ONE))
-        if len(pairs) == 1:
-            return pairs[0]
-        return self._common(pairs) if pairs else ({}, ONE)
+        return pairs[0] if len(pairs) == 1 else self._common(pairs)
+
+    def _has_denominator(self, m: Mono) -> bool:
+        """Does m hold a negative exponent, or an opaque Pow with one?"""
+        return any(e < 0 for e in m) or self.pow_denominators and any(
+            e and self.kind[pos] == _POW and self.base[pos].exponent < 0
+            for pos, e in enumerate(m)
+        )
 
     def _ratio(self, e: Expr) -> Tuple[Poly, Expr]:
         if isinstance(e, Rat):

@@ -11,17 +11,20 @@ keeps a memo from flagged node to result, so a subtree that recurs,
 however often, is simplified once; the memo dies with the call.
 
 expand, ratio_normal and normal_form go through the polynomial kernel
-of gbeq.expr.poly and back to a tree.  The kernel holds a polynomial
-as a dict from monomial to coefficient over kernel atoms (Var, Func,
-Int, opaque Pow, App other than exp, radicals of rationals, and sums
-kept whole under a negative or fractional exponent, each with its
-arguments expanded), with all exp factors of a monomial merged into
-one.  A quotient keeps its denominator factored as content-normal
-bases with exponents, and sums of quotients go over the least common
-multiple of those bases; no polynomial gcd is taken.  Each call builds
-its own kernel, whose memo maps every distinct subtree to its
-polynomial and its quotient once and is dropped on return.  Clearing
-denominators this way decides every rational identity exactly.
+of gbeq.expr.poly and back to a tree; normal_form_is_zero reads
+normal_form(e) == 0 off the kernel's numerator, building its tree only
+when simplify may rewrite one of its atoms.  The kernel holds a
+polynomial as a dict from monomial to coefficient over kernel atoms
+(Var, Func, Int, opaque Pow, App other than exp, radicals of
+rationals, and sums kept whole under a negative or fractional
+exponent, each with its arguments expanded), with all exp factors of
+a monomial merged into one.  A quotient keeps its denominator
+factored as content-normal bases with exponents, and sums of
+quotients go over the least common multiple of those bases; no
+polynomial gcd is taken.  Each call builds its own kernel, whose memo
+maps every distinct subtree to its polynomial and its quotient once
+and is dropped on return.  Clearing denominators this way decides
+every rational identity exactly.
 """
 
 from __future__ import annotations
@@ -37,12 +40,13 @@ from .nodes import (
     ONE,
     Pow,
     RationalLike,
+    ZERO,
     app,
     mul,
     pow_,
     rat,
 )
-from .poly import Kernel
+from .poly import Kernel, Poly
 
 
 def simplify(e: Expr, ctx: Optional[Context] = None) -> Expr:
@@ -195,6 +199,28 @@ def normal_form(e: Expr, ctx: Optional[Context] = None) -> Expr:
     The result is zero (the Rat node 0) exactly when e vanishes
     identically on its domain, provided e is rational in its atoms.
     """
+    k, n = _numerator(e, ctx)
+    return simplify(k.tree(n), ctx)
+
+
+def normal_form_is_zero(e: Expr, ctx: Optional[Context] = None) -> bool:
+    """normal_form(e, ctx) == ZERO, without building the normal form.
+
+    The numerator's tree is built and simplified only when one of its
+    kernel atoms is flagged _rewritable; over unflagged atoms simplify
+    hands the tree back as it is, and the tree of a nonempty
+    polynomial is not 0.
+    """
+    k, n = _numerator(e, ctx)
+    if not n:
+        return True
+    if any(a._rewritable for a in k.base) or any(a._rewritable for a in k.exp_node):
+        return simplify(k.tree(n), ctx) == ZERO
+    return False
+
+
+def _numerator(e: Expr, ctx: Optional[Context]) -> Tuple[Kernel, Poly]:
+    """The kernel and the cleared numerator polynomial of simplify(e, ctx)."""
     k = Kernel()
     n, _ = k.expanded_ratio(k.expand(simplify(e, ctx)))
-    return simplify(k.tree(n), ctx)
+    return k, n

@@ -38,11 +38,10 @@ from .expr import (
     NONZERO,
     SYMBOLIC_ZERO,
     Var,
-    ZERO,
     atoms_of,
     format_expr,
     is_zero,
-    normal_form,
+    normal_form_is_zero,
     simplify,
     substitute,
     walk,
@@ -186,7 +185,7 @@ def residual(
     res_expr = simplify(
         substitute(pde, {inst.dependent: candidate}, ctx), ctx
     )
-    if normal_form(res_expr, ctx) == ZERO:
+    if normal_form_is_zero(res_expr, ctx):
         return VerificationReport(
             verdict=SYMBOLIC_ZERO,
             residual_text="0",

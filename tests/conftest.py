@@ -15,17 +15,22 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 from hypothesis import settings
 
-from gbeq.classes import ClassId, EquationInstance
+from gbeq.classes import ClassId, EquationInstance, build_pde, class_context
 from gbeq.expr import (
     Expr,
     ONE,
     ZERO,
+    differentiate,
     div,
     exp,
+    func,
+    integral,
+    ln,
     mul,
     pow_,
     rat,
     simplify,
+    substitute,
     var,
 )
 from gbeq.transforms import (
@@ -332,3 +337,64 @@ def random_tree(rng: random.Random, depth: int = 4) -> Expr:
         return pow_(base, exponent)
     arg = rat(frac(rng, nonzero=True)) * rng.choice((var("t"), var("x")))
     return exp(simplify(arg + rat(frac(rng))))
+
+
+# ---------------------------------------------------------------------------
+# expressions of the verification layer (evaluator and zero-test checks)
+
+
+def residual_expr(inst: EquationInstance, candidate: Expr, ctx) -> Expr:
+    """The residual verify.residual grades: candidate substituted into the PDE."""
+    return simplify(
+        substitute(build_pde(inst, ctx), {inst.dependent: candidate}, ctx), ctx
+    )
+
+
+def integral_identity_member(c: Fraction):
+    """(LINZ_F member, its context): f = c (int g_x dx - g + g(t, 0)) vanishes.
+
+    Only the stand-in sampler sees that, since the integral is opaque.
+    """
+    ctx = class_context(ClassId.LINZ_F)
+    ctx.add_function("g", ("t", "x"))
+    g = ctx.fn("g")
+    g_at0 = func("g", ("t", "x"), (0, 0), (var("t"), rat(0)))
+    identity = integral(differentiate(g, "x", ctx), "x") - g + g_at0
+    return EquationInstance(ClassId.LINZ_F, {"f": rat(c) * identity}), ctx
+
+
+def verification_corpus() -> List[Tuple[str, Expr, object]]:
+    """(label, expression, context) triples the verification layer works on.
+
+    Acceptance 7's 1000 random trees; the residuals of the solution
+    catalog on Burgers' equation, of non-solutions u + t^k and of
+    (1 + x + t)^k, each with its normal form; the heat catalog and the
+    Hopf-Cole solutions of it; and integral-identity members' residuals.
+    """
+    from gbeq.expr import normal_form
+    from gbeq.hopfcole import burgers_catalog, heat_catalog
+    from gbeq.symmetry import solution_catalog
+
+    out: List[Tuple[str, Expr, object]] = []
+    tx = class_context(ClassId.BURGERS)
+    rng = random.Random(2026)
+    out += [("tree", random_tree(rng), tx) for _ in range(1000)]
+    burgers = EquationInstance(ClassId.BURGERS, {})
+    t, x = var("t"), var("x")
+    candidates = list(solution_catalog())
+    candidates += [u + t for u in solution_catalog()]
+    candidates += [u + rat(1, 2) * pow_(t, 2) for u in solution_catalog()]
+    candidates += [pow_(ONE + x + t, k) for k in (2, 6)]
+    candidates.append(exp(ln(rat(2)) - ln(x + rat(1))))
+    for u in candidates:
+        r = residual_expr(burgers, u, tx)
+        out += [("residual", r, tx), ("normal form", normal_form(r, tx), tx)]
+    lin = class_context(ClassId.LINEAR)
+    out += [("heat", v, lin) for v in heat_catalog()]
+    out += [("hopf-cole", u, lin) for _, u in burgers_catalog()]
+    for c in (Fraction(1), Fraction(-3, 2)):
+        inst, ctx = integral_identity_member(c)
+        for u in solution_catalog()[:3]:
+            r = residual_expr(inst, u, ctx)
+            out += [("member", r, ctx), ("member normal form", normal_form(r, ctx), ctx)]
+    return out

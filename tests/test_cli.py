@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -515,14 +516,21 @@ def test_deg_div_solve_writes_grid(corpus, tmp_path):
     assert len(lines) == 202
 
 
-def test_deg_div_solve_pole_is_math_failure(corpus, tmp_path):
+def test_deg_div_solve_pole_is_math_failure(corpus, tmp_path, capsys):
     rep_path = tmp_path / "rep.json"
-    code = main([
-        "deg-div-solve", "--f1", "0", "--f2", "0",
-        "--constants", "0,-0.4,1,0,0", "--out", str(rep_path),
-    ])
-    assert code == EXIT_MATH
-    assert json.loads(rep_path.read_text())["verdict"] == "REJECTED_PRECONDITION"
+    for extra, says in (
+        (["--f2", "0", "--constants", "0,-0.4,1,0,0"], "the T branch has a pole here"),
+        # exp(-2 int f2) = exp(1000 (t - 0.1)) leaves the float range
+        (["--f2", "-500"], "exp(-2 int f2) overflows on the span [0.1, 1.0]"),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["deg-div-solve", "--f1", "0", *extra, "--out", str(rep_path)])
+        assert code == EXIT_MATH, extra
+        assert json.loads(rep_path.read_text())["verdict"] == "REJECTED_PRECONDITION"
+        err = capsys.readouterr().err
+        assert err.startswith("deg-div-solve: REJECTED_PRECONDITION (") and says in err, err
+        assert err.count("\n") == 1, err
 
 
 def test_deg_div_solve_bad_parameters(corpus, capsys):

@@ -2,6 +2,7 @@
 
 import random
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +79,18 @@ def test_pole_inside_span_is_rejected():
     )
     with pytest.raises(DegDivError, match="vanishes inside"):
         solve_deg_div(sol)
+
+
+def test_overflowing_weight_is_rejected():
+    # exp(-2 int f2) = exp(1000 (t - 0.1)) leaves the float range; numpy
+    # must not warn on the way
+    sol = DegDivSolution(f1=rat(0), f2=rat(-500))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            DegDivError, match=re.escape("exp(-2 int f2) overflows on the span [0.1, 1.0]")
+        ):
+            solve_deg_div(sol)
 
 
 def test_solution_validation():

@@ -1,9 +1,11 @@
-"""Per-call memos of simplify, differentiate, substitute and Evaluator.
+"""Per-call memos of simplify, differentiate and substitute, and Evaluator's tapes.
 
-Each pass keeps a memo from node to result for one call (for Evaluator,
-for one evaluation point), so a subtree that recurs is worked on once.
-simplify works only on subtrees it may rewrite and passes the rest
-through.  The per-node workers are wrapped to count their visits.
+Each pass keeps a memo from node to result for one call, so a subtree
+that recurs is worked on once; Evaluator runs a tape with one operation
+per distinct subtree once per evaluation point.  simplify works only on
+subtrees it may rewrite and passes the rest through.  The per-node
+workers, and the operations of each tape, are wrapped to count their
+visits.
 """
 
 import importlib
@@ -28,7 +30,7 @@ from gbeq.expr import (
     var,
     walk,
 )
-from gbeq.expr import calculus, numeric
+from gbeq.expr import Expr, calculus, numeric
 
 # the package exports the function simplify under the module's name
 simplify_module = importlib.import_module("gbeq.expr.simplify")
@@ -67,15 +69,18 @@ def cf_value(depth, xv):
 
 @pytest.fixture
 def visits(monkeypatch):
-    """Counts, per node, the calls of each pass's per-node worker."""
+    """Counts, per node, the calls of each pass's per-node worker.
+
+    For Evaluator, the runs of each tape operation, by what it computes:
+    a node, or a (base, exponent) factor of a product.
+    """
     counts = Counter()
 
     def counting(module, name):
         worker = getattr(module, name)
 
         def counted(*args):
-            node = args[1] if module is numeric.Evaluator else args[0]
-            counts[node] += 1
+            counts[args[0]] += 1
             return worker(*args)
 
         monkeypatch.setattr(module, name, counted)
@@ -83,7 +88,21 @@ def visits(monkeypatch):
     counting(simplify_module, "_simplify_node")
     counting(calculus, "_diff_node")
     counting(calculus, "_subst_node")
-    counting(numeric.Evaluator, "_eval_node")
+
+    def counted_op(key, op):
+        def run(*args):
+            counts[key] += 1
+            return op(*args)
+
+        return run
+
+    def counting_tape(*args, _tape=numeric._tape):
+        tape = _tape(*args)
+        return tape._replace(
+            code=tuple(counted_op(k, op) for k, op in zip(tape.keys, tape.code))
+        )
+
+    monkeypatch.setattr(numeric, "_tape", counting_tape)
     return counts
 
 
@@ -119,7 +138,8 @@ def test_each_distinct_subtree_is_visited_once(visits, e, inputs, run):
         }
         assert set(visits) == {n for n in walk(e) if n._rewritable}
     else:
-        assert set(visits) == set(walk(e))
+        # the tape also multiplies in each factor's power on its own
+        assert {n for n in visits if isinstance(n, Expr)} == set(walk(e))
     assert max(visits.values()) == 1
 
 

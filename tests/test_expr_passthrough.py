@@ -2,12 +2,14 @@
 
 A node is marked _rewritable when its subtree holds an abs, a sign or
 an opaque Pow, the only nodes simplify rewrites (nodes._rewritten_here).
-simplify returns an unmarked subtree as it is.
+simplify returns an unmarked subtree as it is, and normal_form_is_zero
+builds and simplifies a nonempty numerator only over marked atoms.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from gbeq.expr import (
@@ -18,6 +20,7 @@ from gbeq.expr import (
     Int,
     Mul,
     Pow,
+    ZERO,
     add,
     app,
     differentiate,
@@ -25,6 +28,8 @@ from gbeq.expr import (
     integral,
     mul,
     normal_form,
+    normal_form_is_zero,
+    parse,
     pow_,
     rat,
     simplify,
@@ -33,9 +38,9 @@ from gbeq.expr import (
     walk,
 )
 from gbeq.expr.nodes import _rewritten_here
-from gbeq.expr.simplify import _pair_sign_factors, _simplify_app, _simplify_pow
+from gbeq.expr.simplify import _numerator, _pair_sign_factors, _simplify_app, _simplify_pow
 
-from conftest import random_tree
+from conftest import random_tree, verification_corpus
 
 t = var("t")
 x = var("x")
@@ -152,3 +157,43 @@ def test_leaves_and_unapplied_symbols_are_unflagged():
     assert app("sign", x + 1)._rewritable
     assert app("exp", app("abs", x))._rewritable
     assert not app("exp", x)._rewritable
+
+
+def assert_zero_test_agrees(e, ctx):
+    """normal_form_is_zero is normal_form == 0; returns the verdict."""
+    verdict = normal_form_is_zero(e, ctx)
+    assert verdict == (normal_form(e, ctx) == ZERO), e
+    return verdict
+
+
+def test_zero_test_agrees_with_the_normal_form_on_the_corpus():
+    verdicts = [assert_zero_test_agrees(e, ctx) for _, e, ctx in verification_corpus()]
+    assert True in verdicts and False in verdicts
+
+
+@given(st.integers(0, 10 ** 6))
+def test_zero_test_agrees_with_the_normal_form_on_flagged_trees(seed):
+    e = flagged_tree(random.Random(seed))
+    for d in (e, e - simplify(e, POS), e - full_rebuild(e, NEG)):
+        for ctx in (None, PLAIN, POS, NEG):
+            assert_zero_test_agrees(d, ctx)
+
+
+@pytest.mark.parametrize(
+    "text, ctx, zero, cleared",
+    [
+        ("abs(x) - x", PLAIN, False, False),
+        ("abs(x) - x", POS, True, True),
+        ("abs(x) + x", NEG, True, True),
+        # only simplify, after expansion, pairs sign(x)*x into abs(x)
+        ("sign(x)*(x + 1) - abs(x) - sign(x)", PLAIN, True, False),
+        ("sign(x)*(x + 1) - abs(x) - sign(x)", NEG, True, True),
+        ("(x^2)^(1/2)*(1 + t) - t*(x^2)^(1/2) - x", POS, True, True),
+        ("(x^2)^(1/2)*(1 + t) - t*(x^2)^(1/2) - x", PLAIN, False, False),
+    ],
+)
+def test_zero_test_simplifies_a_numerator_over_flagged_atoms(text, ctx, zero, cleared):
+    e = parse(text, ctx)
+    assert assert_zero_test_agrees(e, ctx) == zero
+    _, n = _numerator(e, ctx)
+    assert (not n) == cleared

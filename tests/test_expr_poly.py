@@ -3,6 +3,7 @@ exactness, the folds it must keep, exact big exponents, per-call memos."""
 
 import random
 import time
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -17,12 +18,15 @@ from gbeq.expr import (
     format_expr,
     normal_form,
     parse,
+    rat,
     ratio_normal,
+    simplify,
     var,
 )
+from gbeq.expr.nodes import ONE
 from gbeq.expr.poly import Kernel
 
-from conftest import random_tree
+from conftest import random_tree, verification_corpus
 
 CTX = Context()
 CTX.add_var("t")
@@ -118,3 +122,32 @@ def test_memos_live_for_one_call():
     k1.expand(a)
     assert k1.slot and not k2.slot and not k2.expanded
     assert k2.tree(k2.expand(b)) == expand(b)
+
+
+def common_route(k, p):
+    """expanded_ratio without its shortcut: each term over its own
+    denominator, two or more terms summed by _common."""
+    pairs = []
+    for m, c in p.items():
+        if k._has_denominator(m):
+            pairs.append(k.ratio(k.tree({m: c})))
+        elif isinstance(c, Fraction):
+            pairs.append(({m: c.numerator}, rat(c.denominator)))
+        else:
+            pairs.append(({m: c}, ONE))
+    return pairs[0] if len(pairs) == 1 else k._common(pairs)
+
+
+def test_an_integral_numerator_is_its_own_ratio():
+    # expanded_ratio hands back a polynomial with int coefficients and no
+    # denominator as it is, and summing it over 1 gives the same dict
+    shortcuts = 0
+    for _, e, ctx in verification_corpus():
+        k = Kernel()
+        p = k.expand(simplify(e, ctx))
+        if not p:
+            continue
+        n, d = k.expanded_ratio(p)
+        shortcuts += n is p
+        assert (n, d) == common_route(k, p)
+    assert shortcuts > 500

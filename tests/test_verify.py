@@ -147,20 +147,25 @@ def test_worst_verdict_ranks_evidence():
 
 
 def test_residual_normalizes_once(monkeypatch):
-    # opaque symbols (exp, ln) send the residual to the sampler; its
-    # normal form, already known not to be 0, is not computed again
+    # opaque symbols (exp, ln) send the residual to the sampler; once
+    # the zero test has found it nonzero, no normal form is computed
     import gbeq.expr.zero as zero_module
     import gbeq.verify as verify_module
 
     calls = []
 
-    def counting(e, ctx=None, _real=verify_module.normal_form):
-        calls.append(e)
-        return _real(e, ctx)
+    def counting(real):
+        def counted(e, ctx=None):
+            calls.append(real.__name__)
+            return real(e, ctx)
 
-    monkeypatch.setattr(verify_module, "normal_form", counting)
-    monkeypatch.setattr(zero_module, "normal_form", counting)
+        return counted
+
+    monkeypatch.setattr(
+        verify_module, "normal_form_is_zero", counting(verify_module.normal_form_is_zero)
+    )
+    monkeypatch.setattr(zero_module, "normal_form", counting(zero_module.normal_form))
     rep = residual(BURGERS, parse("exp(ln(2) - ln(x))", BCTX))
-    assert len(calls) == 1
+    assert calls == ["normal_form_is_zero"]
     assert rep.verdict == "NUMERIC_ZERO"
     assert "opaque symbols present" in rep.summary
