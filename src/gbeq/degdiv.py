@@ -19,6 +19,12 @@ This module realises those quadratures with Chebyshev series on a
 finite t-interval and reports ODE residuals through plain central
 finite differences, so the check does not reuse the spectral
 derivatives that built the solution.
+
+f1 and f2 are sampled on the quadrature grid, which finds a point
+where either is undefined only when it is a grid node.  A coefficient
+rational in t is also checked exactly: the real zeros of each base of
+its factored denominator are counted on the span with a Sturm
+sequence over Fractions, so a pole between nodes is found too.
 """
 
 from __future__ import annotations
@@ -28,13 +34,26 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as C
 from numpy.polynomial import polyutils as pu
 
-from .expr import EvalError, Expr, Evaluator, as_expr, contains_var, format_expr
+from .expr import (
+    Add,
+    EvalError,
+    Expr,
+    Evaluator,
+    Mul,
+    Rat,
+    Var,
+    as_expr,
+    contains_var,
+    format_expr,
+    ratio_normal,
+    walk,
+)
 from .report import VerificationReport
 
 __all__ = [
@@ -98,6 +117,107 @@ def _eval_coefficient(name: str, e: Expr, ts: np.ndarray) -> np.ndarray:
                 f"{name} = {format_expr(e)} is not finite at t = {float(tv)!r}"
             )
     return out
+
+
+def _check_poles(name: str, e: Expr, t_lo: float, t_hi: float) -> None:
+    """Raise EvalError when e, rational in t, has a pole on [t_lo, t_hi].
+
+    Each base of ratio_normal(e)'s factored denominator is a polynomial
+    in t, and its real zeros on the span are counted exactly.  A
+    coefficient with any node other than a rational, t, a sum or a
+    product with integer exponents is left to the grid.
+    """
+    for n in walk(e):
+        if not (
+            isinstance(n, (Rat, Add))
+            or isinstance(n, Var) and n.name == "t"
+            or isinstance(n, Mul) and all(k.__class__ is int for _, k in n.powers)
+        ):
+            return
+    _, den = ratio_normal(e)
+    if isinstance(den, Mul):
+        bases = [b for b, _ in den.powers]
+    else:
+        bases = [] if isinstance(den, Rat) else [den]
+    for base in bases:
+        zero = _zero_on(_t_coefficients(base), Fraction(t_lo), Fraction(t_hi))
+        if zero is not None:
+            raise EvalError(
+                f"{name} = {format_expr(e)} is undefined at t = {float(zero)!r}: "
+                f"its denominator factor {format_expr(base)} vanishes there"
+            )
+
+
+def _t_coefficients(p: Expr) -> List[Fraction]:
+    """Coefficients, constant term first, of an expanded polynomial in t."""
+    out: List[Fraction] = []
+    for term in p.terms if isinstance(p, Add) else (p,):
+        if isinstance(term, Rat):
+            c, k = term.value, 0
+        elif isinstance(term, Var):
+            c, k = 1, 1
+        else:
+            (_, k), = term.powers
+            c = term.coeff
+        out.extend([Fraction(0)] * (k + 1 - len(out)))
+        out[k] += c
+    return out
+
+
+def _value(p: List[Fraction], tv: Fraction) -> Fraction:
+    v = Fraction(0)
+    for c in reversed(p):
+        v = v * tv + c
+    return v
+
+
+def _remainder(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
+    a = list(a)
+    while len(a) >= len(b):
+        q = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= q * c
+        a.pop()
+        while a and not a[-1]:
+            a.pop()
+    return a
+
+
+def _zero_on(p: List[Fraction], lo: Fraction, hi: Fraction) -> Optional[Fraction]:
+    """A real zero of p in [lo, hi], to within 2^-64 of the span, or None.
+
+    The number of distinct zeros in (a, b), for a and b not zeros
+    themselves, is the drop in sign changes along the Sturm sequence
+    of p from a to b; bisection keeps a half that holds one.
+    """
+    if len(p) < 2:
+        return None
+    seq = [p, [c * i for i, c in enumerate(p)][1:]]
+    while True:
+        r = _remainder(seq[-2], seq[-1])
+        if not r:
+            break
+        seq.append([-c for c in r])
+
+    def changes(tv: Fraction) -> int:
+        signs = [v > 0 for v in (_value(q, tv) for q in seq) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    for end in (lo, hi):
+        if not _value(p, end):
+            return end
+    if changes(lo) == changes(hi):
+        return None
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        if not _value(p, mid):
+            return mid
+        if changes(lo) > changes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
 
 
 @lru_cache(maxsize=4)
@@ -260,7 +380,8 @@ def solve_deg_div(
     constants parametrise solutions relative to t_span[0].  Raises
     DegDivError when the T branch has a pole inside the interval or a
     sampled quantity overflows the float range, and EvalError when f1
-    or f2 is undefined on the grid.
+    or f2 is undefined on the grid or, rational in t, has a pole on
+    the span.
     """
     C0, C1, C2, C3, C4 = sol.constants
     t_lo, t_hi = float(t_span[0]), float(t_span[1])
@@ -270,6 +391,8 @@ def solve_deg_div(
     ts = np.linspace(t_lo, t_hi, 4 * degree + 1)
     f1_vals = _eval_coefficient("f1", sol.f1, ts)
     f2_vals = _eval_coefficient("f2", sol.f2, ts)
+    _check_poles("f1", sol.f1, t_lo, t_hi)
+    _check_poles("f2", sol.f2, t_lo, t_hi)
     span = f"[{t_lo}, {t_hi}]"
 
     def finite(what: str, values: np.ndarray) -> np.ndarray:

@@ -11,8 +11,17 @@ keeps a memo from flagged node to result, so a subtree that recurs,
 however often, is simplified once; the memo dies with the call.
 
 expand, ratio_normal and normal_form go through the polynomial kernel
-of gbeq.expr.poly and back to a tree; normal_form_is_zero reads
-normal_form(e) == 0 off the kernel's numerator, building its tree only
+of gbeq.expr.poly and back to a tree.  normal_form_is_zero answers
+normal_form(e) == 0 in two steps.  An exact modular witness comes
+first: over +, * and integer powers of rationals, variables and
+unapplied function symbols, e is evaluated modulo the prime 2^61 - 1
+at a point drawn from a fixed seed, each atom getting a residue in the
+order a preorder walk first meets it, so the point does not depend on
+PYTHONHASHSEED.  Where every denominator is a unit there, a nonzero
+value proves e is not the zero rational function, so the kernel's
+numerator is not empty and the answer is no, with nothing expanded.
+Otherwise (a zero value, a zero denominator, or any other node) the
+answer is read off the kernel's numerator, whose tree is built only
 when simplify may rewrite one of its atoms.  The kernel holds a
 polynomial as a dict from monomial to coefficient over kernel atoms
 (Var, Func, Int, opaque Pow, App other than exp, radicals of
@@ -29,17 +38,22 @@ every rational identity exactly.
 
 from __future__ import annotations
 
+import random
 from typing import Dict, List, Optional, Tuple
 
 from .context import Context
 from .nodes import (
+    Add,
     App,
     Expr,
+    Func,
     MINUS_ONE,
     Mul,
     ONE,
     Pow,
+    Rat,
     RationalLike,
+    Var,
     ZERO,
     app,
     mul,
@@ -206,17 +220,87 @@ def normal_form(e: Expr, ctx: Optional[Context] = None) -> Expr:
 def normal_form_is_zero(e: Expr, ctx: Optional[Context] = None) -> bool:
     """normal_form(e, ctx) == ZERO, without building the normal form.
 
-    The numerator's tree is built and simplified only when one of its
-    kernel atoms is flagged _rewritable; over unflagged atoms simplify
-    hands the tree back as it is, and the tree of a nonempty
-    polynomial is not 0.
+    When the modular witness proves e nonzero the answer is False and
+    no kernel is built.  Otherwise the numerator's tree is built and
+    simplified only when one of its kernel atoms is flagged
+    _rewritable; over unflagged atoms simplify hands the tree back as
+    it is, and the tree of a nonempty polynomial is not 0.
     """
+    if _witness(e):
+        return False
     k, n = _numerator(e, ctx)
     if not n:
         return True
     if any(a._rewritable for a in k.base) or any(a._rewritable for a in k.exp_node):
         return simplify(k.tree(n), ctx) == ZERO
     return False
+
+
+# the witness's modulus, the Mersenne prime 2^61 - 1, and the seed of its point
+_P = (1 << 61) - 1
+_WITNESS_SEED = 1979
+
+
+def _residue(q: RationalLike) -> Optional[int]:
+    """q modulo _P, or None when its denominator is not a unit."""
+    if q.__class__ is int:
+        return q % _P
+    d = q.denominator % _P
+    return q.numerator * pow(d, -1, _P) % _P if d else None
+
+
+def _witness(e: Expr) -> Optional[int]:
+    """e modulo _P at the seeded point, or None when that proves nothing.
+
+    Only Rat, Var, unapplied Func, Add and Mul with integer exponents
+    are evaluated; any other node, a fractional exponent, a rational
+    whose denominator vanishes modulo _P or a zero base under a
+    negative exponent gives None.  On that fragment evaluation modulo
+    _P is a ring map from the rational functions defined at the point,
+    so a nonzero value shows e is not the zero rational function, and
+    the kernel, which decides rational identities exactly, would find
+    a nonempty numerator.  None of these nodes is flagged _rewritable,
+    so simplify would hand e back as it is.
+    """
+    draw = random.Random(_WITNESS_SEED).randrange
+    value: Dict[Expr, int] = {}
+    stack = [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        if node in value:
+            continue
+        cls = node.__class__
+        if cls is Add:
+            if not ready:
+                stack.append((node, True))
+                stack.extend((t, False) for t in reversed(node.terms))
+                continue
+            v = sum([value[t] for t in node.terms]) % _P
+        elif cls is Mul:
+            if not ready:
+                if any(k.__class__ is not int for _, k in node.powers):
+                    return None
+                stack.append((node, True))
+                stack.extend((b, False) for b, _ in reversed(node.powers))
+                continue
+            v = _residue(node.coeff)
+            if v is None:
+                return None
+            for b, k in node.powers:
+                bv = value[b]
+                if k < 0 and not bv:
+                    return None
+                v = v * pow(bv, k, _P) % _P
+        elif cls is Rat:
+            v = _residue(node.value)
+            if v is None:
+                return None
+        elif cls is Var or (cls is Func and node.args is None):
+            v = draw(1, _P)
+        else:
+            return None
+        value[node] = v
+    return value[e]
 
 
 def _numerator(e: Expr, ctx: Optional[Context]) -> Tuple[Kernel, Poly]:

@@ -14,7 +14,11 @@ before anything else runs.
 
 Sampling is governed by a SampleDomain: per-variable interval unions,
 named exclusion predicates (poles of a solution, say), a sample
-count, and a seed.  Function-free residuals are sampled on the domain
+count, and a seed.  residual first asks normal_form_is_zero whether
+the residual is 0; for a rational residual the modular witness there
+usually shows it is not without expanding anything, and the verdict
+still comes from the samples, so a witnessed residual grades exactly
+as before.  Function-free residuals are sampled on the domain
 through the sampling loop of is_zero (gbeq.expr.zero.sample_zero);
 residuals with opaque symbols go through the numeric stage of is_zero
 (sampled_verdict), since the residual's normal form is already known

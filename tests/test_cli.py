@@ -550,6 +550,9 @@ def test_deg_div_solve_bad_parameters(corpus, capsys):
         (["--f1", "0", "--f2", "1/t", "--t-span=-1,1"], "f2 = 1/t is undefined"),
         (["--f1", "0", "--f2", "exp(1000*t)"], "f2 = exp(1000*t) is undefined"),
         (["--f1", "1/(t-11/20)", "--f2", "0"], "f1 = 1/(-11/20 + t) is undefined"),
+        # poles between grid nodes, found from the exact denominator
+        (["--f1", "1/(t-1/2)", "--f2", "0"], "f1 = 1/(-1/2 + t) is undefined at t = 0.5: "),
+        (["--f1", "1/(t-1/2)^2", "--f2", "0"], "f1 = 1/(-1/2 + t)^2 is undefined at t = 0.5: "),
     ):
         assert main(["deg-div-solve", *extra]) == EXIT_INPUT, extra
         err = capsys.readouterr().err

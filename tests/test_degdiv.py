@@ -81,6 +81,50 @@ def test_pole_inside_span_is_rejected():
         solve_deg_div(sol)
 
 
+@pytest.mark.parametrize(
+    "f1, where",
+    [
+        # a grid node of the default span and degree
+        ("1/(t-11/20)", "t = 0.55: division by zero"),
+        # between two grid nodes: only the exact count finds these
+        ("1/(t-1/2)", "t = 0.5: its denominator factor -1 + 2*t vanishes there"),
+        ("1/(t-1/2)^2", "t = 0.5: its denominator factor -1 + 2*t vanishes there"),
+        ("1/(t^2-t+1/4)", "t = 0.5: "),
+        ("t/(2*t^2-1)", "t = 0.7071067811865476: "),
+    ],
+)
+def test_pole_of_a_coefficient_on_the_span_is_an_eval_error(f1, where):
+    sol = DegDivSolution(f1=parse(f1, tctx()), f2=rat(0))
+    with pytest.raises(EvalError, match=re.escape(" is undefined at " + where)):
+        solve_deg_div(sol)
+    with pytest.raises(EvalError, match="^f2 = .* is undefined at " + re.escape(where)):
+        solve_deg_div(DegDivSolution(f1=rat(0), f2=parse(f1, tctx())))
+
+
+@pytest.mark.parametrize("f1", ["1/(t^2+1)", "t/(t-3)", "1/(t+1/2)", "1/t"])
+def test_rational_coefficient_without_a_pole_on_the_span_is_solved(f1):
+    sol = DegDivSolution(f1=parse(f1, tctx()), f2=rat(0), constants=(0.0, 1.0, -0.5, 0.0, 0.0))
+    assert solve_deg_div(sol).report().ok
+
+
+def test_pole_at_the_end_of_the_span_counts():
+    sol = DegDivSolution(f1=parse("1/(t-1/2)", tctx()), f2=rat(0))
+    for span in ((0.5, 1.0), (0.1, 0.5)):
+        with pytest.raises(EvalError, match="is undefined at t = 0.5: "):
+            solve_deg_div(sol, t_span=span)
+    solve_deg_div(sol, t_span=(0.5000001, 1.0))
+
+
+def test_exact_zero_count():
+    # (t - 1/2)^2 (t^2 - 2): a double zero and two irrational ones
+    p = [Fraction(c) for c in (-Fraction(1, 2), 2, Fraction(-7, 4), -1, 1)]
+    assert degdiv._zero_on(p, Fraction(0), Fraction(1)) == Fraction(1, 2)
+    assert degdiv._zero_on(p, Fraction(3, 5), Fraction(1)) is None
+    assert float(degdiv._zero_on(p, Fraction(1), Fraction(2))) == pytest.approx(2 ** 0.5)
+    assert degdiv._zero_on(p, Fraction(-3, 2), Fraction(-1, 2)) is not None
+    assert degdiv._zero_on([Fraction(1)], Fraction(0), Fraction(1)) is None
+
+
 def test_overflowing_weight_is_rejected():
     # exp(-2 int f2) = exp(1000 (t - 0.1)) leaves the float range; numpy
     # must not warn on the way

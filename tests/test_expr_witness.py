@@ -1,0 +1,195 @@
+"""The exact modular witness at the top of normal_form_is_zero.
+
+It evaluates an expression modulo 2^61 - 1 at a seeded point and may
+only answer "nonzero" where the kernel's numerator is not empty; it
+gives up on every node outside +, *, integer powers, rationals,
+variables and unapplied function symbols, and each such input keeps
+today's verdict.  Run under two hash seeds, these tests also show the
+point does not depend on PYTHONHASHSEED.
+"""
+
+import importlib
+import random
+import time
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from gbeq.classes import ClassId, EquationInstance
+from gbeq.expr import (
+    ZERO,
+    app,
+    exp,
+    expand,
+    func,
+    integral,
+    mul,
+    normal_form,
+    normal_form_is_zero,
+    parse,
+    pow_,
+    rat,
+    ratio_normal,
+    substitute,
+    var,
+    walk,
+)
+
+from conftest import frac, random_tree, residual_expr
+
+simplify_module = importlib.import_module("gbeq.expr.simplify")
+witness = simplify_module._witness
+
+t, x = var("t"), var("x")
+G = func("g", ("t", "x"))
+ATOMS = (t, x, G, func("g", ("t", "x"), (0, 1)), func("h", ("t",)))
+BURGERS = EquationInstance(ClassId.BURGERS, {})
+CTX = BURGERS.context()
+CTX.add_function("g", ("t", "x"))
+CTX.add_function("h", ("t",))
+POS = BURGERS.context()
+POS.assume_positive(x)
+
+
+def rational_tree(rng, depth=4):
+    """A tree of +, * and integer powers over t, x, g, g_x, h and rationals."""
+    if depth <= 0 or rng.random() < 0.25:
+        if rng.random() < 0.7:
+            return rng.choice(ATOMS)
+        return rat(frac(rng))
+    op = rng.random()
+    if op < 0.4:
+        return rational_tree(rng, depth - 1) + rational_tree(rng, depth - 1)
+    if op < 0.7:
+        return rational_tree(rng, depth - 1) * rational_tree(rng, depth - 1)
+    base = rational_tree(rng, depth - 1)
+    exponent = rng.choice((2, 3, -1, -2))
+    if exponent < 0 and normal_form(base) == ZERO:
+        base = base + 1
+    return pow_(base, exponent)
+
+
+def trees(seed):
+    rng = random.Random(seed)
+    return [rational_tree(rng), random_tree(rng)]
+
+
+@given(st.integers(0, 10 ** 6))
+def test_a_witness_is_never_wrong(seed):
+    for e in trees(seed):
+        if witness(e):
+            assert normal_form(e) != ZERO, e
+            assert not normal_form_is_zero(e)
+
+
+def test_the_witness_fires_on_most_rational_trees():
+    rng = random.Random(15)
+    draws = [rational_tree(rng) for _ in range(300)]
+    fired = [bool(witness(e)) for e in draws]
+    assert sum(fired) > 200
+    for e, hit in zip(draws, fired):
+        assert hit == (normal_form(e) != ZERO), e
+
+
+@given(st.integers(0, 10 ** 6))
+def test_no_witness_on_a_tree_minus_its_expansion(seed):
+    for e in trees(seed):
+        assert not witness(e - expand(e)), e
+
+
+@given(st.integers(0, 10 ** 6))
+def test_no_witness_on_a_tree_minus_its_quotient(seed):
+    for e in trees(seed):
+        num, den = ratio_normal(e)
+        assert not witness(e - num / den), e
+
+
+def give_up_cases():
+    root = pow_(rat(-2), Fraction(1, 2))
+    g = lambda a: func("g", ("t", "x"), None, (t, a))  # noqa: E731
+    return [
+        # (expression, context, normal_form(e, ctx) == 0); the first
+        # folds to 0 as it is built
+        (exp(x) * exp(-x) - 1, CTX, True),
+        (exp(x) - 1, CTX, False),
+        (pow_(root * x + 1, 2) + 2 * x * x - 2 * root * x - 1, CTX, True),
+        (mul(x, root) + x, CTX, False),
+        (parse("(x^(1/2) + 1)^2 - x - 2*x^(1/2) - 1", CTX), CTX, True),
+        (parse("x^(1/2) + x", CTX), CTX, False),
+        (g(pow_(x + 1, 2)) - g(x * x + 2 * x + 1), CTX, True),
+        (g(pow_(x + 1, 2)) - g(x * x + 2 * x), CTX, False),
+        (integral(G * pow_(x + 1, 2), "x") - integral(G * (x * x + 2 * x + 1), "x"), CTX, True),
+        (integral(G * pow_(x + 1, 2), "x") - x, CTX, False),
+        (app("abs", x) - x, POS, True),
+        (app("sign", x) * x - app("abs", x), POS, True),
+        (app("abs", x) + x, POS, False),
+        (parse("(x^2)^(1/2) - x", POS), POS, True),
+        (parse("(x^2)^(1/2) + x", POS), POS, False),
+    ]
+
+
+@pytest.mark.parametrize("e, ctx, zero", give_up_cases())
+def test_no_witness_outside_the_fragment(e, ctx, zero):
+    if e == ZERO:
+        assert witness(e) == 0
+    else:
+        assert witness(e) is None, e
+    assert normal_form_is_zero(e, ctx) == zero == (normal_form(e, ctx) == ZERO)
+
+
+@given(st.integers(0, 10 ** 6))
+def test_no_witness_on_a_tree_simplify_may_rewrite(seed):
+    rng = random.Random(seed)
+    bottom = rng.choice((app("abs", x), app("sign", x) * x, pow_(x * x, Fraction(1, 2))))
+    e = substitute(rational_tree(rng), {"x": bottom})
+    if e._rewritable:
+        assert witness(e) is None, e
+
+
+def test_denominators_must_be_units_at_the_point():
+    p = (1 << 61) - 1
+    assert witness(rat(Fraction(1, p)) * x + 1) is None
+    assert witness(rat(Fraction(1, p)) + x) is None
+    assert witness(rat(Fraction(1, p + 1)) * x + 1)
+    # over x alone, x - r is 0 at the point when r is x's residue there
+    r = witness(x)
+    assert witness(x - r) == 0
+    assert witness(1 / (x - r) + x * x) is None
+    assert witness(1 / (x - r + 1) + x * x)
+    assert not normal_form_is_zero(1 / (x - r) + x * x, CTX)
+
+
+def test_the_point_does_not_depend_on_the_hash_seed():
+    # atoms draw their residues in the order a preorder walk first
+    # meets them; these values are the same under every PYTHONHASHSEED
+    e = parse("g*x + t*x/(3 + g_x) - h^2/7", CTX)
+    assert witness(e) == 404232290462324515
+    assert witness(parse("x + 2*t", CTX)) == 483778785931783241
+
+
+def test_atoms_take_residues_in_preorder(monkeypatch):
+    drawn = iter(range(1, 100))
+    monkeypatch.setattr(random.Random, "randrange", lambda self, a, b: next(drawn))
+    e = parse("g*x + t*x/(3 + g_x) - h^2/7", CTX)
+    order = []
+    for n in walk(e):
+        if n in ATOMS and n not in order:
+            order.append(n)
+    value = {a: i + 1 for i, a in enumerate(order)}
+    want = (
+        Fraction(value[G] * value[x])
+        + Fraction(value[t] * value[x], 3 + value[ATOMS[3]])
+        - Fraction(value[ATOMS[4]] ** 2, 7)
+    )
+    p = (1 << 61) - 1
+    assert witness(e) == want.numerator * pow(want.denominator, -1, p) % p
+
+
+def test_a_huge_power_is_proved_nonzero_at_once():
+    r = residual_expr(BURGERS, pow_(x, 99999999), CTX)
+    start = time.perf_counter()
+    assert witness(r)
+    assert not normal_form_is_zero(r, CTX)
+    assert time.perf_counter() - start < 1.0
+

@@ -1,5 +1,6 @@
 """Residual grading and solution transport across a transform."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from gbeq.classes import ClassId, EquationInstance, class_context
 from gbeq.expr import ZERO, format_expr, parse, rat, var
+from gbeq.expr.poly import Kernel
 from gbeq.report import worst_verdict
 from gbeq.transforms import LinzTransform, ReducedTransform, apply_f, apply_linz
 from gbeq.verify import (
@@ -20,6 +22,8 @@ from gbeq.verify import (
     residual,
     transport_check,
 )
+
+from conftest import residual_expr
 
 
 BURGERS = EquationInstance(ClassId.BURGERS, {})
@@ -169,3 +173,46 @@ def test_residual_normalizes_once(monkeypatch):
     assert calls == ["normal_form_is_zero"]
     assert rep.verdict == "NUMERIC_ZERO"
     assert "opaque symbols present" in rep.summary
+
+
+
+def test_witnessed_residual_builds_no_kernel(monkeypatch):
+    # the modular witness proves (1+x+t)^20's residual nonzero, so the
+    # zero test expands nothing before the sampler runs
+    built = []
+    real = Kernel.__init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Kernel, "__init__", counting)
+    rep = residual(BURGERS, parse("(1+x+t)^20", BCTX))
+    assert rep.verdict == "NONZERO"
+    assert built == []
+
+
+def continued_fraction(depth):
+    """1/(1 + 1/(1 + ... 1/(1 + x))), depth levels deep, as text."""
+    text = "x"
+    for _ in range(depth):
+        text = f"1/(1 + {text})"
+    return text
+
+
+@pytest.mark.parametrize(
+    "solution",
+    [
+        "(1+x+t)^6", "(1+x+t)^20", "(1+x+t)^40", "x^99999999", "2/x + 1/10^15",
+        continued_fraction(30), continued_fraction(40),
+    ],
+    ids=["power-6", "power-20", "power-40", "huge-power", "near-stationary", "cf-30", "cf-40"],
+)
+def test_witness_leaves_every_report_as_it_was(solution, monkeypatch):
+    # the old path is the zero test with the witness giving up
+    simplify_module = importlib.import_module("gbeq.expr.simplify")
+    ctx = BURGERS.context()
+    assert simplify_module._witness(residual_expr(BURGERS, parse(solution, ctx), ctx))
+    new = residual(BURGERS, parse(solution, BCTX)).to_json()
+    monkeypatch.setattr(simplify_module, "_witness", lambda e: None)
+    assert residual(BURGERS, parse(solution, BCTX)).to_json() == new
