@@ -125,15 +125,19 @@ def _check_poles(name: str, e: Expr, t_lo: float, t_hi: float) -> None:
     Each base of ratio_normal(e)'s factored denominator is a polynomial
     in t, and its real zeros on the span are counted exactly.  A
     coefficient with any node other than a rational, t, a sum or a
-    product with integer exponents is left to the grid.
+    product with integer exponents is left to the grid, and one with
+    no negative exponent has no pole.
     """
+    negative = False
     for n in walk(e):
-        if not (
-            isinstance(n, (Rat, Add))
-            or isinstance(n, Var) and n.name == "t"
-            or isinstance(n, Mul) and all(k.__class__ is int for _, k in n.powers)
-        ):
+        if isinstance(n, Mul):
+            if any(k.__class__ is not int for _, k in n.powers):
+                return
+            negative = negative or any(k < 0 for _, k in n.powers)
+        elif not (isinstance(n, (Rat, Add)) or isinstance(n, Var) and n.name == "t"):
             return
+    if not negative:
+        return
     _, den = ratio_normal(e)
     if isinstance(den, Mul):
         bases = [b for b, _ in den.powers]
