@@ -21,6 +21,12 @@ Exit status partitions the outcomes:
 Repeating an invocation with the same inputs and --seed reproduces
 the report byte for byte.  Expression-valued flags accept either the
 expression itself or @PATH to read it from a file.
+
+Each call runs in a fresh interpreter, so a subcommand loads only the
+layers it runs: the module imports classes, expr, report and verify,
+and a handler imports anything else it needs (transforms, hopfcole,
+symmetry, degdiv) in its own body.  A new subcommand follows the same
+rule, which keeps the cold path of every other one flat.
 """
 
 from __future__ import annotations
@@ -55,12 +61,6 @@ from .expr import (
     format_expr,
     parse,
 )
-from .hopfcole import (
-    BridgePair,
-    HopfColeObstruction,
-    cole_hopf_solution,
-    verify_diagram,
-)
 from .report import (
     ConditionReport,
     OBSTRUCTION,
@@ -69,25 +69,11 @@ from .report import (
     rejected_report,
     worst_verdict,
 )
-from .symmetry import SymmetryGroupElement, is_symmetry, structure_constants
-from .transforms import (
-    ApplyResult,
-    ImplicitInverseOf,
-    LinearTransform,
-    ProjectiveTuple,
-    TransformError,
-    apply_transform,
-    compose,
-    format_transform,
-    gauge_a_to_one,
-    gauge_b_to_zero,
-    invert,
-    parse_transform,
-)
 from .verify import VerifyError, residual, transport_check
 
 if TYPE_CHECKING:
     from .degdiv import DegDivQuadrature
+    from .transforms import ApplyResult
 
 EXIT_PASS = 0
 EXIT_MATH = 1
@@ -141,6 +127,8 @@ def _load_instance(path: str) -> EquationInstance:
 
 
 def _load_transform(path: str):
+    from .transforms import TransformError, parse_transform
+
     try:
         return parse_transform(_read_file(path))
     except (TransformError, ParseError, ValueError) as exc:
@@ -236,6 +224,8 @@ def _format_map(res: ApplyResult, dep: str) -> str:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
+    from .transforms import TransformError, apply_transform
+
     tr = _load_transform(args.transform)
     inst = _load_instance(args.instance)
     try:
@@ -262,6 +252,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
+    from .transforms import TransformError, compose, format_transform
+
     first = _load_transform(args.first)
     second = _load_transform(args.second)
     try:
@@ -274,6 +266,8 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 
 
 def _cmd_invert(args: argparse.Namespace) -> int:
+    from .transforms import ImplicitInverseOf, TransformError, format_transform, invert
+
     tr = _load_transform(args.transform)
     try:
         inv = invert(tr)
@@ -288,6 +282,10 @@ def _cmd_invert(args: argparse.Namespace) -> int:
 
 
 def _cmd_gauge(args: argparse.Namespace) -> int:
+    from .transforms import (
+        TransformError, format_transform, gauge_a_to_one, gauge_b_to_zero,
+    )
+
     inst = _load_instance(args.instance)
     fn = gauge_a_to_one if args.mode == "a-to-one" else gauge_b_to_zero
     try:
@@ -318,6 +316,11 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
 
 
 def _cmd_hopf_cole(args: argparse.Namespace) -> int:
+    from .hopfcole import (
+        BridgePair, HopfColeObstruction, cole_hopf_solution, verify_diagram,
+    )
+    from .transforms import LinearTransform, TransformError
+
     inst = _load_instance(args.instance)
     if inst.class_id != ClassId.LINEAR:
         raise InputError(
@@ -420,6 +423,8 @@ def _cmd_transport(args: argparse.Namespace) -> int:
 
 
 def _cmd_symmetry_table(args: argparse.Namespace) -> int:
+    from .symmetry import structure_constants
+
     table = structure_constants()
     payload = {"n": table.n, "closed": table.closed, "matrix": table.matrix()}
     if table.failures:
@@ -435,6 +440,9 @@ def _cmd_symmetry_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_symmetry_check(args: argparse.Namespace) -> int:
+    from .symmetry import SymmetryGroupElement, is_symmetry
+    from .transforms import ProjectiveTuple
+
     tr = _load_transform(args.transform)
     if not isinstance(tr, ProjectiveTuple):
         raise InputError(

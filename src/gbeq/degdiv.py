@@ -22,9 +22,10 @@ derivatives that built the solution.
 
 f1 and f2 are sampled on the quadrature grid, which finds a point
 where either is undefined only when it is a grid node.  A coefficient
-rational in t is also checked exactly: the real zeros of each base of
-its factored denominator are counted on the span with a Sturm
-sequence over Fractions, so a pole between nodes is found too.
+rational in t is also checked exactly: for each base under a negative
+exponent, as written, the real zeros of its cleared numerator are
+counted on the span with a Sturm sequence over Fractions, so a pole
+between nodes is found too, even one that clearing would cancel.
 """
 
 from __future__ import annotations
@@ -122,34 +123,36 @@ def _eval_coefficient(name: str, e: Expr, ts: np.ndarray) -> np.ndarray:
 def _check_poles(name: str, e: Expr, t_lo: float, t_hi: float) -> None:
     """Raise EvalError when e, rational in t, has a pole on [t_lo, t_hi].
 
-    Each base of ratio_normal(e)'s factored denominator is a polynomial
-    in t, and its real zeros on the span are counted exactly.  A
-    coefficient with any node other than a rational, t, a sum or a
+    e is undefined wherever a base under a negative exponent vanishes,
+    so e is walked as written: each factor of each such base's cleared
+    numerator is a polynomial in t, and its real zeros on the span are
+    counted exactly.  (ratio_normal(e)'s own denominator would lose an
+    inner denominator that clearing cancels, as in 1/(1 + 1/(t - 1/2)).)
+    A coefficient with any node other than a rational, t, a sum or a
     product with integer exponents is left to the grid, and one with
     no negative exponent has no pole.
     """
-    negative = False
+    bases: List[Expr] = []
     for n in walk(e):
         if isinstance(n, Mul):
             if any(k.__class__ is not int for _, k in n.powers):
                 return
-            negative = negative or any(k < 0 for _, k in n.powers)
+            bases.extend(b for b, k in n.powers if k < 0)
         elif not (isinstance(n, (Rat, Add)) or isinstance(n, Var) and n.name == "t"):
             return
-    if not negative:
-        return
-    _, den = ratio_normal(e)
-    if isinstance(den, Mul):
-        bases = [b for b, _ in den.powers]
-    else:
-        bases = [] if isinstance(den, Rat) else [den]
     for base in bases:
-        zero = _zero_on(_t_coefficients(base), Fraction(t_lo), Fraction(t_hi))
-        if zero is not None:
-            raise EvalError(
-                f"{name} = {format_expr(e)} is undefined at t = {float(zero)!r}: "
-                f"its denominator factor {format_expr(base)} vanishes there"
-            )
+        num, _ = ratio_normal(base)
+        if isinstance(num, Mul):
+            factors = [b for b, _ in num.powers]
+        else:
+            factors = [] if isinstance(num, Rat) else [num]
+        for factor in factors:
+            zero = _zero_on(_t_coefficients(factor), Fraction(t_lo), Fraction(t_hi))
+            if zero is not None:
+                raise EvalError(
+                    f"{name} = {format_expr(e)} is undefined at t = {float(zero)!r}: "
+                    f"its denominator factor {format_expr(factor)} vanishes there"
+                )
 
 
 def _t_coefficients(p: Expr) -> List[Fraction]:

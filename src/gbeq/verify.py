@@ -23,13 +23,18 @@ through the sampling loop of is_zero (gbeq.expr.zero.sample_zero);
 residuals with opaque symbols go through the numeric stage of is_zero
 (sampled_verdict), since the residual's normal form is already known
 not to be 0.  Identical inputs and seed give identical reports.
+
+transport_check alone needs gbeq.transforms and imports it in its
+body, so a residual check never loads the transformation layer.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from .classes import CLASS_SPECS, EquationInstance, build_pde
 from .expr import (
@@ -58,14 +63,9 @@ from .report import (
     rejected_report,
     worst_verdict,
 )
-from .transforms import (
-    ImplicitInverseOf,
-    Transform,
-    TransformError,
-    _merged_context,
-    apply_transform,
-    push_solution,
-)
+
+if TYPE_CHECKING:
+    from .transforms import ImplicitInverseOf, Transform
 
 DEFAULT_PIECES = ((-2.0, -0.1), (0.1, 2.0))
 
@@ -261,6 +261,14 @@ def transport_check(
     has no closed-form inverse this condition is skipped with a note,
     since nothing independent can be evaluated.
     """
+    from .transforms import (
+        ImplicitInverseOf,
+        TransformError,
+        _merged_context,
+        apply_transform,
+        push_solution,
+    )
+
     conditions: List[ConditionReport] = []
     if isinstance(tr, ImplicitInverseOf):
         return rejected_report(

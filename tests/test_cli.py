@@ -560,6 +560,15 @@ def test_deg_div_solve_bad_parameters(corpus, capsys):
         assert err.count("\n") == 1, (extra, err)
 
 
+def test_deg_div_solve_pole_that_clearing_cancels(capsys):
+    # (t - 1/2)/(t + 1/2) as a function, undefined at t = 1/2 as written
+    code = main(["deg-div-solve", "--f1", "1/(1+1/(t-1/2))", "--f2", "0"])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("gbeq deg-div-solve: f1 = 1/(1 + 1/(-1/2 + t)) is undefined at t = 0.5: ")
+    assert err.count("\n") == 1, err
+
+
 def test_deg_div_solve_smallest_settings_run(corpus, tmp_path):
     # degree 1 and the 9-point minimum are usable, if inaccurate
     code = main([
@@ -600,3 +609,89 @@ def test_cold_paths_import_neither_numpy_nor_scipy(corpus):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# What a fresh interpreter holds after one call of each subcommand: only
+# the layers the call runs.  The in-process tests cannot see this, since
+# this process has imported every module.
+_WATCHED = (
+    "gbeq.transforms", "gbeq.hopfcole", "gbeq.symmetry", "gbeq.degdiv",
+    "numpy", "scipy",
+)
+_TRANSFORMS = ["gbeq.transforms"]
+_SYMMETRY = ["gbeq.hopfcole", "gbeq.symmetry", "gbeq.transforms"]
+_LOAD_TABLE = [
+    (["parse-check", "expr.txt"], []),
+    (["membership", "nondeg.gbeq"], []),
+    (["linearize", "heat.gbeq"], []),
+    (["verify-solution", "burgers.gbeq", "--solution", "2/x"], []),
+    (["deg-div-solve", "--f1", "0", "--f2", "0"], ["gbeq.degdiv", "numpy"]),
+    (["transform", "reduced.tr", "linz_f.gbeq"], _TRANSFORMS),
+    (["compose", "linz.tr", "gauged.tr"], _TRANSFORMS),
+    (["invert", "linz.tr"], _TRANSFORMS),
+    (["gauge", "a-to-one", "linz_abc.gbeq"], _TRANSFORMS),
+    (
+        ["transport", "ident_reduced.tr", "linz_f.gbeq", "linz_f.gbeq", "--solution", "2/x"],
+        _TRANSFORMS,
+    ),
+    (["hopf-cole", "heat.gbeq", "--v", "1 + exp(x - t)"], ["gbeq.hopfcole", "gbeq.transforms"]),
+    (["symmetry-table"], _SYMMETRY),
+    (["symmetry-check", "projective.tr"], _SYMMETRY),
+]
+_LOAD_GUARD = textwrap.dedent("""
+    import json
+    import sys
+
+    def loaded(names):
+        return sorted(n for n in names if n in sys.modules)
+
+    watched = sys.argv[1].split(",")
+    from gbeq.cli import main
+    assert loaded(watched) == [], loaded(watched)
+    code = main(sys.argv[2:])
+    print(json.dumps({"exit": code, "loaded": loaded(watched)}))
+""")
+
+
+def _fresh(args, corpus):
+    """Run a Python child in the corpus directory, with this checkout's
+    gbeq first on the path and corpus file names in args made paths."""
+    tmp, files = corpus
+    args = [str(files[a]) if a in files else a for a in args]
+    src = str(Path(gbeq.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, *args], cwd=tmp, env=env, capture_output=True,
+        text=True, stdin=subprocess.DEVNULL, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, loads", _LOAD_TABLE, ids=[argv[0] for argv, _ in _LOAD_TABLE]
+)
+def test_each_subcommand_loads_only_its_layers(corpus, argv, loads):
+    proc = _fresh(["-c", _LOAD_GUARD, ",".join(_WATCHED), *argv], corpus)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"exit": EXIT_PASS, "loaded": loads}, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["transform", "missing.tr", "linz_f.gbeq"], "missing.tr: "),
+        (["symmetry-check", "linz.tr"], "symmetry-check needs family = PROJECTIVE"),
+        (["hopf-cole", "burgers.gbeq", "--v", "1"], "hopf-cole needs a LINEAR member"),
+        (["verify-solution", "burgers.gbeq", "--solution", "ln(-1-x^2)"], ""),
+    ],
+    ids=["transform", "symmetry-check", "hopf-cole", "verify-solution"],
+)
+def test_late_loaded_commands_exit_2_on_bad_input(corpus, argv, says):
+    # a name a handler binds on import must be bound on its error path
+    # too, which only a fresh interpreter exercises
+    proc = _fresh(["-m", "gbeq", *argv], corpus)
+    assert proc.returncode == EXIT_INPUT, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith(f"gbeq {argv[0]}: ") and says in proc.stderr, proc.stderr

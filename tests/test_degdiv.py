@@ -115,6 +115,18 @@ def test_pole_at_the_end_of_the_span_counts():
     solve_deg_div(sol, t_span=(0.5000001, 1.0))
 
 
+def test_pole_that_clearing_cancels_counts():
+    # 1/(1 + 1/(t - 1/2)) is (t - 1/2)/(t + 1/2) once cleared, but as
+    # written the inner quotient is undefined at t = 1/2
+    sol = DegDivSolution(f1=parse("1/(1+1/(t-1/2))", tctx()), f2=rat(0))
+    with pytest.raises(EvalError, match="is undefined at t = 0.5: its denominator factor -1 "):
+        solve_deg_div(sol)
+    # a base whose own cleared numerator vanishes: 1/(1 - 1/(2*t)) at t = 1/2
+    sol = DegDivSolution(f1=parse("1/(1-1/(2*t))", tctx()), f2=rat(0))
+    with pytest.raises(EvalError, match="is undefined at t = 0.5: "):
+        solve_deg_div(sol)
+
+
 def test_exact_zero_count():
     # (t - 1/2)^2 (t^2 - 2): a double zero and two irrational ones
     p = [Fraction(c) for c in (-Fraction(1, 2), 2, Fraction(-7, 4), -1, 1)]

@@ -10,7 +10,13 @@ from gbeq.classes import ClassId, EquationInstance, class_context
 from gbeq.expr import ZERO, format_expr, parse, rat, var
 from gbeq.expr.poly import Kernel
 from gbeq.report import worst_verdict
-from gbeq.transforms import LinzTransform, ReducedTransform, apply_f, apply_linz
+from gbeq.transforms import (
+    LinzTransform,
+    ReducedTransform,
+    apply_f,
+    apply_linz,
+    push_solution,
+)
 from gbeq.verify import (
     DEFAULT_PIECES,
     Exclusion,
@@ -18,7 +24,6 @@ from gbeq.verify import (
     VerifyError,
     default_domain,
     magnitude_exclusion,
-    push_solution,
     residual,
     transport_check,
 )
