@@ -80,7 +80,7 @@ from gbeq.transforms import (
     TransformError,
     apply_transform,
     compose,
-    div_constraint,
+    constraint,
     gauge_a_to_one,
     identity_div,
     identity_gauged,
@@ -425,7 +425,7 @@ def test_div_classification_and_quadrature(acceptance_detail):
     accepted = 0
     for _ in range(10):
         tr = draw_transform("DIV", rng)
-        z = is_zero(div_constraint(tr, inst), class_context(ClassId.GBE_DIV))
+        z = is_zero(constraint(tr, inst), class_context(ClassId.GBE_DIV))
         assert z.verdict == SYMBOLIC_ZERO
         res = apply_transform(tr, inst)
         assert res.target is not None

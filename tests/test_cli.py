@@ -217,6 +217,25 @@ def test_inapplicable_transform_exits_math(corpus, tmp_path):
     assert rep["verdict"] == "REJECTED_PRECONDITION"
 
 
+def test_inverted_mobius_div_is_rejected(tmp_path, capsys):
+    # the inverse's X0 holds a root of a rational radicand; the
+    # constraint must decide it, not fail to differentiate it
+    tr = tmp_path / "div.tr"
+    tr.write_text(
+        "family = DIV\nparam.T = 1/(t + 1)\nparam.X0 = 2*t + 1\n"
+        "param.kappa = -2\nparam.sign_Tt = -1\n"
+    )
+    inst = tmp_path / "f.gbeq"
+    inst.write_text("class = GBE_DIV\nelement.f = 1\n")
+    inv = tmp_path / "inv.tr"
+    assert main(["invert", str(tr), "--out", str(inv)]) == EXIT_PASS
+    capsys.readouterr()
+    assert main(["transform", str(inv), str(inst)]) == EXIT_MATH
+    err = capsys.readouterr().err
+    assert err.startswith("transform: REJECTED_PRECONDITION (classifying"), err
+    assert err.count("\n") == 1, err
+
+
 def test_linear_offset_off_the_solutions_exits_math(corpus, tmp_path):
     tmp, files = corpus
     out = tmp_path / "rep.json"

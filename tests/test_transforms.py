@@ -52,7 +52,7 @@ from gbeq.transforms import (
     apply_transform,
     closed_inverse,
     compose,
-    div_constraint,
+    constraint,
     format_transform,
     gauge_a_to_one,
     gauge_b_to_zero,
@@ -63,7 +63,6 @@ from gbeq.transforms import (
     identity_projective,
     identity_reduced,
     invert,
-    linear_constraint,
     parse_transform,
     _general_pullback,
     _merged_context,
@@ -238,17 +237,77 @@ def test_div_constraint_blocks_curved_time():
     bad = DivTransform(T=P("t^2 + 1", cid), X0=ZERO, kappa=Fraction(1))
     with pytest.raises(TransformError, match="classifying constraint fails"):
         apply_div(bad, inst)
-    assert is_zero(div_constraint(bad, inst)).verdict == "NONZERO"
+    assert is_zero(constraint(bad, inst)).verdict == "NONZERO"
 
 
 def test_div_affine_time_accepted():
     cid = ClassId.GBE_DIV_NONDEG
     inst = EquationInstance(cid, {"f": P("x^3 + 1", cid)})
     tr = DivTransform(T=P("3*t + 1", cid), X0=P("t", cid), kappa=Fraction(2))
-    assert is_zero(div_constraint(tr, inst)).verdict == "SYMBOLIC_ZERO"
+    assert is_zero(constraint(tr, inst)).verdict == "SYMBOLIC_ZERO"
     res = apply_div(tr, inst)
     assert res.closed_form_target
     assert check_membership(res.target).verdict == "MEMBER"
+
+
+# DIV's constraint is read off its GENERAL lift, as LINEAR's is.  Here
+# it is written out in T, X0 and f with root (sign_Tt T_t)^(1/2); the
+# lifted one is that divided by -2 T_t^3.
+
+
+def div_closed_constraint(tr, inst, ctx):
+    f = inst.elements["f"]
+    k, s = rat(tr.kappa), rat(tr.sign_Tt)
+    T_t = _d(tr.T, "t", ctx)
+    T_tt = _d(T_t, "t", ctx)
+    T_ttt = _d(T_tt, "t", ctx)
+    X0_t = _d(tr.X0, "t", ctx)
+    root = sqrt(s * T_t)
+    return (
+        k * s * div(rat(2) * T_t * T_ttt - rat(3) * T_tt * T_tt, rat(2) * root)
+        * var("x")
+        + k * root * T_tt * _d(f, "x", ctx)
+        + rat(2) * T_t * _d(X0_t, "t", ctx)
+        - rat(2) * T_tt * X0_t
+    )
+
+
+def test_div_constraint_matches_closed_form():
+    cid = ClassId.GBE_DIV
+    # roots of a Mobius T_t stay opaque atoms, so those are sampled
+    cases = [
+        ("t^2 + 1", "0", 1, 1, "x^3 + 1", SYMBOLIC_ZERO),
+        ("exp(t)", "t", 2, 1, "x^3 + 1", SYMBOLIC_ZERO),
+        ("3*t + 1", "t", 2, 1, "x^3 + 1", SYMBOLIC_ZERO),
+        ("1 - 2*t", "t^2", Fraction(-1, 2), -1, "t*x^2 + x", SYMBOLIC_ZERO),
+        ("1/(t + 1)", "2*t + 1", -2, -1, "1", NUMERIC_ZERO),
+        ("(2*t + 1)/(t + 3)", "t^2 - 1", Fraction(3, 2), 1, "x^3 + t", NUMERIC_ZERO),
+    ]
+    for T, X0, kappa, sign, f, verdict in cases:
+        tr = DivTransform(
+            T=P(T, cid), X0=P(X0, cid), kappa=Fraction(kappa), sign_Tt=sign
+        )
+        inst = EquationInstance(cid, {"f": P(f, cid)})
+        ctx = _merged_context(inst, "DIV", sign)
+        T_t = _d(tr.T, "t", ctx)
+        lifted = rat(2) * pow_(T_t, Fraction(3)) * constraint(tr, inst)
+        zr = is_zero(lifted + div_closed_constraint(tr, inst, ctx), ctx)
+        assert zr.verdict == verdict, (T, format_expr(zr.residual))
+
+
+def test_mobius_div_round_trips():
+    # the inverse's X0 holds a root that applying it differentiates
+    cid = ClassId.GBE_DIV
+    tr = DivTransform(
+        T=P("1/(t + 1)", cid), X0=P("2/(t + 1) + 1", cid),
+        kappa=Fraction(-2), sign_Tt=-1,
+    )
+    for f in ("1", "t^2 + 1"):
+        inst = EquationInstance(cid, {"f": P(f, cid)})
+        there = apply_transform(tr, inst).target
+        back = apply_transform(invert(tr), there).target
+        zr = is_zero(back.elements["f"] - inst.elements["f"], class_context(cid))
+        assert zr.verdict == SYMBOLIC_ZERO, (f, format_expr(back.elements["f"]))
 
 
 def test_affine_div_embeds_into_div():
@@ -665,7 +724,7 @@ def test_linear_pullback_and_constraint_match_closed_forms():
                 assert zr.verdict == SYMBOLIC_ZERO, (i, name, format_expr(zr.residual))
         # the constraint is minus the target residual of the pushed V0
         old = linear_residual_formula(tr, want, ctx)
-        zr = is_zero(linear_constraint(tr, inst) + old, ctx)
+        zr = is_zero(constraint(tr, inst) + old, ctx)
         assert zr.verdict == SYMBOLIC_ZERO, (i, "constraint", format_expr(zr.residual))
 
 
@@ -675,7 +734,7 @@ def test_linear_c_is_free_of_v0():
     ctx = _merged_context(inst, "LINEAR")
     tr = dataclasses.replace(draw_linear(rng), V0=ctx.fn("V0"))
     assert not contains_func(_linear_read(tr, inst, ctx)["c"], "V0")
-    assert contains_func(linear_constraint(tr, inst), "V0")
+    assert contains_func(constraint(tr, inst), "V0")
 
 
 # -- compose and invert in closed form, as oracles --------------------------
