@@ -16,12 +16,13 @@ quadrature solutions:
     X0  = -(kappa/2) int T_t int (|T_t|^(1/2) T_tt / T_t^2) f1 + C3 T + C4.
 
 This module realises those quadratures with Chebyshev series on a
-finite t-interval and reports ODE residuals through plain central
-finite differences, so the check does not reuse the spectral
-derivatives that built the solution.
+finite t-interval, interpolated at the degree + 1 second-kind
+Chebyshev points, and reports ODE residuals through plain central
+finite differences on a uniform grid, so the check does not reuse the
+spectral derivatives that built the solution.
 
-f1 and f2 are sampled on the quadrature grid, which finds a point
-where either is undefined only when it is a grid node.  A coefficient
+f1 and f2 are sampled at the interpolation points, which finds a point
+where either is undefined only when it is one of them.  A coefficient
 rational in t is also checked exactly: for each base under a negative
 exponent, as written, the real zeros of its cleared numerator are
 counted on the span with a Sturm sequence over Fractions, so a pole
@@ -31,10 +32,8 @@ between nodes is found too, even one that clearing would cancel.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -61,10 +60,6 @@ __all__ = [
     "DegDivSolution", "DegDivQuadrature", "DegDivError", "MIN_POINTS",
     "solve_deg_div",
 ]
-
-# numpy < 1.25 has no numpy.exceptions
-_RankWarning = getattr(np, "exceptions", np).RankWarning
-
 
 class DegDivError(Exception):
     """Raised for bad parameters or a quadrature that degenerates."""
@@ -129,8 +124,8 @@ def _check_poles(name: str, e: Expr, t_lo: float, t_hi: float) -> None:
     counted exactly.  (ratio_normal(e)'s own denominator would lose an
     inner denominator that clearing cancels, as in 1/(1 + 1/(t - 1/2)).)
     A coefficient with any node other than a rational, t, a sum or a
-    product with integer exponents is left to the grid, and one with
-    no negative exponent has no pole.
+    product with integer exponents is left to the sampled nodes, and
+    one with no negative exponent has no pole.
     """
     bases: List[Expr] = []
     for n in walk(e):
@@ -227,44 +222,30 @@ def _zero_on(p: List[Fraction], lo: Fraction, hi: Fraction) -> Optional[Fraction
     return (lo + hi) / 2
 
 
-@lru_cache(maxsize=4)
-def _fit_factor(
-    t_lo: float, t_hi: float, n: int, degree: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The least-squares Chebyshev fit on linspace(t_lo, t_hi, n), factored.
+def _nodes(t_lo: float, t_hi: float, degree: int) -> np.ndarray:
+    """The degree + 1 second-kind Chebyshev points of [t_lo, t_hi], ascending.
 
-    Returns (Ut, s, V) with fit coefficients V @ ((Ut @ values) / s):
-    the pseudo-inverse, in SVD form, of the column-scaled design matrix
-    that Chebyshev.fit hands to lstsq, with the column scales folded
-    into V.  As in lstsq, singular values at most n * eps times the
-    largest count as zero, so len(s) is the rank.  Applying the factors
-    in turn rather than their product keeps lstsq's accuracy on an
-    ill-conditioned grid: at degree 150, f1 = f2 = 0 leaves an ODE 1
-    residual of 1e-7 this way and 3e-6 through the product.  The arrays
-    are read-only, since every caller shares them.
+    The ends are set to t_lo and t_hi exactly, so a coefficient
+    undefined at an end is reported there.
     """
-    ts = np.linspace(t_lo, t_hi, n)
-    van = C.chebvander(pu.mapdomain(ts, (t_lo, t_hi), (-1.0, 1.0)), degree)
-    scl = np.sqrt(np.square(van).sum(0))
-    scl[scl == 0] = 1
-    u, s, vt = np.linalg.svd(van / scl, full_matrices=False)
-    r = int(np.count_nonzero(s > n * np.finfo(float).eps * s[0]))
-    factors = (u[:, :r].T.copy(), s[:r].copy(), vt[:r].T / scl[:, None])
-    for a in factors:
-        a.flags.writeable = False
-    return factors
+    ts = pu.mapdomain(C.chebpts2(degree + 1), (-1.0, 1.0), (t_lo, t_hi))
+    ts[0], ts[-1] = t_lo, t_hi
+    return ts
 
 
-def _fit(values: np.ndarray, ts: np.ndarray, degree: int) -> C.Chebyshev:
-    """The degree-`degree` least-squares Chebyshev fit of values on ts.
+def _fit(values: np.ndarray, ts: np.ndarray) -> C.Chebyshev:
+    """The Chebyshev interpolant of values on ts = _nodes(...).
 
-    ts is a linspace grid, whose factors are computed once and reused;
-    a rank below degree + 1 warns as Chebyshev.fit does.
+    At x_j = cos(pi j / n) the coefficients are a discrete cosine
+    transform, here the real FFT of the even extension, with the first
+    and last halved.
     """
-    ut, s, v = _fit_factor(float(ts[0]), float(ts[-1]), len(ts), degree)
-    if len(s) != degree + 1:
-        warnings.warn("The fit may be poorly conditioned", _RankWarning, stacklevel=2)
-    return C.Chebyshev(v @ ((ut @ values) / s), domain=[ts[0], ts[-1]])
+    n = len(ts) - 1
+    v = values[::-1]
+    coef = np.fft.rfft(np.concatenate([v, v[-2:0:-1]])).real / n
+    coef[0] /= 2
+    coef[-1] /= 2
+    return C.Chebyshev(coef, domain=[ts[0], ts[-1]])
 
 
 @dataclass(frozen=True)
@@ -387,7 +368,7 @@ def solve_deg_div(
     constants parametrise solutions relative to t_span[0].  Raises
     DegDivError when the T branch has a pole inside the interval or a
     sampled quantity overflows the float range, and EvalError when f1
-    or f2 is undefined on the grid or, rational in t, has a pole on
+    or f2 is undefined at a node or, rational in t, has a pole on
     the span.
     """
     C0, C1, C2, C3, C4 = sol.constants
@@ -395,7 +376,7 @@ def solve_deg_div(
     if not t_hi > t_lo:
         raise DegDivError("t_span must be increasing")
 
-    ts = np.linspace(t_lo, t_hi, 4 * degree + 1)
+    ts = _nodes(t_lo, t_hi, degree)
     f1_vals = _eval_coefficient("f1", sol.f1, ts)
     f2_vals = _eval_coefficient("f2", sol.f2, ts)
     _check_poles("f1", sol.f1, t_lo, t_hi)
@@ -410,9 +391,9 @@ def solve_deg_div(
     # overflow shows as a non-finite sample, checked after each step
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # T_t = sigma (C2 I2 + C1)^(-2), I2 = int exp(-2 int f2)
-        f2_fit = _fit(f2_vals, ts, degree)
+        f2_fit = _fit(f2_vals, ts)
         I1 = f2_fit.integ(lbnd=t_lo)
-        E = _fit(finite("exp(-2 int f2)", np.exp(-2.0 * I1(ts))), ts, degree)
+        E = _fit(finite("exp(-2 int f2)", np.exp(-2.0 * I1(ts))), ts)
         I2 = E.integ(lbnd=t_lo)
         denom = finite("C2 int exp(-2 int f2) + C1", C2 * I2(ts) + C1)
         crosses = float(np.min(denom)) < 0.0 < float(np.max(denom))
@@ -422,7 +403,7 @@ def solve_deg_div(
                 "the T branch has a pole here"
             )
         T_t_vals = finite("T_t", float(sol.sigma) * denom**-2)
-        T_t_fit = _fit(T_t_vals, ts, degree)
+        T_t_fit = _fit(T_t_vals, ts)
         T_fit = T_t_fit.integ(lbnd=t_lo) + C0
 
         # X0 = -(kappa/2) int T_t int (|T_t|^(1/2) T_tt / T_t^2) f1 + C3 T + C4
@@ -431,9 +412,9 @@ def solve_deg_div(
             "|T_t|^(1/2) T_tt f1 / T_t^2",
             np.sqrt(np.abs(T_t_vals)) * T_tt_vals / T_t_vals**2 * f1_vals,
         )
-        I_inner = _fit(J, ts, degree).integ(lbnd=t_lo)
+        I_inner = _fit(J, ts).integ(lbnd=t_lo)
         outer = finite("T_t int (|T_t|^(1/2) T_tt f1 / T_t^2)", T_t_vals * I_inner(ts))
-        K = _fit(outer, ts, degree)
+        K = _fit(outer, ts)
         X0_fit = -0.5 * float(sol.kappa) * K.integ(lbnd=t_lo) + C3 * T_fit + C4
 
     return DegDivQuadrature(

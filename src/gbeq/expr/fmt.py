@@ -28,16 +28,41 @@ def format_expr(e: Expr) -> str:
     if isinstance(e, Rat):
         return _fmt_fraction(e.value)
     if isinstance(e, Add):
-        parts: List[str] = []
-        for term in e.terms:
-            sign, body = _signed_term(term)
-            if not parts:
-                parts.append(body if sign > 0 else "-" + body)
-            else:
-                parts.append(("+ " if sign > 0 else "- ") + body)
-        return " ".join(parts)
+        return " ".join(_sum_parts(e))
     sign, body = _signed_term(e)
     return body if sign > 0 else "-" + body
+
+
+def format_head(e: Expr, limit: int) -> str:
+    """format_expr(e), cut after the leading terms that fit in limit characters.
+
+    A cut text ends with ' …' (counted in limit).  It is cut only
+    between terms of a top-level sum, so it never ends inside a term or
+    a parenthesis; the first term is kept whole even when it alone is
+    longer than limit.
+    """
+    text = format_expr(e)
+    if len(text) <= limit or not isinstance(e, Add):
+        return text
+    parts = _sum_parts(e)
+    head = parts[0]
+    for part in parts[1:]:
+        if len(head) + len(part) + 3 > limit:
+            break
+        head += " " + part
+    return head + " …"
+
+
+def _sum_parts(e: Add) -> List[str]:
+    """The terms of e as format_expr joins them: '+ body' or '- body' after the first."""
+    parts: List[str] = []
+    for term in e.terms:
+        sign, body = _signed_term(term)
+        if not parts:
+            parts.append(body if sign > 0 else "-" + body)
+        else:
+            parts.append(("+ " if sign > 0 else "- ") + body)
+    return parts
 
 
 def _fmt_fraction(v: RationalLike) -> str:

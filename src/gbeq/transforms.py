@@ -91,6 +91,7 @@ from .expr import (
     substitute,
     var,
 )
+from .expr.fmt import format_head
 from .report import ConditionReport, REJECTED, VerificationReport
 
 IMPLICIT = "IMPLICIT"
@@ -701,7 +702,7 @@ def _apply_lifted(
         residual = _general_pullback(g, sup, ClassId.LINZ_F, ctx)["f"]
         zr = is_zero(residual, ctx, tol=tol, seed=seed)
         if not zr:
-            shown = format_expr(zr.residual)[:120]
+            shown = format_head(zr.residual, 120)
             raise TransformError(f"{failure} (residual {shown})")
     pullback = _general_pullback(g, sup, inst.class_id, ctx)
     u = ctx.fn(inst.dependent)

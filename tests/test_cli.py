@@ -234,6 +234,14 @@ def test_inverted_mobius_div_is_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("transform: REJECTED_PRECONDITION (classifying"), err
     assert err.count("\n") == 1, err
+    # the long residual is cut between terms, never inside a parenthesis
+    shown = err[err.index("(residual ") + len("(residual "):].rstrip("\n")
+    assert shown.endswith(" …))"), err
+    depth = 0
+    for ch in shown[:-2]:
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        assert depth >= 0, err
+    assert depth == 0, err
 
 
 def test_linear_offset_off_the_solutions_exits_math(corpus, tmp_path):
@@ -569,7 +577,7 @@ def test_deg_div_solve_bad_parameters(corpus, capsys):
         (["--f1", "0", "--f2", "1/t", "--t-span=-1,1"], "f2 = 1/t is undefined"),
         (["--f1", "0", "--f2", "exp(1000*t)"], "f2 = exp(1000*t) is undefined"),
         (["--f1", "1/(t-11/20)", "--f2", "0"], "f1 = 1/(-11/20 + t) is undefined"),
-        # poles between grid nodes, found from the exact denominator
+        # poles between interpolation points, found from the exact denominator
         (["--f1", "1/(t-1/2)", "--f2", "0"], "f1 = 1/(-1/2 + t) is undefined at t = 0.5: "),
         (["--f1", "1/(t-1/2)^2", "--f2", "0"], "f1 = 1/(-1/2 + t)^2 is undefined at t = 0.5: "),
     ):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from gbeq.expr import Context, ParseError, format_expr, parse
+from gbeq.expr.fmt import format_head
 
 from conftest import random_tree
 
@@ -118,3 +119,17 @@ def test_derivative_atoms(ctx):
 
 def test_whitespace_is_free(ctx):
     assert parse(" t  +x ", ctx) == parse("t + x", ctx)
+
+
+def test_format_head_cuts_between_terms(ctx):
+    e = parse("(1 + t)^(1/2)*x - 3*(2 + x)^(5/2) + t^7 - 4", ctx)
+    full = format_expr(e)
+    assert full == "-4 + t^7 + x*(1 + t)^(1/2) - 3*(2 + x)^(5/2)"
+    assert format_head(e, len(full)) == full
+    # the cut text and its marker fit the limit
+    assert format_head(e, 28) == "-4 + t^7 + x*(1 + t)^(1/2) …"
+    assert format_head(e, 27) == "-4 + t^7 …"
+    # the first term stays whole even past the limit
+    e = parse("x*(1 + t)^(1/2) - 3*x^2", ctx)
+    assert format_head(e, 5) == "x*(1 + t)^(1/2) …"
+    assert format_head(parse("x*(1 + t)^(1/2)", ctx), 5) == "x*(1 + t)^(1/2)"
