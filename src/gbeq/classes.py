@@ -196,9 +196,9 @@ def check_membership(
 ) -> VerificationReport:
     """Check the constraints that make the instance a class member.
 
-    Conditions fail fast only in reporting order; all are evaluated.
-    The overall verdict is the weakest evidence among the passing
-    conditions, or REJECTED as soon as one fails.  Assumptions are
+    Every condition is evaluated.  The verdict is MEMBER when all of
+    them hold and REJECTED otherwise, whatever evidence each condition
+    carries; the conditions keep their own verdicts.  Assumptions are
     (name, flag) pairs attached to declared symbols before testing,
     so an opaque element can be promised nonzero or of one sign.
     """
@@ -210,24 +210,14 @@ def check_membership(
 
     for name in spec.nonvanishing:
         zr = is_zero(inst.elements[name], ctx, tol=tol, seed=seed)
-        ok = zr.verdict == NONZERO
         conditions.append(
-            ConditionReport(
-                f"{name} must not vanish",
-                ok,
-                zr.verdict,
-                detail=zr.summary(),
-            )
+            ConditionReport.of(f"{name} must not vanish", zr, ok=zr.verdict == NONZERO)
         )
 
     if inst.class_id == ClassId.GBE_T:
         fx = differentiate(inst.elements["f"], "x", ctx)
         zr = is_zero(fx, ctx, tol=tol, seed=seed)
-        conditions.append(
-            ConditionReport(
-                "f must not depend on x", bool(zr), zr.verdict, zr.summary()
-            )
-        )
+        conditions.append(ConditionReport.of("f must not depend on x", zr))
 
     if inst.class_id == ClassId.GBE_DIV_NONDEG:
         fxxx = differentiate(
@@ -237,19 +227,11 @@ def check_membership(
         )
         zr = is_zero(fxxx, ctx, tol=tol, seed=seed)
         conditions.append(
-            ConditionReport(
-                "f_xxx must not vanish",
-                zr.verdict == NONZERO,
-                zr.verdict,
-                zr.summary(),
-            )
+            ConditionReport.of("f_xxx must not vanish", zr, ok=zr.verdict == NONZERO)
         )
 
     if inst.class_id == ClassId.GBE_DIV_DEG:
-        ok, verdict, detail = _check_deg_shape(inst.elements["f"], ctx, tol, seed)
-        conditions.append(
-            ConditionReport("f must be quadratic in x", ok, verdict, detail)
-        )
+        conditions.append(_deg_shape_condition(inst.elements["f"], ctx))
 
     all_ok = all(c.ok for c in conditions)
     summary = (
@@ -267,17 +249,16 @@ def check_membership(
     )
 
 
-def _check_deg_shape(
-    f: Expr, ctx: Context, tol: float, seed: int
-) -> Tuple[bool, str, str]:
+def _deg_shape_condition(f: Expr, ctx: Context) -> ConditionReport:
+    description = "f must be quadratic in x"
     try:
         coeffs = deg_coefficients(f, ctx)
     except (CollectError, ClassError) as err:
-        return False, REJECTED, str(err)
+        return ConditionReport(description, False, REJECTED, str(err))
     detail = "; ".join(
         f"coefficient of x^{k}: {format_expr(coeffs[k])}" for k in (0, 1, 2)
     )
-    return True, SYMBOLIC_ZERO, detail
+    return ConditionReport(description, True, SYMBOLIC_ZERO, detail)
 
 
 def deg_coefficients(f: Expr, ctx: Optional[Context] = None) -> Dict[int, Expr]:

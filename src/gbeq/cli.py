@@ -16,7 +16,8 @@ Exit status partitions the outcomes:
        expressions or undefined arithmetic such as 1/0 (reported
        with their position), abs or sign that must be differentiated
        without a sign assumption, an expression with no valid sample
-       point in the domain (such as ln(-1-x^2)), unknown flags
+       point in the domain (such as ln(-1-x^2)), a transform whose T
+       is constant, unknown flags
 
 Repeating an invocation with the same inputs and --seed reproduces
 the report byte for byte.  Expression-valued flags accept either the
@@ -49,15 +50,12 @@ from .classes import (
 )
 from .expr import (
     Context,
-    ContextError,
-    DifferentiationError,
-    EvalError,
     Expr,
+    ExprError,
     NEGATIVE,
     NONZERO_FLAG,
     ParseError,
     POSITIVE,
-    SamplingError,
     format_expr,
     parse,
 )
@@ -66,8 +64,9 @@ from .report import (
     OBSTRUCTION,
     REJECTED,
     VerificationReport,
+    combined_report,
+    held,
     rejected_report,
-    worst_verdict,
 )
 from .verify import VerifyError, residual, transport_check
 
@@ -376,17 +375,13 @@ def _cmd_hopf_cole(args: argparse.Namespace) -> int:
                 )
             )
 
-    rep = VerificationReport(
-        verdict=worst_verdict(c.verdict for c in conditions),
-        residual_text="v residual, bridged u residual, and the bridge square",
-        tolerance=args.tol,
-        seed=args.seed,
-        summary=(
-            f"u = {format_expr(u)}; "
-            f"{sum(c.ok for c in conditions)}/{len(conditions)} conditions hold"
-        ),
-        samples=list(rep_u.samples),
-        conditions=conditions,
+    rep = combined_report(
+        conditions,
+        "v residual, bridged u residual, and the bridge square",
+        args.tol,
+        args.seed,
+        f"u = {format_expr(u)}; {held(conditions)} conditions hold",
+        rep_u.samples,
     )
     _write_text(args.out, _report_json(rep))
     if args.u_out:
@@ -499,9 +494,6 @@ def _cmd_deg_div_solve(args: argparse.Namespace) -> int:
     try:
         quad = solve_deg_div(sol, t_span=(t_lo, t_hi), degree=args.degree)
         rep = quad.report(tol=args.tol, n=args.points)
-    except EvalError as exc:
-        # a coefficient undefined on the span: unusable input
-        raise InputError(str(exc))
     except DegDivError as exc:
         rep = rejected_report(str(exc), args.tol, 0, "deg-div-solve: ")
         _write_text(args.out, _report_json(rep))
@@ -737,13 +729,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except InputError as exc:
-        print(f"gbeq {args.command}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (
-        ParseError, ClassError, ContextError, DifferentiationError,
-        SamplingError, VerifyError,
-    ) as exc:
+    except (InputError, ExprError, ClassError, VerifyError) as exc:
         print(f"gbeq {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -760,15 +760,8 @@ def _pow_single(base: Expr, exponent: RationalLike) -> Expr:
         return ONE
     if exponent == 1:
         return base
-    if isinstance(base, App):
-        if base.fn == "exp":
-            return exp(mul(rat(exponent), base.arg))
-        if base.fn == "sign" and exponent.denominator == 1:
-            # sign^2 = 1 wherever sign is defined and nonzero is not
-            # known; keep even powers only when the argument is surely
-            # nonzero via simplify.  Here only fold exact squares of
-            # surely-positive arguments.
-            pass
+    if isinstance(base, App) and base.fn == "exp":
+        return exp(mul(rat(exponent), base.arg))
     if isinstance(base, Pow):
         if _merge_ok(base.base, base.exponent, exponent):
             return pow_(base.base, base.exponent * exponent)

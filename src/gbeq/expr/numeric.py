@@ -8,11 +8,12 @@ Evaluator shares them, and a call only runs the tape at its point.
 Function symbols evaluate through bindings, which map a symbol name to
 a closed-form expression in its signature variables; derivative nodes
 differentiate the binding symbolically before evaluating, so all
-occurrences of a symbol stay consistent.  Int nodes integrate their
-body numerically from a fixed base point with adaptive quadrature:
-QUADPACK's QAGS as scipy.integrate.quad runs it, whose first 21-point
-Gauss-Kronrod step is ported here so that integrands it settles never
-import scipy.
+occurrences of a symbol stay consistent; a symbol at its own signature
+variables may instead be given a value outright, as the zero test's jet
+sampler does.  Int nodes integrate their body numerically from a fixed
+base point with adaptive quadrature: QUADPACK's QAGS as
+scipy.integrate.quad runs it, whose first 21-point Gauss-Kronrod step
+is ported here so that integrands it settles never import scipy.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 import sys
 from functools import lru_cache
 from operator import itemgetter
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .calculus import differentiate
 from .nodes import (
@@ -54,8 +55,8 @@ class Evaluator:
         base_point: lower limit used for Int nodes.
         quad_tol: tolerance of the quadrature, used as both its absolute
             and its relative tolerance.
-        atom_values: values that Func and Int nodes take as they are,
-            without evaluating their arguments or bodies.
+        atom_values: values that Func nodes at their own signature
+            variables take as they are, without a binding.
 
     A call runs the expression's tape once (see _compile), so every
     distinct subtree is evaluated once per point, in the order of a
@@ -81,14 +82,6 @@ class Evaluator:
         return self._run(_tape(e), point)
 
     def _run(self, tape: _Tape, point: Mapping[str, float]) -> float:
-        if tape.applied and self.atom_values:
-            # applied symbols with a value are leaves: their arguments
-            # are left out of the tape this call runs
-            hits = frozenset(
-                f for f in tape.applied if self.atom_values.get(f) is not None
-            )
-            if hits:
-                tape = _tape(tape.expr, hits)
         vals: List[Any] = []
         push = vals.append
         for op in tape.code:
@@ -154,35 +147,30 @@ class _Tape(NamedTuple):
     code runs in order, op i appending value i.  keys[i] names what op
     i computes: a node; a (base, exponent) factor of a product; or
     ("binding", f), the binding check of an applied symbol f, whose
-    value is the tape of f's binding.  applied lists the applied
-    symbols, which an evaluator's atom_values may turn into leaves.
+    value is the tape of f's binding.
     """
 
-    expr: Expr
     code: Tuple[_Op, ...]
     keys: Tuple[object, ...]
-    applied: Tuple[Func, ...]
 
 
 _VISIT, _EMIT, _FACTOR = range(3)
 
 
-def _compile(e: Expr, leaves: FrozenSet[Func] = frozenset()) -> _Tape:
-    """The tape of e, the applied symbols in leaves taken from atom_values.
+def _compile(e: Expr) -> _Tape:
+    """The tape of e.
 
     The order is that of a depth-first walk, children left to right,
     each distinct subtree (by equality) at its first occurrence: so the
     first operation that fails is the one a recursive evaluation would
     fail at.  A product computes each factor's power right after its
     base, before the next base; an applied symbol checks its binding
-    before its arguments, which, taken from atom_values, it never
-    evaluates.  An Int's body is not on the tape: it runs its own at
-    every quadrature node.
+    before its arguments.  An Int's body is not on the tape: it runs
+    its own at every quadrature node.
     """
     slot: Dict[object, int] = {}
     code: List[_Op] = []
     keys: List[object] = []
-    applied: List[Func] = []
 
     def emit(key: object, op: _Op) -> None:
         slot[key] = len(code)
@@ -200,10 +188,6 @@ def _compile(e: Expr, leaves: FrozenSet[Func] = frozenset()) -> _Tape:
         elif n in slot:
             continue
         elif isinstance(n, Func) and n.args is not None:
-            if n in leaves:
-                emit(n, _given_op(n))
-                continue
-            applied.append(n)
             emit(("binding", n), _binding_op(n))
             stack.append((_EMIT, n))
             stack.extend((_VISIT, a) for a in reversed(n.args))
@@ -218,7 +202,7 @@ def _compile(e: Expr, leaves: FrozenSet[Func] = frozenset()) -> _Tape:
             stack.extend((_VISIT, c) for c in reversed(n.children()))
         else:
             emit(n, _leaf_op(n))
-    return _Tape(e, tuple(code), tuple(keys), tuple(applied))
+    return _Tape(tuple(code), tuple(keys))
 
 
 _tape = lru_cache(maxsize=MEMO_SIZE)(_compile)
@@ -238,17 +222,18 @@ def _leaf_op(n: Expr) -> _Op:
                 raise EvalError(f"no value for variable {name}") from None
 
         return var_op
-    if isinstance(n, (Func, Int)):
-        evaluate_atom = Evaluator._eval_func if isinstance(n, Func) else Evaluator._eval_int
+    if isinstance(n, Func):
 
-        def atom_op(v: List[Any], p: Mapping[str, float], ev: Evaluator) -> float:
+        def func_op(v: List[Any], p: Mapping[str, float], ev: Evaluator) -> float:
             if ev.atom_values:
                 value = ev.atom_values.get(n)
                 if value is not None:
                     return value
-            return evaluate_atom(ev, n, p)
+            return ev._eval_func(n, p)
 
-        return atom_op
+        return func_op
+    if isinstance(n, Int):
+        return lambda v, p, ev: ev._eval_int(n, p)
     return _failing_op(f"cannot evaluate {type(n).__name__}")
 
 
@@ -329,10 +314,6 @@ def _app_op(fn: str, i: int) -> _Op:
 
 def _binding_op(n: Func) -> _Op:
     return lambda v, p, ev: ev._derivative(n)
-
-
-def _given_op(n: Func) -> _Op:
-    return lambda v, p, ev: ev.atom_values[n]
 
 
 def _failing_op(message: str) -> _Op:

@@ -45,7 +45,8 @@ from .report import (
     ConditionReport,
     OBSTRUCTION,
     VerificationReport,
-    worst_verdict,
+    combined_report,
+    held,
 )
 from .transforms import (
     LinearTransform,
@@ -191,11 +192,9 @@ def verify_diagram(
         )
         if not zr:
             conditions.append(
-                ConditionReport(
-                    description=f"pair coherence: {name} matches the bridge of the LINEAR member",
-                    ok=False,
-                    verdict=zr.verdict,
-                    detail=zr.summary(),
+                ConditionReport.of(
+                    f"pair coherence: {name} matches the bridge of the LINEAR member",
+                    zr,
                 )
             )
     X_x = differentiate(tr.X, "x", ctx)
@@ -208,12 +207,7 @@ def verify_diagram(
     for name in ("a", "b", "f"):
         zr = is_zero(linz_res.pullback[name] - route_b[name], ctx, tol=tol, seed=seed)
         conditions.append(
-            ConditionReport(
-                description=f"element face: {name} agrees along both routes",
-                ok=bool(zr),
-                verdict=zr.verdict,
-                detail=zr.summary(),
-            )
+            ConditionReport.of(f"element face: {name} agrees along both routes", zr)
         )
 
     note = ""
@@ -229,25 +223,17 @@ def verify_diagram(
                 want = cole_hopf_solution(v_pushed, sol_ctx)
                 zr = is_zero(u_pushed - want, sol_ctx, tol=tol, seed=seed)
                 conditions.append(
-                    ConditionReport(
-                        description=(
-                            f"solution face: catalog entry {idx} commutes "
-                            f"(v = {format_expr(v)})"
-                        ),
-                        ok=bool(zr),
-                        verdict=zr.verdict,
-                        detail=zr.summary(),
+                    ConditionReport.of(
+                        f"solution face: catalog entry {idx} commutes "
+                        f"(v = {format_expr(v)})",
+                        zr,
                     )
                 )
 
-    return VerificationReport(
-        verdict=worst_verdict(c.verdict for c in conditions),
-        residual_text="bridge square: element face and solution face",
-        tolerance=tol,
-        seed=seed,
-        summary=(
-            f"{sum(c.ok for c in conditions)}/{len(conditions)} bridge "
-            "conditions hold" + (f" ({note})" if note else "")
-        ),
-        conditions=conditions,
+    return combined_report(
+        conditions,
+        "bridge square: element face and solution face",
+        tol,
+        seed,
+        f"{held(conditions)} bridge conditions hold" + (f" ({note})" if note else ""),
     )

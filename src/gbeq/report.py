@@ -1,12 +1,17 @@
-"""Report types shared by membership, residual, and transport checks."""
+"""Report types shared by membership, residual, and transport checks.
+
+A check grades each of its conditions with is_zero and builds the
+report here: ConditionReport.of turns a ZeroResult into a condition,
+and combined_report gives the conditions the weakest of their verdicts.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .expr import NONZERO, NUMERIC_ZERO, SYMBOLIC_ZERO
+from .expr import NONZERO, NUMERIC_ZERO, SYMBOLIC_ZERO, ZeroResult
 
 REJECTED = "REJECTED_PRECONDITION"
 OBSTRUCTION = "OBSTRUCTION"
@@ -49,6 +54,13 @@ class ConditionReport:
     ok: bool
     verdict: str
     detail: str = ""
+
+    @classmethod
+    def of(
+        cls, description: str, zr: ZeroResult, ok: Optional[bool] = None
+    ) -> ConditionReport:
+        """The condition zr decides: it holds when zr vanishes, unless ok is given."""
+        return cls(description, bool(zr) if ok is None else ok, zr.verdict, zr.summary())
 
     def to_json(self) -> Dict:
         out = {
@@ -97,6 +109,31 @@ class VerificationReport:
         if self.conditions:
             out["conditions"] = [c.to_json() for c in self.conditions]
         return out
+
+
+def held(conditions: Sequence[ConditionReport]) -> str:
+    """How many conditions hold, as "k/n"."""
+    return f"{sum(c.ok for c in conditions)}/{len(conditions)}"
+
+
+def combined_report(
+    conditions: Sequence[ConditionReport],
+    residual_text: str,
+    tol: float,
+    seed: int,
+    summary: str,
+    samples: Sequence[Tuple[Dict[str, float], float]] = (),
+) -> VerificationReport:
+    """A report on conditions, its verdict the weakest of theirs."""
+    return VerificationReport(
+        verdict=worst_verdict(c.verdict for c in conditions),
+        residual_text=residual_text,
+        tolerance=tol,
+        seed=seed,
+        summary=summary,
+        samples=list(samples),
+        conditions=list(conditions),
+    )
 
 
 def rejected_report(

@@ -49,7 +49,7 @@ from .expr import (
 )
 from .expr.nodes import ExprLike
 from .hopfcole import cole_hopf_solution
-from .report import ConditionReport, REJECTED, VerificationReport, worst_verdict
+from .report import ConditionReport, REJECTED, VerificationReport, combined_report, held
 from .transforms import (
     ProjectiveTuple,
     apply_projective,
@@ -455,24 +455,19 @@ def is_symmetry(
         residual = simplify(substitute(pde, {dep: pushed}, ctx), ctx)
         zr = is_zero(residual, ctx, tol=tol, seed=seed)
         conditions.append(
-            ConditionReport(
-                description=(
-                    f"catalog entry {idx} transports to a solution "
-                    f"(u = {format_expr(sol)})"
-                ),
-                ok=bool(zr),
-                verdict=zr.verdict,
-                detail=zr.summary(),
+            ConditionReport.of(
+                f"catalog entry {idx} transports to a solution "
+                f"(u = {format_expr(sol)})",
+                zr,
             )
         )
 
-    return VerificationReport(
-        verdict=worst_verdict(c.verdict for c in conditions),
-        residual_text="PDE residual of each transported catalog solution",
-        tolerance=tol,
-        seed=seed,
-        summary=f"{sum(c.ok for c in conditions)}/{len(conditions)} conditions hold",
-        conditions=conditions,
+    return combined_report(
+        conditions,
+        "PDE residual of each transported catalog solution",
+        tol,
+        seed,
+        f"{held(conditions)} conditions hold",
     )
 
 
@@ -481,29 +476,22 @@ def flow_generator_check(index: int, tol: float = 1e-9, seed: int = 42) -> Verif
     ctx = symmetry_context()
     derived = flow_generator(index)
     expected = burgers_algebra()[index - 1]
-    conditions = []
-    for comp_d, comp_e, name in zip(
-        derived.components(), expected.components(), _COORDS
-    ):
-        zr = is_zero(comp_d - comp_e, ctx, tol=tol, seed=seed)
-        conditions.append(
-            ConditionReport(
-                description=f"{name}-component of the flow derivative matches e{index}",
-                ok=bool(zr),
-                verdict=zr.verdict,
-                detail=zr.summary(),
-            )
+    conditions = [
+        ConditionReport.of(
+            f"{name}-component of the flow derivative matches e{index}",
+            is_zero(comp_d - comp_e, ctx, tol=tol, seed=seed),
         )
+        for comp_d, comp_e, name in zip(
+            derived.components(), expected.components(), _COORDS
+        )
+    ]
     all_ok = all(c.ok for c in conditions)
-    return VerificationReport(
-        verdict=worst_verdict(c.verdict for c in conditions),
-        residual_text=f"flow derivative at s = 0 minus e{index}",
-        tolerance=tol,
-        seed=seed,
-        summary=(
-            f"flow {index}: generator "
-            + ("recovered" if all_ok else "mismatch")
-            + f" ({derived.describe()})"
-        ),
-        conditions=conditions,
+    return combined_report(
+        conditions,
+        f"flow derivative at s = 0 minus e{index}",
+        tol,
+        seed,
+        f"flow {index}: generator "
+        + ("recovered" if all_ok else "mismatch")
+        + f" ({derived.describe()})",
     )

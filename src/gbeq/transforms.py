@@ -1200,16 +1200,9 @@ def gauge_a_to_one(
     gauge_check = is_zero(res.pullback["a"] - ONE, ctx, tol=tol, seed=seed)
     conditions = [
         ConditionReport(
-            description=f"a has constant sign ({'+' if s > 0 else '-'}1)",
-            ok=True,
-            verdict=sign_verdict,
+            f"a has constant sign ({'+' if s > 0 else '-'}1)", True, sign_verdict
         ),
-        ConditionReport(
-            description="transformed a equals 1",
-            ok=bool(gauge_check),
-            verdict=gauge_check.verdict,
-            detail=gauge_check.summary(),
-        ),
+        ConditionReport.of("transformed a equals 1", gauge_check),
     ]
     narrowed = None
     note = ""
@@ -1252,14 +1245,7 @@ def gauge_b_to_zero(
     tr = GaugedTransform(T=T_VAR, X0=ZERO, U0=b, eps=Fraction(1))
     res = apply_bf(tr, inst)
     gauge_check = is_zero(res.pullback["b"], ctx, tol=tol, seed=seed)
-    conditions = [
-        ConditionReport(
-            description="transformed b vanishes",
-            ok=bool(gauge_check),
-            verdict=gauge_check.verdict,
-            detail=gauge_check.summary(),
-        )
-    ]
+    conditions = [ConditionReport.of("transformed b vanishes", gauge_check)]
     narrowed = None
     if res.target is not None and gauge_check:
         narrowed = EquationInstance(

@@ -60,8 +60,9 @@ from .report import (
     ConditionReport,
     REJECTED,
     VerificationReport,
+    combined_report,
+    held,
     rejected_report,
-    worst_verdict,
 )
 
 if TYPE_CHECKING:
@@ -269,7 +270,6 @@ def transport_check(
         push_solution,
     )
 
-    conditions: List[ConditionReport] = []
     if isinstance(tr, ImplicitInverseOf):
         return rejected_report(
             "an implicit inverse cannot be applied; verify its forward "
@@ -279,16 +279,11 @@ def transport_check(
     try:
         res = apply_transform(tr, source, tol=tol, seed=seed)
     except TransformError as exc:
-        conditions.append(
-            ConditionReport(
-                description="transform is admissible for the source member",
-                ok=False,
-                verdict=REJECTED,
-                detail=str(exc),
-            )
+        admissible = ConditionReport(
+            "transform is admissible for the source member", False, REJECTED, str(exc)
         )
         return rejected_report(
-            str(exc), tol, seed, "transform rejected: ", conditions
+            str(exc), tol, seed, "transform rejected: ", [admissible]
         )
 
     expected = set(res.pullback)
@@ -303,6 +298,7 @@ def transport_check(
     ctx = _merged_context(source, tr.family, sign)
     for name, flag in assumptions:
         ctx.assume_name(name, flag)
+    conditions: List[ConditionReport] = []
     mismatch = False
     # the dependent symbol joins the mapping because superclass-style
     # elements may carry it (H1 = u and friends)
@@ -311,11 +307,8 @@ def transport_check(
         composed = substitute(target.elements[name], point, ctx)
         zr = is_zero(res.pullback[name] - composed, ctx, tol=tol, seed=seed)
         conditions.append(
-            ConditionReport(
-                description=f"element {name}: transform of source matches target",
-                ok=bool(zr),
-                verdict=zr.verdict,
-                detail=zr.summary(),
+            ConditionReport.of(
+                f"element {name}: transform of source matches target", zr
             )
         )
         if not zr:
@@ -337,25 +330,19 @@ def transport_check(
                 target, pushed, tol=tol, seed=seed, domain=domain,
                 assumptions=tuple(p for p in assumptions if p[0] in known),
             )
-            samples = list(rep.samples)
+            samples = rep.samples
             conditions.append(
                 ConditionReport(
-                    description="pushed solution satisfies the target member",
-                    ok=rep.ok,
-                    verdict=rep.verdict,
-                    detail=rep.summary,
+                    "pushed solution satisfies the target member",
+                    rep.ok, rep.verdict, rep.summary,
                 )
             )
 
-    return VerificationReport(
-        verdict=worst_verdict(c.verdict for c in conditions),
-        residual_text="element agreement and pushed-solution residual",
-        tolerance=tol,
-        seed=seed,
-        summary=(
-            f"{sum(c.ok for c in conditions)}/{len(conditions)} transport "
-            "conditions hold" + note
-        ),
-        samples=samples,
-        conditions=conditions,
+    return combined_report(
+        conditions,
+        "element agreement and pushed-solution residual",
+        tol,
+        seed,
+        f"{held(conditions)} transport conditions hold" + note,
+        samples,
     )

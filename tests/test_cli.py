@@ -244,6 +244,37 @@ def test_inverted_mobius_div_is_rejected(tmp_path, capsys):
     assert depth == 0, err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "gauged.tr", "bf.gbeq"],
+        ["transform", "reduced.tr", "f.gbeq"],
+        ["transform", "div.tr", "div.gbeq"],
+        ["invert", "reduced.tr"],
+        ["compose", "div.tr", "div.tr"],
+        ["gauge", "a-to-one", "a_zero.gbeq"],
+    ],
+    ids=lambda argv: "-".join(argv),
+)
+def test_constant_T_is_an_input_error(tmp_path, capsys, argv):
+    # sqrt(T_t) of a constant T is 0^(1/2), which the engine refuses
+    files = {
+        "gauged.tr": "family = GAUGED\nparam.T = 1\nparam.X0 = t\nparam.U0 = 0\n",
+        "reduced.tr": "family = REDUCED\nparam.T = 1\nparam.X0 = t\nparam.eps = 1\n",
+        "div.tr": "family = DIV\nparam.T = 1\nparam.X0 = t\n",
+        "bf.gbeq": "class = LINZ_BF\nelement.b = 0\nelement.f = 0\n",
+        "f.gbeq": "class = LINZ_F\nelement.f = 0\n",
+        "div.gbeq": "class = GBE_DIV\nelement.f = 1\n",
+        "a_zero.gbeq": "class = LINZ_ABC\nelement.a = 0\nelement.b = 0\nelement.f = 0\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    paths = [str(tmp_path / a) if a in files else a for a in argv]
+    assert main(paths) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"gbeq {argv[0]}: zero raised to a fractional power\n"
+
+
 def test_linear_offset_off_the_solutions_exits_math(corpus, tmp_path):
     tmp, files = corpus
     out = tmp_path / "rep.json"

@@ -38,7 +38,7 @@ from gbeq.expr import (
     parse,
 )
 from gbeq.expr.numeric import _QAGS_LIMIT, _float, _float_pow, _qags_first_step, _qk21
-from gbeq.expr.zero import _collect_symbols, _random_standin
+from gbeq.expr.zero import _collect_symbols, _needs_standins, _random_standin
 from gbeq.hopfcole import heat_catalog
 
 from conftest import verification_corpus
@@ -215,16 +215,12 @@ class ReferenceEvaluator:
                 return math.cos(v)
             raise EvalError(f"cannot evaluate {e.fn}")
         if isinstance(e, Func):
-            if self.atom_values:
+            if self.atom_values and e.args is None:
                 v = self.atom_values.get(e)
                 if v is not None:
                     return v
             return self._eval_func(e, point, memo)
         if isinstance(e, Int):
-            if self.atom_values:
-                v = self.atom_values.get(e)
-                if v is not None:
-                    return v
             return self._eval_int(e, point)
         raise EvalError(f"cannot evaluate {type(e).__name__}")
 
@@ -332,9 +328,13 @@ def test_tape_matches_the_recursive_walk_on_the_corpus():
 
 
 def test_tape_matches_with_atom_values():
+    # the jet sampler's case: explicit applications and antiderivatives
+    # go to stand-ins, so only unapplied symbols take given values
     rng = random.Random(7)
     checked = 0
     for _, e, _ in verification_corpus()[::7]:
+        if _needs_standins(e):
+            continue
         atoms = atoms_of(e)
         values = {a: rng.uniform(-2.0, 2.0) for a in atoms}
         point = {format_expr(a): v for a, v in values.items()}
@@ -352,18 +352,10 @@ G = {"g": parse("x^2 + t*x - 1/3", CTX)}
 
 @pytest.mark.parametrize(
     "text, given",
-    [
-        # the override's argument is never evaluated: ln(-1) raises nothing
-        ("g(t, ln(x)) + x", "g(t, ln(x))"),
-        # unless the argument also occurs outside it
-        ("g(t, ln(x)) + ln(x)", "g(t, ln(x))"),
-        ("g(t, g(t, ln(x))) + g_x(t, x)", "g(t, ln(x))"),
-        ("g(t, g(t, ln(x))) + t", "g(t, g(t, ln(x)))"),
-        ("int(ln(x), x) + g(t, x)", "int(ln(x), x)"),
-        ("g + g_x*x", "g_x"),
-    ],
+    [("g + g_x*x", "g_x")],
 )
 def test_given_atoms_do_not_evaluate_their_arguments(text, given):
+    # a given symbol takes its value in place of its binding's derivative
     e = parse(text, CTX)
     values = {parse(given, CTX): 0.25}
     points = [{"t": 0.5, "x": -1.0}, {"t": 0.5, "x": 2.0}]
