@@ -17,7 +17,7 @@ Exit status partitions the outcomes:
        with their position), abs or sign that must be differentiated
        without a sign assumption, an expression with no valid sample
        point in the domain (such as ln(-1-x^2)), a transform whose T
-       is constant, unknown flags
+       does not depend on t, unknown flags
 
 Repeating an invocation with the same inputs and --seed reproduces
 the report byte for byte.  Expression-valued flags accept either the

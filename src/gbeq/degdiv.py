@@ -24,9 +24,10 @@ spectral derivatives that built the solution.
 f1 and f2 are sampled at the interpolation points, which finds a point
 where either is undefined only when it is one of them.  A coefficient
 rational in t is also checked exactly: for each base under a negative
-exponent, as written, the real zeros of its cleared numerator are
-counted on the span with a Sturm sequence over Fractions, so a pole
-between nodes is found too, even one that clearing would cancel.
+exponent, as written, the real zeros of its cleared numerator, a
+polynomial in t whose coefficients collect reads off, are counted on
+the span with a Sturm sequence over Fractions, so a pole between nodes
+is found too, even one that clearing would cancel.
 """
 
 from __future__ import annotations
@@ -48,10 +49,13 @@ from .expr import (
     Mul,
     Rat,
     Var,
+    ZERO,
     as_expr,
+    collect,
     contains_var,
     format_expr,
     ratio_normal,
+    var,
     walk,
 )
 from .report import VerificationReport
@@ -119,10 +123,11 @@ def _check_poles(name: str, e: Expr, t_lo: float, t_hi: float) -> None:
     """Raise EvalError when e, rational in t, has a pole on [t_lo, t_hi].
 
     e is undefined wherever a base under a negative exponent vanishes,
-    so e is walked as written: each factor of each such base's cleared
-    numerator is a polynomial in t, and its real zeros on the span are
-    counted exactly.  (ratio_normal(e)'s own denominator would lose an
-    inner denominator that clearing cancels, as in 1/(1 + 1/(t - 1/2)).)
+    so e is walked as written: each such base's cleared numerator is a
+    polynomial in t, whose coefficients collect reads off, and its real
+    zeros on the span are counted exactly.  (ratio_normal(e)'s own
+    denominator would lose an inner denominator that clearing cancels,
+    as in 1/(1 + 1/(t - 1/2)).)
     A coefficient with any node other than a rational, t, a sum or a
     product with integer exponents is left to the sampled nodes, and
     one with no negative exponent has no pole.
@@ -137,33 +142,14 @@ def _check_poles(name: str, e: Expr, t_lo: float, t_hi: float) -> None:
             return
     for base in bases:
         num, _ = ratio_normal(base)
-        if isinstance(num, Mul):
-            factors = [b for b, _ in num.powers]
-        else:
-            factors = [] if isinstance(num, Rat) else [num]
-        for factor in factors:
-            zero = _zero_on(_t_coefficients(factor), Fraction(t_lo), Fraction(t_hi))
-            if zero is not None:
-                raise EvalError(
-                    f"{name} = {format_expr(e)} is undefined at t = {float(zero)!r}: "
-                    f"its denominator factor {format_expr(factor)} vanishes there"
-                )
-
-
-def _t_coefficients(p: Expr) -> List[Fraction]:
-    """Coefficients, constant term first, of an expanded polynomial in t."""
-    out: List[Fraction] = []
-    for term in p.terms if isinstance(p, Add) else (p,):
-        if isinstance(term, Rat):
-            c, k = term.value, 0
-        elif isinstance(term, Var):
-            c, k = 1, 1
-        else:
-            (_, k), = term.powers
-            c = term.coeff
-        out.extend([Fraction(0)] * (k + 1 - len(out)))
-        out[k] += c
-    return out
+        coeffs = collect(num, var("t"))
+        p = [coeffs.get(k, ZERO).value for k in range(max(coeffs) + 1)]
+        zero = _zero_on(p, Fraction(t_lo), Fraction(t_hi))
+        if zero is not None:
+            raise EvalError(
+                f"{name} = {format_expr(e)} is undefined at t = {float(zero)!r}: "
+                f"its denominator factor {format_expr(num)} vanishes there"
+            )
 
 
 def _value(p: List[Fraction], tv: Fraction) -> Fraction:

@@ -135,9 +135,8 @@ def _simplify_pow(base: Expr, exponent: RationalLike, ctx: Optional[Context]) ->
                 else:
                     return p
             return mul(*parts)
-        if ctx.is_positive(inner) and not isinstance(inner, Mul):
-            if isinstance(inner, Pow):
-                return _simplify_pow(inner.base, inner.exponent * p.exponent, ctx)
+        if isinstance(inner, Pow) and ctx.is_positive(inner.base):
+            return _simplify_pow(inner.base, inner.exponent * p.exponent, ctx)
     return p
 
 

@@ -27,31 +27,28 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .classes import ClassId, EquationInstance, build_pde, class_context
 from .expr import (
-    Add,
     Context,
     Expr,
-    Mul,
     ONE,
-    Rat,
     ZERO,
     ZeroResult,
     as_expr,
     differentiate,
     exp,
-    expand,
     format_expr,
     is_zero,
-    mul,
     rat,
     simplify,
     substitute,
     var,
 )
 from .expr.nodes import ExprLike
+from .expr.poly import Kernel
 from .hopfcole import cole_hopf_solution
 from .report import ConditionReport, REJECTED, VerificationReport, combined_report, held
 from .transforms import (
     ProjectiveTuple,
+    _proj_maps,
     apply_projective,
     compose,
     push_solution,
@@ -121,62 +118,34 @@ def bracket(v: VectorField, w: VectorField, ctx: Optional[Context] = None) -> Ve
     return VectorField(*out)
 
 
-def _monomial_map(e: Expr, ctx: Context) -> Dict[Expr, Fraction]:
-    """Expand into {monomial: rational coefficient}; must be polynomial."""
-    e = expand(simplify(e, ctx))
-    terms: Sequence[Expr]
-    if isinstance(e, Add):
-        terms = e.terms
-    elif e == ZERO:
-        return {}
-    else:
-        terms = (e,)
-    out: Dict[Expr, Fraction] = {}
-    for term in terms:
-        if isinstance(term, Rat):
-            key: Expr = rat(1)
-            coeff = term.value
-        elif isinstance(term, Mul):
-            # strip the coefficient; dividing it out keeps keys canonical
-            coeff = term.coeff
-            key = mul(rat(Fraction(1) / coeff), term)
-        else:
-            key = term
-            coeff = Fraction(1)
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return {k: c for k, c in out.items() if c != 0}
-
-
-def _field_vector(
-    v: VectorField, rows: List[Tuple[int, Expr]], ctx: Context
-) -> List[Fraction]:
-    maps = [_monomial_map(c, ctx) for c in v.components()]
-    return [maps[i].get(m, Fraction(0)) for i, m in rows]
-
-
 def expand_in_basis(
     v: VectorField,
     basis: Sequence[VectorField],
     ctx: Optional[Context] = None,
 ) -> List[Fraction]:
-    """Exact coefficients c with v = sum c_k basis_k, else SymmetryError."""
+    """Exact coefficients c with v = sum c_k basis_k, else SymmetryError.
+
+    Each component is expanded once by one polynomial Kernel; the rows
+    of the linear system are the (component, monomial) pairs in the
+    order first seen, with the monomials as the kernel's opaque keys.
+    """
     if ctx is None:
         ctx = symmetry_context()
-    rows_set: List[Tuple[int, Expr]] = []
-    seen = set()
-    for field in list(basis) + [v]:
-        for i, comp in enumerate(field.components()):
-            for m in _monomial_map(comp, ctx):
-                if (i, m) not in seen:
-                    seen.add((i, m))
-                    rows_set.append((i, m))
-    matrix = [_field_vector(b, rows_set, ctx) for b in basis]
-    target = _field_vector(v, rows_set, ctx)
+    kernel = Kernel()
+    fields = [
+        [kernel.expand(simplify(c, ctx)) for c in field.components()]
+        for field in list(basis) + [v]
+    ]
+    keys = dict.fromkeys(
+        (i, m) for polys in fields for i, p in enumerate(polys) for m in p
+    )
+    # row r reads sum_k c_k basis_k = v at one (component, monomial) key
+    system = [[Fraction(polys[i].get(m, 0)) for polys in fields] for i, m in keys]
 
-    # solve sum_k c_k matrix[k][r] = target[r] by Gaussian elimination
+    # solve by Gauss-Jordan elimination on a copy
     n = len(basis)
-    m = len(rows_set)
-    aug = [[matrix[k][r] for k in range(n)] + [target[r]] for r in range(m)]
+    m = len(system)
+    aug = [list(r) for r in system]
     pivots: List[int] = []
     row = 0
     for col in range(n):
@@ -206,9 +175,8 @@ def expand_in_basis(
             )
     # consistency: rows above may still mismatch if the system was
     # inconsistent within the pivot rows' columns; re-check directly
-    for r in range(m):
-        lhs = sum(matrix[k][r] * coeffs[k] for k in range(n))
-        if lhs != target[r]:
+    for r in system:
+        if sum(a * c for a, c in zip(r, coeffs)) != r[n]:
             raise SymmetryError("field does not lie in the span of the basis")
     return coeffs
 
@@ -329,24 +297,12 @@ def flow(index: int, eps: ExprLike) -> ProjectiveTuple:
 def flow_maps(index: int, eps_name: str = "s") -> Tuple[Expr, Expr, Expr]:
     """The flow of e_index as symbolic point maps (t~, x~, u~).
 
-    The flow parameter appears as the variable eps_name, so the maps
-    can be differentiated at 0 to recover the field components.  e2 is
-    the one field whose flow is transcendental (exp factors).
+    These are the point maps of flow(index, eps) with eps the variable
+    eps_name, so the maps can be differentiated at 0 to recover the
+    field components.  e2 is the one field whose flow is
+    transcendental (exp factors).
     """
-    t, x, u = var("t"), var("x"), var("u")
-    s = var(eps_name)
-    if index == 1:
-        return (t + s, x, u)
-    if index == 2:
-        return (exp(rat(2) * s) * t, exp(s) * x, exp(-s) * u)
-    if index == 3:
-        den = rat(1) - s * t
-        return (t / den, x / den, u * den + s * x)
-    if index == 4:
-        return (t, x + s, u)
-    if index == 5:
-        return (t, x + s * t, u + s)
-    raise SymmetryError(f"no basis field e{index}")
+    return _proj_maps(flow(index, var(eps_name)), var("u"))
 
 
 def flow_generator(index: int) -> VectorField:

@@ -82,6 +82,7 @@ from .expr import (
     format_expr,
     integral,
     is_zero,
+    normal_form_is_zero,
     parse,
     pow_,
     rat,
@@ -736,10 +737,10 @@ def apply_f(tr: ReducedTransform, inst: EquationInstance) -> ApplyResult:
     return _apply_lifted(tr, embed(inst, ClassId.LINZ_F))
 
 
-def _proj_maps(tr: ProjectiveTuple, ctx: Context) -> Tuple[Expr, Expr, Expr]:
+def _proj_maps(tr: ProjectiveTuple, u: Expr) -> Tuple[Expr, Expr, Expr]:
+    """The point maps (T, X, U) of tr, with u the dependent variable."""
     a, b, g, d, k, m0, m1 = tr.entries()
     t, x = T_VAR, X_VAR
-    u = ctx.fn("u")
     den = g * t + d
     T = div(a * t + b, den)
     X = div(k * x + m1 * t + m0, den)
@@ -755,14 +756,14 @@ def apply_projective(tr: ProjectiveTuple, inst: EquationInstance) -> ApplyResult
     """
     inst = embed(inst, ClassId.GBE_TX)
     ctx = _merged_context(inst, "PROJECTIVE")
-    T, X, U = _proj_maps(tr, ctx)
+    T, X, U = _proj_maps(tr, ctx.fn("u"))
     k = tr.kappa
     pullback = {"f": div(k * k * inst.elements["f"], tr.det)}
     fmap = PointMap(t=T, x=X, u=simplify(U, ctx))
 
     def u_back(S: Expr, xi: Expr) -> Expr:
         # the inverse tuple's u-map, with (t, x, u) read as target coords
-        return _proj_maps(invert(tr), ctx)[2]
+        return _proj_maps(invert(tr), ctx.fn("u"))[2]
 
     return _finish_apply(inst, "PROJECTIVE", ctx, fmap, pullback, u_back)
 
@@ -897,7 +898,7 @@ def to_general(tr: Transform) -> GeneralTransform:
     if isinstance(tr, ProjectiveTuple):
         ctx = transform_context("PROJECTIVE")
         ctx.add_function("u", ("t", "x"))
-        T, X, U = _proj_maps(tr, ctx)
+        T, X, U = _proj_maps(tr, ctx.fn("u"))
         U0 = simplify(substitute(U, {"u": ZERO}, ctx), ctx)
         U1 = simplify(substitute(U - U0, {"u": ONE}, ctx), ctx)
         return GeneralTransform(T=T, X=X, U1=U1, U0=U0)
@@ -1189,6 +1190,8 @@ def gauge_a_to_one(
     for name, flag in assumptions:
         ctx.assume_name(name, flag)
     a = inst.elements["a"]
+    if is_zero(a, ctx, tol=tol, seed=seed):
+        raise TransformError("a must not vanish")
     s, sign_verdict = _element_sign(a, ctx, tol, seed)
 
     tr = LinzTransform(
@@ -1345,6 +1348,11 @@ def parse_transform(text: str) -> Transform:
     missing = [n for n in expected if n not in kwargs and n not in _FAMILY_NUMBERS]
     if missing:
         raise TransformError(f"{family} needs parameters {missing}")
+    if "T" in kwargs and normal_form_is_zero(_d(kwargs["T"], "t", ctx), ctx):
+        raise TransformError(
+            f"T = {format_expr(kwargs['T'])} does not depend on t, "
+            "so the map of t has no inverse"
+        )
     built = cls(**kwargs)
     return ImplicitInverseOf(built) if implicit else built
 

@@ -250,29 +250,58 @@ def test_inverted_mobius_div_is_rejected(tmp_path, capsys):
         ["transform", "gauged.tr", "bf.gbeq"],
         ["transform", "reduced.tr", "f.gbeq"],
         ["transform", "div.tr", "div.gbeq"],
+        ["transform", "linz.tr", "abc.gbeq"],
+        ["transform", "general.tr", "abc.gbeq"],
+        ["transform", "linear.tr", "linear.gbeq"],
         ["invert", "reduced.tr"],
+        ["invert", "linz.tr"],
+        ["invert", "general.tr"],
+        ["invert", "linear.tr"],
         ["compose", "div.tr", "div.tr"],
-        ["gauge", "a-to-one", "a_zero.gbeq"],
+        ["compose", "gauged.tr", "linz.tr"],
+        ["compose", "general.tr", "general.tr"],
+        ["compose", "linear.tr", "linear.tr"],
     ],
     ids=lambda argv: "-".join(argv),
 )
 def test_constant_T_is_an_input_error(tmp_path, capsys, argv):
-    # sqrt(T_t) of a constant T is 0^(1/2), which the engine refuses
+    # a T with T_t = 0 maps every time to one, so no family can invert it
     files = {
         "gauged.tr": "family = GAUGED\nparam.T = 1\nparam.X0 = t\nparam.U0 = 0\n",
         "reduced.tr": "family = REDUCED\nparam.T = 1\nparam.X0 = t\nparam.eps = 1\n",
         "div.tr": "family = DIV\nparam.T = 1\nparam.X0 = t\n",
+        "linz.tr": "family = LINZ\nparam.T = 1\nparam.X = x\nparam.U0 = 0\n",
+        "general.tr": (
+            "family = GENERAL\nparam.T = 1\nparam.X = x\nparam.U1 = 1\nparam.U0 = 0\n"
+        ),
+        "linear.tr": (
+            "family = LINEAR\nparam.T = 1\nparam.X = x\nparam.V1 = 1\nparam.V0 = 0\n"
+        ),
         "bf.gbeq": "class = LINZ_BF\nelement.b = 0\nelement.f = 0\n",
         "f.gbeq": "class = LINZ_F\nelement.f = 0\n",
         "div.gbeq": "class = GBE_DIV\nelement.f = 1\n",
-        "a_zero.gbeq": "class = LINZ_ABC\nelement.a = 0\nelement.b = 0\nelement.f = 0\n",
+        "abc.gbeq": "class = LINZ_ABC\nelement.a = 1\nelement.b = 0\nelement.f = 0\n",
+        "linear.gbeq": "class = LINEAR\nelement.a = 1\nelement.b = 0\nelement.c = 0\n",
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     paths = [str(tmp_path / a) if a in files else a for a in argv]
     assert main(paths) == EXIT_INPUT
     err = capsys.readouterr().err
-    assert err == f"gbeq {argv[0]}: zero raised to a fractional power\n"
+    assert err == (
+        f"gbeq {argv[0]}: {paths[1]}: T = 1 does not depend on t, "
+        "so the map of t has no inverse\n"
+    )
+
+
+def test_gauge_on_vanishing_a_is_rejected(tmp_path, capsys):
+    path = tmp_path / "a_zero.gbeq"
+    path.write_text("class = LINZ_ABC\nelement.a = 0\nelement.b = 0\nelement.f = 0\n")
+    out = tmp_path / "rep.json"
+    assert main(["gauge", "a-to-one", str(path), "--out", str(out)]) == EXIT_MATH
+    assert json.loads(out.read_text())["verdict"] == "REJECTED_PRECONDITION"
+    assert json.loads(out.read_text())["residual_text"] == "a must not vanish"
+    assert capsys.readouterr().err == "gauge a-to-one: REJECTED_PRECONDITION\n"
 
 
 def test_linear_offset_off_the_solutions_exits_math(corpus, tmp_path):

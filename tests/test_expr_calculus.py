@@ -61,6 +61,20 @@ def test_chain_rule_through_exp(ctx):
     assert differentiate(exp(f), "x", ctx) == mul(ctx.fn("f", (0, 1)), exp(f))
 
 
+def test_chain_rule_through_sin_and_cos(ctx):
+    assert d(parse("sin(t*x)", ctx), "x", ctx) == "t*cos(t*x)"
+    assert d(parse("cos(x^2)", ctx), "x", ctx) == "-2*x*sin(x^2)"
+    assert d(parse("sin(cos(x))", ctx), "x", ctx) == "-cos(cos(x))*sin(x)"
+    # against a central difference at one point
+    e = parse("cos(t*x) + sin(x^2)", ctx)
+    h, point = 1e-5, {"t": 0.7, "x": 1.3}
+    slope = (
+        evaluate(e, {**point, "x": point["x"] + h})
+        - evaluate(e, {**point, "x": point["x"] - h})
+    ) / (2 * h)
+    assert evaluate(differentiate(e, "x", ctx), point) == pytest.approx(slope, rel=1e-8)
+
+
 def test_integral_rules(ctx):
     f = ctx.fn("f")
     e = integral(f, "x")

@@ -1,13 +1,22 @@
 """simplify keeps structure, expand multiplies out, normal_form clears
 denominators down to the zero set, ratio_normal stays value-exact."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gbeq.expr import (
     Context,
+    EvalError,
+    Evaluator,
+    ExprError,
+    NEGATIVE,
+    NONZERO,
+    NONZERO_FLAG,
+    POSITIVE,
     ZERO,
     app,
     contains_var,
@@ -16,9 +25,12 @@ from gbeq.expr import (
     exp,
     expand,
     format_expr,
+    is_zero,
     mul,
     normal_form,
     parse,
+    pow_,
+    rat,
     ratio_normal,
     simplify,
     sqrt,
@@ -149,3 +161,86 @@ def test_normal_form_idempotent_on_zero(seed):
     e = random_tree(random.Random(seed))
     diff = e - e
     assert normal_form(diff) == ZERO
+
+
+def test_nested_root_merges_only_over_a_positive_base(ctx):
+    # (-f)^(2/3) is positive for f != 0, but (-f) is not, so the two
+    # roots must not merge into (-f)^(1/3): at f = 8 they are 2 and -2
+    ctx.assume_name("f", NONZERO_FLAG)
+    nested = parse("((-f)^(2/3))^(1/2)", ctx)
+    merged = parse("(-f)^(1/3)", ctx)
+    ev = Evaluator(atom_values={ctx.fn("f"): 8.0})
+    assert ev(nested, {}) == pytest.approx(2.0)
+    assert ev(merged, {}) == pytest.approx(-2.0)
+    assert simplify(nested, ctx) != merged
+    assert is_zero(nested - merged, ctx).verdict == NONZERO
+
+
+_SOUNDNESS_EXPONENTS = tuple(
+    Fraction(q) for q in ("2", "3", "-1", "1/2", "1/3", "2/3", "-1/2", "3/2", "-2/3", "4/3")
+)
+
+
+def _signed_tree(rng, f, depth):
+    """A tree over t, x and f(t, x): +, *, nested rational powers,
+    abs, sign, exp of a shallow argument, and ln."""
+    if depth <= 0 or rng.random() < 0.2:
+        kind = rng.random()
+        if kind < 0.3:
+            return f
+        if kind < 0.55:
+            return var("t")
+        if kind < 0.8:
+            return var("x")
+        return rat(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    op = rng.random()
+    if op < 0.2:
+        return _signed_tree(rng, f, depth - 1) + _signed_tree(rng, f, depth - 1)
+    if op < 0.4:
+        return _signed_tree(rng, f, depth - 1) * _signed_tree(rng, f, depth - 1)
+    if op < 0.75:
+        return pow_(_signed_tree(rng, f, depth - 1), rng.choice(_SOUNDNESS_EXPONENTS))
+    fn = rng.choice(("abs", "sign", "exp", "ln"))
+    if fn == "exp":
+        return exp(_signed_tree(rng, f, min(depth - 1, 1)))
+    return app(fn, _signed_tree(rng, f, depth - 1))
+
+
+def _signed_value(rng, flag):
+    """A value in 0.2 <= |v| <= 2 that obeys the sign assumption flag."""
+    v = rng.uniform(0.2, 2.0)
+    if flag == NEGATIVE or (flag != POSITIVE and rng.random() < 0.5):
+        return -v
+    return v
+
+
+def test_simplify_keeps_values_under_sign_assumptions():
+    """simplify(e, ctx) equals e wherever both evaluate, at points and
+    values of f that obey the context's sign assumptions."""
+    rng = random.Random(2026)
+    mismatches = []
+    for _ in range(8000):
+        ctx = Context()
+        ctx.add_var("t")
+        ctx.add_var("x")
+        f = ctx.add_function("f", ("t", "x"))
+        flags = {n: rng.choice((None, POSITIVE, NEGATIVE, NONZERO_FLAG)) for n in "txf"}
+        for name, flag in flags.items():
+            if flag:
+                ctx.assume_name(name, flag)
+        try:
+            e = _signed_tree(rng, f, 4)
+            s = simplify(e, ctx)
+        except (ExprError, ArithmeticError):
+            continue  # a power of zero the constructors refuse
+        for _ in range(3):
+            point = {"t": _signed_value(rng, flags["t"]), "x": _signed_value(rng, flags["x"])}
+            ev = Evaluator(atom_values={f: _signed_value(rng, flags["f"])})
+            try:
+                a, b = ev(e, point), ev(s, point)
+            except (ArithmeticError, ValueError, EvalError):
+                continue
+            if math.isfinite(a) and math.isfinite(b):
+                if abs(a - b) > 1e-7 * max(1.0, abs(a), abs(b)):
+                    mismatches.append((format_expr(e), format_expr(s), flags, a, b))
+    assert not mismatches, mismatches[:3]

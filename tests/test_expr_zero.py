@@ -1,13 +1,21 @@
 """Verdict grading: symbolic cancellation first, seeded sampling after."""
 
+import random
+
 import pytest
 
 from gbeq.expr import (
     Context,
+    Evaluator,
+    NEGATIVE,
     NONZERO,
+    NONZERO_FLAG,
     NUMERIC_ZERO,
+    POSITIVE,
     SYMBOLIC_ZERO,
     SamplingError,
+    Rat,
+    collect,
     func,
     integral,
     is_zero,
@@ -15,6 +23,7 @@ from gbeq.expr import (
     rat,
     var,
 )
+from gbeq.expr.zero import _constraints_hold, _random_standin
 
 
 @pytest.fixture
@@ -90,6 +99,39 @@ def test_stand_ins_for_integral_atoms(ctx):
     # dropping the base-point term leaves a genuine nonzero
     z2 = is_zero(integral(parse("f_x", ctx), "x") - f, ctx)
     assert z2.verdict == NONZERO
+
+
+def test_stand_ins_obey_sign_assumptions(ctx):
+    # h(t, 1) makes the sampler bind f and h to polynomial stand-ins;
+    # abs(f + f_x) = f + f_x only where the assumptions on f and f_x hold
+    ctx.add_function("h", ("t", "x"))
+    e = parse("abs(f + f_x) - f - f_x", ctx) * func(
+        "h", ("t", "x"), (0, 0), (var("t"), rat(1))
+    )
+    assert is_zero(e, ctx).verdict == NONZERO
+    ctx.assume(ctx.fn("f"), POSITIVE)
+    ctx.assume(ctx.fn("f", (0, 1)), POSITIVE)
+    z = is_zero(e, ctx)
+    assert z.verdict == NUMERIC_ZERO and z.note == "stand-in sampling"
+
+
+def test_constrained_stand_in_and_its_check():
+    # the x^2 coefficient carries the sign of f_xx, halved as f_xx doubles it
+    p = _random_standin(random.Random(5), ("t", "x"), {(0, 2): NEGATIVE})
+    c = collect(p, var("x"))[2]
+    assert isinstance(c, Rat) and -0.7 <= c.value <= -0.45
+    ev = Evaluator(bindings={"f": rat(1) - var("x")})
+    funcs = {"f": ("t", "x")}
+    point = {"t": 0.3, "x": 0.5}
+
+    def holds(constraints, at=point):
+        return _constraints_hold(ev, funcs, {"f": constraints}, at)
+
+    assert holds({(0, 0): POSITIVE, (0, 1): NEGATIVE})
+    assert not holds({(0, 0): POSITIVE}, {"t": 0.3, "x": 2.0})
+    assert not holds({(0, 1): POSITIVE})
+    assert holds({(0, 1): NONZERO_FLAG})
+    assert not holds({(0, 2): NONZERO_FLAG})
 
 
 def test_same_seed_same_samples(ctx):

@@ -415,6 +415,36 @@ def test_mixed_composition_lifts_to_general():
         assert is_zero(diff, inst.context()).verdict != "NONZERO", name
 
 
+def test_projective_member_lifts_with_its_point_maps():
+    # t -> t/(1 + t), x -> x/(1 + t), u -> (1 + t) u - x
+    p = ProjectiveTuple(*map(Fraction, (1, 0, 1, 1, 1, 0, 0)))
+    ctx = transform_context("GENERAL")
+    want = [parse(w, ctx) for w in ("t/(1 + t)", "x/(1 + t)", "1 + t", "-x")]
+    # composing with another family's member lifts p the same way
+    for g in (to_general(p), compose(identity_linz(), p)):
+        assert isinstance(g, GeneralTransform)
+        for name, w in zip(("T", "X", "U1", "U0"), want):
+            zr = is_zero(getattr(g, name) - w, ctx)
+            assert zr.verdict == SYMBOLIC_ZERO, (name, format_expr(getattr(g, name)))
+
+
+def test_affine_div_applies_and_lifts_as_its_div_member():
+    ad = AffineDivTransform(
+        c0=Fraction(1), c1=Fraction(2), c2=Fraction(1), c3=Fraction(0),
+        kappa=Fraction(1, 2),
+    )
+    cid = ClassId.GBE_DIV_NONDEG
+    inst = EquationInstance(cid, {"f": P("x^3 + 1", cid)})
+    ctx = class_context(cid)
+    got, want = apply_transform(ad, inst), apply_div(ad.to_div(), inst)
+    assert got.map.t == P("1 + 4*t", cid)
+    pairs = [(getattr(got.map, c), getattr(want.map, c)) for c in "txu"]
+    pairs.append((got.target.elements["f"], want.target.elements["f"]))
+    for a, b in pairs:
+        assert is_zero(a - b, ctx).verdict == SYMBOLIC_ZERO, format_expr(a)
+    assert transforms_equal(to_general(ad), to_general(ad.to_div()))
+
+
 def test_linear_only_composes_with_linear():
     rng = random.Random(9)
     lin = draw_linear(rng)
