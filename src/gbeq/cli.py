@@ -16,8 +16,9 @@ Exit status partitions the outcomes:
        expressions or undefined arithmetic such as 1/0 (reported
        with their position), abs or sign that must be differentiated
        without a sign assumption, an expression with no valid sample
-       point in the domain (such as ln(-1-x^2)), a transform whose T
-       does not depend on t, unknown flags
+       point in the domain (such as ln(-1-x^2)), a candidate that
+       divides by zero wherever the assumptions hold, a transform whose
+       T does not depend on t, unknown flags
 
 Repeating an invocation with the same inputs and --seed reproduces
 the report byte for byte.  Expression-valued flags accept either the

@@ -68,6 +68,10 @@ class ExprError(Exception):
     """Base class for expression-level errors."""
 
 
+class DivisionByZero(ExprError, ZeroDivisionError):
+    """The rational 0 raised to a negative power."""
+
+
 def _rewritten_here(n: "Expr") -> bool:
     """Does simplify rewrite the node n itself, whatever its children?
 
@@ -393,8 +397,10 @@ def _exact(q: RationalLike) -> RationalLike:
 
 
 def _rat_int_power(value: RationalLike, n: int) -> RationalLike:
-    """value ** n for an integer n, exactly; raises ZeroDivisionError for 0 ** -n."""
+    """value ** n for an integer n, exactly; raises DivisionByZero for 0 ** -n."""
     if n < 0:
+        if value == 0:
+            raise DivisionByZero("division by zero")
         return _exact(Fraction(value) ** n)
     return _exact(value ** n)
 

@@ -52,8 +52,7 @@ from .transforms import (
     LinearTransform,
     LinzTransform,
     _merged_context,
-    apply_linear,
-    apply_linz,
+    apply_transform,
     push_solution,
     transform_context,
 )
@@ -178,8 +177,8 @@ def verify_diagram(
     lifted = lift_transform(tr, tol=tol, seed=seed)
     linz = linearizable_from_linear(linear)
 
-    linear_res = apply_linear(tr, linear, tol=tol, seed=seed)
-    linz_res = apply_linz(lifted, linz)
+    linear_res = apply_transform(tr, linear, tol=tol, seed=seed)
+    linz_res = apply_transform(lifted, linz)
 
     ctx = _merged_context(linear, "LINEAR")
     ctx.add_function("u", ("t", "x"))

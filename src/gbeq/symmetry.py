@@ -49,7 +49,7 @@ from .report import ConditionReport, REJECTED, VerificationReport, combined_repo
 from .transforms import (
     ProjectiveTuple,
     _proj_maps,
-    apply_projective,
+    apply_transform,
     compose,
     push_solution,
 )
@@ -405,7 +405,7 @@ def is_symmetry(
 
     pde = build_pde(inst)
     # projective coordinate changes always invert in closed form
-    res = apply_projective(p, inst)
+    res = apply_transform(p, inst)
     for idx, sol in enumerate(solutions):
         pushed = push_solution(res, sol, ctx)
         residual = simplify(substitute(pde, {dep: pushed}, ctx), ctx)

@@ -19,33 +19,36 @@ one equation class:
                              a pushed solution
 
 Every family lifts into GENERAL (to_general) and every class embeds
-into SUPER, so apply has one pullback formula, _general_pullback: the
-lifted map acts on the member embedded in SUPER, and the elements of
-the member's own class are read off the result.  compose and invert
-work the same way: they compose or invert the GENERAL lifts, and one
-restriction, _restrict, reads the family's own parameters back (X0 is
-X at x = 0; eps, kappa and sign_Tt come from the factors).  REDUCED
-and DIV fix their u-map by their coordinate change, so for them only
-(T, X) is composed or inverted.  DIV and LINEAR check one constraint
-before the lifted apply: H0~ of the lift where the target u~ (v~ for
-LINEAR) vanishes, read off the same pullback.  DIV's lift takes its
-root of sign_Tt T_t, which is |T_t| on the member's declared domain,
-so no abs enters it.  Two families keep closed forms of their own:
+into SUPER, so there is one entry point, apply_transform, and one
+pullback formula, _general_pullback: the member is embedded into the
+class its family acts on (acts_on), the lifted map acts on it embedded
+in SUPER, and the elements of the member's own class are read off the
+result.  compose and invert work the same way: they compose or invert
+the GENERAL lifts, and one restriction, _restrict, reads the family's
+own parameters back (X0 is X at x = 0; eps, kappa and sign_Tt come
+from the factors).  REDUCED and DIV fix their u-map by their
+coordinate change, so for them only (T, X) is composed or inverted.
+AFFINE_DIV applies, composes and inverts as the DIV member it names
+(to_div), and its constants are read back off T and X0.  DIV and
+LINEAR check one constraint before the lifted apply: H0~ of the lift
+where the target u~ (v~ for LINEAR) vanishes, read off the same
+pullback.  DIV's lift takes its root of sign_Tt T_t, which is |T_t| on
+the member's declared domain, so no abs enters it.  One family keeps
+closed forms of its own:
 
     PROJECTIVE  f~ = kappa^2 f / det, since the general route made its
                 sweep items 2-3 times slower; compose and invert are the
                 3x3 matrix product and adjugate, left unscaled
-    AFFINE_DIV  compose and invert on exact rational numbers; apply
-                goes through the DIV map it names
 
-apply_* returns the transformed elements both as pullbacks (functions
-of the source coordinates) and, whenever the coordinate change inverts
-in closed form, as a target-coordinate instance.  The pullbacks and the
-forward map are built by the call; the target instance, the inverse
-map and the note are built together on the first read of any of them,
-so a caller that reads only pullbacks never inverts the map.  A mixed
-pair composes in GENERAL; tests check the restricted compositions and
-inverses against closed-form formulas in each family's parameters.
+apply_transform returns the transformed elements both as pullbacks
+(functions of the source coordinates) and, whenever the coordinate
+change inverts in closed form, as a target-coordinate instance.  The
+pullbacks and the forward map are built by the call; the target
+instance, the inverse map and the note are built together on the first
+read of any of them, so a caller that reads only pullbacks never
+inverts the map.  A mixed pair composes in GENERAL; tests check the
+restricted compositions and inverses against closed-form formulas in
+each family's parameters.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 from .classes import (
     CLASS_SPECS,
-    ClassError,
     ClassId,
     EquationInstance,
     class_context,
@@ -119,6 +121,7 @@ class GeneralTransform:
     U0: Expr
 
     family = "GENERAL"
+    acts_on = ClassId.SUPER
     param_names = ("T", "X", "U1", "U0")
 
 
@@ -131,6 +134,7 @@ class LinzTransform:
     U0: Expr
 
     family = "LINZ"
+    acts_on = ClassId.LINZ_ABC
     param_names = ("T", "X", "U0")
 
 
@@ -144,6 +148,7 @@ class GaugedTransform:
     eps: Fraction = Fraction(1)
 
     family = "GAUGED"
+    acts_on = ClassId.LINZ_BF
     param_names = ("T", "X0", "U0", "eps")
 
     def __post_init__(self) -> None:
@@ -160,6 +165,7 @@ class ReducedTransform:
     eps: Fraction = Fraction(1)
 
     family = "REDUCED"
+    acts_on = ClassId.LINZ_F
     param_names = ("T", "X0", "eps")
 
     def __post_init__(self) -> None:
@@ -189,6 +195,7 @@ class ProjectiveTuple:
     mu1: Expr
 
     family = "PROJECTIVE"
+    acts_on = ClassId.GBE_TX
     param_names = ("alpha", "beta", "gamma", "delta", "kappa", "mu0", "mu1")
 
     def __post_init__(self) -> None:
@@ -225,6 +232,7 @@ class DivTransform:
     sign_Tt: int = 1
 
     family = "DIV"
+    acts_on = ClassId.GBE_DIV
     param_names = ("T", "X0", "kappa", "sign_Tt")
 
     def __post_init__(self) -> None:
@@ -245,6 +253,7 @@ class AffineDivTransform:
     kappa: Fraction = Fraction(1)
 
     family = "AFFINE_DIV"
+    acts_on = ClassId.GBE_DIV
     param_names = ("c0", "c1", "c2", "c3", "kappa")
 
     def __post_init__(self) -> None:
@@ -277,6 +286,7 @@ class LinearTransform:
     V0: Expr
 
     family = "LINEAR"
+    acts_on = ClassId.LINEAR
     param_names = ("T", "X", "V1", "V0")
 
 
@@ -410,14 +420,14 @@ _Closed = Tuple[Optional[EquationInstance], Optional[PointMap], str]
 
 @dataclass
 class ApplyResult:
-    """Everything apply_* knows about the transformed instance.
+    """Everything apply_transform knows about the transformed instance.
 
-    source, family, map and pullback are built by apply_*.  target,
-    inverse and note are built together the first time any of them is
-    read, by the one step _finish_apply hands over, and then kept: the
-    groupoid checks read only the pullback of most results, and the
-    closed-form inversion behind the target was most of their apply
-    time.  An error in that step surfaces on the first read.
+    source, family, map and pullback are built by apply_transform.
+    target, inverse and note are built together the first time any of
+    them is read, by the one step _finish_apply hands over, and then
+    kept: the groupoid checks read only the pullback of most results,
+    and the closed-form inversion behind the target was most of their
+    apply time.  An error in that step surfaces on the first read.
     """
 
     source: EquationInstance
@@ -684,59 +694,6 @@ def _general_pullback(
     return {k: read[k] for k in CLASS_SPECS[cls].elements}
 
 
-def _apply_lifted(
-    tr: Transform,
-    inst: EquationInstance,
-    check: Optional[Tuple[str, float, int]] = None,
-) -> ApplyResult:
-    """Apply tr through its GENERAL lift, read off in inst's own class.
-
-    DIV and LINEAR pass check = (failure, tol, seed): their constraint,
-    read off the same lift, must vanish first, or TransformError gives
-    failure and the residual.
-    """
-    ctx = _merged_context(inst, tr.family, getattr(tr, "sign_Tt", 1))
-    g = to_general(tr)
-    sup = embed(inst, ClassId.SUPER)
-    if check is not None:
-        failure, tol, seed = check
-        residual = _general_pullback(g, sup, ClassId.LINZ_F, ctx)["f"]
-        zr = is_zero(residual, ctx, tol=tol, seed=seed)
-        if not zr:
-            shown = format_head(zr.residual, 120)
-            raise TransformError(f"{failure} (residual {shown})")
-    pullback = _general_pullback(g, sup, inst.class_id, ctx)
-    u = ctx.fn(inst.dependent)
-    fmap = PointMap(t=g.T, x=g.X, u=simplify(g.U1 * u + g.U0, ctx))
-
-    def u_back(S: Expr, xi: Expr) -> Expr:
-        U1S = _compose_tx(g.U1, S, xi, ctx)
-        U0S = _compose_tx(g.U0, S, xi, ctx)
-        return div(u - U0S, U1S)
-
-    return _finish_apply(inst, tr.family, ctx, fmap, pullback, u_back)
-
-
-def apply_general(tr: GeneralTransform, inst: EquationInstance) -> ApplyResult:
-    """Transform a SUPER member (or anything embeddable into SUPER)."""
-    return _apply_lifted(tr, embed(inst, ClassId.SUPER))
-
-
-def apply_linz(tr: LinzTransform, inst: EquationInstance) -> ApplyResult:
-    """Transform a LINZ_ABC member by u -> u / X_x + U0."""
-    return _apply_lifted(tr, embed(inst, ClassId.LINZ_ABC))
-
-
-def apply_bf(tr: GaugedTransform, inst: EquationInstance) -> ApplyResult:
-    """Transform a LINZ_BF member with the gauged family."""
-    return _apply_lifted(tr, embed(inst, ClassId.LINZ_BF))
-
-
-def apply_f(tr: ReducedTransform, inst: EquationInstance) -> ApplyResult:
-    """Transform a LINZ_F member with the reduced family."""
-    return _apply_lifted(tr, embed(inst, ClassId.LINZ_F))
-
-
 def _proj_maps(tr: ProjectiveTuple, u: Expr) -> Tuple[Expr, Expr, Expr]:
     """The point maps (T, X, U) of tr, with u the dependent variable."""
     a, b, g, d, k, m0, m1 = tr.entries()
@@ -748,13 +705,12 @@ def _proj_maps(tr: ProjectiveTuple, u: Expr) -> Tuple[Expr, Expr, Expr]:
     return T, X, U
 
 
-def apply_projective(tr: ProjectiveTuple, inst: EquationInstance) -> ApplyResult:
+def _apply_projective(tr: ProjectiveTuple, inst: EquationInstance) -> ApplyResult:
     """Transform a GBE_TX member by a projective tuple.
 
     Keeps its closed form f~ = kappa^2 f / det: through the general
     pullback a PROJECTIVE sweep item ran 2-3 times slower.
     """
-    inst = embed(inst, ClassId.GBE_TX)
     ctx = _merged_context(inst, "PROJECTIVE")
     T, X, U = _proj_maps(tr, ctx.fn("u"))
     k = tr.kappa
@@ -777,64 +733,66 @@ def constraint(
     target u~ vanishes (the LINZ read of f): minus the target residual
     of the pushed zero solution, pulled back.  For DIV that is the
     classifying constraint on (T, X0); for LINEAR, V0 must be a pushed
-    solution, since v = 0 goes to v~ = V0 along the map.  apply_div and
-    apply_linear check it on the lift they apply.
+    solution, since v = 0 goes to v~ = V0 along the map.  apply_transform
+    checks it on the lift it applies.
     """
     ctx = _merged_context(inst, tr.family, getattr(tr, "sign_Tt", 1))
     sup = embed(inst, ClassId.SUPER)
     return _general_pullback(to_general(tr), sup, ClassId.LINZ_F, ctx)["f"]
 
 
-def apply_div(
-    tr: DivTransform,
-    inst: EquationInstance,
-    tol: float = 1e-9,
-    seed: int = 42,
-) -> ApplyResult:
-    """Transform a GBE_DIV member, checking the classifying constraint."""
-    if inst.class_id not in (
-        ClassId.GBE_DIV, ClassId.GBE_DIV_NONDEG, ClassId.GBE_DIV_DEG
-    ):
-        inst = embed(inst, ClassId.GBE_DIV)
-    failure = "classifying constraint fails; the map does not stay in the class"
-    return _apply_lifted(tr, inst, (failure, tol, seed))
+_DIV_CLASSES = (ClassId.GBE_DIV, ClassId.GBE_DIV_NONDEG, ClassId.GBE_DIV_DEG)
 
-
-def apply_linear(
-    tr: LinearTransform,
-    inst: EquationInstance,
-    tol: float = 1e-9,
-    seed: int = 42,
-) -> ApplyResult:
-    """Transform a LINEAR member by v -> V1 v + V0, checking V0 first."""
-    if inst.class_id != ClassId.LINEAR:
-        raise ClassError("apply_linear expects a LINEAR instance")
-    failure = "V0 is not a pushed solution; the map leaves the class"
-    return _apply_lifted(tr, inst, (failure, tol, seed))
-
-
-APPLY_BY_FAMILY = {
-    "GENERAL": apply_general,
-    "LINZ": apply_linz,
-    "GAUGED": apply_bf,
-    "REDUCED": apply_f,
-    "PROJECTIVE": apply_projective,
-    "DIV": apply_div,
-    "LINEAR": apply_linear,
+# what a failed constraint means, for the families that check one
+_CONSTRAINT_FAILURES = {
+    "DIV": "classifying constraint fails; the map does not stay in the class",
+    "LINEAR": "V0 is not a pushed solution; the map leaves the class",
 }
 
 
-def apply_transform(tr: Transform, inst: EquationInstance, **kw) -> ApplyResult:
-    """Dispatch on the transform family."""
+def apply_transform(
+    tr: Transform, inst: EquationInstance, tol: float = 1e-9, seed: int = 42
+) -> ApplyResult:
+    """Transform inst, embedded into the class tr acts on.
+
+    DIV keeps a member of GBE_DIV's two subclasses as it is, and
+    AFFINE_DIV applies as the DIV member it names.  DIV and LINEAR
+    first check their constraint, read off the same lift, under tol
+    and seed: if it fails to vanish, TransformError names the failure
+    and the residual.  PROJECTIVE keeps its closed form; every other
+    family applies its GENERAL lift, read off in inst's own class.
+    """
     if isinstance(tr, ImplicitInverseOf):
         raise TransformError(
             "an implicit inverse has no closed maps to apply; use the "
             "forward transform"
         )
     if isinstance(tr, AffineDivTransform):
-        return apply_div(tr.to_div(), inst, **kw)
-    fn = APPLY_BY_FAMILY[tr.family]
-    return fn(tr, inst, **kw) if tr.family in ("DIV", "LINEAR") else fn(tr, inst)
+        tr = tr.to_div()
+    if tr.family != "DIV" or inst.class_id not in _DIV_CLASSES:
+        inst = embed(inst, tr.acts_on)
+    if isinstance(tr, ProjectiveTuple):
+        return _apply_projective(tr, inst)
+    ctx = _merged_context(inst, tr.family, getattr(tr, "sign_Tt", 1))
+    g = to_general(tr)
+    sup = embed(inst, ClassId.SUPER)
+    failure = _CONSTRAINT_FAILURES.get(tr.family)
+    if failure is not None:
+        residual = _general_pullback(g, sup, ClassId.LINZ_F, ctx)["f"]
+        zr = is_zero(residual, ctx, tol=tol, seed=seed)
+        if not zr:
+            shown = format_head(zr.residual, 120)
+            raise TransformError(f"{failure} (residual {shown})")
+    pullback = _general_pullback(g, sup, inst.class_id, ctx)
+    u = ctx.fn(inst.dependent)
+    fmap = PointMap(t=g.T, x=g.X, u=simplify(g.U1 * u + g.U0, ctx))
+
+    def u_back(S: Expr, xi: Expr) -> Expr:
+        U1S = _compose_tx(g.U1, S, xi, ctx)
+        U0S = _compose_tx(g.U0, S, xi, ctx)
+        return div(u - U0S, U1S)
+
+    return _finish_apply(inst, tr.family, ctx, fmap, pullback, u_back)
 
 
 # ---------------------------------------------------------------------------
@@ -989,10 +947,11 @@ def _signed(eps: Union[Fraction, int], e: Expr) -> Expr:
 def compose(second: Transform, first: Transform) -> Transform:
     """The transform acting as `first, then second`.
 
-    Members of one family compose within it: PROJECTIVE and AFFINE_DIV
-    in closed form, every other family by composing the GENERAL lifts
-    and restricting the result.  A mixed pair is lifted through
-    to_general and composed there, so the result is a GeneralTransform.
+    Members of one family compose within it: PROJECTIVE in closed form,
+    AFFINE_DIV as its DIV members, every other family by composing the
+    GENERAL lifts and restricting the result.  A mixed pair is lifted
+    through to_general and composed there, so the result is a
+    GeneralTransform.
     """
     if isinstance(second, ImplicitInverseOf) or isinstance(first, ImplicitInverseOf):
         raise TransformError(
@@ -1014,18 +973,7 @@ def compose(second: Transform, first: Transform) -> Transform:
         )
         return _unmat(prod)
     if isinstance(first, AffineDivTransform):
-        k1, k2 = first.kappa, second.kappa
-        c11, c12 = first.c1, second.c1
-        kc = k1 * k2 * c11 * c12
-        c1_new = abs(c11 * c12)
-        kappa_new = kc / c1_new
-        return AffineDivTransform(
-            c0=second.c1 * second.c1 * first.c0 + second.c0,
-            c1=c1_new,
-            c2=k2 * c12 * first.c2 + second.c2 * c11 * c11,
-            c3=k2 * c12 * first.c3 + second.c2 * first.c0 + second.c3,
-            kappa=kappa_new,
-        )
+        return _affine_div_of(compose(second.to_div(), first.to_div()))
     ctx = transform_context(first.family, getattr(first, "sign_Tt", 1))
     (T2, X2), (T1, X1) = _coordinates(second), _coordinates(first)
     comp = lambda e, x1=X1: simplify(_compose_tx(e, T1, x1, ctx), ctx)
@@ -1046,6 +994,20 @@ def compose(second: Transform, first: Transform) -> Transform:
     return _restrict(type(first), T, x_at, u_map, numbers)
 
 
+def _affine_div_of(tr: DivTransform) -> AffineDivTransform:
+    """The AFFINE_DIV member that names tr, whose T and X0 are affine in t.
+
+    c1 is the rational root of T's t-coefficient, the positive one.
+    """
+    ctx = transform_context("DIV")
+    T, X0 = collect(tr.T, T_VAR, ctx), collect(tr.X0, T_VAR, ctx)
+    c0, c1, c2, c3 = (
+        Fraction(c.value)
+        for c in (T.get(0, ZERO), sqrt(T[1]), X0.get(1, ZERO), X0.get(0, ZERO))
+    )
+    return AffineDivTransform(c0=c0, c1=c1, c2=c2, c3=c3, kappa=tr.kappa)
+
+
 def _unmat(m: Tuple[Tuple[Expr, ...], ...]) -> ProjectiveTuple:
     return ProjectiveTuple(
         alpha=m[0][0], beta=m[0][2], gamma=m[2][0], delta=m[2][2],
@@ -1056,12 +1018,12 @@ def _unmat(m: Tuple[Tuple[Expr, ...], ...]) -> ProjectiveTuple:
 def invert(tr: Transform) -> Union[Transform, ImplicitInverseOf]:
     """The inverse transform, or an ImplicitInverseOf marker.
 
-    PROJECTIVE and AFFINE_DIV invert in closed form; every other family
-    inverts its GENERAL lift and restricts the result.  The marker
-    appears when the coordinate change cannot be inverted in closed
-    form (T not a Mobius map of t, or X not affine in x); the inverse
-    still exists as a groupoid element and can be checked by applying
-    the forward transform.
+    PROJECTIVE inverts in closed form and AFFINE_DIV as its DIV member;
+    every other family inverts its GENERAL lift and restricts the
+    result.  The marker appears when the coordinate change cannot be
+    inverted in closed form (T not a Mobius map of t, or X not affine in
+    x); the inverse still exists as a groupoid element and can be
+    checked by applying the forward transform.
     """
     if isinstance(tr, ImplicitInverseOf):
         return tr.of
@@ -1075,15 +1037,7 @@ def invert(tr: Transform) -> Union[Transform, ImplicitInverseOf]:
         )
         return _unmat(adj)
     if isinstance(tr, AffineDivTransform):
-        k, c0, c1, c2, c3 = tr.kappa, tr.c0, tr.c1, tr.c2, tr.c3
-        c1i = Fraction(1) / c1
-        return AffineDivTransform(
-            c0=-c0 / (c1 * c1),
-            c1=c1i,
-            c2=-c2 / (k * c1 * c1 * c1),
-            c3=(c2 * c0 - c3 * c1 * c1) / (k * c1 * c1 * c1),
-            kappa=Fraction(1) / k,
-        )
+        return _affine_div_of(invert(tr.to_div()))
     ctx = transform_context(tr.family, getattr(tr, "sign_Tt", 1))
     inv = closed_inverse(*_coordinates(tr), ctx)
     if inv is None:
@@ -1199,7 +1153,7 @@ def gauge_a_to_one(
         X=integral(pow_(rat(s) * a, Fraction(-1, 2)), "x"),
         U0=ZERO,
     )
-    res = apply_linz(tr, inst)
+    res = apply_transform(tr, inst)
     gauge_check = is_zero(res.pullback["a"] - ONE, ctx, tol=tol, seed=seed)
     conditions = [
         ConditionReport(
@@ -1246,7 +1200,7 @@ def gauge_b_to_zero(
     b = inst.elements["b"]
 
     tr = GaugedTransform(T=T_VAR, X0=ZERO, U0=b, eps=Fraction(1))
-    res = apply_bf(tr, inst)
+    res = apply_transform(tr, inst)
     gauge_check = is_zero(res.pullback["b"], ctx, tol=tol, seed=seed)
     conditions = [ConditionReport.of("transformed b vanishes", gauge_check)]
     narrowed = None
@@ -1280,17 +1234,14 @@ FAMILY_TYPES: Dict[str, type] = {
     "LINEAR": LinearTransform,
 }
 
-_NUMERIC_PARAMS = set(_FAMILY_NUMBERS) | set(ProjectiveTuple.param_names) | {
-    "c0", "c1", "c2", "c3"
-}
-
 
 def parse_transform(text: str) -> Transform:
     """Read the `family = TAG` / `param.<name> = <value>` file format.
 
-    Exact numeric parameters (eps, kappa, tuple entries, affine
-    constants) are fractions; everything else parses as an expression
-    in t, x with the family's own symbols in scope.
+    A parameter the family declares no function for (eps, kappa,
+    sign_Tt, tuple entries, affine constants) is an exact number; every
+    other parses as an expression in t, x with the family's own symbols
+    in scope.
     """
     family: Optional[str] = None
     implicit = False
@@ -1335,7 +1286,7 @@ def parse_transform(text: str) -> Transform:
         if name not in raw:
             continue
         value = raw[name]
-        if name in _NUMERIC_PARAMS:
+        if name not in _FAMILY_SIGNATURES[family]:
             try:
                 num = Fraction(value)
             except (ValueError, ZeroDivisionError):

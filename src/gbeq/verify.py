@@ -187,6 +187,10 @@ def residual(
     for name, flag in assumptions:
         ctx.assume_name(name, flag)
     pde = build_pde(inst, ctx)
+    # the candidate alone first: a base the assumptions make 0 under a
+    # negative power raises DivisionByZero here, while in the residual
+    # its derivatives, which may all vanish, can cancel it
+    simplify(candidate, ctx)
     res_expr = simplify(
         substitute(pde, {inst.dependent: candidate}, ctx), ctx
     )

@@ -1,4 +1,4 @@
-"""apply_* builds target, inverse and note only when one of them is read."""
+"""apply_transform builds target, inverse and note only when one of them is read."""
 
 import random
 

@@ -425,6 +425,21 @@ def test_undefined_arithmetic_is_an_input_error(corpus, capsys, solution, column
     assert f"at column {column}\n" in err
 
 
+@pytest.mark.parametrize(
+    "solution", ["x + 1/(sign(x) - 1)", "1/(abs(x)-x)", "(sign(x)-1)^(-2)"]
+)
+def test_candidate_undefined_where_assumed_is_an_input_error(corpus, capsys, solution):
+    # each is 1/0 at every x > 0; every derivative of the last two is
+    # exactly 0, so only the candidate on its own shows the 1/0
+    tmp, files = corpus
+    argv = [
+        "verify-solution", str(files["burgers.gbeq"]),
+        "--solution", solution, "--assume", "x>0",
+    ]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == "gbeq verify-solution: division by zero\n"
+
+
 def test_exp_merge_folding_to_a_product_verifies(corpus, capsys):
     # the merged exponential exp(ln(2*x)) is the product 2*x
     tmp, files = corpus

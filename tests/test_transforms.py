@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from gbeq import transforms
 from gbeq.classes import (
     CLASS_SPECS,
+    ClassError,
     ClassId,
     EquationInstance,
     check_membership,
@@ -44,11 +46,6 @@ from gbeq.transforms import (
     ProjectiveTuple,
     ReducedTransform,
     TransformError,
-    apply_bf,
-    apply_div,
-    apply_f,
-    apply_general,
-    apply_linz,
     apply_transform,
     closed_inverse,
     compose,
@@ -103,7 +100,7 @@ def test_reduced_application_frozen_values():
         T=P("4*t + 1", ClassId.LINZ_F), X0=P("t^2", ClassId.LINZ_F),
         eps=Fraction(1),
     )
-    res = apply_f(tr, inst)
+    res = apply_transform(tr, inst)
     assert res.closed_form_target
     assert format_expr(res.target.elements["f"]) == "-1/8"
     assert res.map.describe() == {"t": "1 + 4*t", "x": "t^2 + 2*x", "u": "t/2 + u/2"}
@@ -115,7 +112,7 @@ def test_gauged_application_reaches_reduced_form():
     cid = ClassId.LINZ_BF
     inst = EquationInstance(cid, {"b": P("x", cid), "f": ZERO})
     tr = GaugedTransform(T=var("t"), X0=ZERO, U0=P("x", cid), eps=Fraction(1))
-    res = apply_bf(tr, inst)
+    res = apply_transform(tr, inst)
     assert res.closed_form_target
     assert is_zero(res.target.elements["b"]).verdict != "NONZERO"
 
@@ -126,7 +123,7 @@ def test_linz_application_keeps_class():
         cid, {"a": rat(1), "b": P("x", cid), "f": P("t", cid)}
     )
     tr = LinzTransform(T=P("2*t", cid), X=P("x + t", cid), U0=P("x", cid))
-    res = apply_linz(tr, inst)
+    res = apply_transform(tr, inst)
     assert res.closed_form_target
     assert set(res.target.elements) == {"a", "b", "f"}
     assert check_membership(res.target, seed=7).verdict == "MEMBER"
@@ -139,6 +136,50 @@ def test_projective_application():
     res = apply_transform(tr, inst)
     assert res.closed_form_target
     assert res.map.t == parse("t/(1 - t)", inst.context())
+
+
+# -- the class apply_transform acts on --------------------------------------
+
+
+def test_general_embeds_a_narrow_member_into_super():
+    inst = EquationInstance(ClassId.LINZ_F, {"f": P("t*x", ClassId.LINZ_F)})
+    res = apply_transform(draw_transform("GENERAL", random.Random(31)), inst)
+    assert res.source == embed(inst, ClassId.SUPER)
+    assert set(res.pullback) == {"F", "H1", "H0"}
+    assert res.target.class_id is ClassId.SUPER
+
+
+def test_div_keeps_a_subclass_member_in_its_class():
+    cid = ClassId.GBE_DIV_DEG
+    inst = EquationInstance(cid, {"f": P("t*x^2 + x", cid)})
+    tr = DivTransform(T=P("3*t + 1", cid), X0=P("t", cid), kappa=Fraction(2))
+    res = apply_transform(tr, inst)
+    assert res.source is inst
+    assert res.target.class_id is cid
+
+
+def test_linear_on_a_member_of_another_class_is_a_class_error():
+    inst = EquationInstance(ClassId.GBE_DIV, {"f": rat(1)})
+    with pytest.raises(ClassError, match="no embedding from GBE_DIV into LINEAR"):
+        apply_transform(identity_linear(), inst)
+
+
+def test_tol_and_seed_reach_the_constraint_check(monkeypatch):
+    checked = []
+    real = transforms.is_zero
+
+    def spy(e, ctx=None, tol=1e-9, seed=42):
+        checked.append((tol, seed))
+        return real(e, ctx, tol=tol, seed=seed)
+
+    monkeypatch.setattr(transforms, "is_zero", spy)
+    cid = ClassId.GBE_DIV_NONDEG
+    div_member = EquationInstance(cid, {"f": P("x^3 + 1", cid)})
+    div_tr = DivTransform(T=P("3*t + 1", cid), X0=P("t", cid), kappa=Fraction(2))
+    for tr, inst in ((div_tr, div_member), (identity_linear(), heat_instance())):
+        checked.clear()
+        apply_transform(tr, inst, tol=1e-6, seed=9)
+        assert checked == [(1e-6, 9)], tr.family
 
 
 # -- gauges -----------------------------------------------------------------
@@ -236,7 +277,7 @@ def test_div_constraint_blocks_curved_time():
     inst = EquationInstance(cid, {"f": P("x^3 + 1", cid)})
     bad = DivTransform(T=P("t^2 + 1", cid), X0=ZERO, kappa=Fraction(1))
     with pytest.raises(TransformError, match="classifying constraint fails"):
-        apply_div(bad, inst)
+        apply_transform(bad, inst)
     assert is_zero(constraint(bad, inst)).verdict == "NONZERO"
 
 
@@ -245,7 +286,7 @@ def test_div_affine_time_accepted():
     inst = EquationInstance(cid, {"f": P("x^3 + 1", cid)})
     tr = DivTransform(T=P("3*t + 1", cid), X0=P("t", cid), kappa=Fraction(2))
     assert is_zero(constraint(tr, inst)).verdict == "SYMBOLIC_ZERO"
-    res = apply_div(tr, inst)
+    res = apply_transform(tr, inst)
     assert res.closed_form_target
     assert check_membership(res.target).verdict == "MEMBER"
 
@@ -436,7 +477,7 @@ def test_affine_div_applies_and_lifts_as_its_div_member():
     cid = ClassId.GBE_DIV_NONDEG
     inst = EquationInstance(cid, {"f": P("x^3 + 1", cid)})
     ctx = class_context(cid)
-    got, want = apply_transform(ad, inst), apply_div(ad.to_div(), inst)
+    got, want = apply_transform(ad, inst), apply_transform(ad.to_div(), inst)
     assert got.map.t == P("1 + 4*t", cid)
     pairs = [(getattr(got.map, c), getattr(want.map, c)) for c in "txu"]
     pairs.append((got.target.elements["f"], want.target.elements["f"]))
@@ -658,7 +699,7 @@ def test_restriction_inverts_embed(family):
     for i, (tr, inst) in enumerate(oracle_cases(family)):
         ctx = _oracle_context(inst)
         narrow = apply_transform(tr, inst).target
-        wide = apply_general(to_general(tr), embed(inst, ClassId.SUPER)).target
+        wide = apply_transform(to_general(tr), embed(inst, ClassId.SUPER)).target
         assert narrow is not None and wide is not None
         lifted = embed(narrow, ClassId.SUPER)
         for name in ("F", "H1", "H0"):
@@ -907,6 +948,60 @@ def test_invert_matches_family_formula(family):
         # to the normal form, so only sampling sees that they agree.
         verdicts = (SYMBOLIC_ZERO, NUMERIC_ZERO) if i % 3 else (SYMBOLIC_ZERO,)
         _assert_same(got, invert_formula(tr, ctx), ctx, i, verdicts)
+
+
+# AFFINE_DIV composes and inverts as its DIV member.  Here both are
+# written out on its exact constants, with c1 > 0 canonical.
+
+
+def affine_div_compose(second, first):
+    k1, k2 = first.kappa, second.kappa
+    c11, c12 = first.c1, second.c1
+    c1 = abs(c11 * c12)
+    return AffineDivTransform(
+        c0=c12 * c12 * first.c0 + second.c0,
+        c1=c1,
+        c2=k2 * c12 * first.c2 + second.c2 * c11 * c11,
+        c3=k2 * c12 * first.c3 + second.c2 * first.c0 + second.c3,
+        kappa=k1 * k2 * c11 * c12 / c1,
+    )
+
+
+def affine_div_invert(tr):
+    k, c0, c1, c2, c3 = tr.kappa, tr.c0, tr.c1, tr.c2, tr.c3
+    return AffineDivTransform(
+        c0=-c0 / (c1 * c1),
+        c1=1 / c1,
+        c2=-c2 / (k * c1 * c1 * c1),
+        c3=(c2 * c0 - c3 * c1 * c1) / (k * c1 * c1 * c1),
+        kappa=1 / k,
+    )
+
+
+def test_affine_div_compose_and_invert_match_closed_forms():
+    rng = random.Random(710)
+
+    def number(nonzero=False):
+        n = rng.randint(1, 5) * rng.choice((1, -1)) if nonzero else rng.randint(-5, 5)
+        return Fraction(n, rng.randint(1, 4))
+
+    def draw():
+        # c1 and kappa of either sign: (c1, kappa) < 0 names (-c1, -kappa)
+        return AffineDivTransform(
+            c0=number(), c1=number(True), c2=number(), c3=number(),
+            kappa=number(True),
+        )
+
+    for i in range(200):
+        second, first = draw(), draw()
+        pairs = (
+            (compose(second, first), affine_div_compose(second, first)),
+            (invert(first), affine_div_invert(first)),
+        )
+        for got, want in pairs:
+            assert got == want, (i, got, want)
+            assert got.c1 > 0
+            assert all(type(getattr(got, n)) is Fraction for n in got.param_names)
 
 
 def test_transforms_equal_distinguishes():

@@ -7,14 +7,16 @@ from fractions import Fraction
 import pytest
 
 from gbeq.classes import ClassId, EquationInstance, class_context
-from gbeq.expr import ZERO, format_expr, parse, rat, var
+from gbeq.expr import (
+    NEGATIVE, POSITIVE, SYMBOLIC_ZERO, ZERO, format_expr, parse, rat, var,
+)
+from gbeq.expr.nodes import DivisionByZero
 from gbeq.expr.poly import Kernel
 from gbeq.report import worst_verdict
 from gbeq.transforms import (
     LinzTransform,
     ReducedTransform,
-    apply_f,
-    apply_linz,
+    apply_transform,
     push_solution,
 )
 from gbeq.verify import (
@@ -109,7 +111,7 @@ def test_push_solution_through_closed_map():
     src = EquationInstance(ClassId.LINZ_F, {"f": ZERO})
     ctx = src.context()
     tr = ReducedTransform(T=parse("4*t + 1", ctx), X0=parse("t^2", ctx), eps=Fraction(1))
-    res = apply_f(tr, src)
+    res = apply_transform(tr, src)
     pushed = push_solution(res, parse("2/x", ctx))
     assert pushed is not None
     # the image solves the transformed member
@@ -121,7 +123,7 @@ def test_push_solution_without_inverse_returns_none():
     src = EquationInstance(ClassId.LINZ_ABC, {"a": rat(1), "b": ZERO, "f": ZERO})
     ctx = src.context()
     tr = LinzTransform(T=var("t"), X=parse("x + x^3", ctx), U0=ZERO)
-    res = apply_linz(tr, src)
+    res = apply_transform(tr, src)
     assert res.inverse is None
     assert push_solution(res, parse("2/x", ctx)) is None
 
@@ -130,7 +132,7 @@ def test_transport_check_round():
     src = EquationInstance(ClassId.LINZ_F, {"f": ZERO})
     ctx = src.context()
     tr = ReducedTransform(T=parse("4*t + 1", ctx), X0=parse("t^2", ctx), eps=Fraction(1))
-    res = apply_f(tr, src)
+    res = apply_transform(tr, src)
     rep = transport_check(tr, src, res.target, parse("2/x", ctx))
     assert rep.ok
     assert rep.verdict == "SYMBOLIC_ZERO"
@@ -153,6 +155,31 @@ def test_worst_verdict_ranks_evidence():
     assert worst_verdict(["NONZERO", "NUMERIC_ZERO"]) == "NONZERO"
     assert worst_verdict(["NONZERO", "REJECTED_PRECONDITION"]) == "REJECTED_PRECONDITION"
     assert worst_verdict(["OBSTRUCTION", "REJECTED_PRECONDITION"]) == "OBSTRUCTION"
+
+
+def test_candidate_undefined_on_the_assumed_domain_is_never_proved():
+    # c F^(-k) with F = 0 wherever the assumption holds: the candidate
+    # is 1/0 there, so no residual of it may be a proof
+    vanishing = {
+        POSITIVE: ("abs({a}) - {a}", "sign({a}) - 1"),
+        NEGATIVE: ("abs({a}) + {a}", "sign({a}) + 1"),
+    }
+    coefficients = ("1", "-3", "2*x", "t + x^2", "exp(x)", "1/(1 + t^2)")
+    rng = random.Random(59)
+    cases = [
+        (flag, a, factor)
+        for flag, factors in sorted(vanishing.items())
+        for a in ("x", "t")
+        for factor in factors
+    ]
+    for flag, a, factor in cases * 3:
+        c, k = rng.choice(coefficients), rng.randint(1, 4)
+        text = f"({c})*({factor.format(a=a)})^(-{k})"
+        try:
+            rep = residual(BURGERS, parse(text, BCTX), assumptions=[(a, flag)])
+        except DivisionByZero:
+            continue
+        assert rep.verdict != SYMBOLIC_ZERO, (text, flag)
 
 
 def test_residual_normalizes_once(monkeypatch):
