@@ -17,8 +17,9 @@ Exit status partitions the outcomes:
        with their position), abs or sign that must be differentiated
        without a sign assumption, an expression with no valid sample
        point in the domain (such as ln(-1-x^2)), a candidate that
-       divides by zero wherever the assumptions hold, a transform whose
-       T does not depend on t, unknown flags
+       divides by zero or takes the log of a rational at most 0
+       wherever the assumptions hold, a transform whose T does not
+       depend on t, unknown flags
 
 Repeating an invocation with the same inputs and --seed reproduces
 the report byte for byte.  Expression-valued flags accept either the
@@ -331,6 +332,8 @@ def _cmd_hopf_cole(args: argparse.Namespace) -> int:
         )
     assume = _parse_assume(args.assume)
     ctx = inst.context()
+    for name, flag in assume:
+        ctx.assume_name(name, flag)
     v = _parse_expr(_expr_arg(args.v), ctx, "--v")
     u = cole_hopf_solution(v, ctx)
     pair = BridgePair.from_linear(inst)

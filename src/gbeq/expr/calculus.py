@@ -44,15 +44,20 @@ class SubstitutionError(ExprError):
     """Raised for malformed replacements."""
 
 
-def differentiate(e: Expr, wrt: str, ctx: Optional[Context] = None) -> Expr:
+def differentiate(
+    e: Expr, wrt: str, ctx: Optional[Context] = None, memo: Optional[Dict[Expr, Expr]] = None
+) -> Expr:
     """Partial derivative of e with respect to the variable named wrt.
 
     Function symbols at their default arguments differentiate into
     bumped derivative indices; explicitly applied symbols chain-rule
     through their arguments.  abs and sign need the context to resolve
-    signs and raise DifferentiationError otherwise.
+    signs and raise DifferentiationError otherwise.  memo maps each
+    subtree to its derivative; a caller that passes the same dict to
+    several calls with one wrt and ctx differentiates a subtree they
+    share once.
     """
-    return _derived(e, wrt, ctx, {})
+    return _derived(e, wrt, ctx, {} if memo is None else memo)
 
 
 def _derived(e: Expr, wrt: str, ctx: Optional[Context], memo: Dict[Expr, Expr]) -> Expr:

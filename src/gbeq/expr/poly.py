@@ -2,11 +2,14 @@
 ratio_normal and normal_form.
 
 A polynomial is a dict from monomial to coefficient.  Coefficients are
-ints, or Fractions where they are not integral.  A monomial is a tuple:
-entry 0 is the index of its exp factor (0 for none), entry i >= 1 the
-exponent of the atom registered at position i, with trailing zero
-exponents dropped.  Exponents are Python ints, or Fractions for
-fractional powers, so x^99999999 costs no more than x^2.
+ints, or Fractions where they are not integral.  A monomial is one int,
+its exponent vector packed into fields of `width` bits (Kronecker
+substitution): field 0 holds the index of its exp factor (0 for none),
+field i >= 1 the exponent times `den` of the atom at position i, as a
+signed digit.  A term product is one addition, and x^(1/2) and
+x^99999999 pack like x^2.  A call starts with den 1 and _MIN_WIDTH
+bits; an exponent that needs more raises Widen, and run() repeats the
+call on the wider layout, so no field wraps silently.
 
 Kernel atoms are the nodes a product treats as opaque: Var, Func, Int,
 opaque Pow, App other than exp, rational bases of radicals (2^(1/2)),
@@ -40,50 +43,38 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add as _plus
-from typing import Dict, List, Tuple, Union
+from typing import Callable, Dict, List, Tuple, TypeVar, Union
 
 from .nodes import (
-    Add,
-    App,
-    Expr,
-    Func,
-    Int,
-    Mul,
-    ONE,
-    Pow,
-    Rat,
-    Var,
-    ZERO,
-    _as_coeff_powers,
-    _exact,
-    _make_mul,
-    _rat_int_power,
-    _scale_expr,
-    _term_order,
-    exp,
-    mul,
-    pow_,
-    rat,
+    Add, App, Expr, Func, Int, Mul, ONE, Pow, Rat, Var, ZERO, _as_coeff_powers, _exact,
+    _make_mul, _rat_int_power, _scale_expr, _term_order, exp, mul, pow_, rat,
 )
 
 Coeff = Union[int, Fraction]
-Mono = Tuple[Coeff, ...]
+Mono = int
 Poly = Dict[Mono, Coeff]
+T = TypeVar("T")
 
-_PLAIN = 0
-_SUM = 1
-_RADICAL = 2
-_POW = 3
+_PLAIN, _SUM, _RADICAL, _POW = range(4)
+_CONST: Mono = 0
 
-_CONST: Mono = (0,)
+# the field width a call starts with, and the bits a widening adds
+_MIN_WIDTH = 12
+_HEADROOM = 8
 
 
-def _strip(m: Mono) -> Mono:
-    end = len(m)
-    while end > 1 and not m[end - 1]:
-        end -= 1
-    return m[:end]
+class Widen(Exception):
+    """args (width, den): the layout a call must be repeated on."""
+
+
+def run(task: Callable[["Kernel"], T]) -> T:
+    """task on a fresh kernel, repeated on a wider layout while one overflows."""
+    kernel = Kernel()
+    while True:
+        try:
+            return task(kernel)
+        except Widen as w:
+            kernel = Kernel(*w.args)
 
 
 def _clean(p: Poly) -> Poly:
@@ -108,16 +99,19 @@ def _add_into(acc: Poly, p: Poly) -> None:
 
 
 class Kernel:
-    """Atom table and memos for one public call."""
+    """Atom table, monomial layout and memos for one public call."""
 
-    def __init__(self) -> None:
+    def __init__(self, width: int = _MIN_WIDTH, den: int = 1) -> None:
+        self.width, self.den, self.mask = width, den, (1 << width) - 1
+        # a stored digit d keeps -limit <= d < limit, so the sum of two is
+        # exact; bias holds limit in every field in use, so m + bias has its
+        # digits in [0, 2*limit), and bias << 1 marks a digit that left it
+        self.limit = self.bias = 1 << (width - 2)
         self.slot: Dict[Expr, int] = {}
         self.base: List[Expr] = [ZERO]
         self.kind: List[int] = [_PLAIN]
-        # positions whose exponent may need folding after a product
-        self.special: List[int] = []
-        # some opaque Pow atom has a negative exponent, so belongs under a quotient
-        self.pow_denominators = False
+        self.watched = 0  # the fields whose exponent may need folding after a product
+        self.pow_denominators = 0  # the fields of opaque Pows with a negative exponent
         self.exp_index: Dict[Expr, int] = {}
         self.exp_node: List[Expr] = [ONE]
         self.exp_products: Dict[Tuple[int, int], Union[int, Poly]] = {}
@@ -129,7 +123,35 @@ class Kernel:
         self.primitive: Dict[Expr, Tuple[Fraction, Expr]] = {}
         self.trees: Dict[int, Tuple[Poly, Expr]] = {}
 
-    # -- atoms ------------------------------------------------------------
+    def _wider(self, value: int = 0, den: int = 1) -> Widen:
+        """The Widen for a digit of size value, or for exponents over den."""
+        den = math.lcm(self.den, den)
+        if den != self.den:  # every digit scales by den // self.den
+            return Widen(self.width + (den // self.den).bit_length(), den)
+        return Widen(max(self.width, abs(value).bit_length()) + _HEADROOM, den)
+
+    def _encode(self, pos: int, e: Coeff) -> Mono:
+        """The monomial atom(pos)**e."""
+        d = e * self.den
+        if d.__class__ is Fraction and d.denominator != 1:
+            raise self._wider(den=e.denominator)
+        d = int(d)
+        if not -self.limit <= d < self.limit:
+            raise self._wider(d)
+        return d << (self.width * pos)
+
+    def _exponent(self, d: int) -> Coeff:
+        return d if self.den == 1 else _exact(Fraction(d, self.den))
+
+    def _digits(self, m: Mono) -> List[Tuple[int, int]]:
+        """(position, exponent * den) of each atom of m."""
+        width, mask, limit = self.width, self.mask, self.limit
+        u, b, pos, out = (m + self.bias) >> width, self.bias >> width, 1, []
+        while u != b:
+            if u & mask != limit:
+                out.append((pos, (u & mask) - limit))
+            u, b, pos = u >> width, b >> width, pos + 1
+        return out
 
     def _position(self, node: Expr, kind: int) -> int:
         pos = self.slot.get(node)
@@ -137,42 +159,41 @@ class Kernel:
             pos = len(self.base)
             if isinstance(node, Pow):
                 kind = _POW
-                self.pow_denominators |= node.exponent < 0
+                if node.exponent < 0:
+                    self.pow_denominators |= self.mask << (self.width * pos)
             self.slot[node] = pos
             self.base.append(node)
             self.kind.append(kind)
+            self.bias |= self.limit << (self.width * pos)
             if kind in (_RADICAL, _POW):
-                self.special.append(pos)
+                self._watch(pos)
         return pos
 
     def _atom(self, node: Expr, kind: int, e: Coeff = 1) -> Poly:
         pos = self._position(node, kind)
         if kind == _SUM and e.__class__ is Fraction:
             self._watch(pos)
-        return self._settle((0,) * pos + (e,), 1)
+        return self._settle(self._encode(pos, e), 1)
 
     def _watch(self, pos: int) -> None:
-        """Check a sum atom's exponent after every product from now on.
+        """Settle the exponent at pos after every product from now on.
 
-        Sums with only negative integer exponents cannot reach 1 in a
-        product, so they are left out of the check until a fractional
-        exponent or a negative power could lift them.
+        A sum is watched once a fractional exponent or a negative power
+        could lift it to 1; negative integer exponents cannot reach it.
         """
-        if pos not in self.special:
-            self.special.append(pos)
+        self.watched |= self.mask << (self.width * pos)
 
     def _exp(self, node: Expr) -> Union[int, Poly]:
         """Index of an exp node, or the polynomial it folded to."""
         if isinstance(node, App) and node.fn == "exp":
             i = self.exp_index.get(node)
             if i is None:
-                i = len(self.exp_node)
-                self.exp_index[node] = i
+                i = self.exp_index[node] = len(self.exp_node)
+                if i >= self.limit:
+                    raise self._wider(i)
                 self.exp_node.append(node)
             return i
-        if node == ONE:
-            return 0
-        return self.expand(node)  # exp(ln y) folds to y
+        return 0 if node == ONE else self.expand(node)  # exp(ln y) folds to y
 
     def _exp_product(self, i: int, j: int) -> Union[int, Poly]:
         key = (i, j) if i < j else (j, i)
@@ -190,15 +211,7 @@ class Kernel:
         return r
 
     def _exp_poly(self, r: Union[int, Poly]) -> Poly:
-        return {(r,): 1} if r.__class__ is int else r
-
-    def _unsettled(self, pos: int, e: Coeff) -> bool:
-        kind = self.kind[pos]
-        if kind == _RADICAL:
-            return e < 0 or e >= 1
-        if kind == _POW:
-            return e != 1
-        return e >= 1
+        return {r: 1} if r.__class__ is int else r
 
     def _settle(self, m: Mono, c: Coeff) -> Poly:
         """The term c*m with radical, sum and opaque power exponents folded.
@@ -208,79 +221,83 @@ class Kernel:
         out; an opaque Pow keeps exponent 1, other powers going through
         pow_, which merges them into the Pow where that is valid.
         """
-        m = _strip(m)
-        bad = [
-            pos for pos in self.special
-            if pos < len(m) and m[pos] and self._unsettled(pos, m[pos])
-        ]
-        if not bad:
+        u, width, den = m + self.bias, self.width, self.den
+        if u & (self.bias << 1):
+            raise self._wider(4 * self.limit)
+        if not (u ^ self.bias) & self.watched:
             return {m: c}
-        core = list(m)
-        for pos in bad:
-            core[pos] = 0
-        p: Poly = {_strip(tuple(core)): c}
-        for pos in bad:
-            e = m[pos]
+        bad = []
+        for pos, d in self._digits(m):
+            kind = self.kind[pos]
+            if kind == _POW and d != den or kind == _SUM and d >= den or (
+                kind == _RADICAL and not 0 < d < den
+            ):
+                bad.append((pos, d))
+                m -= d << (width * pos)
+        p: Poly = {m: c}
+        for pos, d in bad:
             node = self.base[pos]
             if self.kind[pos] == _POW:
-                p = self.mul(p, self._monomial(pow_(node, e)))
+                p = self.mul(p, self._monomial(pow_(node, self._exponent(d))))
                 continue
-            whole = math.floor(e)
-            rest = e - whole
+            whole, rest = divmod(d, den)
             if self.kind[pos] == _RADICAL:
                 f: Poly = {_CONST: _rat_int_power(node.value, whole)}
             else:
                 f = self.power(self.expand(node), whole, node)
             if rest:
-                f = self.mul(f, {(0,) * pos + (rest,): 1})
+                f = self.mul(f, {rest << (width * pos): 1})
             p = self.mul(p, f)
         return p
 
-    # -- arithmetic -------------------------------------------------------
-
     def mul(self, p: Poly, q: Poly) -> Poly:
-        """Product of two polynomials."""
+        """Product of two polynomials: a term product adds two monomials.
+
+        Only a pair that both carry an exp factor, or both a watched atom,
+        goes past the addition.
+        """
         if len(p) < len(q):
             p, q = q, p
+        # ((m + bias) ^ bias) & watched is nonzero where m has a watched atom
+        mask, bias, watched = self.mask, self.bias, self.watched
         out: Poly = {}
+        if len(q) == 1:
+            (m2, c2), = q.items()
+            if not (m2 & mask or ((m2 + bias) ^ bias) & watched):
+                # adding m2 is one-to-one, so no two products meet
+                for m1, c1 in p.items():
+                    m, c = m1 + m2, c1 * c2
+                    if (m + bias) & (bias << 1):
+                        raise self._wider(4 * self.limit)
+                    out[m] = c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+                return out
         get = out.get
-        special = self.special
         for m1, c1 in p.items():
-            l1 = len(m1)
-            x1 = m1[0]
+            x1 = m1 & mask
+            s1 = ((m1 + bias) ^ bias) & watched
             for m2, c2 in q.items():
-                l2 = len(m2)
-                if l1 == l2:
-                    m = tuple(map(_plus, m1, m2))
-                    if l1 > 1 and not m[-1]:
-                        m = _strip(m)
-                elif l1 > l2:
-                    m = tuple(map(_plus, m1, m2)) + m1[l2:]
-                else:
-                    m = tuple(map(_plus, m1, m2)) + m2[l1:]
-                c = c1 * c2
-                x2 = m2[0]
-                if x1 and x2:
+                m, c = m1 + m2, c1 * c2
+                if x1 and m2 & mask:
+                    x2 = m2 & mask
                     r = self._exp_product(x1, x2)
+                    m -= x1 + x2
                     if r.__class__ is not int:
-                        _add_into(out, self.mul(r, self._settle((0,) + m[1:], c)))
+                        _add_into(out, self.mul(r, self._settle(m, c)))
                         continue
-                    m = (r,) + m[1:]
-                if special and any(
-                    pos < len(m) and m[pos] and self._unsettled(pos, m[pos])
-                    for pos in special
-                ):
+                    m += r
+                if s1 and ((m2 + bias) ^ bias) & watched:
                     _add_into(out, self._settle(m, c))
                     continue
                 out[m] = get(m, 0) + c
+        bias = self.bias
+        if any((m + bias) & (bias << 1) for m in out):
+            raise self._wider(4 * self.limit)
         return _clean(out)
 
     def power(self, p: Poly, k: int, key: object) -> Poly:
         """p**k for an integer k >= 0; key names p for the power memo."""
-        if k == 1:
-            return p
-        if k == 0:
-            return {_CONST: 1}
+        if k < 2:
+            return p if k else {_CONST: 1}
         if len(p) == 1:
             (m, c), = p.items()
             return self._mono_power(m, c, k)
@@ -303,19 +320,22 @@ class Kernel:
             r = self.powers[(key, k)] = _clean(out)
         return r
 
-    def _mono_power(self, m: Mono, c: Coeff, k: Coeff) -> Poly:
-        """(c*m)**k for an integer k."""
+    def _mono_power(self, m: Mono, c: Coeff, k: int) -> Poly:
+        """(c*m)**k for an integer k: k times the packed exponents."""
         c = _rat_int_power(c, k)
+        x = m & self.mask
+        digits = self._digits(m - x)
+        top = max([abs(d * k) for _, d in digits], default=0)
+        if top >= self.limit:
+            raise self._wider(top)
         if k < 0:
-            for pos, e in enumerate(m):
-                if pos and e and self.kind[pos] == _SUM:
+            for pos, _ in digits:
+                if self.kind[pos] == _SUM:
                     self._watch(pos)
-        p = self._settle((0,) + tuple(e * k for e in m[1:]), c)
-        if m[0]:
-            p = self.mul(p, self._exp_poly(self._exp_power(m[0], k)))
+        p = self._settle((m - x) * k, c)
+        if x:
+            p = self.mul(p, self._exp_poly(self._exp_power(x, k)))
         return p
-
-    # -- tree to polynomial ----------------------------------------------
 
     def expand(self, e: Expr) -> Poly:
         """The polynomial of e: products over sums and positive powers multiplied out."""
@@ -339,15 +359,12 @@ class Kernel:
             for b, ex in e.powers:
                 p = self.mul(p, self.factor(b, ex))
             return p
-        r = e.rebuild(self.expand_tree)
+        r = e.rebuild(lambda a: self.tree(self.expand(a)))
         if isinstance(r, App) and r.fn == "exp":
             return self._exp_poly(self._exp(r))
         if isinstance(r, (App, Func, Int, Pow)):
             return self._atom(r, _PLAIN)
         return self.expand(r)
-
-    def expand_tree(self, e: Expr) -> Expr:
-        return self.tree(self.expand(e))
 
     def factor(self, b: Expr, ex: Coeff) -> Poly:
         """The polynomial of b**ex for a base b of a canonical product."""
@@ -365,9 +382,10 @@ class Kernel:
         (m, c), = p.items()
         if ex.denominator == 1:
             return self._mono_power(m, c, int(ex))
-        if c == 1 and m[0] == 0 and m[-1] == 1 and not any(m[1:-1]):
+        digits = self._digits(m)
+        if c == 1 and not m & self.mask and len(digits) == 1 and digits[0][1] == self.den:
             # a bare atom: pow_ would hand the same power back
-            pos = len(m) - 1
+            pos = digits[0][0]
             return self._atom(self.base[pos], self.kind[pos], ex)
         return self._monomial(pow_(self.tree(p), ex))
 
@@ -377,14 +395,9 @@ class Kernel:
             return self.expand(p)
         out: Poly = {_CONST: p.coeff}
         for b, ex in p.powers:
-            if isinstance(b, Rat):
-                f = self._atom(b, _RADICAL, ex)
-            else:
-                f = self.factor(b, ex)
+            f = self._atom(b, _RADICAL, ex) if isinstance(b, Rat) else self.factor(b, ex)
             out = self.mul(out, f)
         return out
-
-    # -- polynomial to tree ----------------------------------------------
 
     def tree(self, p: Poly) -> Expr:
         """The canonical tree of p, as add and mul would build it."""
@@ -393,25 +406,19 @@ class Kernel:
             return hit[1]
         terms = []
         for m, c in p.items():
-            powers = [(self.base[pos], _exact(e)) for pos, e in enumerate(m) if pos and e]
-            if m[0]:
-                powers.append((self.exp_node[m[0]], 1))
+            powers = [(self.base[pos], self._exponent(d)) for pos, d in self._digits(m)]
+            if m & self.mask:
+                powers.append((self.exp_node[m & self.mask], 1))
             if len(powers) > 1:
                 powers.sort(key=_base_order)
             terms.append(_make_mul(c, tuple(powers)))
-        if not terms:
-            t: Expr = ZERO
-        elif len(terms) == 1:
-            t = terms[0]
-        else:
+        if len(terms) > 1:
             terms.sort(key=_term_order)
-            t = Add(tuple(terms))
+        t = Add(tuple(terms)) if len(terms) > 1 else terms[0] if terms else ZERO
         # p stays referenced, so its id is not reused while the memo lives
         self.trees[id(p)] = (p, t)
         self.expanded.setdefault(t, p)
         return t
-
-    # -- quotients ----------------------------------------------------------
 
     def ratio(self, e: Expr) -> Tuple[Poly, Expr]:
         """(numerator polynomial, factored denominator tree) of e."""
@@ -423,10 +430,9 @@ class Kernel:
     def expanded_ratio(self, p: Poly) -> Tuple[Poly, Expr]:
         """ratio of the tree of an expanded polynomial p.
 
-        Terms without a negative exponent are their own numerator over
-        their coefficient's denominator, so p is its own numerator over 1
-        when every coefficient is an int; only the others are built as
-        trees and taken apart again.
+        A term without a negative exponent is its own numerator over its
+        coefficient's denominator; only the others are built as trees and
+        taken apart again.
         """
         if all(c.__class__ is int for c in p.values()) and not any(
             map(self._has_denominator, p)
@@ -444,10 +450,8 @@ class Kernel:
 
     def _has_denominator(self, m: Mono) -> bool:
         """Does m hold a negative exponent, or an opaque Pow with one?"""
-        return any(e < 0 for e in m) or self.pow_denominators and any(
-            e and self.kind[pos] == _POW and self.base[pos].exponent < 0
-            for pos, e in enumerate(m)
-        )
+        u = m + self.bias
+        return u & self.bias != self.bias or (u ^ self.bias) & self.pow_denominators != 0
 
     def _ratio(self, e: Expr) -> Tuple[Poly, Expr]:
         if isinstance(e, Rat):
@@ -541,11 +545,7 @@ class Kernel:
         )
         if coeffs[0] < 0:
             g = -g
-        if g == 1:
-            hit = (g, b)
-        else:
-            scale = 1 / g
-            p = {m: _exact(c * scale) for m, c in self.expand(b).items()}
-            hit = (g, self.tree(p))
-        self.primitive[b] = hit
+        hit = self.primitive[b] = (g, b) if g == 1 else (
+            g, self.tree({m: _exact(c / g) for m, c in self.expand(b).items()})
+        )
         return hit

@@ -26,14 +26,17 @@ when simplify may rewrite one of its atoms.  The kernel holds a
 polynomial as a dict from monomial to coefficient over kernel atoms
 (Var, Func, Int, opaque Pow, App other than exp, radicals of
 rationals, and sums kept whole under a negative or fractional
-exponent, each with its arguments expanded), with all exp factors of
-a monomial merged into one.  A quotient keeps its denominator
-factored as content-normal bases with exponents, and sums of
-quotients go over the least common multiple of those bases; no
-polynomial gcd is taken.  Each call builds its own kernel, whose memo
-maps every distinct subtree to its polynomial and its quotient once
-and is dropped on return.  Clearing denominators this way decides
-every rational identity exactly.
+exponent, each with its arguments expanded).  A monomial is one int:
+its exponents, fractional ones over a per-call denominator, packed
+into fixed-width fields beside the index of its one merged exp
+factor, so a term product is one integer addition.  A quotient keeps
+its denominator factored as content-normal bases with exponents, and
+sums of quotients go over the least common multiple of those bases;
+no polynomial gcd is taken.  Each call runs on its own kernel, whose
+memo maps every distinct subtree to its polynomial and its quotient
+once and is dropped on return; a call whose exponents outgrow the
+kernel's layout is repeated on a wider one.  Clearing denominators
+this way decides every rational identity exactly.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from .nodes import (
     pow_,
     rat,
 )
-from .poly import Kernel, Poly
+from .poly import Kernel, Poly, run
 
 
 def simplify(e: Expr, ctx: Optional[Context] = None) -> Expr:
@@ -190,8 +193,7 @@ def _pair_sign_factors(e: Expr, ctx: Optional[Context]) -> Expr:
 
 def expand(e: Expr) -> Expr:
     """Distribute products over sums and expand positive integer powers."""
-    k = Kernel()
-    return k.tree(k.expand(e))
+    return run(lambda k: k.tree(k.expand(e)))
 
 
 def ratio_normal(e: Expr) -> Tuple[Expr, Expr]:
@@ -201,9 +203,11 @@ def ratio_normal(e: Expr) -> Tuple[Expr, Expr]:
     powers stay whole so no sign information is lost.  e is zero on
     its domain exactly when the returned numerator is zero.
     """
-    k = Kernel()
-    n, d = k.ratio(e)
-    return k.tree(n), d
+    def task(k: Kernel) -> Tuple[Expr, Expr]:
+        n, d = k.ratio(e)
+        return k.tree(n), d
+
+    return run(task)
 
 
 def normal_form(e: Expr, ctx: Optional[Context] = None) -> Expr:
@@ -304,6 +308,5 @@ def _witness(e: Expr) -> Optional[int]:
 
 def _numerator(e: Expr, ctx: Optional[Context]) -> Tuple[Kernel, Poly]:
     """The kernel and the cleared numerator polynomial of simplify(e, ctx)."""
-    k = Kernel()
-    n, _ = k.expanded_ratio(k.expand(simplify(e, ctx)))
-    return k, n
+    s = simplify(e, ctx)
+    return run(lambda k: (k, k.expanded_ratio(k.expand(s))[0]))

@@ -43,7 +43,7 @@ from .expr import (
     var,
 )
 from .expr.nodes import ExprLike
-from .expr.poly import Kernel
+from .expr.poly import run
 from .hopfcole import cole_hopf_solution
 from .report import ConditionReport, REJECTED, VerificationReport, combined_report, held
 from .transforms import (
@@ -125,17 +125,17 @@ def expand_in_basis(
 ) -> List[Fraction]:
     """Exact coefficients c with v = sum c_k basis_k, else SymmetryError.
 
-    Each component is expanded once by one polynomial Kernel; the rows
-    of the linear system are the (component, monomial) pairs in the
+    Each component is expanded by one polynomial Kernel (the whole
+    expansion repeats on a wider one if an exponent outgrows it); the
+    rows of the linear system are the (component, monomial) pairs in the
     order first seen, with the monomials as the kernel's opaque keys.
     """
     if ctx is None:
         ctx = symmetry_context()
-    kernel = Kernel()
-    fields = [
-        [kernel.expand(simplify(c, ctx)) for c in field.components()]
-        for field in list(basis) + [v]
+    trees = [
+        [simplify(c, ctx) for c in field.components()] for field in list(basis) + [v]
     ]
+    fields = run(lambda k: [[k.expand(c) for c in comps] for comps in trees])
     keys = dict.fromkeys(
         (i, m) for polys in fields for i, p in enumerate(polys) for m in p
     )

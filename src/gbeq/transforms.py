@@ -650,7 +650,14 @@ def _general_pullback(
     """
     T, X, U1, U0 = g.T, g.X, g.U1, g.U0
     F, H1, H0 = sup.elements["F"], sup.elements["H1"], sup.elements["H0"]
-    T_t, X_x = _d(T, "t", ctx), _d(X, "x", ctx)
+    # one derivative memo per variable for this call: U1, U0, X_x and
+    # their derivatives share subtrees, each differentiated once
+    memos: Dict[str, Dict[Expr, Expr]] = {"t": {}, "x": {}}
+
+    def d(e: Expr, v: str) -> Expr:
+        return differentiate(e, v, ctx, memos[v])
+
+    T_t, X_x = d(T, "t"), d(X, "x")
     F_new = div(X_x * X_x * F, T_t)
     if cls is ClassId.SUPER:
         u = ctx.fn("u")
@@ -664,12 +671,12 @@ def _general_pullback(
         # put u into the small source elements, not the pulled-back trees
         H1 = substitute(H1, {"u": u}, ctx)
         H0 = substitute(H0, {"u": u}, ctx)
-    U1_t, U1_x = _d(U1, "t", ctx), _d(U1, "x", ctx)
-    U0_t, U0_x = _d(U0, "t", ctx), _d(U0, "x", ctx)
+    U1_t, U1_x = d(U1, "t"), d(U1, "x")
+    U0_t, U0_x = d(U0, "t"), d(U0, "x")
     # derivatives of U = U1 u + U0 at frozen u
     U_t = U1_t * u + U0_t
     U_x = U1_x * u + U0_x
-    U_xx = _d(U1_x, "x", ctx) * u + _d(U0_x, "x", ctx)
+    U_xx = d(U1_x, "x") * u + d(U0_x, "x")
     H0_new = div(
         U1 * H0
         + rat(2) * U_x * div(U1_x, U1) * F
@@ -680,16 +687,16 @@ def _general_pullback(
         return {"f": H0_new}
     H1_new = div(
         X_x * H1
-        + _d(X_x, "x", ctx) * F
+        + d(X_x, "x") * F
         - rat(2) * X_x * div(U1_x, U1) * F
-        + _d(X, "t", ctx),
+        + d(X, "t"),
         T_t,
     )
     if cls is ClassId.SUPER:
         return {"F": F_new, "H1": H1_new, "H0": H0_new}
     if cls is ClassId.LINEAR:
         return {"a": F_new, "b": H1_new, "c": H0_new}
-    b_new = H1_new - div(_d(F_new, "x", ctx), X_x)
+    b_new = H1_new - div(d(F_new, "x"), X_x)
     read = {"a": F_new, "b": b_new, "f": H0_new}
     return {k: read[k] for k in CLASS_SPECS[cls].elements}
 

@@ -42,9 +42,11 @@ from .expr import (
     EvalError,
     Evaluator,
     Expr,
+    ExprError,
     Func,
     Int,
     NONZERO,
+    Rat,
     SYMBOLIC_ZERO,
     Var,
     atoms_of,
@@ -188,9 +190,13 @@ def residual(
         ctx.assume_name(name, flag)
     pde = build_pde(inst, ctx)
     # the candidate alone first: a base the assumptions make 0 under a
-    # negative power raises DivisionByZero here, while in the residual
-    # its derivatives, which may all vanish, can cancel it
-    simplify(candidate, ctx)
+    # negative power raises DivisionByZero here, and a log of a rational
+    # <= 0 is refused, while in the residual their derivatives, which
+    # may all vanish, can cancel them
+    for node in walk(simplify(candidate, ctx)):
+        if isinstance(node, App) and node.fn == "ln" and isinstance(node.arg, Rat):
+            if node.arg.value <= 0:
+                raise ExprError(f"{format_expr(node)} is undefined")
     res_expr = simplify(
         substitute(pde, {inst.dependent: candidate}, ctx), ctx
     )

@@ -405,6 +405,19 @@ def test_hopf_cole_transform_bridge_commutes(corpus, tmp_path):
     assert code == EXIT_PASS
 
 
+def test_hopf_cole_applies_assumptions_before_the_bridge(corpus, tmp_path):
+    # abs(x) has a derivative only under a sign of x, so the assumption
+    # must reach the context u = 2 v_x / v is built in
+    tmp, files = corpus
+    u_path = tmp_path / "u.txt"
+    code = main([
+        "hopf-cole", str(files["heat.gbeq"]), "--v", "abs(x)", "--assume", "x>0",
+        "--out", str(tmp_path / "rep.json"), "--u-out", str(u_path),
+    ])
+    assert code == EXIT_PASS
+    assert u_path.read_text().strip() == "2/x"
+
+
 def test_verify_solution_exit_partition(corpus, tmp_path):
     tmp, files = corpus
     assert main(["verify-solution", str(files["burgers.gbeq"]), "--solution", "2/x"]) == EXIT_PASS
@@ -438,6 +451,22 @@ def test_candidate_undefined_where_assumed_is_an_input_error(corpus, capsys, sol
     ]
     assert main(argv) == EXIT_INPUT
     assert capsys.readouterr().err == "gbeq verify-solution: division by zero\n"
+
+
+@pytest.mark.parametrize(
+    "solution, node", [("ln(abs(x)-x)", "ln(0)"), ("x*ln(sign(x) - 3)", "ln(-2)")]
+)
+def test_log_of_a_rational_at_most_zero_is_an_input_error(corpus, capsys, solution, node):
+    # under x > 0 the log's argument is the constant 0 or -2, so every
+    # derivative of the candidate vanishes with it and its residual
+    # would reduce to 0; only the candidate on its own shows the log
+    tmp, files = corpus
+    argv = [
+        "verify-solution", str(files["burgers.gbeq"]),
+        "--solution", solution, "--assume", "x>0",
+    ]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"gbeq verify-solution: {node} is undefined\n"
 
 
 def test_exp_merge_folding_to_a_product_verifies(corpus, capsys):

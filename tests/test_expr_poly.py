@@ -23,14 +23,15 @@ from gbeq.expr import (
     simplify,
     var,
 )
-from gbeq.expr.nodes import ONE
-from gbeq.expr.poly import Kernel
+from gbeq.expr.nodes import ONE, Add, App, Func, Mul, Rat, Var, pow_
+from gbeq.expr.poly import _MIN_WIDTH, Kernel, Widen, run
 
 from conftest import random_tree, verification_corpus
 
 CTX = Context()
-CTX.add_var("t")
-CTX.add_var("x")
+T = CTX.add_var("t")
+X = CTX.add_var("x")
+F = CTX.add_function("f", ("t", "x"))
 
 
 def P(text):
@@ -151,3 +152,130 @@ def test_an_integral_numerator_is_its_own_ratio():
         shortcuts += n is p
         assert (n, d) == common_route(k, p)
     assert shortcuts > 500
+
+
+def exact_value(e, point, memo=None):
+    """e at point in exact rationals, exp(n) read as 2**n.
+
+    Only integer powers and exp of integer-valued arguments occur, and
+    n -> 2**n maps sums to products as exp does, so every identity the
+    kernel uses holds for this value too.  A zero under a negative power
+    raises ZeroDivisionError.
+    """
+    memo = {} if memo is None else memo
+    if e in memo:
+        return memo[e]
+    if isinstance(e, Rat):
+        v = Fraction(e.value)
+    elif isinstance(e, (Var, Func)):
+        v = point[e]
+    elif isinstance(e, Add):
+        v = sum(exact_value(a, point, memo) for a in e.terms)
+    elif isinstance(e, Mul):
+        v = Fraction(e.coeff)
+        for b, k in e.powers:
+            v *= exact_value(b, point, memo) ** int(k)
+    else:
+        assert isinstance(e, App) and e.fn == "exp", e
+        n = exact_value(e.arg, point, memo)
+        assert n.denominator == 1, e
+        v = Fraction(2) ** int(n)
+    memo[e] = v
+    return v
+
+
+def kernel_tree(rng, depth):
+    """Sums, products, integer and negative powers over t, x and f(t, x),
+    with sums under negative powers and exp factors of integer arguments."""
+    if depth <= 0 or rng.random() < 0.2:
+        return rng.choice([T, X, F, rat(rng.randint(-3, 3)), rat(Fraction(rng.randint(-3, 3), 2))])
+    op = rng.random()
+    a = kernel_tree(rng, depth - 1)
+    if op < 0.25:
+        return a + kernel_tree(rng, depth - 1)
+    if op < 0.5:
+        return a * kernel_tree(rng, depth - 1)
+    if op < 0.75:
+        k = rng.choice([2, 3, -1, -2])
+        if k < 0:
+            a = a + kernel_tree(rng, depth - 1)  # most often a sum
+        return pow_(a if a != ZERO else a + 1, k)
+    arg = rat(rng.randint(-2, 2)) * T + rat(rng.randint(-2, 2)) * X + rat(rng.randint(-1, 1))
+    return exp(arg) * a
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_expand_and_ratio_normal_are_exact_at_rational_points(seed):
+    rng = random.Random(seed)
+    e = kernel_tree(rng, 4)
+    got = expand(e)
+    n, d = ratio_normal(e)
+    for _ in range(4):
+        point = {v: Fraction(rng.randint(-3, 3)) for v in (T, X, F)}
+        try:
+            want = exact_value(e, point)
+        except ZeroDivisionError:
+            continue
+        assert exact_value(got, point) == want, (format_expr(e), point)
+        den = exact_value(d, point)
+        if den:
+            assert exact_value(n, point) / den == want, (format_expr(e), point)
+
+
+def layout(e):
+    """(width, den, expanded tree) of e on the layout its expansion ends on."""
+    return run(lambda k: (k.width, k.den, k.tree(k.expand(e))))
+
+
+def test_a_call_reruns_on_the_layout_its_exponents_need():
+    cases = [
+        # the product needs 27-bit fields for the exponents, not a wrap
+        ("x^99999999*(x^-99999998 + t)", "x + t*x^99999999", None),
+        ("x^(1/2)*(x^(1/3) + t)", "x^(5/6) + t*x^(1/2)", 6),
+        # the base expands to 2^(1/2), so its root needs den 4, which no
+        # exponent of the input shows
+        ("(2^(1/2)*(1 + t) - 2^(1/2)*t)^(1/2)", "2^(1/4)", 4),
+        # x^1200 is past the range of the starting field
+        ("(x^600 + t)^2", "x^1200 + 2*t*x^600 + t^2", None),
+    ]
+    for text, want, den in cases:
+        e = P(text)
+        try:
+            Kernel().expand(e)
+        except Widen:
+            pass
+        else:
+            raise AssertionError(f"{text} fits the starting layout")
+        width, got_den, tree = layout(e)
+        assert tree == P(want), text
+        assert expand(e) == P(want), text
+        if den is None:
+            assert width > _MIN_WIDTH and got_den == 1, text
+        else:
+            assert got_den == den, text
+
+
+def test_products_of_exp_factors_merge_cancel_or_fold():
+    # both sides of each product carry an exp factor: they merge into
+    # one exp, cancel to 1, or fold to x through exp(ln(x)) = x
+    assert expand(P("(exp(t) + x)*(exp(x) + t)")) == P("exp(t + x) + t*exp(t) + x*exp(x) + t*x")
+    assert expand(P("(exp(t) + 1)*(exp(-t) + 1)")) == P("2 + exp(t) + exp(-t)")
+    assert expand(P("(exp(ln(x) + t) + 1)*(exp(-t) + 1)")) == P(
+        "1 + x + exp(t + ln(x)) + exp(-t)"
+    )
+
+
+def test_products_settle_radicals_sums_and_opaque_powers():
+    # each product takes a watched atom out of its settled range: a
+    # radical's whole part goes to the coefficient, a sum at exponent 1
+    # or more is multiplied out, and an opaque Pow goes through pow_
+    assert expand(P("2^(1/2)*(x + 2^(1/2)) - 3^(1/3)*(t + 3^(2/3))")) == P(
+        "-1 + 2^(1/2)*x - 3^(1/3)*t"
+    )
+    assert expand(P("(1 + t)^(3/4)*(x + (1 + t)^(1/2))")) == P(
+        "t*(1 + t)^(1/4) + x*(1 + t)^(3/4) + (1 + t)^(1/4)"
+    )
+    assert expand(P("(x^(1/2))^(1/3)*(t + (x^(1/2))^(1/3))")) == P(
+        "t*(x^(1/2))^(1/3) + (x^(1/2))^(2/3)"
+    )

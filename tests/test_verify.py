@@ -2,13 +2,15 @@
 
 import importlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from gbeq.classes import ClassId, EquationInstance, class_context
 from gbeq.expr import (
-    NEGATIVE, POSITIVE, SYMBOLIC_ZERO, ZERO, format_expr, parse, rat, var,
+    NEGATIVE, POSITIVE, SYMBOLIC_ZERO, ZERO, ExprError, format_expr, parse, rat,
+    var,
 )
 from gbeq.expr.nodes import DivisionByZero
 from gbeq.expr.poly import Kernel
@@ -180,6 +182,21 @@ def test_candidate_undefined_on_the_assumed_domain_is_never_proved():
         except DivisionByZero:
             continue
         assert rep.verdict != SYMBOLIC_ZERO, (text, flag)
+
+
+def test_log_of_a_rational_at_most_zero_is_refused():
+    # abs(x) - x is 0 wherever x > 0, so ln(abs(x) - x) is ln(0) there,
+    # and its residual, with every derivative 0, would reduce to 0
+    for text, node in (
+        ("ln(abs(x) - x)", "ln(0)"),
+        ("3 + x*ln(abs(x) - x - 2)", "ln(-2)"),
+        ("ln(sign(x) - 1)^2", "ln(0)"),
+    ):
+        with pytest.raises(ExprError, match=rf"^{re.escape(node)} is undefined$"):
+            residual(BURGERS, parse(text, BCTX), assumptions=[("x", POSITIVE)])
+    # a log whose argument is no rational constant is left to the zero test
+    rep = residual(BURGERS, parse("ln(abs(x) + x)", BCTX), assumptions=[("x", POSITIVE)])
+    assert rep.verdict == "NONZERO"
 
 
 def test_residual_normalizes_once(monkeypatch):
