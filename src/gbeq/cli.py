@@ -17,9 +17,9 @@ Exit status partitions the outcomes:
        with their position), abs or sign that must be differentiated
        without a sign assumption, an expression with no valid sample
        point in the domain (such as ln(-1-x^2)), a candidate that
-       divides by zero or takes the log of a rational at most 0
-       wherever the assumptions hold, a transform whose T does not
-       depend on t, unknown flags
+       divides by zero, takes the log of a rational at most 0 or an
+       even root of a negative rational wherever the assumptions
+       hold, a transform whose T does not depend on t, unknown flags
 
 Repeating an invocation with the same inputs and --seed reproduces
 the report byte for byte.  Expression-valued flags accept either the

@@ -24,19 +24,27 @@ the coefficient (2^(1/2)*2^(1/2) -> 2), a sum whose exponent reaches
 ((1+t)^(3/2) -> (1+t)*(1+t)^(1/2)), and other powers of an opaque Pow
 go through pow_, as the tree expansion did.
 
-A quotient is a numerator polynomial over a factored denominator, a
-canonical product of bases.  Over a sum, each term's denominator is
-made content-normal: every sum base with an integer exponent is scaled
-to integer coefficients without common factor, signed so its first
-term in canonical order is positive; the common denominator is the
-least common multiple over those bases and of the rational
-coefficients.  There is no polynomial gcd, so common factors of
-numerator and denominator stay.
+A quotient is a numerator polynomial over a content-normal
+denominator: a rational coefficient times bases with exponents, every
+sum base with an integer exponent scaled to integer coefficients
+without common factor and signed so its first term in canonical order
+is positive.  A sum of quotients goes over the product of each base to
+its highest exponent, times the lcm of the coefficients' numerators.
+An expanded polynomial is cleared off its packed monomials: a term's
+denominator part is its negative digits and its opaque Pows with a
+negative exponent, terms are bucketed by that part and by their
+coefficient's denominator, and each distinct part becomes one quotient,
+its atoms' quotients multiplied by adding exponents.  A sum atom to a
+negative integer power clears its own expansion the same way.  Only
+ratio_normal, which takes a tree apart, builds denominator trees.
+There is no polynomial gcd, so common factors of numerator and
+denominator stay.
 
 One Kernel serves one public call.  Its memos map each distinct
-subtree to its polynomial and to its quotient once, so a residual that
-repeats the same nested denominator hundreds of times pays for it
-once, and they are dropped when the call returns.
+subtree to its polynomial and to its quotient, and each distinct
+denominator part to its quotient, once, so a residual that repeats the
+same nested denominator hundreds of times pays for it once, and they
+are dropped when the call returns.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ T = TypeVar("T")
 
 _PLAIN, _SUM, _RADICAL, _POW = range(4)
 _CONST: Mono = 0
+_UNIT: Poly = {_CONST: 1}  # shared, never mutated
 
 # the field width a call starts with, and the bits a widening adds
 _MIN_WIDTH = 12
@@ -118,6 +127,8 @@ class Kernel:
         self.exp_powers: Dict[Tuple[int, Coeff], Union[int, Poly]] = {}
         self.expanded: Dict[Expr, Poly] = {}
         self.ratios: Dict[Expr, Tuple[Poly, Expr]] = {}
+        self.parts: Dict[Tuple[int, int], tuple] = {}
+        self.denominators: Dict[Mono, tuple] = {}
         self.powers: Dict[tuple, Poly] = {}
         self.normal: Dict[Expr, tuple] = {}
         self.primitive: Dict[Expr, Tuple[Fraction, Expr]] = {}
@@ -427,26 +438,84 @@ class Kernel:
             r = self.ratios[e] = self._ratio(e)
         return r
 
-    def expanded_ratio(self, p: Poly) -> Tuple[Poly, Expr]:
-        """ratio of the tree of an expanded polynomial p.
+    def expanded_ratio(self, p: Poly) -> Poly:
+        """The cleared numerator of an expanded polynomial p; a lone
+        term's is not scaled to a content-normal denominator."""
+        if len(p) != 1:
+            return self._quotient(p)[0]
+        (m, c), = p.items()
+        d = self._split(m)
+        if not d:
+            return p if c.__class__ is int else {m: c.numerator}
+        return self.mul({m - d: c.numerator}, self._denominator(d)[0])
 
-        A term without a negative exponent is its own numerator over its
-        coefficient's denominator; only the others are built as trees and
-        taken apart again.
+    def _split(self, m: Mono) -> Mono:
+        """The denominator part of m, its negative digits and its opaque
+        Pows with a negative exponent: a digit is negative where m + bias
+        has the bias bit f clear, and (f << 2) - (f >> (width - 2)) is
+        the mask of f's field."""
+        bias = self.bias
+        u = m + bias
+        f = ~u & bias
+        fields = ((f << 2) - (f >> (self.width - 2))) | self.pow_denominators
+        return (u & fields) - (bias & fields)
+
+    def _quotient(self, p: Poly) -> tuple:
+        """(numerator, lcm, {base: exponent}) of an expanded polynomial p.
+
+        A bucket of terms with the same denominator part and coefficient
+        denominator sums coefficient numerators times positive parts,
+        and is multiplied by the part's numerator factor once.
         """
         if all(c.__class__ is int for c in p.values()) and not any(
             map(self._has_denominator, p)
         ):
-            return p, ONE
-        pairs = []
+            return p, 1, {}
+        buckets: Dict[Tuple[Mono, int], Poly] = {}
         for m, c in p.items():
-            if self._has_denominator(m):
-                pairs.append(self.ratio(self.tree({m: c})))
-            elif c.__class__ is Fraction:
-                pairs.append(({m: c.numerator}, rat(c.denominator)))
+            d = self._split(m)
+            key = (d, 1 if c.__class__ is int else c.denominator)
+            buckets.setdefault(key, {})[m - d] = c.numerator
+        pairs = []
+        for (d, den), n in buckets.items():
+            f, c, powers = self._denominator(d)
+            pairs.append((n if f == _UNIT else self.mul(n, f), c * den, powers))
+        return self._common(pairs)
+
+    def _denominator(self, d: Mono) -> tuple:
+        """(numerator factor, coefficient, {base: exponent}) of a
+        denominator part, its atoms' parts multiplied by adding exponents."""
+        hit = self.denominators.get(d)
+        if hit is None:
+            f, c, powers = _UNIT, 1, {}
+            for pos, e in self._digits(d):
+                pf, pc, pp = self._part(pos, e)
+                f, c = self.mul(f, pf), c * pc
+                for b, ex in pp.items():
+                    powers[b] = powers.get(b, 0) + ex
+            hit = self.denominators[d] = (f, c, {b: ex for b, ex in powers.items() if ex})
+        return hit
+
+    def _part(self, pos: int, e: int) -> tuple:
+        """(numerator factor, coefficient, {base: exponent}) of the atom at
+        pos to the digit e in a denominator part, read off the pow_ trees
+        _ratio builds: a sum over its own quotient n/den, to a negative
+        integer power -k, is den^k over n^k."""
+        hit = self.parts.get((pos, e))
+        if hit is None:
+            node, ex, f = self.base[pos], self._exponent(e), _UNIT
+            if self.kind[pos] == _POW and node.exponent < 0:
+                d = pow_(node.base, -node.exponent)
+            elif self.kind[pos] == _SUM and ex.denominator == 1:
+                n, lcm, top = self._quotient(self.expand(node))
+                f = {_CONST: lcm ** -ex}
+                for base, x in top.items():
+                    f = self.mul(f, self.factor(base, -x * ex))
+                d = pow_(self.tree(n), -ex)
             else:
-                pairs.append(({m: c}, ONE))
-        return pairs[0] if len(pairs) == 1 else self._common(pairs)
+                d = pow_(node, -ex)
+            hit = self.parts[(pos, e)] = (f, *self._content_normal(d))
+        return hit
 
     def _has_denominator(self, m: Mono) -> bool:
         """Does m hold a negative exponent, or an opaque Pow with one?"""
@@ -460,7 +529,10 @@ class Kernel:
         if isinstance(e, Pow) and e.exponent < 0:
             return {_CONST: 1}, pow_(e.base, -e.exponent)
         if isinstance(e, Add):
-            return self._common([self.ratio(t) for t in e.terms])
+            n, lcm, top = self._common(
+                [(n, *self._content_normal(d)) for n, d in map(self.ratio, e.terms)]
+            )
+            return n, mul(rat(lcm), *[pow_(base, ex) for base, ex in top.items()])
         if not isinstance(e, Mul):
             return self.expand(e), ONE
         num: Poly = {_CONST: e.coeff.numerator}
@@ -485,40 +557,38 @@ class Kernel:
                 den.append(pow_(self.tree(nb), -k))
         return num, mul(*den)
 
-    def _common(self, pairs: List[Tuple[Poly, Expr]]) -> Tuple[Poly, Expr]:
-        """Sum of quotients over the least common content-normal denominator."""
-        groups: Dict[tuple, Poly] = {}
-        parts: Dict[tuple, tuple] = {}
+    def _common(self, pairs: List[tuple]) -> tuple:
+        """Sum of content-normal quotients (n, c, {base: exponent}) over
+        their least common denominator: (numerator, lcm, top), the
+        denominator being lcm times each base to its top exponent."""
+        groups: Dict[tuple, list] = {}
         lcm = 1
         top: Dict[Expr, Coeff] = {}
-        for n, d in pairs:
-            c, powers, key = self._content_normal(d)
-            acc = groups.get(key)
-            if acc is None:
-                groups[key] = acc = {}
-                parts[key] = (c, powers)
+        for n, c, powers in pairs:
+            key = (c, frozenset(powers.items()))
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = [c, powers, {}]
                 lcm = math.lcm(lcm, c.numerator)
                 for base, ex in powers.items():
                     if top.get(base, 0) < ex:
                         top[base] = ex
-            _add_into(acc, n)
+            _add_into(group[2], n)
         num: Poly = {}
-        for key, n in groups.items():
+        for c, powers, n in groups.values():
             n = _clean(n)
             if not n:
                 continue
-            c, powers = parts[key]
             q: Poly = {_CONST: _exact(Fraction(lcm) / c)}
             for base, ex in top.items():
                 k = ex - powers.get(base, 0)
                 if k:
                     q = self.mul(q, self.factor(base, k))
             _add_into(num, self.mul(n, q))
-        den = mul(rat(lcm), *[pow_(base, ex) for base, ex in top.items()])
-        return _clean(num), den
+        return _clean(num), lcm, top
 
     def _content_normal(self, d: Expr) -> tuple:
-        """(coefficient, {base: exponent}, key) of d with content-normal sum bases."""
+        """(coefficient, {base: exponent}) of d with content-normal sum bases."""
         hit = self.normal.get(d)
         if hit is not None:
             return hit
@@ -529,8 +599,7 @@ class Kernel:
                 g, b = self._primitive(b)
                 c = c * g ** int(ex)
             out[b] = out.get(b, 0) + ex
-        out = {b: ex for b, ex in out.items() if ex}
-        hit = self.normal[d] = (c, out, (c, frozenset(out.items())))
+        hit = self.normal[d] = (c, {b: ex for b, ex in out.items() if ex})
         return hit
 
     def _primitive(self, b: Add) -> Tuple[Fraction, Expr]:

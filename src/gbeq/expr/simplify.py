@@ -32,11 +32,14 @@ into fixed-width fields beside the index of its one merged exp
 factor, so a term product is one integer addition.  A quotient keeps
 its denominator factored as content-normal bases with exponents, and
 sums of quotients go over the least common multiple of those bases;
-no polynomial gcd is taken.  Each call runs on its own kernel, whose
-memo maps every distinct subtree to its polynomial and its quotient
-once and is dropped on return; a call whose exponents outgrow the
-kernel's layout is repeated on a wider one.  Clearing denominators
-this way decides every rational identity exactly.
+no polynomial gcd is taken.  normal_form clears the expanded
+polynomial straight off its monomials, one quotient per distinct
+denominator part; only ratio_normal takes a tree apart into a
+numerator and a denominator tree.  Each call runs on its own kernel,
+whose memo maps every distinct subtree to its polynomial and its
+quotient once and is dropped on return; a call whose exponents
+outgrow the kernel's layout is repeated on a wider one.  Clearing
+denominators this way decides every rational identity exactly.
 """
 
 from __future__ import annotations
@@ -309,4 +312,4 @@ def _witness(e: Expr) -> Optional[int]:
 def _numerator(e: Expr, ctx: Optional[Context]) -> Tuple[Kernel, Poly]:
     """The kernel and the cleared numerator polynomial of simplify(e, ctx)."""
     s = simplify(e, ctx)
-    return run(lambda k: (k, k.expanded_ratio(k.expand(s))[0]))
+    return run(lambda k: (k, k.expanded_ratio(k.expand(s))))

@@ -46,6 +46,7 @@ from .expr import (
     Func,
     Int,
     NONZERO,
+    Pow,
     Rat,
     SYMBOLIC_ZERO,
     Var,
@@ -191,12 +192,17 @@ def residual(
     pde = build_pde(inst, ctx)
     # the candidate alone first: a base the assumptions make 0 under a
     # negative power raises DivisionByZero here, and a log of a rational
-    # <= 0 is refused, while in the residual their derivatives, which
-    # may all vanish, can cancel them
+    # <= 0 or an even root of a negative one (the opaque Pow that pow_
+    # keeps for it) is refused, while in the residual their derivatives,
+    # which may all vanish, can cancel them
     for node in walk(simplify(candidate, ctx)):
-        if isinstance(node, App) and node.fn == "ln" and isinstance(node.arg, Rat):
-            if node.arg.value <= 0:
-                raise ExprError(f"{format_expr(node)} is undefined")
+        if (
+            isinstance(node, App) and node.fn == "ln"
+            and isinstance(node.arg, Rat) and node.arg.value <= 0
+        ) or (
+            isinstance(node, Pow) and isinstance(node.base, Rat) and node.base.value < 0
+        ):
+            raise ExprError(f"{format_expr(node)} is undefined")
     res_expr = simplify(
         substitute(pde, {inst.dependent: candidate}, ctx), ctx
     )

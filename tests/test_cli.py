@@ -469,6 +469,32 @@ def test_log_of_a_rational_at_most_zero_is_an_input_error(corpus, capsys, soluti
     assert capsys.readouterr().err == f"gbeq verify-solution: {node} is undefined\n"
 
 
+@pytest.mark.parametrize(
+    "solution, assume, node",
+    [
+        ("(-1)^(1/2)", [], "(-1)^(1/2)"),
+        ("(-4)^(1/2)", [], "(-4)^(1/2)"),
+        ("(-1)^(1/4)", [], "(-1)^(1/4)"),
+        ("(-1)^(3/2)", [], "(-1)^(1/2)"),
+        ("(abs(x)-x-1)^(1/2)", ["--assume", "x>0"], "(-1)^(1/2)"),
+    ],
+)
+def test_even_root_of_a_negative_rational_is_an_input_error(corpus, capsys, solution, assume, node):
+    # a constant candidate has a residual of 0, so only the candidate on
+    # its own shows that it is no real number
+    tmp, files = corpus
+    argv = ["verify-solution", str(files["burgers.gbeq"]), "--solution", solution, *assume]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"gbeq verify-solution: {node} is undefined\n"
+
+
+def test_odd_root_of_a_negative_rational_verifies(corpus, capsys):
+    tmp, files = corpus
+    argv = ["verify-solution", str(files["burgers.gbeq"]), "--solution", "(-8)^(1/3)"]
+    assert main(argv) == EXIT_PASS
+    assert "SYMBOLIC_ZERO" in capsys.readouterr().out
+
+
 def test_exp_merge_folding_to_a_product_verifies(corpus, capsys):
     # the merged exponential exp(ln(2*x)) is the product 2*x
     tmp, files = corpus

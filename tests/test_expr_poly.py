@@ -23,7 +23,7 @@ from gbeq.expr import (
     simplify,
     var,
 )
-from gbeq.expr.nodes import ONE, Add, App, Func, Mul, Rat, Var, pow_
+from gbeq.expr.nodes import Add, App, Func, Mul, Rat, Var, add, pow_
 from gbeq.expr.poly import _MIN_WIDTH, Kernel, Widen, run
 
 from conftest import random_tree, verification_corpus
@@ -125,33 +125,94 @@ def test_memos_live_for_one_call():
     assert k2.tree(k2.expand(b)) == expand(b)
 
 
-def common_route(k, p):
-    """expanded_ratio without its shortcut: each term over its own
-    denominator, two or more terms summed by _common."""
-    pairs = []
-    for m, c in p.items():
-        if k._has_denominator(m):
-            pairs.append(k.ratio(k.tree({m: c})))
-        elif isinstance(c, Fraction):
-            pairs.append(({m: c.numerator}, rat(c.denominator)))
-        else:
-            pairs.append(({m: c}, ONE))
-    return pairs[0] if len(pairs) == 1 else k._common(pairs)
-
-
 def test_an_integral_numerator_is_its_own_ratio():
     # expanded_ratio hands back a polynomial with int coefficients and no
-    # denominator as it is, and summing it over 1 gives the same dict
+    # denominator as it is, and every numerator it gives is the one the
+    # tree path of ratio_normal gives
     shortcuts = 0
     for _, e, ctx in verification_corpus():
         k = Kernel()
         p = k.expand(simplify(e, ctx))
         if not p:
             continue
-        n, d = k.expanded_ratio(p)
+        n = k.expanded_ratio(p)
         shortcuts += n is p
-        assert (n, d) == common_route(k, p)
+        assert n == k.ratio(k.tree(p))[0]
     assert shortcuts > 500
+
+
+# denominator factors of every kind: sums whose own cleared numerator is a
+# constant, one term or a sum; fractional negative powers of a variable
+# and of a sum; opaque Pows with a negative exponent
+DENOMINATORS = [
+    "(1/t - 1/(1 + t))^-1",
+    "(1/(1 + t) - 1/(2 + t))^-2",
+    "(1 - 1/(1 + t))^-1",
+    "(1 - 3*t/(2*(1 + t/2)) - 1/(1 + t/2))^-1",
+    "(1 + 1/t)^-1",
+    "(x + t/2)^-1",
+    "(1 + t)^-2",
+    "(2/3 + x/t^2)^-1",
+    "t^(-7/2)",
+    "x^(-1/2)",
+    "t^-2",
+    "(1 + 2*t)^(-7/2)",
+    "(1 + t)^(-1/3)",
+    "(1/t^2)^(-5/2)",
+    "(t^2)^(-1/2)",
+]
+NUMERATORS = ["1", "t", "x", "t*x", "f", "exp(t)", "x^(1/2)", "(1 + t)^(1/2)"]
+COEFFICIENTS = [1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
+
+
+def cleared_both_ways(e):
+    """expanded_ratio's numerator of e's expansion and its tree, the tree
+    path's numerator, and the expansion's term count."""
+    def task(k):
+        p = k.expand(e)
+        n = k.expanded_ratio(p)
+        return n, k.tree(n), k.ratio(k.tree(p))[0], len(p)
+
+    return run(task)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_cleared_numerator_matches_the_tree_path(seed):
+    rng = random.Random(seed)
+    terms = []
+    for _ in range(rng.randint(2, 5)):
+        term = rat(rng.choice(COEFFICIENTS)) * P(rng.choice(NUMERATORS))
+        for _ in range(rng.randint(0, 2)):
+            term = term * P(rng.choice(DENOMINATORS))
+        terms.append(term)
+    e = add(*terms)
+    got, _, want, size = cleared_both_ways(e)
+    if size >= 2:
+        assert got == want, format_expr(e)
+
+
+def test_cleared_numerator_of_each_denominator_kind():
+    cases = [
+        # a sum atom whose own cleared numerator is one term, -2*t/(2 + t)
+        ("x + 1/(1 - 3*t/(2*(1 + t/2)) - 1/(1 + t/2))", "-4 - 2*t + 4*t*x"),
+        ("x + t^(-7/2)", "1 + t^(7/2)*x"),
+        (
+            "1/t + (1 + 2*t)^(-7/2)",
+            "t + (1 + 8*t^3 + 12*t^2 + 6*t)*(1 + 2*t)^(1/2)",
+        ),
+        ("x/2 + (1/t^2)^(-5/2)", "2 + x*((1/t^2)^(5/2))"),
+        # a lone term keeps its unscaled numerator
+        ("1/(1 + t/2)", "2"),
+        ("3/(4*t)", "3"),
+        ("x/(-1 - 2*t)", "x"),
+        ("2*x/(1 + 1/t)", "2*t*x"),
+        ("(1/t^2)^(-5/2)", "1"),
+    ]
+    for text, want in cases:
+        got, tree, tree_path, _ = cleared_both_ways(P(text))
+        assert got == tree_path, text
+        assert tree == expand(P(want)), text
 
 
 def exact_value(e, point, memo=None):

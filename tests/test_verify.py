@@ -199,6 +199,21 @@ def test_log_of_a_rational_at_most_zero_is_refused():
     assert rep.verdict == "NONZERO"
 
 
+def test_even_root_of_a_negative_rational_is_refused():
+    # pow_ keeps (-1)^(1/2) as an opaque Pow; a constant candidate's
+    # residual is 0, so only the candidate on its own shows it
+    for text, assume, node in (
+        ("(-1)^(1/2)", [], "(-1)^(1/2)"),
+        ("x + (-4)^(1/2)", [], "(-4)^(1/2)"),
+        ("(-1)^(3/2)", [], "(-1)^(1/2)"),
+        ("(abs(x) - x - 1)^(1/2)", [("x", POSITIVE)], "(-1)^(1/2)"),
+    ):
+        with pytest.raises(ExprError, match=rf"^{re.escape(node)} is undefined$"):
+            residual(BURGERS, parse(text, BCTX), assumptions=assume)
+    # an odd root of a negative rational is a real number
+    assert residual(BURGERS, parse("(-8)^(1/3)", BCTX)).verdict == SYMBOLIC_ZERO
+
+
 def test_residual_normalizes_once(monkeypatch):
     # opaque symbols (exp, ln) send the residual to the sampler; once
     # the zero test has found it nonzero, no normal form is computed
