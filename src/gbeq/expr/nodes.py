@@ -787,6 +787,8 @@ def app(fn: str, arg: ExprLike) -> Expr:
     if fn == "exp":
         return exp(arg)
     if fn == "ln":
+        if isinstance(arg, Rat) and arg.value <= 0:
+            raise ExprError(f"ln({arg.value}) is undefined")
         if arg == ONE:
             return ZERO
         if isinstance(arg, App) and arg.fn == "exp":
@@ -846,8 +848,7 @@ def exp(arg: ExprLike) -> Expr:
         return arg.arg
     if isinstance(arg, Mul) and len(arg.powers) == 1 and arg.powers[0][1] == 1:
         b = arg.powers[0][0]
-        # ln 0 is undefined; folding it would divide by zero for c < 0
-        if isinstance(b, App) and b.fn == "ln" and b.arg != ZERO:
+        if isinstance(b, App) and b.fn == "ln":
             return pow_(b.arg, arg.coeff)
     return App("exp", arg)
 

@@ -30,21 +30,22 @@ sum base with an integer exponent scaled to integer coefficients
 without common factor and signed so its first term in canonical order
 is positive.  A sum of quotients goes over the product of each base to
 its highest exponent, times the lcm of the coefficients' numerators.
-An expanded polynomial is cleared off its packed monomials: a term's
-denominator part is its negative digits and its opaque Pows with a
-negative exponent, terms are bucketed by that part and by their
-coefficient's denominator, and each distinct part becomes one quotient,
-its atoms' quotients multiplied by adding exponents.  A sum atom to a
-negative integer power clears its own expansion the same way.  Only
-ratio_normal, which takes a tree apart, builds denominator trees.
-There is no polynomial gcd, so common factors of numerator and
+Kernel.quotient clears an expanded polynomial straight off its packed
+monomials, and is the one way denominators are cleared: normal_form
+keeps its numerator, ratio_normal writes its denominator as a tree.  A
+term's denominator part is its negative digits and its opaque Pows
+with a negative exponent; terms are bucketed by that part and by their
+coefficient's denominator, and each distinct part becomes one
+quotient, its atoms' quotients multiplied by adding exponents.  A sum
+atom to a negative integer power clears its own expansion the same
+way.  There is no polynomial gcd, so common factors of numerator and
 denominator stay.
 
 One Kernel serves one public call.  Its memos map each distinct
-subtree to its polynomial and to its quotient, and each distinct
-denominator part to its quotient, once, so a residual that repeats the
-same nested denominator hundreds of times pays for it once, and they
-are dropped when the call returns.
+subtree to its polynomial, and each distinct denominator part to its
+quotient, once, so a residual that repeats the same nested denominator
+hundreds of times pays for it once, and they are dropped when the call
+returns.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from typing import Callable, Dict, List, Tuple, TypeVar, Union
 
 from .nodes import (
     Add, App, Expr, Func, Int, Mul, ONE, Pow, Rat, Var, ZERO, _as_coeff_powers, _exact,
-    _make_mul, _rat_int_power, _scale_expr, _term_order, exp, mul, pow_, rat,
+    _make_mul, _rat_int_power, _scale_expr, _term_order, exp, pow_,
 )
 
 Coeff = Union[int, Fraction]
@@ -126,12 +127,9 @@ class Kernel:
         self.exp_products: Dict[Tuple[int, int], Union[int, Poly]] = {}
         self.exp_powers: Dict[Tuple[int, Coeff], Union[int, Poly]] = {}
         self.expanded: Dict[Expr, Poly] = {}
-        self.ratios: Dict[Expr, Tuple[Poly, Expr]] = {}
         self.parts: Dict[Tuple[int, int], tuple] = {}
         self.denominators: Dict[Mono, tuple] = {}
         self.powers: Dict[tuple, Poly] = {}
-        self.normal: Dict[Expr, tuple] = {}
-        self.primitive: Dict[Expr, Tuple[Fraction, Expr]] = {}
         self.trees: Dict[int, Tuple[Poly, Expr]] = {}
 
     def _wider(self, value: int = 0, den: int = 1) -> Widen:
@@ -431,24 +429,6 @@ class Kernel:
         self.expanded.setdefault(t, p)
         return t
 
-    def ratio(self, e: Expr) -> Tuple[Poly, Expr]:
-        """(numerator polynomial, factored denominator tree) of e."""
-        r = self.ratios.get(e)
-        if r is None:
-            r = self.ratios[e] = self._ratio(e)
-        return r
-
-    def expanded_ratio(self, p: Poly) -> Poly:
-        """The cleared numerator of an expanded polynomial p; a lone
-        term's is not scaled to a content-normal denominator."""
-        if len(p) != 1:
-            return self._quotient(p)[0]
-        (m, c), = p.items()
-        d = self._split(m)
-        if not d:
-            return p if c.__class__ is int else {m: c.numerator}
-        return self.mul({m - d: c.numerator}, self._denominator(d)[0])
-
     def _split(self, m: Mono) -> Mono:
         """The denominator part of m, its negative digits and its opaque
         Pows with a negative exponent: a digit is negative where m + bias
@@ -460,7 +440,7 @@ class Kernel:
         fields = ((f << 2) - (f >> (self.width - 2))) | self.pow_denominators
         return (u & fields) - (bias & fields)
 
-    def _quotient(self, p: Poly) -> tuple:
+    def quotient(self, p: Poly) -> tuple:
         """(numerator, lcm, {base: exponent}) of an expanded polynomial p.
 
         A bucket of terms with the same denominator part and coefficient
@@ -498,64 +478,45 @@ class Kernel:
 
     def _part(self, pos: int, e: int) -> tuple:
         """(numerator factor, coefficient, {base: exponent}) of the atom at
-        pos to the digit e in a denominator part, read off the pow_ trees
-        _ratio builds: a sum over its own quotient n/den, to a negative
-        integer power -k, is den^k over n^k."""
+        pos to the digit e in a denominator part, read off a pow_ tree: a
+        sum over its own quotient n/den, to a negative integer power -k,
+        is den^k over n^k.  A sum base with an integer exponent is scaled
+        to its content-normal form, the scale going to the coefficient."""
         hit = self.parts.get((pos, e))
         if hit is None:
             node, ex, f = self.base[pos], self._exponent(e), _UNIT
             if self.kind[pos] == _POW and node.exponent < 0:
                 d = pow_(node.base, -node.exponent)
             elif self.kind[pos] == _SUM and ex.denominator == 1:
-                n, lcm, top = self._quotient(self.expand(node))
+                n, lcm, top = self.quotient(self.expand(node))
                 f = {_CONST: lcm ** -ex}
                 for base, x in top.items():
                     f = self.mul(f, self.factor(base, -x * ex))
                 d = pow_(self.tree(n), -ex)
             else:
                 d = pow_(node, -ex)
-            hit = self.parts[(pos, e)] = (f, *self._content_normal(d))
+            c, powers = _as_coeff_powers(d)
+            out: Dict[Expr, Coeff] = {}
+            for b, x in powers:
+                if isinstance(b, Add) and x.denominator == 1:
+                    coeffs = [_as_coeff_powers(t)[0] for t in b.terms]
+                    g = Fraction(
+                        math.gcd(*(k.numerator for k in coeffs)),
+                        math.lcm(*(k.denominator for k in coeffs)),
+                    )
+                    if coeffs[0] < 0:
+                        g = -g
+                    if g != 1:
+                        b = self.tree({m: _exact(k / g) for m, k in self.expand(b).items()})
+                        c = c * g ** int(x)
+                out[b] = out.get(b, 0) + x
+            hit = self.parts[(pos, e)] = (f, c, {b: x for b, x in out.items() if x})
         return hit
 
     def _has_denominator(self, m: Mono) -> bool:
         """Does m hold a negative exponent, or an opaque Pow with one?"""
         u = m + self.bias
         return u & self.bias != self.bias or (u ^ self.bias) & self.pow_denominators != 0
-
-    def _ratio(self, e: Expr) -> Tuple[Poly, Expr]:
-        if isinstance(e, Rat):
-            v = e.value
-            return ({_CONST: v.numerator} if v else {}), rat(v.denominator)
-        if isinstance(e, Pow) and e.exponent < 0:
-            return {_CONST: 1}, pow_(e.base, -e.exponent)
-        if isinstance(e, Add):
-            n, lcm, top = self._common(
-                [(n, *self._content_normal(d)) for n, d in map(self.ratio, e.terms)]
-            )
-            return n, mul(rat(lcm), *[pow_(base, ex) for base, ex in top.items()])
-        if not isinstance(e, Mul):
-            return self.expand(e), ONE
-        num: Poly = {_CONST: e.coeff.numerator}
-        den: List[Expr] = [rat(e.coeff.denominator)]
-        for b, ex in e.powers:
-            if ex.denominator != 1:
-                # fractional powers stay whole, so no sign is lost
-                if ex > 0:
-                    num = self.mul(num, self.factor(b, ex))
-                else:
-                    den.append(pow_(b, -ex))
-                continue
-            nb, db = self.ratio(b)
-            k = int(ex)
-            if k > 0:
-                num = self.mul(num, self.power(nb, k, ("num", b)))
-                if db != ONE:
-                    den.append(pow_(db, k))
-            else:
-                if db != ONE:
-                    num = self.mul(num, self._monomial(pow_(db, -k)))
-                den.append(pow_(self.tree(nb), -k))
-        return num, mul(*den)
 
     def _common(self, pairs: List[tuple]) -> tuple:
         """Sum of content-normal quotients (n, c, {base: exponent}) over
@@ -586,35 +547,3 @@ class Kernel:
                     q = self.mul(q, self.factor(base, k))
             _add_into(num, self.mul(n, q))
         return _clean(num), lcm, top
-
-    def _content_normal(self, d: Expr) -> tuple:
-        """(coefficient, {base: exponent}) of d with content-normal sum bases."""
-        hit = self.normal.get(d)
-        if hit is not None:
-            return hit
-        c, powers = _as_coeff_powers(d)
-        out: Dict[Expr, Coeff] = {}
-        for b, ex in powers:
-            if isinstance(b, Add) and ex.denominator == 1:
-                g, b = self._primitive(b)
-                c = c * g ** int(ex)
-            out[b] = out.get(b, 0) + ex
-        hit = self.normal[d] = (c, {b: ex for b, ex in out.items() if ex})
-        return hit
-
-    def _primitive(self, b: Add) -> Tuple[Fraction, Expr]:
-        """(g, b/g): g the rational content of b, signed by its first term."""
-        hit = self.primitive.get(b)
-        if hit is not None:
-            return hit
-        coeffs = [_as_coeff_powers(t)[0] for t in b.terms]
-        g = Fraction(
-            math.gcd(*(c.numerator for c in coeffs)),
-            math.lcm(*(c.denominator for c in coeffs)),
-        )
-        if coeffs[0] < 0:
-            g = -g
-        hit = self.primitive[b] = (g, b) if g == 1 else (
-            g, self.tree({m: _exact(c / g) for m, c in self.expand(b).items()})
-        )
-        return hit

@@ -32,12 +32,12 @@ into fixed-width fields beside the index of its one merged exp
 factor, so a term product is one integer addition.  A quotient keeps
 its denominator factored as content-normal bases with exponents, and
 sums of quotients go over the least common multiple of those bases;
-no polynomial gcd is taken.  normal_form clears the expanded
-polynomial straight off its monomials, one quotient per distinct
-denominator part; only ratio_normal takes a tree apart into a
-numerator and a denominator tree.  Each call runs on its own kernel,
-whose memo maps every distinct subtree to its polynomial and its
-quotient once and is dropped on return; a call whose exponents
+no polynomial gcd is taken.  normal_form and ratio_normal clear the
+expanded polynomial the same way, straight off its monomials, one
+quotient per distinct denominator part: normal_form keeps the
+numerator, and ratio_normal also writes the denominator as a tree.
+Each call runs on its own kernel, whose memo maps every distinct
+subtree to its polynomial once and is dropped on return; a call whose exponents
 outgrow the kernel's layout is repeated on a wider one.  Clearing
 denominators this way decides every rational identity exactly.
 """
@@ -202,13 +202,15 @@ def expand(e: Expr) -> Expr:
 def ratio_normal(e: Expr) -> Tuple[Expr, Expr]:
     """Write e as num/den with denominators cleared: num expanded, den factored.
 
-    Only integer exponents are split across the quotient; fractional
-    powers stay whole so no sign information is lost.  e is zero on
-    its domain exactly when the returned numerator is zero.
+    e is expanded first, and num is the numerator normal_form starts
+    from; den is an integer times content-normal bases.  Only integer
+    exponents are split across the quotient; fractional powers stay
+    whole so no sign information is lost.  e is zero on its domain
+    exactly when the returned numerator is zero.
     """
     def task(k: Kernel) -> Tuple[Expr, Expr]:
-        n, d = k.ratio(e)
-        return k.tree(n), d
+        n, lcm, top = k.quotient(k.expand(e))
+        return k.tree(n), mul(rat(lcm), *[pow_(b, x) for b, x in top.items()])
 
     return run(task)
 
@@ -312,4 +314,4 @@ def _witness(e: Expr) -> Optional[int]:
 def _numerator(e: Expr, ctx: Optional[Context]) -> Tuple[Kernel, Poly]:
     """The kernel and the cleared numerator polynomial of simplify(e, ctx)."""
     s = simplify(e, ctx)
-    return run(lambda k: (k, k.expanded_ratio(k.expand(s))))
+    return run(lambda k: (k, k.quotient(k.expand(s))[0]))

@@ -80,7 +80,6 @@ from .expr import (
     contains_var,
     differentiate,
     div,
-    expand,
     format_expr,
     integral,
     is_zero,
@@ -543,7 +542,7 @@ def _affine_in_x(X: Expr, ctx: Context) -> Optional[Tuple[Expr, Expr]]:
     if contains_var(Q, "x"):
         # combine over a common denominator; unlike normal_form this
         # keeps the value, not just the zero set
-        n, d = ratio_normal(expand(Q))
+        n, d = ratio_normal(Q)
         Q = simplify(div(n, d), ctx)
         if contains_var(Q, "x"):
             return None

@@ -191,17 +191,12 @@ def residual(
         ctx.assume_name(name, flag)
     pde = build_pde(inst, ctx)
     # the candidate alone first: a base the assumptions make 0 under a
-    # negative power raises DivisionByZero here, and a log of a rational
-    # <= 0 or an even root of a negative one (the opaque Pow that pow_
-    # keeps for it) is refused, while in the residual their derivatives,
-    # which may all vanish, can cancel them
+    # negative power raises DivisionByZero here, a log of a rational <= 0
+    # raises where app builds it, and an even root of a negative one (the
+    # opaque Pow that pow_ keeps for it) is refused, while in the residual
+    # their derivatives, which may all vanish, can cancel them
     for node in walk(simplify(candidate, ctx)):
-        if (
-            isinstance(node, App) and node.fn == "ln"
-            and isinstance(node.arg, Rat) and node.arg.value <= 0
-        ) or (
-            isinstance(node, Pow) and isinstance(node.base, Rat) and node.base.value < 0
-        ):
+        if isinstance(node, Pow) and isinstance(node.base, Rat) and node.base.value < 0:
             raise ExprError(f"{format_expr(node)} is undefined")
     res_expr = simplify(
         substitute(pde, {inst.dependent: candidate}, ctx), ctx

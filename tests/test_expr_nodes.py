@@ -112,9 +112,11 @@ def test_exp_of_a_rational_multiple_of_ln_folds():
     assert exp(mul(2, ln(rat(2)))) == rat(4)
     assert exp(mul(-1, ln(x))) == pow_(x, -1)
     assert exp(mul(Fraction(1, 2), ln(t))) == sqrt(t)
-    # ln 0 is undefined: the node stays, and no constructor divides by 0
-    kept = exp(mul(-1, ln(ZERO)))
-    assert format_expr(kept) == "exp(-ln(0))"
+    # ln of a rational <= 0 is undefined: it is refused where it is
+    # built, so no exp fold can hide it or divide by 0
+    for r in (ZERO, rat(-2), rat(Fraction(-1, 2))):
+        with pytest.raises(ExprError, match=r"^ln\(.*\) is undefined$"):
+            ln(r)
 
 
 def test_division_formatting():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from gbeq.expr import (
     Context,
     EvalError,
+    Evaluator,
     ZERO,
     div,
     evaluate,
@@ -126,18 +127,23 @@ def test_memos_live_for_one_call():
 
 
 def test_an_integral_numerator_is_its_own_ratio():
-    # expanded_ratio hands back a polynomial with int coefficients and no
-    # denominator as it is, and every numerator it gives is the one the
-    # tree path of ratio_normal gives
+    # quotient hands back a polynomial with int coefficients and no
+    # denominator as it is, over the denominator 1, and builds a new
+    # numerator for every other polynomial
     shortcuts = 0
     for _, e, ctx in verification_corpus():
         k = Kernel()
         p = k.expand(simplify(e, ctx))
         if not p:
             continue
-        n = k.expanded_ratio(p)
-        shortcuts += n is p
-        assert n == k.ratio(k.tree(p))[0]
+        n, lcm, top = k.quotient(p)
+        plain = all(c.__class__ is int for c in p.values()) and not any(
+            map(k._has_denominator, p)
+        )
+        assert (n is p) == plain
+        if plain:
+            assert lcm == 1 and not top
+        shortcuts += plain
     assert shortcuts > 500
 
 
@@ -165,20 +171,9 @@ NUMERATORS = ["1", "t", "x", "t*x", "f", "exp(t)", "x^(1/2)", "(1 + t)^(1/2)"]
 COEFFICIENTS = [1, -1, 2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
 
 
-def cleared_both_ways(e):
-    """expanded_ratio's numerator of e's expansion and its tree, the tree
-    path's numerator, and the expansion's term count."""
-    def task(k):
-        p = k.expand(e)
-        n = k.expanded_ratio(p)
-        return n, k.tree(n), k.ratio(k.tree(p))[0], len(p)
-
-    return run(task)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.integers(0, 10 ** 6))
-def test_cleared_numerator_matches_the_tree_path(seed):
+def drawn_sum(seed):
+    """A sum of 2 to 5 terms, each a coefficient times a numerator over up
+    to two denominator factors, drawn from seed."""
     rng = random.Random(seed)
     terms = []
     for _ in range(rng.randint(2, 5)):
@@ -186,10 +181,34 @@ def test_cleared_numerator_matches_the_tree_path(seed):
         for _ in range(rng.randint(0, 2)):
             term = term * P(rng.choice(DENOMINATORS))
         terms.append(term)
-    e = add(*terms)
-    got, _, want, size = cleared_both_ways(e)
-    if size >= 2:
-        assert got == want, format_expr(e)
+    return add(*terms)
+
+
+def assert_quotient_is_value_exact(e, n, d, seed):
+    """n/d equals e at four seeded float points with t, x > 0."""
+    rng = random.Random(seed)
+    evaluator = Evaluator(atom_values={F: 0.37})
+    for _ in range(4):
+        point = {"t": rng.uniform(0.2, 1.3), "x": rng.uniform(0.2, 1.3)}
+        want, got = evaluator(e, point), evaluator(n, point) / evaluator(d, point)
+        assert close(want, got), (format_expr(e), format_expr(n), format_expr(d), point)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_cleared_quotient_is_value_exact(seed):
+    e = drawn_sum(seed)
+    n, d = ratio_normal(e)
+    assert_quotient_is_value_exact(e, n, d, seed)
+    assert normal_form(e) == n
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_ratio_normal_numerator_is_the_normal_form(seed):
+    # one quotient serves both, so they agree term for term, sign included
+    e = kernel_tree(random.Random(seed), 4)
+    assert ratio_normal(e)[0] == normal_form(e), format_expr(e)
 
 
 def test_cleared_numerator_of_each_denominator_kind():
@@ -202,17 +221,18 @@ def test_cleared_numerator_of_each_denominator_kind():
             "t + (1 + 8*t^3 + 12*t^2 + 6*t)*(1 + 2*t)^(1/2)",
         ),
         ("x/2 + (1/t^2)^(-5/2)", "2 + x*((1/t^2)^(5/2))"),
-        # a lone term keeps its unscaled numerator
+        # a lone term goes over its content-normal denominator too
         ("1/(1 + t/2)", "2"),
         ("3/(4*t)", "3"),
-        ("x/(-1 - 2*t)", "x"),
+        ("x/(-1 - 2*t)", "-x"),
         ("2*x/(1 + 1/t)", "2*t*x"),
         ("(1/t^2)^(-5/2)", "1"),
     ]
-    for text, want in cases:
-        got, tree, tree_path, _ = cleared_both_ways(P(text))
-        assert got == tree_path, text
-        assert tree == expand(P(want)), text
+    for seed, (text, want) in enumerate(cases):
+        e = P(text)
+        n, d = ratio_normal(e)
+        assert n == expand(P(want)), text
+        assert_quotient_is_value_exact(e, n, d, seed)
 
 
 def exact_value(e, point, memo=None):
