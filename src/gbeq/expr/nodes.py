@@ -18,8 +18,8 @@ Rewrites that are only valid under positivity or nonvanishing
 assumptions are *not* performed here; see simplify.simplify, which
 takes a Context.  The constructors only apply rules that hold on the
 domain of definition of both sides (for instance exponent addition on
-a shared base, exp(a)*exp(b) -> exp(a+b), or exp(c*ln(a)) -> a^c for
-rational c).
+a shared base, exp(a)*exp(b) -> exp(a+b), or exp(c*ln(a) + r) -> a^c *
+exp(r) for rational c).
 
 Each node's __init__ also sets _rewritable, from its children as it
 sets _hash: true when _rewritten_here holds for a node of the subtree,
@@ -49,6 +49,9 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
+
+# The lower limit of every antiderivative: Int nodes vanish at var = INT_BASE.
+INT_BASE = 0
 
 # Function names understood by App nodes.  sqrt is accepted by the
 # parser but is rewritten to a 1/2 power immediately.
@@ -266,11 +269,12 @@ class App(Expr):
 
 
 class Int(Expr):
-    """An antiderivative of ``body`` with respect to ``var``.
+    """The antiderivative of ``body`` with respect to ``var`` based at INT_BASE.
 
-    The node denotes *an* antiderivative; identities involving it are
-    understood up to the usual constant.  Numeric evaluation fixes the
-    base point (see numeric.evaluate).
+    The node denotes the antiderivative that vanishes at var = INT_BASE
+    (0): numeric evaluation integrates from there (numeric.Evaluator),
+    and the zero test's antiderivative rule (zero.integral_identity)
+    proves identities against the same base.
     """
 
     __slots__ = ("body", "var")
@@ -839,18 +843,39 @@ def app(fn: str, arg: ExprLike) -> Expr:
     raise ExprError(f"unknown function {fn}")
 
 
+def _log_term(term: Expr) -> Optional[Tuple[Expr, RationalLike]]:
+    """(a, c) when term is c*ln(a) for a rational c, else None."""
+    if term.__class__ is App:
+        return (term.arg, 1) if term.fn == "ln" else None
+    if term.__class__ is Mul and len(term.powers) == 1 and term.powers[0][1] == 1:
+        b = term.powers[0][0]
+        if b.__class__ is App and b.fn == "ln":
+            return b.arg, term.coeff
+    return None
+
+
 def exp(arg: ExprLike) -> Expr:
-    """exp with exp(c*ln(a)) -> a^c for rational c, wherever ln a is defined."""
+    """exp with exp(sum of c_i*ln(a_i) + r) -> prod of a_i^c_i times exp(r).
+
+    Each c_i is rational.  The fold holds wherever every ln(a_i) is
+    defined, so exp(ln(a)) is a and exp(c*ln(a)) is a^c.  An exp node's
+    argument therefore never holds a rational multiple of a logarithm
+    as a term.
+    """
     arg = as_expr(arg)
     if arg == ZERO:
         return ONE
-    if isinstance(arg, App) and arg.fn == "ln":
-        return arg.arg
-    if isinstance(arg, Mul) and len(arg.powers) == 1 and arg.powers[0][1] == 1:
-        b = arg.powers[0][0]
-        if isinstance(b, App) and b.fn == "ln":
-            return pow_(b.arg, arg.coeff)
-    return App("exp", arg)
+    terms = arg.terms if arg.__class__ is Add else (arg,)
+    if not any(map(_log_term, terms)):
+        return App("exp", arg)
+    factors, rest = [], []
+    for term in terms:
+        lt = _log_term(term)
+        if lt is None:
+            rest.append(term)
+        else:
+            factors.append(pow_(*lt))
+    return mul(*factors, exp(add(*rest)))
 
 
 def ln(arg: ExprLike) -> Expr:

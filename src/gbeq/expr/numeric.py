@@ -10,10 +10,11 @@ a closed-form expression in its signature variables; derivative nodes
 differentiate the binding symbolically before evaluating, so all
 occurrences of a symbol stay consistent; a symbol at its own signature
 variables may instead be given a value outright, as the zero test's jet
-sampler does.  Int nodes integrate their body numerically from a fixed
-base point with adaptive quadrature: QUADPACK's QAGS as
-scipy.integrate.quad runs it, whose first 21-point Gauss-Kronrod step
-is ported here so that integrands it settles never import scipy.
+sampler does.  Int nodes integrate their body numerically from the
+base point INT_BASE (see nodes.Int) with adaptive quadrature:
+QUADPACK's QAGS as scipy.integrate.quad runs it, whose first 21-point
+Gauss-Kronrod step is ported here so that integrands it settles never
+import scipy.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tup
 
 from .calculus import differentiate
 from .nodes import (
+    INT_BASE,
     MEMO_SIZE,
     Add,
     App,
@@ -52,7 +54,8 @@ class Evaluator:
         bindings: closed forms for function symbols, keyed by name.
             Each value is an expression in the symbol's signature
             variables.
-        base_point: lower limit used for Int nodes.
+        base_point: lower limit used for Int nodes; INT_BASE, where
+            the Int node is defined to vanish, unless a caller moves it.
         quad_tol: tolerance of the quadrature, used as both its absolute
             and its relative tolerance.
         atom_values: values that Func nodes at their own signature
@@ -68,7 +71,7 @@ class Evaluator:
     def __init__(
         self,
         bindings: Optional[Mapping[str, Expr]] = None,
-        base_point: float = 0.0,
+        base_point: float = float(INT_BASE),
         quad_tol: float = 1e-11,
         atom_values: Optional[Mapping[Expr, float]] = None,
     ):
@@ -483,7 +486,7 @@ def evaluate(
     e: Expr,
     point: Mapping[str, float],
     bindings: Optional[Mapping[str, Expr]] = None,
-    base_point: float = 0.0,
+    base_point: float = float(INT_BASE),
 ) -> float:
     """One-shot evaluation; see Evaluator for the conventions."""
     return Evaluator(bindings, base_point)(e, point)

@@ -202,7 +202,7 @@ class Kernel:
                     raise self._wider(i)
                 self.exp_node.append(node)
             return i
-        return 0 if node == ONE else self.expand(node)  # exp(ln y) folds to y
+        return 0 if node == ONE else self.expand(node)  # exp of logs folds to a product
 
     def _exp_product(self, i: int, j: int) -> Union[int, Poly]:
         key = (i, j) if i < j else (j, i)

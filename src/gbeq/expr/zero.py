@@ -1,12 +1,17 @@
 """Deciding whether an expression vanishes identically.
 
 The symbolic route (simplify, expand, clear denominators) settles
-every rational identity exactly.  When it does not reduce to zero the
-expression is sampled: either per jet coordinate, treating each
+every rational identity exactly; the exp constructor has already
+turned exp(c_1 ln a_1 + ... + r) into a_1^c_1 ... exp(r).  When the
+normal form is not zero, one exact stage follows: integral_identity
+proves an expression linear in a single antiderivative atom zero by
+differentiating it (the antiderivative rule).  What that stage does
+not decide is sampled: either per jet coordinate, treating each
 derivative atom as an independent unknown, or, when function symbols
 appear with explicit arguments or under antiderivatives, by binding
 every symbol to a random polynomial stand-in so that all occurrences
-stay consistent.
+stay consistent.  is_zero and gbeq.verify.residual run the same
+stages in the same order.
 
 Both stages, and the residual sampler of gbeq.verify, run one loop,
 sample_zero: a seeded draw function proposes points, the loop skips
@@ -23,12 +28,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .calculus import differentiate, substitute
 from .context import Context
 from .context import NEGATIVE as FLAG_NEGATIVE
 from .context import NONZERO as FLAG_NONZERO
 from .context import POSITIVE as FLAG_POSITIVE
 from .fmt import format_expr
 from .nodes import (
+    INT_BASE,
+    MINUS_ONE,
     Add,
     Expr,
     ExprError,
@@ -37,6 +45,8 @@ from .nodes import (
     Rat,
     Var,
     ZERO,
+    _as_coeff_powers,
+    _make_mul,
     add,
     atoms_of,
     mul,
@@ -46,7 +56,7 @@ from .nodes import (
     walk,
 )
 from .numeric import EvalError, Evaluator
-from .simplify import normal_form
+from .simplify import normal_form, normal_form_is_zero, ratio_normal
 
 SYMBOLIC_ZERO = "SYMBOLIC_ZERO"
 NUMERIC_ZERO = "NUMERIC_ZERO"
@@ -94,13 +104,70 @@ def is_zero(
 ) -> ZeroResult:
     """Test whether e vanishes identically, symbolically then numerically.
 
-    The numeric stage samples the cleared-denominator normal form,
-    which is the right notion for identities between opaque symbols.
+    SYMBOLIC_ZERO when the normal form is 0 or the antiderivative rule
+    (integral_identity) proves it 0.  Otherwise the numeric stage
+    samples the cleared-denominator normal form, which is the right
+    notion for identities between opaque symbols.
     """
     nf = normal_form(e, ctx)
-    if nf == ZERO:
+    if nf == ZERO or integral_identity(nf, ctx):
         return ZeroResult(SYMBOLIC_ZERO, nf, tol, seed)
     return sampled_verdict(nf, ctx, tol, n_samples, seed)
+
+
+def integral_identity(e: Expr, ctx: Optional[Context] = None) -> bool:
+    """Is e proved 0 by differentiating its one antiderivative atom?
+
+    The rule applies when e's normal form holds exactly one distinct
+    Int atom I = int(b, v), whose body b holds none, and I occurs
+    there only as a factor of a term, to the power 1: never inside an
+    exp argument, a sum, a power's base or a function's argument.  Then
+    the normal form is A + C*I with C a nonempty sum of terms, and with
+    H = -A/C and (N, D) = ratio_normal(H), e is 0 when
+
+    1. d(H)/dv - b has normal form 0, and
+    2. N at v = INT_BASE has normal form 0, and D there does not (a
+       nonzero modular witness or a nonempty numerator shows it).
+
+    This is sound: I - H has derivative 0 in v and vanishes at v =
+    INT_BASE, where I is based (nodes.Int) and H = N/D = 0, so I = H on
+    the interval from INT_BASE to v, and A + C*I = A + C*H = 0.  Where H
+    has a pole between INT_BASE and v, b = dH/dv is not integrable
+    there, so I, and with it e, is undefined.  A derivative that needs
+    a sign assumption the context lacks, a D that vanishes at INT_BASE,
+    or any other shape returns False, leaving e to the sampler.
+    """
+    if not any(isinstance(n, Int) for n in walk(e)):
+        return False
+    nf = normal_form(e, ctx)
+    ints = {n for n in walk(nf) if isinstance(n, Int)}
+    if len(ints) != 1:
+        return False
+    (atom,) = ints
+    a_terms: List[Expr] = []
+    c_terms: List[Expr] = []
+    for term in nf.terms if isinstance(nf, Add) else (nf,):
+        coeff, powers = _as_coeff_powers(term)
+        rest = tuple(p for p in powers if p[0] != atom)
+        if any(isinstance(n, Int) for b, _ in rest for n in walk(b)):
+            return False
+        if len(rest) == len(powers):
+            a_terms.append(term)
+        elif (atom, 1) in powers:
+            c_terms.append(_make_mul(coeff, rest))
+        else:
+            return False
+    h = mul(MINUS_ONE, add(*a_terms), pow_(add(*c_terms), -1))
+    base = {atom.var: rat(INT_BASE)}
+    try:
+        if not normal_form_is_zero(differentiate(h, atom.var, ctx) - atom.body, ctx):
+            return False
+        n, d = ratio_normal(h)
+        return normal_form_is_zero(
+            substitute(n, base, ctx), ctx
+        ) and not normal_form_is_zero(substitute(d, base, ctx), ctx)
+    except ExprError:
+        return False
 
 
 def sampled_verdict(

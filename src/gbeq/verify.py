@@ -18,8 +18,13 @@ count, and a seed.  residual first asks normal_form_is_zero whether
 the residual is 0; for a rational residual the modular witness there
 usually shows it is not without expanding anything, and the verdict
 still comes from the samples, so a witnessed residual grades exactly
-as before.  Function-free residuals are sampled on the domain
-through the sampling loop of is_zero (gbeq.expr.zero.sample_zero);
+as before.  A residual whose normal form is not 0 then goes through
+the exact stage is_zero runs next, the antiderivative rule
+(gbeq.expr.zero.integral_identity): a residual linear in one
+antiderivative atom is proved 0 by differentiating it, and reads
+SYMBOLIC_ZERO.  Only what that leaves is sampled.  Function-free
+residuals are sampled on the domain through the sampling loop of
+is_zero (gbeq.expr.zero.sample_zero);
 residuals with opaque symbols go through the numeric stage of is_zero
 (sampled_verdict), since the residual's normal form is already known
 not to be 0.  Identical inputs and seed give identical reports.
@@ -58,7 +63,7 @@ from .expr import (
     substitute,
     walk,
 )
-from .expr.zero import Draw, sample_zero, sampled_verdict
+from .expr.zero import Draw, integral_identity, sample_zero, sampled_verdict
 from .report import (
     ConditionReport,
     REJECTED,
@@ -176,12 +181,15 @@ def residual(
 ) -> VerificationReport:
     """Does the candidate solve the member's PDE?
 
-    The residual is judged by its sampled values, so approximate
-    (float-contaminated) candidates that track a true solution to
-    within tolerance still earn NUMERIC_ZERO.  When the member's
-    elements are opaque symbols the domain cannot steer the sampler
-    and the stand-in machinery of is_zero takes over; (name, flag)
-    assumptions constrain how those symbols simplify and sample.
+    SYMBOLIC_ZERO when the residual's normal form is 0, or when the
+    antiderivative rule (gbeq.expr.zero.integral_identity) proves a
+    residual linear in one integral atom 0.  Otherwise the residual is
+    judged by its sampled values, so approximate (float-contaminated)
+    candidates that track a true solution to within tolerance still
+    earn NUMERIC_ZERO.  When the member's elements are opaque symbols
+    the domain cannot steer the sampler and the stand-in machinery of
+    is_zero takes over; (name, flag) assumptions constrain how those
+    symbols simplify and sample.
     """
     if domain is None:
         domain = default_domain()
@@ -201,7 +209,7 @@ def residual(
     res_expr = simplify(
         substitute(pde, {inst.dependent: candidate}, ctx), ctx
     )
-    if normal_form_is_zero(res_expr, ctx):
+    if normal_form_is_zero(res_expr, ctx) or integral_identity(res_expr, ctx):
         return VerificationReport(
             verdict=SYMBOLIC_ZERO,
             residual_text="0",

@@ -353,7 +353,8 @@ def residual_expr(inst: EquationInstance, candidate: Expr, ctx) -> Expr:
 def integral_identity_member(c: Fraction):
     """(LINZ_F member, its context): f = c (int g_x dx - g + g(t, 0)) vanishes.
 
-    Only the stand-in sampler sees that, since the integral is opaque.
+    The zero test's antiderivative rule proves it; the normal form
+    alone does not, since the integral is opaque.
     """
     ctx = class_context(ClassId.LINZ_F)
     ctx.add_function("g", ("t", "x"))

@@ -429,8 +429,10 @@ def test_verify_solution_exit_partition(corpus, tmp_path):
     "solution, column",
     [
         ("1/0", 2), ("0^(-1)", 2), ("x^(1/0)", 5), ("sign(0)", 1), ("0^(1/2)", 2),
-        # ln(0) is refused where it is built, before exp can fold it away
-        ("exp(ln(0))", 5), ("exp(-ln(0))", 6),
+        # ln(0) is refused where it is built, before exp can fold it away,
+        # alone or in a sum of logs
+        ("exp(ln(0))", 5), ("exp(-ln(0))", 6), ("exp(x + ln(0) - ln(x))", 9),
+        ("ln(-1)", 1),
     ],
 )
 def test_undefined_arithmetic_is_an_input_error(corpus, capsys, solution, column):

@@ -4,13 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gbeq.expr import (
     ONE,
     SYMBOLIC_ZERO,
     ZERO,
+    Add,
+    App,
+    EvalError,
+    Evaluator,
     Expr,
     ExprError,
+    Rat,
     add,
     app,
     atoms_of,
@@ -27,7 +33,9 @@ from gbeq.expr import (
     rat,
     sqrt,
     var,
+    walk,
 )
+from gbeq.expr.nodes import _log_term
 
 from conftest import random_tree
 
@@ -117,6 +125,52 @@ def test_exp_of_a_rational_multiple_of_ln_folds():
     for r in (ZERO, rat(-2), rat(Fraction(-1, 2))):
         with pytest.raises(ExprError, match=r"^ln\(.*\) is undefined$"):
             ln(r)
+
+
+def _log_sum(rng):
+    """exp's argument: rational multiples of logs plus a rest, and the logs' arguments.
+
+    Fractional multiples take the log of a tree positive on t, x > 0,
+    since pow_ splits a fractional power over a product's factors.
+    """
+    positive = (t, x, rat(3), exp(t - x), add(1, t), add(t, mul(2, x)))
+    terms, args = [random_tree(rng, 2)], []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            a = mul(*rng.sample(positive, rng.randint(1, 2)))
+            c = rng.choice((Fraction(1, 2), Fraction(-3, 2), Fraction(2, 3)))
+        else:
+            a = random_tree(rng, 2)
+            if isinstance(a, Rat):
+                a = add(a, x) if a.value <= 0 else a
+            c = rng.choice((1, -1, 2, -3))
+        args.append(a)
+        terms.append(mul(c, ln(a)))
+    return add(*terms), args
+
+
+@given(st.integers(0, 10**6))
+def test_exp_of_a_sum_of_logs_folds_to_its_value(seed):
+    # the folded tree against an exp node built around the same argument,
+    # at points where every log is defined
+    rng = random.Random(seed)
+    arg, args = _log_sum(rng)
+    folded, unfolded = exp(arg), App("exp", arg)
+    # no exp node of the folded tree keeps a log term in its argument
+    for n in walk(folded):
+        if isinstance(n, App) and n.fn == "exp":
+            terms = n.arg.terms if isinstance(n.arg, Add) else (n.arg,)
+            assert not any(map(_log_term, terms))
+    ev = Evaluator()
+    for _ in range(20):
+        point = {"t": rng.uniform(0.1, 2.0), "x": rng.uniform(0.1, 2.0)}
+        try:
+            if min(ev(a, point) for a in args) <= 0:
+                continue
+            want = ev(unfolded, point)
+        except EvalError:
+            continue
+        assert ev(folded, point) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_division_formatting():

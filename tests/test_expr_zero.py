@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from gbeq.expr import (
+    ZERO,
     Context,
     Evaluator,
     NEGATIVE,
@@ -16,14 +18,20 @@ from gbeq.expr import (
     SamplingError,
     Rat,
     collect,
+    differentiate,
+    exp,
     func,
     integral,
     is_zero,
     parse,
+    pow_,
     rat,
+    substitute,
     var,
 )
-from gbeq.expr.zero import _constraints_hold, _random_standin
+from gbeq.expr.zero import _constraints_hold, _random_standin, integral_identity
+
+from conftest import frac
 
 
 @pytest.fixture
@@ -53,8 +61,8 @@ def test_rational_constant_short_circuits(ctx):
 
 
 def test_transcendental_identity_needs_samples(ctx):
-    # the constructors fold exp(c*ln(a)) but not an exp of a sum of logs
-    e = parse("exp(ln(t) + ln(x)) - t*x", ctx)
+    # no rule relates sin and cos, so only the samples see the identity
+    e = parse("sin(x)^2 + cos(x)^2 - 1", ctx)
     z = is_zero(e, ctx)
     assert z.verdict == NUMERIC_ZERO
     assert len(z.samples) == 30
@@ -62,7 +70,16 @@ def test_transcendental_identity_needs_samples(ctx):
     assert "not symbolically zero" in z.summary()
 
 
-@pytest.mark.parametrize("text", ["exp(2*ln(t)) - t^2", "exp(2*ln(2)) - 4"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "exp(2*ln(t)) - t^2",
+        "exp(2*ln(2)) - 4",
+        "exp(ln(t) + ln(x)) - t*x",
+        "exp(ln(2) - ln(x + 3)) - 2/(x+3)",
+        "exp(t + ln(x)/2 - 3*ln(1 + t^2)) - x^(1/2)*exp(t)/(1 + t^2)^3",
+    ],
+)
 def test_exp_of_a_rational_multiple_of_ln_is_symbolic(ctx, text):
     z = is_zero(parse(text, ctx), ctx)
     assert z.verdict == SYMBOLIC_ZERO
@@ -93,8 +110,9 @@ def test_sampling_error_when_no_point_is_valid(ctx):
 def test_stand_ins_for_integral_atoms(ctx):
     f = ctx.fn("f")
     f_at0 = func("f", ("t", "x"), (0, 0), (var("t"), rat(0)))
-    fundamental = integral(parse("f_x", ctx), "x") - f + f_at0
-    z = is_zero(fundamental, ctx)
+    # the square of the integral is beyond the antiderivative rule
+    squared = integral(parse("f_x", ctx), "x") ** 2 - (f - f_at0) ** 2
+    z = is_zero(squared, ctx)
     assert z.verdict == NUMERIC_ZERO
     # dropping the base-point term leaves a genuine nonzero
     z2 = is_zero(integral(parse("f_x", ctx), "x") - f, ctx)
@@ -149,3 +167,82 @@ def test_result_fields(ctx):
     assert z.seed == 42
     assert z.max_abs == 0.0
     assert z.summary()
+
+
+# -- the antiderivative rule ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "int(f_x, x) - f + f(t, 0)",
+        "int(f_t, t) - f + f(0, x)",
+        "x*(int(f_x, x) - f + f(t, 0))",
+        "(int(f_x, x) - f + f(t, 0))/(1 + x^2)",
+        "int(2*x*exp(x^2), x) - exp(x^2) + 1",
+    ],
+)
+def test_an_antiderivative_identity_is_symbolic(ctx, text):
+    z = is_zero(parse(text, ctx), ctx)
+    assert z.verdict == SYMBOLIC_ZERO
+    assert z.samples == []
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the rest is 0 at x = 0, but its d/dx is not the body
+        "int(f_x, x) - 2*f + 2*f(t, 0)",
+        # d/dx of the rest is the body, but the rest is not 0 at x = 0
+        "int(f_x, x) - f",
+        "int(f_x, x) - f + f(t, 0) + 1/10^6",
+        # d/dx(-1/x) = 1/x^2, but the denominator x vanishes at x = 0
+        "int(1/x^2, x) + 1/x",
+        # not linear in one integral atom
+        "int(f_x, x)^2 - (f - f(t, 0))^2",
+        "int(f_x, x) + int(f_t, t) - 2*f + f(t, 0) + f(0, x)",
+        "exp(int(f_x, x)) - exp(f - f(t, 0))",
+        "int(int(f_xx, x), x) - f + f(t, 0) + x*f_x(t, 0)",
+        # the derivative of abs and sign needs a sign assumption
+        "int(abs(x - 1/3)^(1/2), x) - 2/3*sign(x - 1/3)*abs(x - 1/3)^(3/2)"
+        " - 2/27*3^(1/2)",
+    ],
+)
+def test_the_antiderivative_rule_declines(ctx, text):
+    assert not integral_identity(parse(text, ctx), ctx)
+
+
+def _opaque_tree(rng, f, depth=3):
+    """A tree over t, x, f, f_x and exp with no pole at x = 0."""
+    if depth <= 0 or rng.random() < 0.25:
+        return rng.choice(
+            (var("t"), var("x"), f, differentiate(f, "x"), rat(frac(rng, nonzero=True)))
+        )
+    op = rng.random()
+    a = _opaque_tree(rng, f, depth - 1)
+    if op < 0.3:
+        return a + _opaque_tree(rng, f, depth - 1)
+    if op < 0.6:
+        return a * _opaque_tree(rng, f, depth - 1)
+    if op < 0.75:
+        return pow_(a, rng.choice((2, 3)))
+    if op < 0.9:
+        return exp(rat(frac(rng, nonzero=True)) * rng.choice((var("t"), var("x"), f)))
+    # q + a^2 with q > 0 is not 0 at x = 0 whatever a is
+    return a / (rat(abs(frac(rng, nonzero=True))) + a * a)
+
+
+@given(st.integers(0, 10**6))
+def test_every_antiderivative_identity_is_proved(seed):
+    ctx = Context()
+    ctx.add_var("t")
+    ctx.add_var("x")
+    f = ctx.add_function("f", ("t", "x"))
+    rng = random.Random(seed)
+    h = _opaque_tree(rng, f)
+    member = integral(differentiate(h, "x", ctx), "x") - h + substitute(h, {"x": ZERO}, ctx)
+    assert is_zero(member, ctx).verdict == SYMBOLIC_ZERO
+    # a nonzero constant fails the base point, a nonzero c*x the derivative
+    q = rat(frac(rng, nonzero=True))
+    for shifted in (member + q, member + q * var("x")):
+        assert is_zero(shifted, ctx).verdict != SYMBOLIC_ZERO

@@ -23,12 +23,18 @@ INPUTS = {
     "burgers.gbeq": format_instance(EquationInstance(ClassId.BURGERS, {})),
     "linz_f.gbeq": format_instance(EquationInstance(ClassId.LINZ_F, {"f": ZERO})),
     # H0 vanishes for every F (antiderivatives are based at x = 0), but
-    # only the stand-in sampler can tell: F stays an opaque symbol
+    # the antiderivative rule takes only residuals linear in the
+    # integral, so the square leaves it to the stand-in sampler
     "opaque.gbeq": (
         "class = SUPER\nelement.F = 1\nelement.H1 = u\n"
-        "element.H0 = int(F_x, x) - F + F(t, 0)\n"
+        "element.H0 = int(F_x, x)^2 - (F - F(t, 0))^2\n"
     ),
-    "integral.gbeq": "class = LINZ_F\nelement.f = int(2*x*exp(x^2), x) - exp(x^2) + 1\n",
+    # two integral atoms: the antiderivative rule takes one, so the
+    # identity is left to quadrature
+    "integral.gbeq": (
+        "class = LINZ_F\nelement.f = int(2*x*exp(x^2), x) + int(cos(x), x)"
+        " - exp(x^2) - sin(x) + 1\n"
+    ),
     # the kink at x = 1/3 keeps the first Gauss-Kronrod step from settling
     # on samples right of it, so those quadratures fall back to scipy's quad
     "kinked.gbeq": (

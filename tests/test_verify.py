@@ -7,14 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from gbeq.classes import ClassId, EquationInstance, class_context
+from gbeq.classes import ClassId, EquationInstance, class_context, parse_instance
 from gbeq.expr import (
-    NEGATIVE, POSITIVE, SYMBOLIC_ZERO, ZERO, ExprError, format_expr, parse, rat,
-    var,
+    NEGATIVE, NONZERO, NUMERIC_ZERO, POSITIVE, SYMBOLIC_ZERO, ZERO, ExprError,
+    format_expr, parse, rat, var,
 )
 from gbeq.expr.nodes import DivisionByZero
 from gbeq.expr.poly import Kernel
+from gbeq.expr.zero import integral_identity
 from gbeq.report import worst_verdict
+from gbeq.symmetry import solution_catalog
 from gbeq.transforms import (
     LinzTransform,
     ReducedTransform,
@@ -54,7 +56,8 @@ def test_non_solution_is_graded_nonzero():
 
 
 def test_opaque_forms_fall_back_to_sampling():
-    rep = residual(BURGERS, parse("exp(ln(2) - ln(x))", BCTX))
+    # no rule relates sin and cos, so only the samples see that they cancel
+    rep = residual(BURGERS, parse("2/x + sin(x)^2 + cos(x)^2 - 1", BCTX))
     assert rep.verdict == "NUMERIC_ZERO"
     assert "opaque symbols present" in rep.summary
     assert rep.ok
@@ -105,8 +108,10 @@ def test_impossible_exclusions_raise():
 def test_residual_on_custom_domain():
     # 2/x is singular at 0; a right-half domain also works
     dom = SampleDomain(intervals={"x": ((0.5, 1.5),)}, count=10, seed=2)
-    rep = residual(BURGERS, parse("exp(ln(2) - ln(x))", BCTX), domain=dom)
+    rep = residual(BURGERS, parse("2/x + 1/10^15", BCTX), domain=dom)
     assert rep.ok
+    assert rep.verdict == "NUMERIC_ZERO"
+    assert all(0.5 <= point["x"] <= 1.5 for point, _ in rep.samples)
 
 
 def test_push_solution_through_closed_map():
@@ -214,8 +219,77 @@ def test_even_root_of_a_negative_rational_is_refused():
     assert residual(BURGERS, parse("(-8)^(1/3)", BCTX)).verdict == SYMBOLIC_ZERO
 
 
+@pytest.mark.parametrize(
+    "member, candidate",
+    [
+        ("class = BURGERS\n", "exp(ln(2) - ln(x))"),
+        (
+            "class = SUPER\nelement.F = 1\nelement.H1 = u\n"
+            "element.H0 = int(F_x, x) - F + F(t, 0)\n",
+            "2/x",
+        ),
+        ("class = LINZ_F\nelement.f = int(2*x*exp(x^2), x) - exp(x^2) + 1\n", "2/x"),
+    ],
+    ids=["exp-of-logs", "opaque-member", "integral-member"],
+)
+def test_former_sampler_inputs_are_symbolic(member, candidate):
+    # these inputs pinned the jet, stand-in and integral samplers until
+    # the exp fold and the antiderivative rule decided them
+    inst = parse_instance(member)
+    rep = residual(inst, parse(candidate, inst.context()))
+    assert rep.verdict == SYMBOLIC_ZERO
+    assert rep.samples == []
+
+
+def _probe_member(h0):
+    return parse_instance(
+        f"class = SUPER\nelement.F = 1\nelement.H1 = u\nelement.H0 = {h0}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "h0",
+    [
+        "int(F_x, x) - F + F(t, 0)",
+        "int(F_t, t) - F + F(0, x)",
+        "x*(int(F_x, x) - F + F(t, 0))",
+        "(int(F_x, x) - F + F(t, 0))/(1 + x^2)",
+    ],
+)
+def test_integral_identity_members_are_symbolic(h0):
+    inst = _probe_member(h0)
+    for u in solution_catalog():
+        rep = residual(inst, u)
+        assert rep.verdict == SYMBOLIC_ZERO, format_expr(u)
+        assert rep.samples == []
+
+
+@pytest.mark.parametrize(
+    "h0, verdict",
+    [
+        ("int(F_x, x) - F", NONZERO),
+        ("int(F_x, x) - F + F(t, 0) + 1/10^6", NONZERO),
+        ("int(F_x, x)^2 - (F - F(t, 0))^2", NUMERIC_ZERO),
+    ],
+)
+def test_integral_members_the_rule_declines_are_sampled(h0, verdict):
+    inst = _probe_member(h0)
+    for u in solution_catalog():
+        rep = residual(inst, u)
+        assert rep.verdict == verdict, format_expr(u)
+        assert rep.samples
+
+
+def test_a_pole_at_the_base_point_is_declined():
+    # -1/x is an antiderivative of 1/x^2, but not one based at x = 0
+    inst = _probe_member("int(1/x^2, x) + 1/x")
+    ctx = inst.context()
+    for u in solution_catalog():
+        assert not integral_identity(residual_expr(inst, u, ctx), ctx)
+
+
 def test_residual_normalizes_once(monkeypatch):
-    # opaque symbols (exp, ln) send the residual to the sampler; once
+    # opaque symbols (sin, cos) send the residual to the sampler; once
     # the zero test has found it nonzero, no normal form is computed
     import gbeq.expr.zero as zero_module
     import gbeq.verify as verify_module
@@ -233,7 +307,7 @@ def test_residual_normalizes_once(monkeypatch):
         verify_module, "normal_form_is_zero", counting(verify_module.normal_form_is_zero)
     )
     monkeypatch.setattr(zero_module, "normal_form", counting(zero_module.normal_form))
-    rep = residual(BURGERS, parse("exp(ln(2) - ln(x))", BCTX))
+    rep = residual(BURGERS, parse("2/x + sin(x)^2 + cos(x)^2 - 1", BCTX))
     assert calls == ["normal_form_is_zero"]
     assert rep.verdict == "NUMERIC_ZERO"
     assert "opaque symbols present" in rep.summary
