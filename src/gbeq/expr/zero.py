@@ -38,10 +38,12 @@ from .nodes import (
     INT_BASE,
     MINUS_ONE,
     Add,
+    App,
     Expr,
     ExprError,
     Func,
     Int,
+    Mul,
     Rat,
     Var,
     ZERO,
@@ -115,31 +117,30 @@ def is_zero(
     return sampled_verdict(nf, ctx, tol, n_samples, seed)
 
 
-def integral_identity(e: Expr, ctx: Optional[Context] = None) -> bool:
-    """Is e proved 0 by differentiating its one antiderivative atom?
+def integral_identity(nf: Expr, ctx: Optional[Context] = None) -> bool:
+    """Is the normal form nf proved 0 by differentiating its one antiderivative atom?
 
-    The rule applies when e's normal form holds exactly one distinct
-    Int atom I = int(b, v), whose body b holds none, and I occurs
-    there only as a factor of a term, to the power 1: never inside an
-    exp argument, a sum, a power's base or a function's argument.  Then
-    the normal form is A + C*I with C a nonempty sum of terms, and with
-    H = -A/C and (N, D) = ratio_normal(H), e is 0 when
+    nf is a normal form (simplify.normal_form) that is not 0.  The rule
+    applies when nf holds exactly one distinct Int atom I = int(b, v),
+    whose body b holds none, and I occurs there only as a factor of a
+    term, to the power 1: never inside an exp argument, a sum, a
+    power's base or a function's argument.  Then nf is A + C*I with C a
+    nonempty sum of terms, and with H = -A/C and (N, D) =
+    ratio_normal(H), nf is 0 when
 
     1. d(H)/dv - b has normal form 0, and
-    2. N at v = INT_BASE has normal form 0, and D there does not (a
-       nonzero modular witness or a nonempty numerator shows it).
+    2. N at v = INT_BASE has normal form 0, and D there is proved not
+       to vanish identically (_proved_nonzero).
 
     This is sound: I - H has derivative 0 in v and vanishes at v =
     INT_BASE, where I is based (nodes.Int) and H = N/D = 0, so I = H on
     the interval from INT_BASE to v, and A + C*I = A + C*H = 0.  Where H
     has a pole between INT_BASE and v, b = dH/dv is not integrable
-    there, so I, and with it e, is undefined.  A derivative that needs
-    a sign assumption the context lacks, a D that vanishes at INT_BASE,
-    or any other shape returns False, leaving e to the sampler.
+    there, so I, and with it nf, is undefined.  A derivative that needs
+    a sign assumption the context lacks, a D that vanishes at INT_BASE
+    or is not proved not to, or any other shape returns False, leaving
+    nf to the sampler.
     """
-    if not any(isinstance(n, Int) for n in walk(e)):
-        return False
-    nf = normal_form(e, ctx)
     ints = {n for n in walk(nf) if isinstance(n, Int)}
     if len(ints) != 1:
         return False
@@ -163,11 +164,60 @@ def integral_identity(e: Expr, ctx: Optional[Context] = None) -> bool:
         if not normal_form_is_zero(differentiate(h, atom.var, ctx) - atom.body, ctx):
             return False
         n, d = ratio_normal(h)
-        return normal_form_is_zero(
-            substitute(n, base, ctx), ctx
-        ) and not normal_form_is_zero(substitute(d, base, ctx), ctx)
+        return normal_form_is_zero(substitute(n, base, ctx), ctx) and _proved_nonzero(
+            substitute(d, base, ctx), ctx
+        )
     except ExprError:
         return False
+
+
+def _proved_nonzero(e: Expr, ctx: Optional[Context]) -> bool:
+    """Is e shown not to vanish identically?
+
+    A normal form that is not 0 shows it only where its atoms are
+    algebraically independent; sin(t)^2 + cos(t)^2 - 1 has one and is
+    0.  So beyond a nonzero constant this accepts a normal form
+    sum_j m_j*exp(s_j) (the kernel merges the exp factors of a term
+    into one) whose m_j and s_j are rational in variables and function
+    symbols applied at variables and constants (_rational), and whose
+    exponents s_j, with s = 0 for the terms without exp, differ
+    pairwise by a nonzero rational function.  Such atoms are
+    independent, and exp(s_j - s_k) is not rational when s_j - s_k is
+    not 0, so the exp(s_j) are linearly independent over the rational
+    functions (Risch 1979) and a nonzero m_j makes e nonzero.  Anything
+    else returns False.
+    """
+    nf = normal_form(e, ctx)
+    if nf == ZERO:
+        return False
+    exponents = {ZERO}
+    for term in nf.terms if isinstance(nf, Add) else (nf,):
+        exps = []
+        for b, k in _as_coeff_powers(term)[1]:
+            if isinstance(b, App) and b.fn == "exp" and k == 1:
+                exps.append(b.arg)
+            elif not (k.denominator == 1 and _rational(b)):
+                return False
+        if len(exps) > 1 or not all(_rational(s) for s in exps):
+            return False
+        exponents.update(exps)
+    return not any(
+        normal_form_is_zero(s - r, ctx)
+        for s, r in itertools.combinations(exponents, 2)
+    )
+
+
+def _rational(e: Expr) -> bool:
+    """Is e built from rationals, variables and f at variables and constants?"""
+    return all(
+        isinstance(n, (Rat, Var, Add))
+        or (isinstance(n, Mul) and all(k.denominator == 1 for _, k in n.powers))
+        or (
+            isinstance(n, Func)
+            and (n.args is None or all(isinstance(a, (Rat, Var)) for a in n.args))
+        )
+        for n in walk(e)
+    )
 
 
 def sampled_verdict(

@@ -58,6 +58,7 @@ from .expr import (
     atoms_of,
     format_expr,
     is_zero,
+    normal_form,
     normal_form_is_zero,
     simplify,
     substitute,
@@ -209,7 +210,10 @@ def residual(
     res_expr = simplify(
         substitute(pde, {inst.dependent: candidate}, ctx), ctx
     )
-    if normal_form_is_zero(res_expr, ctx) or integral_identity(res_expr, ctx):
+    if normal_form_is_zero(res_expr, ctx) or (
+        any(isinstance(n, Int) for n in walk(res_expr))
+        and integral_identity(normal_form(res_expr, ctx), ctx)
+    ):
         return VerificationReport(
             verdict=SYMBOLIC_ZERO,
             residual_text="0",

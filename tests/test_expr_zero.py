@@ -23,6 +23,7 @@ from gbeq.expr import (
     func,
     integral,
     is_zero,
+    normal_form,
     parse,
     pow_,
     rat,
@@ -209,7 +210,42 @@ def test_an_antiderivative_identity_is_symbolic(ctx, text):
     ],
 )
 def test_the_antiderivative_rule_declines(ctx, text):
-    assert not integral_identity(parse(text, ctx), ctx)
+    assert not integral_identity(normal_form(parse(text, ctx), ctx), ctx)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        "f/(2 + exp(t)*f^2)",
+        "x/(exp(t) + exp(2*t) + f)",
+        "(1 + x)*exp(f)/(3 + exp(t)*f_x^2)",
+    ],
+)
+def test_a_denominator_over_independent_atoms_is_proved_nonzero(ctx, h):
+    # D at x = 0 holds t, f(t, 0), f_x(t, 0) and exp atoms whose
+    # exponents differ by nonzero rational functions
+    h = parse(h, ctx)
+    member = integral(differentiate(h, "x", ctx), "x") - h + substitute(h, {"x": ZERO}, ctx)
+    assert integral_identity(normal_form(member, ctx), ctx)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        # atoms that are not independent: s is 0
+        "sin(t)^2 + cos(t)^2 - 1",
+        # exp atoms whose exponents are equal rational functions: s is 0
+        "exp((t^2 - 1)/(t - 1)) - exp(t + 1)",
+    ],
+)
+def test_a_denominator_not_proved_nonzero_is_declined(ctx, s):
+    # H = x/(x + s) has d/dx - b = 0 and N = x vanishes at x = 0, while
+    # D = s has a nonzero normal form there; but s is 0, so H = 1 and
+    # the member is -1
+    member = parse(f"int(({s})/(x + {s})^2, x) - x/(x + {s})", ctx)
+    assert normal_form(member, ctx) != ZERO
+    assert not integral_identity(normal_form(member, ctx), ctx)
+    assert is_zero(member, ctx).verdict == NONZERO
 
 
 def _opaque_tree(rng, f, depth=3):

@@ -10,7 +10,7 @@ import pytest
 from gbeq.classes import ClassId, EquationInstance, class_context, parse_instance
 from gbeq.expr import (
     NEGATIVE, NONZERO, NUMERIC_ZERO, POSITIVE, SYMBOLIC_ZERO, ZERO, ExprError,
-    format_expr, parse, rat, var,
+    format_expr, normal_form, parse, rat, var,
 )
 from gbeq.expr.nodes import DivisionByZero
 from gbeq.expr.poly import Kernel
@@ -285,7 +285,7 @@ def test_a_pole_at_the_base_point_is_declined():
     inst = _probe_member("int(1/x^2, x) + 1/x")
     ctx = inst.context()
     for u in solution_catalog():
-        assert not integral_identity(residual_expr(inst, u, ctx), ctx)
+        assert not integral_identity(normal_form(residual_expr(inst, u, ctx), ctx), ctx)
 
 
 def test_residual_normalizes_once(monkeypatch):
@@ -306,6 +306,7 @@ def test_residual_normalizes_once(monkeypatch):
     monkeypatch.setattr(
         verify_module, "normal_form_is_zero", counting(verify_module.normal_form_is_zero)
     )
+    monkeypatch.setattr(verify_module, "normal_form", counting(verify_module.normal_form))
     monkeypatch.setattr(zero_module, "normal_form", counting(zero_module.normal_form))
     rep = residual(BURGERS, parse("2/x + sin(x)^2 + cos(x)^2 - 1", BCTX))
     assert calls == ["normal_form_is_zero"]
