@@ -5,7 +5,6 @@ from .calculus import (
     DifferentiationError,
     SubstitutionError,
     collect,
-    contains_func,
     diff_n,
     differentiate,
     substitute,
@@ -30,6 +29,7 @@ from .nodes import (
     app,
     as_expr,
     atoms_of,
+    contains_func,
     contains_var,
     div,
     exp,

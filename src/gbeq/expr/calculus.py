@@ -26,13 +26,14 @@ from .nodes import (
     _as_coeff_powers,
     add,
     app,
+    contains_func,
     func,
     integral,
+    mentions_var,
     mul,
     pow_,
     rat,
     var,
-    walk,
 )
 
 
@@ -211,11 +212,6 @@ def _subst_node(
     return e.rebuild(lambda c: _substituted(c, mapping, ctx, memo))
 
 
-def contains_func(e: Expr, name: str) -> bool:
-    """Does e mention the function symbol called name?"""
-    return any(isinstance(n, Func) and n.name == name for n in walk(e))
-
-
 class CollectError(ExprError):
     """Raised when an expression is not polynomial in the requested atom."""
 
@@ -230,7 +226,7 @@ def collect(e: Expr, atom: Expr, ctx: Optional[Context] = None) -> Dict[int, Exp
     from .simplify import expand
 
     if isinstance(atom, Var):
-        occurs = lambda x: _mentions_var_strict(x, atom.name)
+        occurs = lambda x: mentions_var(x, atom.name)
     elif isinstance(atom, Func):
         occurs = lambda x: contains_func(x, atom.name)
     else:
@@ -258,15 +254,3 @@ def collect(e: Expr, atom: Expr, ctx: Optional[Context] = None) -> Dict[int, Exp
         buckets.setdefault(degree, []).append(mul(*rest))
     return {deg: add(*parts) for deg, parts in sorted(buckets.items())}
 
-
-def _mentions_var_strict(e: Expr, name: str) -> bool:
-    """Like contains_var but ignoring default signature arguments.
-
-    For collection purposes an unapplied symbol f(t, x) is an opaque
-    coefficient; only explicit occurrences of the variable count.
-    """
-    return any(
-        (isinstance(n, Var) and n.name == name)
-        or (isinstance(n, Int) and n.var == name)
-        for n in walk(e)
-    )

@@ -21,12 +21,13 @@ domain of definition of both sides (for instance exponent addition on
 a shared base, exp(a)*exp(b) -> exp(a+b), or exp(c*ln(a) + r) -> a^c *
 exp(r) for rational c).
 
-Each node's __init__ also sets _rewritable, from its children as it
-sets _hash: true when _rewritten_here holds for a node of the subtree,
-that is, when it holds an abs, a sign or an opaque Pow, the only nodes
-simplify rewrites.  Leaves, unapplied Func symbols and trees over them
-with +, *, exp, ln, sin, cos, applied functions and antiderivatives are
-false, and simplify hands them back as they are.
+Each node's __init__ also sets _summary as it sets _hash: its own bits
+OR'd with its children's, so a question about a subtree is one mask
+test (holds, contains_var, mentions_var, contains_func), not a walk.
+Low bits mark node kinds; each name takes a higher bit on first use in
+each group: explicit variables (a Var or an Int's variable), signature
+variables of unapplied Funcs, and function names.  Bit positions follow
+first use, so a summary never enters a key, a hash, a sort or a print.
 
 rat, add, mul, pow_ and _rat_power_parts are memoized, each behind its
 own functools.lru_cache of MEMO_SIZE entries (typed, so an int, a
@@ -75,19 +76,21 @@ class DivisionByZero(ExprError, ZeroDivisionError):
     """The rational 0 raised to a negative power."""
 
 
-def _rewritten_here(n: "Expr") -> bool:
-    """Does simplify rewrite the node n itself, whatever its children?
+# Kind bits of a node's _summary.  REWRITABLE marks the nodes simplify
+# rewrites (abs, sign, opaque Pow): a rewrite added there must set it.
+REWRITABLE, INT, APPLIED, FUNC, APP = 1, 2, 4, 8, 16  # APPLIED: Func with args
+# (group, name) -> the name's bit; the groups are "var", "sig" and "fn"
+_NAME_BITS: dict = {}
 
-    Every node's _rewritable is this, or'd over its subtree; a rewrite
-    added to simplify must be added here too.
-    """
-    return isinstance(n, Pow) or (isinstance(n, App) and n.fn in ("abs", "sign"))
+
+def _name_bit(group: str, name: str) -> int:
+    return _NAME_BITS.setdefault((group, name), 32 << len(_NAME_BITS))
 
 
 class Expr:
     """Base class of all expression nodes."""
 
-    __slots__ = ("_hash", "_key", "_rewritable")
+    __slots__ = ("_hash", "_key", "_summary")
 
     # Arithmetic sugar so formula code reads like the mathematics.
     def __add__(self, other: "ExprLike") -> "Expr":
@@ -162,7 +165,7 @@ class Rat(Expr):
         # inverse, and rehashing whole subtrees made construction
         # quadratic on expand-heavy paths (ints carry the same pair)
         self._hash = hash((_KIND_RAT, value.numerator, value.denominator))
-        self._rewritable = _rewritten_here(self)
+        self._summary = 0
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Rat) and self.value == other.value
@@ -179,7 +182,7 @@ class Var(Expr):
         self.name = name
         self._key = (_KIND_VAR, name)
         self._hash = hash(self._key)
-        self._rewritable = _rewritten_here(self)
+        self._summary = _name_bit("var", name)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Var) and self.name == other.name
@@ -215,16 +218,19 @@ class Func(Expr):
         self.argnames = argnames
         self.didx = didx
         self.args = args
+        summary = FUNC | _name_bit("fn", name)
         if args is None:
             argkey: tuple = (0,)
             arghash: tuple = (0,)
-            self._rewritable = _rewritten_here(self)
+            for a in argnames:
+                summary |= _name_bit("sig", a)
         else:
             argkey = (1,) + tuple(a._key for a in args)
             arghash = (1,) + tuple(a._hash for a in args)
-            self._rewritable = _rewritten_here(self) or any(
-                a._rewritable for a in args
-            )
+            summary |= APPLIED
+            for a in args:
+                summary |= a._summary
+        self._summary = summary
         self._key = (_KIND_FUNC, name, argnames, didx, argkey)
         self._hash = hash((_KIND_FUNC, name, argnames, didx, arghash))
 
@@ -254,7 +260,7 @@ class App(Expr):
         self.arg = arg
         self._key = (_KIND_APP, fn, arg._key)
         self._hash = hash((_KIND_APP, fn, arg._hash))
-        self._rewritable = _rewritten_here(self) or arg._rewritable
+        self._summary = (APP | REWRITABLE if fn in ("abs", "sign") else APP) | arg._summary
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, App) and self._key == other._key
@@ -284,7 +290,7 @@ class Int(Expr):
         self.var = var
         self._key = (_KIND_INT, var, body._key)
         self._hash = hash((_KIND_INT, var, body._hash))
-        self._rewritable = _rewritten_here(self) or body._rewritable
+        self._summary = INT | _name_bit("var", var) | body._summary
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Int) and self._key == other._key
@@ -315,7 +321,7 @@ class Pow(Expr):
         self._hash = hash(
             (_KIND_POW, base._hash, exponent.numerator, exponent.denominator)
         )
-        self._rewritable = _rewritten_here(self) or base._rewritable
+        self._summary = REWRITABLE | base._summary
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Pow) and self._key == other._key
@@ -338,9 +344,10 @@ class Add(Expr):
         self.terms = terms
         self._key = (_KIND_ADD,) + tuple(t._key for t in terms)
         self._hash = hash((_KIND_ADD,) + tuple(t._hash for t in terms))
-        self._rewritable = _rewritten_here(self) or any(
-            t._rewritable for t in terms
-        )
+        summary = 0
+        for t in terms:
+            summary |= t._summary
+        self._summary = summary
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Add) and self._key == other._key
@@ -369,9 +376,10 @@ class Mul(Expr):
             (_KIND_MUL, coeff.numerator, coeff.denominator)
             + tuple((b._hash, e.numerator, e.denominator) for b, e in powers)
         )
-        self._rewritable = _rewritten_here(self) or any(
-            b._rewritable for b, _ in powers
-        )
+        summary = 0
+        for b, _ in powers:
+            summary |= b._summary
+        self._summary = summary
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Mul) and self._key == other._key
@@ -901,15 +909,23 @@ def integral(body: ExprLike, var_name: str) -> Expr:
 
 
 def walk(e: Expr) -> Iterator[Expr]:
-    """Every node of e in preorder, children left to right, without recursion."""
+    """Each distinct subtree of e once, in preorder, children left to right.
+
+    A node met again (by id, sound while e holds the tree) is skipped
+    with its subtree; the rest come in first-seen order.  No recursion.
+    """
     return _preorder(e, ())
 
 
 def _preorder(e: Expr, closed: tuple) -> Iterator[Expr]:
     """walk, yielding nodes of the types in closed without their subtrees."""
+    seen = set()
     stack = [e]
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         yield node
         if not isinstance(node, closed):
             stack.extend(reversed(node.children()))
@@ -922,20 +938,26 @@ def atoms_of(e: Expr) -> list:
     transcendental as far as identity testing goes.  Explicitly applied
     Func nodes contribute their arguments' atoms plus themselves.
     """
-    seen = set()
-    out = []
-    for node in _preorder(e, (Int,)):
-        if isinstance(node, (Var, Func, Int)) and node not in seen:
-            seen.add(node)
-            out.append(node)
-    return out
+    return list(dict.fromkeys(
+        n for n in _preorder(e, (Int,)) if isinstance(n, (Var, Func, Int))
+    ))
+
+
+def holds(e: Expr, kinds: int) -> bool:
+    """Does e hold a node of one of kinds (REWRITABLE, INT, APPLIED, FUNC, APP)?"""
+    return e._summary & kinds != 0
 
 
 def contains_var(e: Expr, name: str) -> bool:
     """Does e mention the variable ``name`` (including via default args)?"""
-    return any(
-        (isinstance(n, Var) and n.name == name)
-        or (isinstance(n, Func) and n.args is None and name in n.argnames)
-        or (isinstance(n, Int) and n.var == name)
-        for n in walk(e)
-    )
+    return mentions_var(e, name) or e._summary & _NAME_BITS.get(("sig", name), 0) != 0
+
+
+def mentions_var(e: Expr, name: str) -> bool:
+    """Does e hold a Var or an antiderivative in name?  Default args do not count."""
+    return e._summary & _NAME_BITS.get(("var", name), 0) != 0
+
+
+def contains_func(e: Expr, name: str) -> bool:
+    """Does e mention the function symbol called name?"""
+    return e._summary & _NAME_BITS.get(("fn", name), 0) != 0

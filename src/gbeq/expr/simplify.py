@@ -3,12 +3,12 @@
 simplify applies rewrites whose validity depends on the assumption
 set: resolving abs and sign, pairing sign(a)*a into abs(a), folding
 even powers of abs, and upgrading opaque Pow nodes once positivity is
-known.  A subtree whose _rewritable flag is false holds none of these
-nodes and is returned as it is, without a visit (see
-nodes._rewritten_here; a new rewrite here must extend that predicate,
-or it is skipped on every tree the flag does not mark).  Each call
-keeps a memo from flagged node to result, so a subtree that recurs,
-however often, is simplified once; the memo dies with the call.
+known.  A subtree whose build-time summary lacks the REWRITABLE bit
+(nodes.holds) holds none of these nodes and is returned as it is,
+without a visit; a new rewrite here must set that bit on its node in
+nodes.py, or it is skipped on every tree the bit does not mark.  Each
+call keeps a memo from marked node to result, so a subtree that
+recurs, however often, is simplified once; the memo dies with the call.
 
 expand, ratio_normal and normal_form go through the polynomial kernel
 of gbeq.expr.poly and back to a tree.  normal_form_is_zero answers
@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .context import Context
 from .nodes import (
+    REWRITABLE,
     Add,
     App,
     Expr,
@@ -62,6 +63,7 @@ from .nodes import (
     Var,
     ZERO,
     app,
+    holds,
     mul,
     pow_,
     rat,
@@ -75,7 +77,7 @@ def simplify(e: Expr, ctx: Optional[Context] = None) -> Expr:
 
 
 def _simplified(e: Expr, ctx: Optional[Context], memo: Dict[Expr, Expr]) -> Expr:
-    if not e._rewritable:
+    if not holds(e, REWRITABLE):
         return e
     r = memo.get(e)
     if r is None:
@@ -230,16 +232,16 @@ def normal_form_is_zero(e: Expr, ctx: Optional[Context] = None) -> bool:
 
     When the modular witness proves e nonzero the answer is False and
     no kernel is built.  Otherwise the numerator's tree is built and
-    simplified only when one of its kernel atoms is flagged
-    _rewritable; over unflagged atoms simplify hands the tree back as
-    it is, and the tree of a nonempty polynomial is not 0.
+    simplified only when one of its kernel atoms holds a REWRITABLE
+    node; over other atoms simplify hands the tree back as it is, and
+    the tree of a nonempty polynomial is not 0.
     """
     if _witness(e):
         return False
     k, n = _numerator(e, ctx)
     if not n:
         return True
-    if any(a._rewritable for a in k.base) or any(a._rewritable for a in k.exp_node):
+    if any(holds(a, REWRITABLE) for a in (*k.base, *k.exp_node)):
         return simplify(k.tree(n), ctx) == ZERO
     return False
 
@@ -267,8 +269,8 @@ def _witness(e: Expr) -> Optional[int]:
     _P is a ring map from the rational functions defined at the point,
     so a nonzero value shows e is not the zero rational function, and
     the kernel, which decides rational identities exactly, would find
-    a nonempty numerator.  None of these nodes is flagged _rewritable,
-    so simplify would hand e back as it is.
+    a nonempty numerator.  None of these nodes is REWRITABLE, so
+    simplify would hand e back as it is.
     """
     draw = random.Random(_WITNESS_SEED).randrange
     value: Dict[Expr, int] = {}

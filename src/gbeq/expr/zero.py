@@ -35,6 +35,8 @@ from .context import NONZERO as FLAG_NONZERO
 from .context import POSITIVE as FLAG_POSITIVE
 from .fmt import format_expr
 from .nodes import (
+    APPLIED,
+    INT,
     INT_BASE,
     MINUS_ONE,
     Add,
@@ -51,6 +53,7 @@ from .nodes import (
     _make_mul,
     add,
     atoms_of,
+    holds,
     mul,
     pow_,
     rat,
@@ -141,16 +144,17 @@ def integral_identity(nf: Expr, ctx: Optional[Context] = None) -> bool:
     or is not proved not to, or any other shape returns False, leaving
     nf to the sampler.
     """
-    ints = {n for n in walk(nf) if isinstance(n, Int)}
-    if len(ints) != 1:
+    terms = nf.terms if isinstance(nf, Add) else (nf,)
+    ints = [b for term in terms for b, _ in _as_coeff_powers(term)[1] if isinstance(b, Int)]
+    if not ints or holds(ints[0].body, INT):
         return False
-    (atom,) = ints
+    atom = ints[0]
     a_terms: List[Expr] = []
     c_terms: List[Expr] = []
-    for term in nf.terms if isinstance(nf, Add) else (nf,):
+    for term in terms:
         coeff, powers = _as_coeff_powers(term)
         rest = tuple(p for p in powers if p[0] != atom)
-        if any(isinstance(n, Int) for b, _ in rest for n in walk(b)):
+        if any(holds(b, INT) for b, _ in rest):
             return False
         if len(rest) == len(powers):
             a_terms.append(term)
@@ -235,7 +239,7 @@ def sampled_verdict(
             NONZERO, e, tol, seed, samples=[({}, value)], max_abs=abs(value)
         )
     rng = random.Random(seed)
-    if _needs_standins(e):
+    if holds(e, INT | APPLIED):
         result = sample_zero(
             e, _standin_draw(e, ctx, rng), n_samples, n_samples * 30,
             SamplingError("could not draw valid stand-in rounds"), tol, seed,
@@ -245,14 +249,6 @@ def sampled_verdict(
     return sample_zero(
         e, _jet_draw(e, ctx, rng), n_samples, n_samples * 20,
         SamplingError("could not draw valid sample points"), tol, seed,
-    )
-
-
-def _needs_standins(e: Expr) -> bool:
-    """Explicit applications and antiderivatives correlate occurrences."""
-    return any(
-        isinstance(n, Int) or (isinstance(n, Func) and n.args is not None)
-        for n in walk(e)
     )
 
 

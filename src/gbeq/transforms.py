@@ -493,10 +493,6 @@ def _compose_tx(e: Expr, t_expr: Expr, x_expr: Optional[Expr], ctx: Context) -> 
 # -- closed-form inversion of the coordinate change ------------------------
 
 
-def _constant_in_tx(e: Expr) -> bool:
-    return not contains_var(e, "t") and not contains_var(e, "x")
-
-
 def _mobius_parts(T: Expr, ctx: Context) -> Optional[Tuple[Expr, Expr, Expr, Expr]]:
     """Write T as (p t + q)/(r t + s) with coefficients constant in t, x."""
     n, d = ratio_normal(simplify(T, ctx))
@@ -512,7 +508,7 @@ def _mobius_parts(T: Expr, ctx: Context) -> Optional[Tuple[Expr, Expr, Expr, Exp
     r = cd.get(1, ZERO)
     s = cd.get(0, ZERO)
     for coeff in (p, q, r, s):
-        if not _constant_in_tx(coeff):
+        if contains_var(coeff, "t") or contains_var(coeff, "x"):
             return None
     det = simplify(p * s - q * r, ctx)
     if isinstance(det, Rat):

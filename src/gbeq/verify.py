@@ -43,18 +43,16 @@ from typing import (
 
 from .classes import CLASS_SPECS, EquationInstance, build_pde
 from .expr import (
-    App,
     EvalError,
     Evaluator,
     Expr,
     ExprError,
-    Func,
-    Int,
     NONZERO,
     Pow,
     Rat,
     SYMBOLIC_ZERO,
     Var,
+    ZERO,
     atoms_of,
     format_expr,
     is_zero,
@@ -64,6 +62,7 @@ from .expr import (
     substitute,
     walk,
 )
+from .expr.nodes import APP, FUNC, INT, holds
 from .expr.zero import Draw, integral_identity, sample_zero, sampled_verdict
 from .report import (
     ConditionReport,
@@ -168,10 +167,6 @@ def default_domain(count: int = 30, seed: int = 42) -> SampleDomain:
     return SampleDomain(count=count, seed=seed)
 
 
-def _has_opaque_symbols(e: Expr) -> bool:
-    return any(isinstance(n, (App, Func, Int)) for n in walk(e))
-
-
 def residual(
     inst: EquationInstance,
     candidate: Expr,
@@ -210,10 +205,13 @@ def residual(
     res_expr = simplify(
         substitute(pde, {inst.dependent: candidate}, ctx), ctx
     )
-    if normal_form_is_zero(res_expr, ctx) or (
-        any(isinstance(n, Int) for n in walk(res_expr))
-        and integral_identity(normal_form(res_expr, ctx), ctx)
-    ):
+    if holds(res_expr, INT):
+        # the modular witness cannot read an Int: one normal form serves both
+        nf = normal_form(res_expr, ctx)
+        proved = nf == ZERO or integral_identity(nf, ctx)
+    else:
+        proved = normal_form_is_zero(res_expr, ctx)
+    if proved:
         return VerificationReport(
             verdict=SYMBOLIC_ZERO,
             residual_text="0",
@@ -221,7 +219,7 @@ def residual(
             seed=eff_seed,
             summary="residual reduced to 0 symbolically",
         )
-    if _has_opaque_symbols(res_expr):
+    if holds(res_expr, APP | FUNC | INT):
         zr = sampled_verdict(res_expr, ctx, tol, domain.count, eff_seed)
         summary = "opaque symbols present; " + zr.summary()
     else:

@@ -1,5 +1,6 @@
 """Class registry: PDE shapes, membership conditions, embeddings."""
 
+import json
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from gbeq.classes import (
     linearizable_from_linear,
     parse_instance,
 )
+from gbeq.cli import EXIT_MATH, main
 from gbeq.expr import ZERO, format_expr, is_zero, parse, rat, var
 from gbeq.report import MEMBER, REJECTED
 
@@ -142,6 +144,32 @@ def test_membership_gbe_t_needs_x_free_f():
     assert not rep.ok
     good = EquationInstance(cid, {"f": P("t^2", cid)})
     assert check_membership(good).verdict == MEMBER
+
+
+@pytest.mark.parametrize(
+    "f, verdict, detail",
+    [
+        (
+            "t*x^2 + x + 1", MEMBER,
+            "coefficient of x^0: 1; coefficient of x^1: 1; coefficient of x^2: t",
+        ),
+        ("x^3", REJECTED, "f has x-degree 3, expected at most 2"),
+        ("x^2*exp(x)", REJECTED, "x occurs inside exp(x)"),
+    ],
+)
+def test_membership_deg_needs_f_quadratic_in_x(f, verdict, detail):
+    cid = ClassId.GBE_DIV_DEG
+    rep = check_membership(EquationInstance(cid, {"f": P(f, cid)}))
+    assert rep.verdict == verdict
+    (shape,) = [c for c in rep.conditions if c.description == "f must be quadratic in x"]
+    assert (shape.ok, shape.detail) == (verdict == MEMBER, detail)
+
+
+def test_membership_cli_exits_1_on_a_cubic_deg_member(tmp_path):
+    inst, out = tmp_path / "cubic.gbeq", tmp_path / "rep.json"
+    inst.write_text("class = GBE_DIV_DEG\nelement.f = x^3\n")
+    assert main(["membership", str(inst), "--out", str(out)]) == EXIT_MATH
+    assert json.loads(out.read_text())["verdict"] == REJECTED
 
 
 def test_membership_rejects_vanishing_diffusion():

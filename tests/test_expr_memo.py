@@ -31,6 +31,7 @@ from gbeq.expr import (
     walk,
 )
 from gbeq.expr import Expr, calculus, numeric
+from gbeq.expr.nodes import REWRITABLE, holds
 
 # the package exports the function simplify under the module's name
 simplify_module = importlib.import_module("gbeq.expr.simplify")
@@ -133,10 +134,10 @@ def test_each_distinct_subtree_is_visited_once(visits, e, inputs, run):
     run(e)
     if inputs is FLAGGED:
         # every inner node is over abs(x); the leaves 1 and x are not
-        assert {n for n in walk(e) if n._rewritable} == {
+        assert {n for n in walk(e) if holds(n, REWRITABLE)} == {
             n for n in walk(e) if n.children()
         }
-        assert set(visits) == {n for n in walk(e) if n._rewritable}
+        assert set(visits) == {n for n in walk(e) if holds(n, REWRITABLE)}
     else:
         # the tape also multiplies in each factor's power on its own
         assert {n for n in visits if isinstance(n, Expr)} == set(walk(e))
@@ -150,8 +151,15 @@ def test_simplify_visits_nothing_on_a_clean_tree(visits, e):
 
 
 def test_the_derivative_repeats_subtrees():
-    nodes = sum(1 for _ in walk(D_CF))
-    assert nodes > 20 * len(set(walk(D_CF)))
+    paths = {}
+
+    def count(n):
+        """Nodes on every path from n: n itself and the paths below each child."""
+        if id(n) not in paths:
+            paths[id(n)] = 1 + sum(count(c) for c in n.children())
+        return paths[id(n)]
+
+    assert count(D_CF) > 20 * len(set(walk(D_CF)))
 
 
 def test_memoized_passes_keep_their_values():

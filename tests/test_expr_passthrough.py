@@ -1,7 +1,7 @@
 """simplify passes a subtree it cannot rewrite through as the same object.
 
-A node is marked _rewritable when its subtree holds an abs, a sign or
-an opaque Pow, the only nodes simplify rewrites (nodes._rewritten_here).
+A node's build-time summary has the REWRITABLE bit when its subtree
+holds an abs, a sign or an opaque Pow, the only nodes simplify rewrites.
 simplify returns an unmarked subtree as it is, and normal_form_is_zero
 builds and simplifies a nonempty numerator only over marked atoms.
 """
@@ -37,7 +37,7 @@ from gbeq.expr import (
     var,
     walk,
 )
-from gbeq.expr.nodes import _rewritten_here
+from gbeq.expr.nodes import REWRITABLE, holds
 from gbeq.expr.simplify import _numerator, _pair_sign_factors, _simplify_app, _simplify_pow
 
 from conftest import random_tree, verification_corpus
@@ -82,9 +82,14 @@ def flagged_tree(rng):
     return e
 
 
+def rewritten_here(n):
+    """Does simplify rewrite the node n itself, whatever its children?"""
+    return isinstance(n, Pow) or (isinstance(n, App) and n.fn in ("abs", "sign"))
+
+
 def assert_flags_match_subtrees(e):
     for n in walk(e):
-        assert n._rewritable == any(_rewritten_here(m) for m in walk(n)), n
+        assert holds(n, REWRITABLE) == any(rewritten_here(m) for m in walk(n)), n
 
 
 def full_rebuild(e, ctx):
@@ -126,7 +131,7 @@ def test_flag_matches_the_subtree_through_every_pass(seed):
 @given(st.integers(0, 10 ** 6))
 def test_simplify_returns_an_unflagged_tree_itself(seed):
     e = random_tree(random.Random(seed))
-    assert not e._rewritable
+    assert not holds(e, REWRITABLE)
     assert simplify(e) is e
     assert simplify(e, POS) is e
 
@@ -150,13 +155,13 @@ def test_a_product_over_a_repeated_pow_base_is_folded():
 
 
 def test_leaves_and_unapplied_symbols_are_unflagged():
-    assert not rat(2)._rewritable
-    assert not x._rewritable
-    assert not func("f", ("t", "x"))._rewritable
-    assert app("abs", x)._rewritable
-    assert app("sign", x + 1)._rewritable
-    assert app("exp", app("abs", x))._rewritable
-    assert not app("exp", x)._rewritable
+    assert not holds(rat(2), REWRITABLE)
+    assert not holds(x, REWRITABLE)
+    assert not holds(func("f", ("t", "x")), REWRITABLE)
+    assert holds(app("abs", x), REWRITABLE)
+    assert holds(app("sign", x + 1), REWRITABLE)
+    assert holds(app("exp", app("abs", x)), REWRITABLE)
+    assert not holds(app("exp", x), REWRITABLE)
 
 
 def assert_zero_test_agrees(e, ctx):
