@@ -7,7 +7,7 @@ rendered with '/', so 3/(4*x^2) rather than 3*4^-1*x^-2.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .nodes import (
     Add,
@@ -23,14 +23,17 @@ from .nodes import (
     Var,
 )
 
+# One call's texts, keyed by (id(node), role): a node's text on its own
+# (_WHOLE) and inside a product (_FACTOR) differ, so each role keeps its
+# own entry.  The memo lives for one call, while the root holds every
+# node it keys, so a shared subtree is formatted once per call, not
+# once per path to it.
+_Memo = Dict[Tuple[int, int], str]
+_WHOLE, _FACTOR = 0, 1
+
 
 def format_expr(e: Expr) -> str:
-    if isinstance(e, Rat):
-        return _fmt_fraction(e.value)
-    if isinstance(e, Add):
-        return " ".join(_sum_parts(e))
-    sign, body = _signed_term(e)
-    return body if sign > 0 else "-" + body
+    return _fmt_whole(e, {})
 
 
 def format_head(e: Expr, limit: int) -> str:
@@ -41,10 +44,11 @@ def format_head(e: Expr, limit: int) -> str:
     a parenthesis; the first term is kept whole even when it alone is
     longer than limit.
     """
-    text = format_expr(e)
+    memo: _Memo = {}
+    text = _fmt_whole(e, memo)
     if len(text) <= limit or not isinstance(e, Add):
         return text
-    parts = _sum_parts(e)
+    parts = _sum_parts(e, memo)
     head = parts[0]
     for part in parts[1:]:
         if len(head) + len(part) + 3 > limit:
@@ -53,11 +57,27 @@ def format_head(e: Expr, limit: int) -> str:
     return head + " …"
 
 
-def _sum_parts(e: Add) -> List[str]:
+def _fmt_whole(e: Expr, memo: _Memo) -> str:
+    """format_expr(e), through the call's memo."""
+    key = (id(e), _WHOLE)
+    text = memo.get(key)
+    if text is None:
+        if isinstance(e, Rat):
+            text = _fmt_fraction(e.value)
+        elif isinstance(e, Add):
+            text = " ".join(_sum_parts(e, memo))
+        else:
+            sign, body = _signed_term(e, memo)
+            text = body if sign > 0 else "-" + body
+        memo[key] = text
+    return text
+
+
+def _sum_parts(e: Add, memo: _Memo) -> List[str]:
     """The terms of e as format_expr joins them: '+ body' or '- body' after the first."""
     parts: List[str] = []
     for term in e.terms:
-        sign, body = _signed_term(term)
+        sign, body = _signed_term(term, memo)
         if not parts:
             parts.append(body if sign > 0 else "-" + body)
         else:
@@ -71,7 +91,7 @@ def _fmt_fraction(v: RationalLike) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def _signed_term(e: Expr) -> Tuple[int, str]:
+def _signed_term(e: Expr, memo: _Memo) -> Tuple[int, str]:
     """Split a non-Add node into a sign and an unsigned rendering."""
     if isinstance(e, Rat):
         if e.value < 0:
@@ -79,11 +99,13 @@ def _signed_term(e: Expr) -> Tuple[int, str]:
         return 1, _fmt_fraction(e.value)
     if isinstance(e, Mul):
         sign = -1 if e.coeff < 0 else 1
-        return sign, _fmt_monomial(abs(e.coeff), e.powers)
-    return 1, _fmt_factor(e)
+        return sign, _fmt_monomial(abs(e.coeff), e.powers, memo)
+    return 1, _fmt_factor(e, memo)
 
 
-def _fmt_monomial(coeff: RationalLike, powers: Tuple[Tuple[Expr, RationalLike], ...]) -> str:
+def _fmt_monomial(
+    coeff: RationalLike, powers: Tuple[Tuple[Expr, RationalLike], ...], memo: _Memo
+) -> str:
     num_parts: List[str] = []
     den_parts: List[str] = []
     if coeff.numerator != 1:
@@ -92,7 +114,7 @@ def _fmt_monomial(coeff: RationalLike, powers: Tuple[Tuple[Expr, RationalLike], 
         den_parts.append(str(coeff.denominator))
     for base, exponent in powers:
         target = num_parts if exponent > 0 else den_parts
-        target.append(_fmt_power(base, abs(exponent)))
+        target.append(_fmt_power(base, abs(exponent), memo))
     if not num_parts:
         num_parts.append("1")
     num = "*".join(num_parts)
@@ -104,8 +126,8 @@ def _fmt_monomial(coeff: RationalLike, powers: Tuple[Tuple[Expr, RationalLike], 
     return f"{num}/({'*'.join(den_parts)})"
 
 
-def _fmt_power(base: Expr, exponent: RationalLike) -> str:
-    body = _fmt_base(base)
+def _fmt_power(base: Expr, exponent: RationalLike, memo: _Memo) -> str:
+    body = _fmt_base(base, memo)
     if exponent == 1:
         return body
     if exponent.denominator == 1 and exponent > 0:
@@ -113,21 +135,30 @@ def _fmt_power(base: Expr, exponent: RationalLike) -> str:
     return f"{body}^({_fmt_fraction(exponent)})"
 
 
-def _fmt_base(base: Expr) -> str:
+def _fmt_base(base: Expr, memo: _Memo) -> str:
     """Render a power base, parenthesized when '^' would bind wrongly."""
     if isinstance(base, (Add, Mul)):
-        return f"({format_expr(base)})"
+        return f"({_fmt_whole(base, memo)})"
     if isinstance(base, Pow):
-        return f"({_fmt_factor(base)})"
+        return f"({_fmt_factor(base, memo)})"
     if isinstance(base, Rat):
         if base.value < 0 or base.value.denominator != 1:
             return f"({_fmt_fraction(base.value)})"
         return _fmt_fraction(base.value)
-    return _fmt_factor(base)
+    return _fmt_factor(base, memo)
 
 
-def _fmt_factor(e: Expr) -> str:
+def _fmt_factor(e: Expr, memo: _Memo) -> str:
     """Render a node for use inside a product (parenthesizing sums)."""
+    key = (id(e), _FACTOR)
+    text = memo.get(key)
+    if text is None:
+        text = memo[key] = _factor_text(e, memo)
+    return text
+
+
+def _factor_text(e: Expr, memo: _Memo) -> str:
+    """_fmt_factor(e), built afresh."""
     if isinstance(e, Rat):
         return _fmt_fraction(e.value)
     if isinstance(e, Var):
@@ -139,20 +170,16 @@ def _fmt_factor(e: Expr) -> str:
         head = e.name if not suffix else f"{e.name}_{suffix}"
         if e.args is None:
             return head
-        return f"{head}({', '.join(format_expr(a) for a in e.args)})"
+        return f"{head}({', '.join(_fmt_whole(a, memo) for a in e.args)})"
     if isinstance(e, App):
-        return f"{e.fn}({format_expr(e.arg)})"
+        return f"{e.fn}({_fmt_whole(e.arg, memo)})"
     if isinstance(e, Int):
-        return f"int({format_expr(e.body)}, {e.var})"
+        return f"int({_fmt_whole(e.body, memo)}, {e.var})"
     if isinstance(e, Pow):
-        return _fmt_power_node(e)
+        return _fmt_power(e.base, e.exponent, memo)
     if isinstance(e, Add):
-        return f"({format_expr(e)})"
+        return f"({_fmt_whole(e, memo)})"
     if isinstance(e, Mul):
-        sign, body = _signed_term(e)
+        sign, body = _signed_term(e, memo)
         return body if sign > 0 else f"(-{body})"
     raise ExprError(f"cannot format {type(e).__name__}")
-
-
-def _fmt_power_node(e: Pow) -> str:
-    return _fmt_power(e.base, e.exponent)

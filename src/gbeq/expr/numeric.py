@@ -14,7 +14,9 @@ sampler does.  Int nodes integrate their body numerically from the
 base point INT_BASE (see nodes.Int) with adaptive quadrature:
 QUADPACK's QAGS as scipy.integrate.quad runs it, whose first 21-point
 Gauss-Kronrod step is ported here so that integrands it settles never
-import scipy.
+import scipy.  A quadrature QAGS flags (divergent, not converged, or
+spoiled by roundoff) raises EvalError, so the zero test skips that
+point instead of grading its estimate.
 """
 
 from __future__ import annotations
@@ -131,10 +133,16 @@ class Evaluator:
         if value is None:
             from scipy.integrate import quad
 
-            value, _ = quad(
+            # QAGS returns a message beside its estimate exactly when it
+            # flags the integral (ier > 0): divergent, not converged, or
+            # spoiled by roundoff.  Such a value is not a sample.
+            value, _, _, *message = quad(
                 f, self.base_point, upper, epsabs=self.quad_tol, epsrel=self.quad_tol,
-                limit=_QAGS_LIMIT,
+                limit=_QAGS_LIMIT, full_output=1,
             )
+            if message:
+                reason = message[0].splitlines()[0].strip()
+                raise EvalError(f"quadrature of {e.var} up to {upper:g} failed: {reason}")
         return value
 
 

@@ -49,6 +49,15 @@ read of any of them, so a caller that reads only pullbacks never
 inverts the map.  A mixed pair composes in GENERAL; tests check the
 restricted compositions and inverses against closed-form formulas in
 each family's parameters.
+
+Each transform keeps three values, each built on its first use: its
+coordinate change (T, X) (_coordinates), its GENERAL lift (to_general)
+and the closed-form inverse of (T, X) (_inverse), taken under the
+family's own context.  apply_transform, compose, invert and the lazy
+target all read them, so a transform that is applied, composed and
+inverted is lifted and inverted once.  They live in the frozen
+instance's __dict__, which the dataclass eq, hash and repr do not
+read, and die with the transform.
 """
 
 from __future__ import annotations
@@ -426,7 +435,9 @@ class ApplyResult:
     them is read, by the one step _finish_apply hands over, and then
     kept: the groupoid checks read only the pullback of most results,
     and the closed-form inversion behind the target was most of their
-    apply time.  An error in that step surfaces on the first read.
+    apply time.  The step reads the transform's kept inverse, so invert
+    and the target share one.  An error in that step surfaces on the
+    first read.
     """
 
     source: EquationInstance
@@ -573,40 +584,42 @@ def closed_inverse(
 
 
 def _finish_apply(
+    tr: Transform,
     inst: EquationInstance,
-    family: str,
     ctx: Context,
     fmap: PointMap,
     pullback: Dict[str, Expr],
     u_inverse_of: Callable[[Expr, Expr], Expr],
 ) -> ApplyResult:
-    """Build an ApplyResult whose target, once read, is in inst's class.
+    """Build an ApplyResult of tr whose target, once read, is in inst's class.
 
-    u_inverse_of(S, xi) must return the source dependent variable as an
-    expression in the target coordinates (with the target dependent
-    written through the same symbol name).  It runs only when the
-    target, inverse or note is first read.
+    fmap's t and x are tr's coordinate change, so the target reads
+    tr's kept closed-form inverse (_inverse).  u_inverse_of(S, xi) must
+    return the source dependent variable as an expression in the
+    target coordinates (with the target dependent written through the
+    same symbol name).  It runs only when the target, inverse or note
+    is first read.
     """
     pullback = {k: simplify(v, ctx) for k, v in pullback.items()}
     # the step gets its own copy of the pullback and not inst, so
     # mutating either after apply returns cannot change the target
     step = partial(
-        _closed_form, inst.class_id, inst.dependent, ctx, fmap,
+        _closed_form, tr, inst.class_id, inst.dependent, ctx,
         dict(pullback), u_inverse_of,
     )
-    return ApplyResult(inst, family, fmap, pullback, _closed_step=step)
+    return ApplyResult(inst, tr.family, fmap, pullback, _closed_step=step)
 
 
 def _closed_form(
+    tr: Transform,
     class_id: ClassId,
     dependent: str,
     ctx: Context,
-    fmap: PointMap,
     pullback: Dict[str, Expr],
     u_inverse_of: Callable[[Expr, Expr], Expr],
 ) -> _Closed:
     """(target, inverse, note) of an ApplyResult: see _finish_apply."""
-    inv = closed_inverse(fmap.t, fmap.x, ctx)
+    inv = _inverse(tr)
     if inv is None:
         return (
             None, None,
@@ -723,7 +736,7 @@ def _apply_projective(tr: ProjectiveTuple, inst: EquationInstance) -> ApplyResul
         # the inverse tuple's u-map, with (t, x, u) read as target coords
         return _proj_maps(invert(tr), ctx.fn("u"))[2]
 
-    return _finish_apply(inst, "PROJECTIVE", ctx, fmap, pullback, u_back)
+    return _finish_apply(tr, inst, ctx, fmap, pullback, u_back)
 
 
 def constraint(
@@ -794,7 +807,7 @@ def apply_transform(
         U0S = _compose_tx(g.U0, S, xi, ctx)
         return div(u - U0S, U1S)
 
-    return _finish_apply(inst, tr.family, ctx, fmap, pullback, u_back)
+    return _finish_apply(tr, inst, ctx, fmap, pullback, u_back)
 
 
 # ---------------------------------------------------------------------------
@@ -835,10 +848,32 @@ def identity_linear() -> LinearTransform:
     return LinearTransform(T=T_VAR, X=X_VAR, V1=ONE, V0=ZERO)
 
 
+def _kept(tr: Transform, name: str, build: Callable[[Transform], object]):
+    """build(tr), computed on tr's first request and kept on tr.
+
+    The families are frozen dataclasses whose eq, hash and repr read
+    only their fields, so a value kept in the instance __dict__ is
+    invisible to them, dies with the transform, and is not carried
+    into a dataclasses.replace copy.  A build that raises keeps
+    nothing.
+    """
+    kept = tr.__dict__
+    try:
+        return kept[name]
+    except KeyError:
+        value = kept[name] = build(tr)
+        return value
+
+
 def to_general(tr: Transform) -> GeneralTransform:
-    """Lift any family member to the widest family."""
+    """Lift any family member to the widest family, once per transform."""
     if isinstance(tr, GeneralTransform):
         return tr
+    return _kept(tr, "_lift", _lift)
+
+
+def _lift(tr: Transform) -> GeneralTransform:
+    """to_general(tr), built afresh."""
     if isinstance(tr, LinzTransform):
         ctx = transform_context("LINZ")
         X_x = _d(tr.X, "x", ctx)
@@ -854,7 +889,7 @@ def to_general(tr: Transform) -> GeneralTransform:
             U0=eps * tr.U0,
         )
     if isinstance(tr, ReducedTransform):
-        return to_general(to_gauged(tr))
+        return _lift(to_gauged(tr))
     if isinstance(tr, ProjectiveTuple):
         ctx = transform_context("PROJECTIVE")
         ctx.add_function("u", ("t", "x"))
@@ -876,29 +911,56 @@ def to_general(tr: Transform) -> GeneralTransform:
             + div(_d(tr.X0, "t", ctx), T_t),
         )
     if isinstance(tr, AffineDivTransform):
-        return to_general(tr.to_div())
+        return _lift(tr.to_div())
     if isinstance(tr, LinearTransform):
         return GeneralTransform(T=tr.T, X=tr.X, U1=tr.V1, U0=tr.V0)
     raise TransformError(f"cannot lift {type(tr).__name__}")
 
 
 def _coordinates(tr: Transform) -> Tuple[Expr, Expr]:
-    """t -> T and x -> X of to_general(tr), without building its u-map.
+    """t -> T and x -> X of to_general(tr), once per transform.
 
     REDUCED and DIV fix their u-map by (T, X), so compose and invert
-    need no more of them.  Building it anyway, by reading (T, X) off
-    to_general, made sweep-light items 13% slower at the median (2-CPU
-    Xeon, Python 3.11).  DIV's lift reads its X from here.
+    need no more of them, and their (T, X) is built here without it:
+    read off the lift, a REDUCED member that is only composed or
+    inverted, such as an identity or an inverse in the groupoid laws,
+    would build its u-map for nothing.  PROJECTIVE reads (T, X) off its
+    point maps, since its apply keeps its closed form and builds no
+    lift.  DIV's lift reads its X from here.
     """
+    return _kept(tr, "_coordinates", _coordinate_change)
+
+
+def _coordinate_change(tr: Transform) -> Tuple[Expr, Expr]:
+    """_coordinates(tr), built afresh."""
     if isinstance(tr, DivTransform):
         ctx = transform_context("DIV", tr.sign_Tt)
         root = sqrt(rat(tr.sign_Tt) * _d(tr.T, "t", ctx))
         return tr.T, rat(tr.kappa) * root * X_VAR + tr.X0
+    if isinstance(tr, ProjectiveTuple):
+        return _proj_maps(tr, ZERO)[:2]
     if isinstance(tr, ReducedTransform):
         # the GAUGED member with U0 = 0 has the same coordinate change
-        tr = GaugedTransform(T=tr.T, X0=tr.X0, U0=ZERO, eps=tr.eps)
-    g = to_general(tr)
+        g = _lift(GaugedTransform(T=tr.T, X0=tr.X0, U0=ZERO, eps=tr.eps))
+    else:
+        g = to_general(tr)
     return g.T, g.X
+
+
+def _inverse(tr: Transform) -> Optional[Tuple[Expr, Expr]]:
+    """closed_inverse of tr's coordinate change, once per transform.
+
+    It runs under the family's own context: T and X mention none of a
+    class's element names, so no class context simplifies them
+    differently.
+    """
+    return _kept(tr, "_inverse", _closed_inverse_of)
+
+
+def _closed_inverse_of(tr: Transform) -> Optional[Tuple[Expr, Expr]]:
+    """_inverse(tr), built afresh."""
+    ctx = transform_context(tr.family, getattr(tr, "sign_Tt", 1))
+    return closed_inverse(*_coordinates(tr), ctx)
 
 
 def to_gauged(tr: ReducedTransform) -> GaugedTransform:
@@ -1040,11 +1102,11 @@ def invert(tr: Transform) -> Union[Transform, ImplicitInverseOf]:
         return _unmat(adj)
     if isinstance(tr, AffineDivTransform):
         return _affine_div_of(invert(tr.to_div()))
-    ctx = transform_context(tr.family, getattr(tr, "sign_Tt", 1))
-    inv = closed_inverse(*_coordinates(tr), ctx)
+    inv = _inverse(tr)
     if inv is None:
         return ImplicitInverseOf(tr)
     S, xi = inv
+    ctx = transform_context(tr.family, getattr(tr, "sign_Tt", 1))
 
     def x_at(x: Expr) -> Expr:
         return xi if x is X_VAR else simplify(substitute(xi, {"x": x}, ctx), ctx)

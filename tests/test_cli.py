@@ -541,6 +541,23 @@ def test_solution_without_valid_sample_points_is_an_input_error(
     assert err == f"gbeq verify-solution: {message}\n"
 
 
+def test_divergent_integral_in_the_member_is_an_input_error(tmp_path, capsys):
+    # int_0^x s^-2 ds diverges for every x, so no point can be graded;
+    # quad's estimates once read NUMERIC_ZERO, exit 0
+    member = tmp_path / "divergent.gbeq"
+    member.write_text(
+        "class = SUPER\nelement.F = 1\nelement.H1 = u\n"
+        "element.H0 = int(1/x^2, x) + 1/x\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify-solution", str(member), "--solution", "0"])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "gbeq verify-solution: could not draw valid stand-in rounds\n"
+
+
 def strict_json(text):
     """json.loads that rejects NaN and Infinity, as strict JSON parsers do."""
 

@@ -1,4 +1,5 @@
-"""Per-call memos of simplify, differentiate and substitute, and Evaluator's tapes.
+"""Per-call memos of simplify, differentiate, substitute and format_expr,
+and Evaluator's tapes.
 
 Each pass keeps a memo from node to result for one call, so a subtree
 that recurs is worked on once; Evaluator runs a tape with one operation
@@ -14,6 +15,7 @@ from collections import Counter
 
 import pytest
 
+from gbeq.classes import ClassId, EquationInstance, build_pde
 from gbeq.expr import (
     Context,
     Evaluator,
@@ -22,6 +24,7 @@ from gbeq.expr import (
     differentiate,
     div,
     evaluate,
+    format_expr,
     integral,
     parse,
     pow_,
@@ -30,7 +33,7 @@ from gbeq.expr import (
     var,
     walk,
 )
-from gbeq.expr import Expr, calculus, numeric
+from gbeq.expr import Expr, calculus, fmt, numeric
 from gbeq.expr.nodes import REWRITABLE, holds
 
 # the package exports the function simplify under the module's name
@@ -185,3 +188,34 @@ def test_an_integrand_is_evaluated_at_each_node():
     e = x + integral(pow_(x, 2), "x")
     for xv in (0.9, -1.5):
         assert math.isclose(evaluate(e, {"x": xv}), xv + xv ** 3 / 3, rel_tol=1e-12)
+
+
+def test_format_expr_formats_each_distinct_subtree_once(monkeypatch):
+    # BURGERS' residual at sin(sin(... sin(x))), 99 deep: 399 distinct
+    # nodes, but 2.5 M characters of text, since each of its 100
+    # products repeats the inner levels; formatted once per path it
+    # took 495 101 format_expr calls
+    inst = EquationInstance(ClassId.BURGERS, {})
+    ctx = inst.context()
+    candidate = parse("sin(" * 99 + "x" + ")" * 99, ctx)
+    res = simplify(substitute(build_pde(inst, ctx), {inst.dependent: candidate}, ctx), ctx)
+    nodes = len(list(walk(res)))
+    calls = Counter()
+
+    def counting(name):
+        worker = getattr(fmt, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return worker(*args)
+
+        monkeypatch.setattr(fmt, name, counted)
+
+    # the text of a node on its own, with memo hits, and a factor's text
+    # as it is built
+    counting("_fmt_whole")
+    counting("_factor_text")
+    text = format_expr(res)
+    assert len(text) == 2_505_196
+    assert calls["_fmt_whole"] <= 2 * nodes
+    assert calls["_factor_text"] <= nodes

@@ -12,6 +12,8 @@ its value, bit for bit.
 
 import math
 import random
+import re
+import warnings
 from typing import Dict, Mapping, Tuple
 
 import pytest
@@ -119,6 +121,24 @@ def test_unsettled_step_falls_back_to_quad(ctx, text, a, b, quad_calls):
     assert info["last"] > 1
     assert ev(integral(body, "s"), {"s": b}) == value
     assert quad_calls == [(a, b)]
+
+
+@pytest.mark.parametrize("text, upper", [("1/s^2", 1.0), ("1/s", -0.5)])
+def test_a_quadrature_qags_flags_is_no_value(ctx, text, upper):
+    # QAGS returns a message beside its estimate (ier > 0) for these
+    # divergent integrals; the estimate is no value, and scipy prints no
+    # IntegrationWarning
+    body = parse(text, ctx)
+    ev = Evaluator()
+    f = _integrand(ev, body)
+    assert _qags_first_step(f, 0.0, upper, TOL, TOL) is None
+    out = quad(f, 0.0, upper, epsabs=TOL, epsrel=TOL, limit=LIMIT, full_output=1)
+    assert len(out) == 4
+    reason = re.escape(out[3].splitlines()[0].strip())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalError, match=f"quadrature of s up to .* failed: {reason}"):
+            ev(integral(body, "s"), {"s": upper})
 
 
 def test_empty_interval_evaluates_nothing():

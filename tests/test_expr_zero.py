@@ -248,6 +248,16 @@ def test_a_denominator_not_proved_nonzero_is_declined(ctx, s):
     assert is_zero(member, ctx).verdict == NONZERO
 
 
+def test_an_integral_divergent_at_every_point_is_never_graded(ctx):
+    # int_0^x s^-2 ds diverges for every x, so quad's estimates are no
+    # samples; the antiderivative rule declines it, since D = x vanishes
+    # at INT_BASE, and no valid point is left to grade
+    member = parse("int(1/x^2, x) + 1/x", ctx)
+    assert not integral_identity(normal_form(member, ctx), ctx)
+    with pytest.raises(SamplingError):
+        is_zero(member, ctx)
+
+
 def _opaque_tree(rng, f, depth=3):
     """A tree over t, x, f, f_x and exp with no pole at x = 0."""
     if depth <= 0 or rng.random() < 0.25:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,7 @@ from gbeq.transforms import (
 
 from conftest import (
     DRAWERS,
+    GROUPOID_FAMILIES,
     INSTANCE_CLASS,
     draw_instance,
     draw_linear,
@@ -80,8 +82,10 @@ from conftest import (
 IDENTS = {
     "GENERAL": identity_general,
     "LINZ": identity_linz,
+    "GAUGED": transforms.identity_gauged,
     "REDUCED": identity_reduced,
     "PROJECTIVE": identity_projective,
+    "DIV": transforms.identity_div,
     "LINEAR": identity_linear,
     "AFFINE_DIV": identity_affine_div,
 }
@@ -1034,3 +1038,120 @@ def test_context_builders_hand_out_fresh_copies():
             flags.add("nonzero")
         again = build()
         assert (again.variables, again.functions, again.assumptions) == before
+
+
+# -- the lift, coordinates and inverse kept per transform --------------------
+
+# acceptance 1's seed per family: its draws, in its order
+ACCEPTANCE_SEEDS = {
+    "GENERAL": 100, "GAUGED": 101, "REDUCED": 102,
+    "PROJECTIVE": 103, "LINZ": 104, "DIV": 105,
+}
+
+
+def _acceptance_draws(family, n):
+    """acceptance 1's first n (f, g, member) draws of family."""
+    rng = random.Random(ACCEPTANCE_SEEDS[family])
+    for _ in range(n):
+        f, g = draw_transform(family, rng), draw_transform(family, rng)
+        yield f, g, draw_instance(INSTANCE_CLASS[family], rng)
+
+
+def _groupoid_law_item(family, f, g, inst):
+    """One item of acceptance 1: identities, associativity and inverse."""
+    ctx = class_context(inst.class_id)
+    ident = IDENTS[family]()
+    assert transforms_equal(compose(f, ident), f, ctx)
+    assert transforms_equal(compose(ident, f), f, ctx)
+    r1 = apply_transform(compose(g, f), inst)
+    step = apply_transform(f, inst)
+    r2 = apply_transform(g, step.target)
+    back = {"t": step.map.t, "x": step.map.x, inst.dependent: step.map.u}
+    for name in r1.pullback:
+        assert is_zero(r1.pullback[name] - substitute(r2.pullback[name], back, ctx), ctx)
+    assert transforms_equal(compose(invert(f), f), ident, ctx)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """How often each transform object's lift and inverse are built.
+
+    Keyed by (build function, id); the objects are held, so no id is
+    reused.
+    """
+    counts = Counter()
+    held = []
+
+    def counting(name):
+        build = getattr(transforms, name)
+
+        def counted(tr):
+            held.append(tr)
+            counts[name, id(tr)] += 1
+            return build(tr)
+
+        monkeypatch.setattr(transforms, name, counted)
+
+    counting("_lift")
+    counting("_closed_inverse_of")
+    return counts
+
+
+@pytest.mark.parametrize("family", GROUPOID_FAMILIES)
+def test_a_groupoid_law_item_lifts_and_inverts_each_transform_once(family, builds):
+    f, g, inst = next(_acceptance_draws(family, 1))
+    _groupoid_law_item(family, f, g, inst)
+    assert any(name == "_closed_inverse_of" for name, _ in builds)
+    if family not in ("GENERAL", "PROJECTIVE"):
+        assert any(name == "_lift" for name, _ in builds)
+    assert max(builds.values()) == 1
+
+
+@pytest.mark.parametrize("family", GROUPOID_FAMILIES)
+def test_the_target_and_invert_share_one_closed_inverse(family, monkeypatch):
+    calls = []
+    real = transforms.closed_inverse
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(transforms, "closed_inverse", counting)
+    f, g, inst = next(_acceptance_draws(family, 1))
+    assert apply_transform(f, inst).target is not None
+    assert not isinstance(invert(f), ImplicitInverseOf)
+    assert len(calls) == 1
+
+
+def _printed_ops(f, g, inst, target_first):
+    """invert(f), compose(g, f) and f's apply target and inverse, as text."""
+    out = {}
+    order = ("target", "invert") if target_first else ("invert", "target")
+    for op in order + ("compose",):
+        if op == "invert":
+            out[op] = format_transform(invert(f))
+        elif op == "compose":
+            out[op] = format_transform(compose(g, f))
+        else:
+            res = apply_transform(f, inst)
+            out[op] = (
+                {k: format_expr(v) for k, v in res.target.elements.items()},
+                res.inverse.describe(),
+                res.note,
+            )
+    return out
+
+
+@pytest.mark.parametrize("target_first", [False, True], ids=["invert-first", "target-first"])
+@pytest.mark.parametrize("family", GROUPOID_FAMILIES)
+def test_kept_values_match_fresh_copies(family, target_first):
+    for i, (f, g, inst) in enumerate(_acceptance_draws(family, 20)):
+        built = _printed_ops(f, g, inst, target_first)
+        # f and g are warm now; a dataclasses.replace copy keeps nothing
+        fresh_f, fresh_g = dataclasses.replace(f), dataclasses.replace(g)
+        assert "_inverse" in f.__dict__ and "_inverse" not in fresh_f.__dict__
+        # kept values are not fields: eq, hash and repr do not see them
+        assert (f, hash(f), repr(f)) == (fresh_f, hash(fresh_f), repr(fresh_f))
+        warm = _printed_ops(f, g, inst, target_first)
+        fresh = _printed_ops(fresh_f, fresh_g, inst, target_first)
+        assert built == warm == fresh, (family, i)
