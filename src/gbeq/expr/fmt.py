@@ -23,12 +23,11 @@ from .nodes import (
     Var,
 )
 
-# One call's texts, keyed by (id(node), role): a node's text on its own
+# One call's texts, keyed by (node, role): a node's text on its own
 # (_WHOLE) and inside a product (_FACTOR) differ, so each role keeps its
-# own entry.  The memo lives for one call, while the root holds every
-# node it keys, so a shared subtree is formatted once per call, not
-# once per path to it.
-_Memo = Dict[Tuple[int, int], str]
+# own entry.  Equal subtrees are one node, so a shared subtree is
+# formatted once per call, not once per path to it.
+_Memo = Dict[Tuple[Expr, int], str]
 _WHOLE, _FACTOR = 0, 1
 
 
@@ -59,7 +58,7 @@ def format_head(e: Expr, limit: int) -> str:
 
 def _fmt_whole(e: Expr, memo: _Memo) -> str:
     """format_expr(e), through the call's memo."""
-    key = (id(e), _WHOLE)
+    key = (e, _WHOLE)
     text = memo.get(key)
     if text is None:
         if isinstance(e, Rat):
@@ -150,7 +149,7 @@ def _fmt_base(base: Expr, memo: _Memo) -> str:
 
 def _fmt_factor(e: Expr, memo: _Memo) -> str:
     """Render a node for use inside a product (parenthesizing sums)."""
-    key = (id(e), _FACTOR)
+    key = (e, _FACTOR)
     text = memo.get(key)
     if text is None:
         text = memo[key] = _factor_text(e, memo)

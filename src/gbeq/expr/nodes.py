@@ -1,18 +1,30 @@
-"""Immutable expression trees with exact rational coefficients.
+"""Immutable, hash-consed expression trees with exact rational coefficients.
 
 Every constructor in this module returns a node in canonical form:
 sums are flattened, sorted, and merged by monomial; products carry a
 single rational coefficient and a sorted tuple of (base, exponent)
 pairs; rational powers of rational numbers extract perfect roots.
-Structural equality of canonical nodes is the cheap equality test
-everything else builds on.
+
+Each structure is one live object: a node class builds through
+__new__, which looks its (kind, scalar fields, child nodes) up in the
+weak table _NODES and returns the live node when there is one.  So ==
+and hash are object identity, decided in C, for the constructor memos,
+the per-call memos and the kernel's tables alike; an entry dies with
+its node.  Identity hashes vary from run to run, so no output may
+iterate a set of nodes.
+
+A node's _key holds its kind, scalar fields and child nodes, and
+Expr.__lt__ compares keys: the canonical order of sums and products,
+the same as keys nesting their children's keys, free of id() and of
+the hash seed.  A child shared by both keys is equal by identity, so a
+comparison descends only where the two trees differ.
 
 Every rational a node stores (Rat.value, Mul.coeff, Mul and Pow
 exponents) is a plain int when it is integral and a Fraction only
 otherwise, so the common integer case never pays for Fraction
-arithmetic, hashing or comparison.  Equal ints and Fractions hash and
-compare alike, so the two never split a key.  Integer powers of
-rationals go through _rat_int_power, because int ** -n is a float.
+arithmetic, hashing or comparison; the intern table keys a Fraction by
+its (numerator, denominator) pair.  Integer powers of rationals go
+through _rat_int_power, because int ** -n is a float.
 
 Rewrites that are only valid under positivity or nonvanishing
 assumptions are *not* performed here; see simplify.simplify, which
@@ -21,33 +33,34 @@ domain of definition of both sides (for instance exponent addition on
 a shared base, exp(a)*exp(b) -> exp(a+b), or exp(c*ln(a) + r) -> a^c *
 exp(r) for rational c).
 
-Each node's __init__ also sets _summary as it sets _hash: its own bits
-OR'd with its children's, so a question about a subtree is one mask
-test (holds, contains_var, mentions_var, contains_func), not a walk.
-Low bits mark node kinds; each name takes a higher bit on first use in
-each group: explicit variables (a Var or an Int's variable), signature
-variables of unapplied Funcs, and function names.  Bit positions follow
-first use, so a summary never enters a key, a hash, a sort or a print.
+A new node also sets _summary: its own bits OR'd with its children's,
+so a question about a subtree is one mask test (holds, contains_var,
+mentions_var, contains_func), not a walk.  Low bits mark node kinds;
+each name takes a higher bit on first use in each group: explicit
+variables (a Var or an Int's variable), signature variables of
+unapplied Funcs, and function names.  Bit positions follow first use,
+so a summary never enters a key, a hash, a sort or a print.
 
 rat, add, mul, pow_ and _rat_power_parts are memoized, each behind its
 own functools.lru_cache of MEMO_SIZE entries (typed, so an int, a
 Fraction and a float argument never share an entry).  Each is a pure
 function of its arguments' structure, and lru_cache stores no call that
-raises, so a hit returns a node equal to the one a fresh call would
-build and every result and printed form stays as it is.  The groupoid
-checks rebuild the same sub-products over and over: within one sweep
-item, more than half of the mul, add and pow_ calls repeat an earlier
-call's arguments.  The bound is set by peak RSS, since the caches keep
-their argument and result trees alive: 1024 entries add under 2 MB to
-the peak RSS of each benchmark workload, 16384 took sweep-light from
-37 to 65 MB.
+raises, so a hit returns the node a fresh call would build and every
+result and printed form stays as it is.  The groupoid checks rebuild
+the same sub-products over and over: within one sweep item, more than
+half of the mul, add and pow_ calls repeat an earlier call's
+arguments.  The bound is set by peak RSS, since the caches keep their
+argument and result trees alive: 1024 entries add under 2 MB to the
+peak RSS of each benchmark workload, 16384 took sweep-light from 37 to
+65 MB.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
+from weakref import ref
 
 RationalLike = Union[int, Fraction]
 
@@ -90,7 +103,7 @@ def _name_bit(group: str, name: str) -> int:
 class Expr:
     """Base class of all expression nodes."""
 
-    __slots__ = ("_hash", "_key", "_summary")
+    __slots__ = ("_key", "_summary", "__weakref__")
 
     # Arithmetic sugar so formula code reads like the mathematics.
     def __add__(self, other: "ExprLike") -> "Expr":
@@ -123,8 +136,13 @@ class Expr:
     def __neg__(self) -> "Expr":
         return mul(rat(-1), self)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __lt__(self, other: "Expr") -> bool:
+        return self._key < other._key  # the canonical order (module docstring)
+
+    def __deepcopy__(self, memo: Optional[dict] = None) -> "Expr":
+        return self  # one node per structure: a copy is the node itself
+
+    __copy__ = __deepcopy__
 
     def children(self) -> Tuple["Expr", ...]:
         """The direct subexpressions, left to right; leaves have none."""
@@ -142,6 +160,36 @@ class Expr:
 
 ExprLike = Union[Expr, int, Fraction]
 
+# intern key -> weak reference to the one live node of that structure
+_NODES: dict = {}
+
+
+def _drop(key: tuple, dead: ref, nodes: dict = _NODES) -> None:
+    # the table is bound as a default, so the callback still runs while
+    # shutdown clears module globals; a newer node may own the key by now
+    if nodes.get(key) is dead:
+        del nodes[key]
+
+
+def _live(key: tuple) -> Optional[Expr]:
+    """The live node interned under key, if there is one."""
+    held = _NODES.get(key)
+    return None if held is None else held()
+
+
+def _intern(cls: type, key: tuple, sort_key: tuple, summary: int) -> Expr:
+    """A new node of cls, entered in the table under key."""
+    node = object.__new__(cls)
+    node._key = sort_key
+    node._summary = summary
+    _NODES[key] = ref(node, partial(_drop, key))
+    return node
+
+
+def _q(q: RationalLike):
+    """q in an intern key; a Fraction, whose hash is slow, as a pair."""
+    return q if q.__class__ is int else (q.numerator, q.denominator)
+
 
 def as_expr(value: ExprLike) -> Expr:
     """Coerce ints and Fractions to Rat nodes, pass Expr through."""
@@ -157,20 +205,14 @@ class Rat(Expr):
 
     __slots__ = ("value",)
 
-    def __init__(self, value: RationalLike):
-        self.value = value
-        self._key = (_KIND_RAT, value)
-        # hashes build on child hashes and numerator/denominator pairs
-        # rather than the nested key: Fraction.__hash__ costs a modular
-        # inverse, and rehashing whole subtrees made construction
-        # quadratic on expand-heavy paths (ints carry the same pair)
-        self._hash = hash((_KIND_RAT, value.numerator, value.denominator))
-        self._summary = 0
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Rat) and self.value == other.value
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, value: RationalLike):
+        value = _exact(value)
+        key = (_KIND_RAT, _q(value))
+        node = _live(key)
+        if node is None:
+            node = _intern(cls, key, (_KIND_RAT, value), 0)
+            node.value = value
+        return node
 
 
 class Var(Expr):
@@ -178,16 +220,13 @@ class Var(Expr):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        self.name = name
-        self._key = (_KIND_VAR, name)
-        self._hash = hash(self._key)
-        self._summary = _name_bit("var", name)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Var) and self.name == other.name
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, name: str):
+        key = (_KIND_VAR, name)
+        node = _live(key)
+        if node is None:
+            node = _intern(cls, key, key, _name_bit("var", name))
+            node.name = name
+        return node
 
 
 class Func(Expr):
@@ -203,41 +242,27 @@ class Func(Expr):
 
     __slots__ = ("name", "argnames", "didx", "args")
 
-    def __init__(
-        self,
-        name: str,
-        argnames: Tuple[str, ...],
-        didx: Tuple[int, ...],
-        args: Optional[Tuple[Expr, ...]] = None,
-    ):
+    def __new__(cls, name: str, argnames: Tuple[str, ...], didx: Tuple[int, ...],
+                args: Optional[Tuple[Expr, ...]] = None):
+        key = (_KIND_FUNC, name, argnames, didx, (0,) if args is None else (1,) + args)
+        node = _live(key)
+        if node is not None:
+            return node
         if len(didx) != len(argnames):
             raise ExprError(f"didx length {didx} does not match signature {argnames}")
         if args is not None and len(args) != len(argnames):
             raise ExprError(f"{name} expects {len(argnames)} arguments, got {len(args)}")
-        self.name = name
-        self.argnames = argnames
-        self.didx = didx
-        self.args = args
         summary = FUNC | _name_bit("fn", name)
         if args is None:
-            argkey: tuple = (0,)
-            arghash: tuple = (0,)
             for a in argnames:
                 summary |= _name_bit("sig", a)
         else:
-            argkey = (1,) + tuple(a._key for a in args)
-            arghash = (1,) + tuple(a._hash for a in args)
             summary |= APPLIED
             for a in args:
                 summary |= a._summary
-        self._summary = summary
-        self._key = (_KIND_FUNC, name, argnames, didx, argkey)
-        self._hash = hash((_KIND_FUNC, name, argnames, didx, arghash))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Func) and self._key == other._key
-
-    __hash__ = Expr.__hash__
+        node = _intern(cls, key, key, summary)
+        node.name, node.argnames, node.didx, node.args = name, argnames, didx, args
+        return node
 
     def children(self) -> Tuple[Expr, ...]:
         return self.args or ()
@@ -253,19 +278,16 @@ class App(Expr):
 
     __slots__ = ("fn", "arg")
 
-    def __init__(self, fn: str, arg: Expr):
-        if fn not in APP_NAMES:
-            raise ExprError(f"unknown function {fn}")
-        self.fn = fn
-        self.arg = arg
-        self._key = (_KIND_APP, fn, arg._key)
-        self._hash = hash((_KIND_APP, fn, arg._hash))
-        self._summary = (APP | REWRITABLE if fn in ("abs", "sign") else APP) | arg._summary
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, App) and self._key == other._key
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, fn: str, arg: Expr):
+        key = (_KIND_APP, fn, arg)
+        node = _live(key)
+        if node is None:
+            if fn not in APP_NAMES:
+                raise ExprError(f"unknown function {fn}")
+            kind = APP | REWRITABLE if fn in ("abs", "sign") else APP
+            node = _intern(cls, key, key, kind | arg._summary)
+            node.fn, node.arg = fn, arg
+        return node
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.arg,)
@@ -285,17 +307,13 @@ class Int(Expr):
 
     __slots__ = ("body", "var")
 
-    def __init__(self, body: Expr, var: str):
-        self.body = body
-        self.var = var
-        self._key = (_KIND_INT, var, body._key)
-        self._hash = hash((_KIND_INT, var, body._hash))
-        self._summary = INT | _name_bit("var", var) | body._summary
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Int) and self._key == other._key
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, body: Expr, var: str):
+        key = (_KIND_INT, var, body)
+        node = _live(key)
+        if node is None:
+            node = _intern(cls, key, key, INT | _name_bit("var", var) | body._summary)
+            node.body, node.var = body, var
+        return node
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.body,)
@@ -314,19 +332,13 @@ class Pow(Expr):
 
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: RationalLike):
-        self.base = base
-        self.exponent = exponent
-        self._key = (_KIND_POW, base._key, exponent)
-        self._hash = hash(
-            (_KIND_POW, base._hash, exponent.numerator, exponent.denominator)
-        )
-        self._summary = REWRITABLE | base._summary
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Pow) and self._key == other._key
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, base: Expr, exponent: RationalLike):
+        key = (_KIND_POW, base, _q(exponent))
+        node = _live(key)
+        if node is None:
+            node = _intern(cls, key, (_KIND_POW, base, exponent), REWRITABLE | base._summary)
+            node.base, node.exponent = base, exponent
+        return node
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.base,)
@@ -340,19 +352,16 @@ class Add(Expr):
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Tuple[Expr, ...]):
-        self.terms = terms
-        self._key = (_KIND_ADD,) + tuple(t._key for t in terms)
-        self._hash = hash((_KIND_ADD,) + tuple(t._hash for t in terms))
-        summary = 0
-        for t in terms:
-            summary |= t._summary
-        self._summary = summary
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Add) and self._key == other._key
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, terms: Tuple[Expr, ...]):
+        key = (_KIND_ADD,) + terms
+        node = _live(key)
+        if node is None:
+            summary = 0
+            for t in terms:
+                summary |= t._summary
+            node = _intern(cls, key, key, summary)
+            node.terms = terms
+        return node
 
     def children(self) -> Tuple[Expr, ...]:
         return self.terms
@@ -366,25 +375,16 @@ class Mul(Expr):
 
     __slots__ = ("coeff", "powers")
 
-    def __init__(
-        self, coeff: RationalLike, powers: Tuple[Tuple[Expr, RationalLike], ...]
-    ):
-        self.coeff = coeff
-        self.powers = powers
-        self._key = (_KIND_MUL, coeff) + tuple((b._key, e) for b, e in powers)
-        self._hash = hash(
-            (_KIND_MUL, coeff.numerator, coeff.denominator)
-            + tuple((b._hash, e.numerator, e.denominator) for b, e in powers)
-        )
-        summary = 0
-        for b, _ in powers:
-            summary |= b._summary
-        self._summary = summary
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Mul) and self._key == other._key
-
-    __hash__ = Expr.__hash__
+    def __new__(cls, coeff: RationalLike, powers: Tuple[Tuple[Expr, RationalLike], ...]):
+        key = (_KIND_MUL, _q(coeff)) + tuple([(b, _q(e)) for b, e in powers])
+        node = _live(key)
+        if node is None:
+            summary = 0
+            for b, _ in powers:
+                summary |= b._summary
+            node = _intern(cls, key, (_KIND_MUL, coeff) + powers, summary)
+            node.coeff, node.powers = coeff, powers
+        return node
 
     def children(self) -> Tuple[Expr, ...]:
         return tuple(b for b, _ in self.powers)
@@ -428,7 +428,7 @@ def rat(value: RationalLike, den: Optional[int] = None) -> Rat:
         value = Fraction(value, den)
     elif not isinstance(value, (int, Fraction)):
         raise TypeError(f"cannot make an exact rational of {value!r}")
-    return Rat(_exact(value))
+    return Rat(value)
 
 
 ZERO = rat(0)
@@ -505,12 +505,11 @@ def add(*terms: ExprLike) -> Expr:
     return Add(tuple(out))
 
 
-def _term_order(term: Expr):
+def _term_order(term: Expr) -> tuple:
     """Order terms of a sum by their monomial part, constants first."""
     if isinstance(term, Rat):
-        return ((),)
-    _, powers = _as_coeff_powers(term)
-    return (tuple((b._key, e) for b, e in powers),)
+        return ()
+    return _as_coeff_powers(term)[1]
 
 
 def _make_mul(
@@ -911,8 +910,8 @@ def integral(body: ExprLike, var_name: str) -> Expr:
 def walk(e: Expr) -> Iterator[Expr]:
     """Each distinct subtree of e once, in preorder, children left to right.
 
-    A node met again (by id, sound while e holds the tree) is skipped
-    with its subtree; the rest come in first-seen order.  No recursion.
+    A node met again (equal subtrees are one node) is skipped with its
+    subtree; the rest come in first-seen order.  No recursion.
     """
     return _preorder(e, ())
 
@@ -923,9 +922,9 @@ def _preorder(e: Expr, closed: tuple) -> Iterator[Expr]:
     stack = [e]
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         yield node
         if not isinstance(node, closed):
             stack.extend(reversed(node.children()))

@@ -55,7 +55,9 @@ coordinate change (T, X) (_coordinates), its GENERAL lift (to_general)
 and the closed-form inverse of (T, X) (_inverse), taken under the
 family's own context.  apply_transform, compose, invert and the lazy
 target all read them, so a transform that is applied, composed and
-inverted is lifted and inverted once.  They live in the frozen
+inverted is lifted and inverted once.  An AFFINE_DIV member keeps the
+DIV member it names (to_div) the same way, so its apply and invert
+share that member's lift and inverse.  They live in the frozen
 instance's __dict__, which the dataclass eq, hash and repr do not
 read, and die with the transform.
 """
@@ -275,13 +277,9 @@ class AffineDivTransform:
             object.__setattr__(self, "kappa", -self.kappa)
 
     def to_div(self) -> DivTransform:
-        t = T_VAR
-        return DivTransform(
-            T=rat(self.c1 * self.c1) * t + rat(self.c0),
-            X0=rat(self.c2) * t + rat(self.c3),
-            kappa=self.kappa,
-            sign_Tt=1,
-        )
+        """The DIV member this names, built once per transform, so that
+        apply, compose and invert share its lift and inverse."""
+        return _kept(self, "_div", _div_member)
 
 
 @dataclass(frozen=True)
@@ -865,6 +863,16 @@ def _kept(tr: Transform, name: str, build: Callable[[Transform], object]):
         return value
 
 
+def _div_member(tr: AffineDivTransform) -> DivTransform:
+    """tr.to_div(), built afresh."""
+    return DivTransform(
+        T=rat(tr.c1 * tr.c1) * T_VAR + rat(tr.c0),
+        X0=rat(tr.c2) * T_VAR + rat(tr.c3),
+        kappa=tr.kappa,
+        sign_Tt=1,
+    )
+
+
 def to_general(tr: Transform) -> GeneralTransform:
     """Lift any family member to the widest family, once per transform."""
     if isinstance(tr, GeneralTransform):
@@ -911,7 +919,7 @@ def _lift(tr: Transform) -> GeneralTransform:
             + div(_d(tr.X0, "t", ctx), T_t),
         )
     if isinstance(tr, AffineDivTransform):
-        return _lift(tr.to_div())
+        return to_general(tr.to_div())
     if isinstance(tr, LinearTransform):
         return GeneralTransform(T=tr.T, X=tr.X, U1=tr.V1, U0=tr.V0)
     raise TransformError(f"cannot lift {type(tr).__name__}")

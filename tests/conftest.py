@@ -17,9 +17,15 @@ from hypothesis import settings
 
 from gbeq.classes import ClassId, EquationInstance, build_pde, class_context
 from gbeq.expr import (
+    Add,
+    App,
     Expr,
+    Int,
     ONE,
+    Pow,
     ZERO,
+    add,
+    app,
     differentiate,
     div,
     exp,
@@ -337,6 +343,36 @@ def random_tree(rng: random.Random, depth: int = 4) -> Expr:
         return pow_(base, exponent)
     arg = rat(frac(rng, nonzero=True)) * rng.choice((var("t"), var("x")))
     return exp(simplify(arg + rat(frac(rng))))
+
+
+def shared_tree(rng, steps=10):
+    """A random tree whose operands are drawn from the nodes built so far.
+
+    So subtrees are shared, and Ints, applied and unapplied Funcs, abs,
+    sign and opaque Pows occur; the raw node classes keep the kinds the
+    canonical constructors might fold away.
+    """
+    t, x = var("t"), var("x")
+    pool = [
+        t, x, var("y"), rat(Fraction(-3, 2)), func("f", ("t", "x")),
+        func("g", ("t",), (1,)), func("k", ("u",)),
+    ]
+    pick = lambda: rng.choice(pool)
+    makers = [
+        lambda: add(pick(), pick()),
+        lambda: mul(pick(), pick()),
+        lambda: mul(2, pick(), pow_(pick(), 2)),
+        lambda: pow_(pick(), 3),
+        lambda: Pow(pick(), Fraction(1, 2)),
+        lambda: App(rng.choice(("abs", "sign", "exp", "sin")), pick()),
+        lambda: app("cos", pick()),
+        lambda: Int(pick(), rng.choice(("t", "x", "w"))),
+        lambda: func("h", ("t", "x"), None, (pick(), pick())),
+        lambda: Add((pick(), pick(), pick())),
+    ]
+    for _ in range(steps):
+        pool.append(rng.choice(makers)())
+    return Add(tuple(pool[-3:]))
 
 
 # ---------------------------------------------------------------------------

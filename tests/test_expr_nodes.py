@@ -1,5 +1,7 @@
 """Constructor canonicalization and node identity for the expression core."""
 
+import copy
+import gc
 import random
 from fractions import Fraction
 
@@ -12,15 +14,22 @@ from gbeq.expr import (
     ZERO,
     Add,
     App,
+    Context,
     EvalError,
     Evaluator,
     Expr,
     ExprError,
+    Func,
+    Int,
+    Mul,
+    Pow,
     Rat,
+    Var,
     add,
     app,
     atoms_of,
     contains_var,
+    differentiate,
     div,
     exp,
     format_expr,
@@ -35,9 +44,12 @@ from gbeq.expr import (
     var,
     walk,
 )
+from gbeq.expr import nodes
 from gbeq.expr.nodes import _log_term
+from gbeq.expr.parse import MAX_NESTING, parse
+from gbeq.expr.poly import run
 
-from conftest import random_tree
+from conftest import random_tree, shared_tree
 
 
 t = var("t")
@@ -238,8 +250,121 @@ def test_equal_trees_share_hashes():
     for _ in range(200):
         e = random_tree(rng)
         clone = e + ZERO
-        assert clone == e
-        assert hash(clone) == hash(e)
+        assert clone is e
+
+
+# ---------------------------------------------------------------------------
+# hash-consing: one live node per structure, ordered by keys of child nodes
+
+
+def test_every_construction_route_hands_back_the_live_node(monkeypatch):
+    u = func("u", ("t", "x"))
+    # calculus builds the derivative's Func directly
+    assert differentiate(u, "x") is func("u", ("t", "x"), (0, 1))
+    assert Func("u", ("t", "x"), (0, 0), None) is u
+    # context negates a product's coefficient into a direct Mul
+    seen = []
+    monkeypatch.setattr(Context, "is_positive", lambda self, e: seen.append(e))
+    Context().is_negative(mul(-2, x))
+    assert seen == [mul(2, x)] and seen[0] is mul(2, x)
+    # the polynomial kernel builds its sums with a direct Add
+    square = run(lambda k: k.tree(k.expand(pow_(x + 1, 2))))
+    assert square is add(pow_(x, 2), mul(2, x), ONE)
+    # _rat_power_parts keeps an even root of a negative rational as a Pow
+    assert sqrt(rat(-2)) is Pow(rat(-2), Fraction(1, 2))
+    assert mul(3, sqrt(rat(-2))) is Mul(3, ((Pow(rat(-2), Fraction(1, 2)), 1),))
+    assert Rat(Fraction(4, 2)) is rat(2) and rat(2).value.__class__ is int
+    assert Var("t") is t and Int(x, "x") is integral(x, "x")
+    assert copy.copy(square) is square and copy.deepcopy([square])[0] is square
+
+
+def test_a_dropped_tree_leaves_the_intern_table():
+    gc.collect()
+    gc.disable()  # so no collection of other garbage moves the count
+    try:
+        before = len(nodes._NODES)
+        # raw classes, so no constructor memo keeps the tree alive
+        v = Var("v_dropped")
+        e = Add((App("sin", v), Mul(2, ((Pow(v, Fraction(1, 3)), 1),)), Int(v, "v_dropped")))
+        assert len(nodes._NODES) == before + 6
+        assert Add(e.terms) is e
+        del v, e
+        gc.collect()
+        assert len(nodes._NODES) == before
+        # the key is free again for a new node of that structure
+        assert Var("v_dropped").name == "v_dropped"
+        assert len(nodes._NODES) == before
+    finally:
+        gc.enable()
+
+
+def _nested_key(e: Expr) -> tuple:
+    """The sort key as it was before hash-consing: child keys in full."""
+    if isinstance(e, Rat):
+        return (0, e.value)
+    if isinstance(e, Var):
+        return (1, e.name)
+    if isinstance(e, Func):
+        args = (0,) if e.args is None else (1,) + tuple(map(_nested_key, e.args))
+        return (2, e.name, e.argnames, e.didx, args)
+    if isinstance(e, App):
+        return (3, e.fn, _nested_key(e.arg))
+    if isinstance(e, Int):
+        return (4, e.var, _nested_key(e.body))
+    if isinstance(e, Pow):
+        return (5, _nested_key(e.base), e.exponent)
+    if isinstance(e, Add):
+        return (6,) + tuple(map(_nested_key, e.terms))
+    return (7, e.coeff) + tuple((_nested_key(b), k) for b, k in e.powers)
+
+
+def _nested_term_key(term: Expr) -> tuple:
+    if isinstance(term, Rat):
+        return ()
+    powers = term.powers if isinstance(term, Mul) else ((term, 1),)
+    return tuple((_nested_key(b), k) for b, k in powers)
+
+
+@given(st.integers(0, 10**6))
+def test_keys_of_child_nodes_order_as_nested_keys_did(seed):
+    rng = random.Random(seed)
+    canonical = [random_tree(rng) for _ in range(4)]
+    # shared_tree adds Funcs, Ints and Pows, through raw classes too
+    found = list(dict.fromkeys(
+        n for e in canonical + [shared_tree(rng) for _ in range(2)] for n in walk(e)
+    ))
+    rng.shuffle(found)
+    by_nested = sorted(found, key=_nested_key)
+    assert sorted(found, key=lambda n: n._key) == by_nested
+    assert sorted(found) == by_nested
+    # the constructors sort sums and products in the nested order
+    for n in (n for e in canonical for n in walk(e)):
+        if isinstance(n, Mul):
+            bases = [_nested_key(b) for b, _ in n.powers]
+            assert bases == sorted(bases)
+        elif isinstance(n, Add):
+            terms = [_nested_term_key(term) for term in n.terms]
+            assert terms == sorted(terms)
+
+
+def test_a_shared_subtree_is_not_descended_into(monkeypatch):
+    depth = MAX_NESTING - 1
+    ctx = Context()
+    ctx.add_var("x")
+    chain = parse("1/(1 + " * depth + "x" + ")" * depth, ctx)
+    left, right = add(chain, x), add(chain, t)
+    compared = []
+    real = Expr.__lt__
+
+    def counting(a, b):
+        compared.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(Expr, "__lt__", counting)
+    assert (left < right) is (_nested_key(left) < _nested_key(right))
+    # the two sums, then the one pair of terms that differ: no node of the
+    # chain's 2 * depth Adds and Muls
+    assert compared == [(left, right), (x, t)]
 
 
 def test_unequal_examples():

@@ -42,6 +42,8 @@ from gbeq.expr.nodes import (
 )
 from gbeq.expr.zero import _collect_symbols
 
+from conftest import shared_tree
+
 t = var("t")
 x = var("x")
 f = func("f", ("t", "x"))  # applied at its own signature variables
@@ -234,35 +236,6 @@ def own_bits(n):
         for a in n.argnames if n.args is None else ():
             bits |= _name_bit("sig", a)
     return bits
-
-
-def shared_tree(rng, steps=10):
-    """A random tree whose operands are drawn from the nodes built so far.
-
-    So subtrees are shared, and Ints, applied and unapplied Funcs, abs,
-    sign and opaque Pows occur; the raw node classes keep the kinds the
-    canonical constructors might fold away.
-    """
-    pool = [
-        t, x, var("y"), rat(Fraction(-3, 2)), f,
-        func("g", ("t",), (1,)), func("k", ("u",)),
-    ]
-    pick = lambda: rng.choice(pool)
-    makers = [
-        lambda: add(pick(), pick()),
-        lambda: mul(pick(), pick()),
-        lambda: mul(2, pick(), pow_(pick(), 2)),
-        lambda: pow_(pick(), 3),
-        lambda: Pow(pick(), Fraction(1, 2)),
-        lambda: App(rng.choice(("abs", "sign", "exp", "sin")), pick()),
-        lambda: app("cos", pick()),
-        lambda: Int(pick(), rng.choice(("t", "x", "w"))),
-        lambda: func("h", ("t", "x"), None, (pick(), pick())),
-        lambda: Add((pick(), pick(), pick())),
-    ]
-    for _ in range(steps):
-        pool.append(rng.choice(makers)())
-    return Add(tuple(pool[-3:]))
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)

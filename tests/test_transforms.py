@@ -1123,6 +1123,26 @@ def test_the_target_and_invert_share_one_closed_inverse(family, monkeypatch):
     assert len(calls) == 1
 
 
+def test_affine_div_applies_and_inverts_as_one_div_member(monkeypatch):
+    calls = []
+    real = transforms.closed_inverse
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(transforms, "closed_inverse", counting)
+    tr = AffineDivTransform(
+        c0=Fraction(1), c1=Fraction(2), c2=Fraction(1, 2), c3=Fraction(0)
+    )
+    inst = EquationInstance(ClassId.GBE_DIV, {"f": rat(1)})
+    assert apply_transform(tr, inst).target is not None
+    assert isinstance(invert(tr), AffineDivTransform)
+    assert len(calls) == 1
+    assert tr.to_div() is tr.to_div()
+    assert to_general(tr) is to_general(tr.to_div())
+
+
 def _printed_ops(f, g, inst, target_first):
     """invert(f), compose(g, f) and f's apply target and inverse, as text."""
     out = {}
