@@ -80,11 +80,14 @@ EXIT_PASS = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
 
-# deg-div-solve evaluates each series at its degree + 1 interpolation
-# points, so a solve costs about degree^2 (on a 2-CPU Xeon: 4 ms at
-# degree 64, 38 ms at 1000, 150 ms at 3000), while the ODE residual of
-# smooth coefficients sits near 5e-9 from degree 64 on; the bound keeps
-# outside input from asking for cost that buys no accuracy
+# deg-div-solve solves on coefficient arrays, nearly flat in the degree
+# (on a 2-CPU Xeon: 0.25 ms at degree 64, 0.45 ms at 1000, 0.9 ms at
+# 3000), but its report evaluates each series at every --points point,
+# about degree x points steps: solve and report of f1 = f2 = 0 at 201
+# points take 0.6 ms at degree 64, 4.9 ms at 1000, 14 ms at 3000.  The
+# ODE residual of smooth coefficients sits near 5e-9 from degree 64 on;
+# the bound keeps outside input from asking for cost that buys no
+# accuracy
 MAX_DEGREE = 1000
 
 class InputError(Exception):

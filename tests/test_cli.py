@@ -801,22 +801,30 @@ _WATCHED = (
 _TRANSFORMS = ["gbeq.transforms"]
 _SYMMETRY = ["gbeq.hopfcole", "gbeq.symmetry", "gbeq.transforms"]
 _LOAD_TABLE = [
-    (["parse-check", "expr.txt"], []),
-    (["membership", "nondeg.gbeq"], []),
-    (["linearize", "heat.gbeq"], []),
-    (["verify-solution", "burgers.gbeq", "--solution", "2/x"], []),
-    (["deg-div-solve", "--f1", "0", "--f2", "0"], ["gbeq.degdiv", "numpy"]),
-    (["transform", "reduced.tr", "linz_f.gbeq"], _TRANSFORMS),
-    (["compose", "linz.tr", "gauged.tr"], _TRANSFORMS),
-    (["invert", "linz.tr"], _TRANSFORMS),
-    (["gauge", "a-to-one", "linz_abc.gbeq"], _TRANSFORMS),
+    (["parse-check", "expr.txt"], [], EXIT_PASS),
+    (["membership", "nondeg.gbeq"], [], EXIT_PASS),
+    (["linearize", "heat.gbeq"], [], EXIT_PASS),
+    (["verify-solution", "burgers.gbeq", "--solution", "2/x"], [], EXIT_PASS),
+    (["deg-div-solve", "--f1", "0", "--f2", "0"], ["gbeq.degdiv", "numpy"], EXIT_PASS),
+    (["transform", "reduced.tr", "linz_f.gbeq"], _TRANSFORMS, EXIT_PASS),
+    (["compose", "linz.tr", "gauged.tr"], _TRANSFORMS, EXIT_PASS),
+    (["invert", "linz.tr"], _TRANSFORMS, EXIT_PASS),
+    (["gauge", "a-to-one", "linz_abc.gbeq"], _TRANSFORMS, EXIT_PASS),
     (
         ["transport", "ident_reduced.tr", "linz_f.gbeq", "linz_f.gbeq", "--solution", "2/x"],
         _TRANSFORMS,
+        EXIT_PASS,
     ),
-    (["hopf-cole", "heat.gbeq", "--v", "1 + exp(x - t)"], ["gbeq.hopfcole", "gbeq.transforms"]),
-    (["symmetry-table"], _SYMMETRY),
-    (["symmetry-check", "projective.tr"], _SYMMETRY),
+    (
+        ["hopf-cole", "heat.gbeq", "--v", "1 + exp(x - t)"],
+        ["gbeq.hopfcole", "gbeq.transforms"],
+        EXIT_PASS,
+    ),
+    (["symmetry-table"], _SYMMETRY, EXIT_PASS),
+    (["symmetry-check", "projective.tr"], _SYMMETRY, EXIT_PASS),
+    # DegDivSolution rejects f1 = x before any numeric work, so numpy,
+    # which degdiv loads only to compute, stays out
+    (["deg-div-solve", "--f1", "x", "--f2", "0"], ["gbeq.degdiv"], EXIT_INPUT),
 ]
 _LOAD_GUARD = textwrap.dedent("""
     import json
@@ -848,13 +856,18 @@ def _fresh(args, corpus):
 
 
 @pytest.mark.parametrize(
-    "argv, loads", _LOAD_TABLE, ids=[argv[0] for argv, _ in _LOAD_TABLE]
+    "argv, loads, code",
+    _LOAD_TABLE,
+    ids=[
+        argv[0] if code == EXIT_PASS else f"{argv[0]}-exit-{code}"
+        for argv, _, code in _LOAD_TABLE
+    ],
 )
-def test_each_subcommand_loads_only_its_layers(corpus, argv, loads):
+def test_each_subcommand_loads_only_its_layers(corpus, argv, loads, code):
     proc = _fresh(["-c", _LOAD_GUARD, ",".join(_WATCHED), *argv], corpus)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"exit": EXIT_PASS, "loaded": loads}, proc.stderr
+    assert result == {"exit": code, "loaded": loads}, proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,20 @@
 """Quadrature solver for the degenerate divergence-form reduction."""
 
+import math
 import random
 import re
+import sys
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from gbeq import degdiv
 from gbeq.cli import _format_grid
 from gbeq.degdiv import DegDivError, DegDivSolution, solve_deg_div
-from gbeq.expr import EvalError, parse, rat, var, Context
+from gbeq.expr import EvalError, add, mul, parse, pow_, rat, var, Context
 
 
 def tctx():
@@ -208,7 +211,8 @@ def test_nodes_are_second_kind_points_with_exact_ends():
 
 def _chebyshev_fit(values, ts):
     """The reference: numpy's own least squares through the same nodes."""
-    return np.polynomial.Chebyshev.fit(ts, values, deg=len(ts) - 1, domain=[ts[0], ts[-1]])
+    fit = np.polynomial.Chebyshev.fit(ts, values, deg=len(ts) - 1, domain=[ts[0], ts[-1]])
+    return fit.coef
 
 
 def _cases():
@@ -276,3 +280,166 @@ def test_coefficient_undefined_on_span_names_it(f1, f2, span, where):
     sol = DegDivSolution(f1=parse(f1, c), f2=parse(f2, c))
     with pytest.raises(EvalError, match=re.escape(where)):
         solve_deg_div(sol, t_span=span)
+
+
+# --- coefficients in one numpy pass ----------------------------------------
+
+_EPS = sys.float_info.epsilon
+
+
+def _draw_rational(rng, ts):
+    """A random coefficient rational in t, and the summed size of its terms on ts.
+
+    A sum of terms q * P * prod (t - r)^-k: P a polynomial nested two
+    levels deep, r a random rational or, one time in three, exactly one
+    of ts, so that a denominator vanishes at an interpolation point.
+    A term's size is its value with every rational and t in P taken by
+    absolute value, which no partial sum of P exceeds.
+    """
+    t = var("t")
+
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+    def poly(depth):
+        kind = rng.randrange(4 if depth else 2)
+        if kind == 0:
+            q = frac()
+            return rat(q), np.full(len(ts), abs(float(q)))
+        if kind == 1:
+            return t, np.abs(ts)
+        parts = [poly(depth - 1) for _ in range(rng.randint(2, 3))]
+        if kind == 2:
+            return add(*[p for p, _ in parts]), sum(m for _, m in parts)
+        ks = [rng.randint(1, 3) for _ in parts]
+        prod = mul(*[pow_(p, k) for (p, _), k in zip(parts, ks)])
+        return prod, np.prod([m ** k for (_, m), k in zip(parts, ks)], axis=0)
+
+    terms, sizes = [], []
+    for _ in range(rng.randint(1, 3)):
+        q = frac() or Fraction(1)
+        term, size = poly(2)
+        term, size = rat(q) * term, abs(float(q)) * size
+        for _ in range(rng.randint(0, 2)):
+            r = Fraction(float(rng.choice(ts))) if rng.random() < 1 / 3 else frac()
+            k = rng.randint(1, 3)
+            term = term * pow_(t - rat(r), -k)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                size = size * np.abs(ts - float(r)) ** -k
+        terms.append(term)
+        sizes.append(size)
+    return add(*terms), sum(sizes)
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_array_pass_matches_the_scalar_tape(seed):
+    rng = random.Random(seed)
+    lo = Fraction(rng.randint(-30, 20), 10)
+    hi = lo + Fraction(rng.randint(1, 40), 10)
+    ts = degdiv._nodes(float(lo), float(hi), rng.choice((1, 2, 8, 64)))
+    e, size = _draw_rational(rng, ts)
+    try:
+        want = degdiv._pointwise("f1", e, ts)
+    except EvalError as exc:
+        # the array pass gives up, and the scalar tape raises its own text
+        assert degdiv._rational_values(e, ts) is None
+        with pytest.raises(EvalError) as got:
+            degdiv._eval_coefficient("f1", e, ts)
+        assert str(got.value) == str(exc)
+        return
+    got = degdiv._rational_values(e, ts)
+    assert got is not None
+    # numpy's integer power and Python's float ** int may differ in the
+    # last place, so agreement is to a few ulp of the largest term
+    assert np.all(np.abs(got - want) <= 16 * _EPS * size), np.max(np.abs(got - want) / size)
+    assert np.array_equal(degdiv._eval_coefficient("f1", e, ts), got)
+
+
+@pytest.mark.parametrize("inner", [False, True])
+def test_a_denominator_vanishing_at_a_node_keeps_the_scalar_message(inner):
+    ts = degdiv._nodes(0.1, 1.0, 8)
+    r = Fraction(float(ts[3]))
+    if inner:
+        # 1/(1 + 1/(t - r)): in floats the infinite inner quotient would
+        # give a finite 0 at r, so the pass must stop at the division
+        e = pow_(1 + pow_(var("t") - rat(r), -1), -1)
+    else:
+        e = add(var("t"), pow_(var("t") - rat(r), -2))
+    with pytest.raises(EvalError) as want:
+        degdiv._pointwise("f2", e, ts)
+    with pytest.raises(EvalError) as got:
+        degdiv._eval_coefficient("f2", e, ts)
+    assert str(got.value) == str(want.value)
+    assert f"is undefined at t = {float(ts[3])!r}: division by zero" in str(got.value)
+
+
+@pytest.mark.parametrize("text", ["exp(t)", "t^(1/2)", "sin(t)", "1/t + exp(t)", "(1 + t)^(3/2)"])
+def test_coefficient_outside_the_fragment_takes_the_scalar_path(text):
+    e = parse(text, tctx())
+    ts = degdiv._nodes(0.1, 1.0, 64)
+    assert degdiv._rational_values(e, ts) is None
+    assert np.array_equal(degdiv._eval_coefficient("f2", e, ts), degdiv._pointwise("f2", e, ts))
+
+
+def test_rational_coefficients_never_run_the_scalar_tape(monkeypatch):
+    def scalar(name, e, ts):
+        raise AssertionError(f"{name} ran the scalar tape")
+
+    monkeypatch.setattr(degdiv, "_pointwise", scalar)
+    c = tctx()
+    sol = DegDivSolution(f1=parse("1/2 + t/(t + 2)", c), f2=parse("t^2 - 1", c))
+    r1, r2 = solve_deg_div(sol).ode_residuals()
+    assert r1 <= 1e-6 and r2 <= 1e-6
+
+
+# --- node values, antiderivatives and derivatives on coefficient arrays ----
+
+_SPANS = ((0.1, 1.0), (-3.0, 2.5))
+
+
+def _exact_node_values(coef, degree):
+    """The series at x_j = cos(pi j / degree), j = degree..0: each angle
+    reduced exactly before its cosine, each sum correctly rounded."""
+    n = degree
+    jk = np.arange(n, -1, -1)[:, None] * np.arange(len(coef))[None, :] % (2 * n)
+    return np.array([math.fsum(row) for row in coef * np.cos(np.pi * jk / n)])
+
+
+@pytest.mark.parametrize("degree", [1, 2, 8, 64, 300, 1000])
+@pytest.mark.parametrize("extra", [0, 1, 2])
+def test_node_values_are_the_series_at_the_interpolation_points(degree, extra):
+    rng = np.random.default_rng(1000 * degree + extra)
+    m = degree + extra
+    # unit-size coefficients, against values computed without the FFT
+    coef = rng.standard_normal(m)
+    err = np.abs(degdiv._node_values(coef, degree) - _exact_node_values(coef, degree))
+    assert np.max(err) <= 1e-15 * np.sum(np.abs(coef))
+    # decaying ones, as an interpolant of smooth data has, against
+    # Clenshaw at the same points of [-1, 1]; Clenshaw's own error grows
+    # with the degree, and at _nodes(...) mapped back from t it reads
+    # each point an ulp off where the series is steep (2.6e-12 of the
+    # coefficient sum at degree 300 on [0.1, 1])
+    coef = rng.standard_normal(m) * 0.97 ** np.arange(m)
+    ref = np.polynomial.Chebyshev(coef)(np.polynomial.chebyshev.chebpts2(degree + 1))
+    err = np.abs(degdiv._node_values(coef, degree) - ref)
+    assert np.max(err) <= 1e-13 * np.sum(np.abs(coef))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 8, 64, 300, 1000])
+@pytest.mark.parametrize("extra", [0, 1, 2])
+def test_integral_and_derivative_agree_with_numpy(degree, extra):
+    rng = np.random.default_rng(1000 * degree + extra)
+    coef = rng.standard_normal(degree + extra)
+    for lo, hi in _SPANS:
+        series = np.polynomial.Chebyshev(coef, domain=[lo, hi])
+        ref = series.integ(lbnd=lo).coef
+        got = degdiv._integral(coef, (hi - lo) / 2)
+        assert len(got) == len(ref)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        at_lo = np.polynomial.Chebyshev(got, domain=[lo, hi])(lo)
+        assert abs(at_lo) <= 1e-15 * np.sum(np.abs(got))
+        if len(coef) > 1:
+            ref = series.deriv().coef
+            got = degdiv._derivative(coef, (hi - lo) / 2)
+            assert len(got) == len(ref)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
