@@ -19,6 +19,10 @@ narrowest:
 
 Elements of SUPER may involve the dependent variable through the u
 symbol; opaque elements are opaque in (t, x) only.
+
+EMBEDDINGS holds only covering steps, each into the next wider class,
+and is the one place that states a class's shape: every equation is
+SUPER's, read over the member's SUPER embedding.
 """
 
 from __future__ import annotations
@@ -29,19 +33,25 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .expr import (
+    Add,
     CollectError,
     Context,
     Expr,
     NONZERO,
+    ONE,
     SYMBOLIC_ZERO,
     ZERO,
+    add,
     collect,
+    contains_func,
     contains_var,
     differentiate,
     format_expr,
+    func,
     is_zero,
     parse,
     rat,
+    substitute,
 )
 from .report import ConditionReport, MEMBER, REJECTED, VerificationReport
 
@@ -147,45 +157,30 @@ class EquationInstance:
 
 
 def build_pde(inst: EquationInstance, ctx: Optional[Context] = None) -> Expr:
-    """The left-hand side of the class equation for this instance."""
+    """The left-hand side of the class equation for this instance.
+
+    It is SUPER's u_t + F u_xx + H1 u_x + H0 over the SUPER embedding
+    under ctx, written in the class's dependent variable.  An addend of
+    H1 that holds that variable multiplies u_x alone and the rest of H1
+    multiplies it as one factor, so GBE_DIV's (u + f_x) u_x reads
+    u u_x + f_x u_x.
+    """
     if ctx is None:
         ctx = inst.context()
-    cid = inst.class_id
-    el = inst.elements
-    dep = CLASS_SPECS[cid].dependent
-    w = ctx.fn(dep)
-    w_t = ctx.fn(dep, (1, 0))
-    w_x = ctx.fn(dep, (0, 1))
-    w_xx = ctx.fn(dep, (0, 2))
-    dx = lambda e: differentiate(e, "x", ctx)
-
-    if cid == ClassId.BURGERS:
-        return w_t + w * w_x + w_xx
-    if cid == ClassId.SUPER:
-        return w_t + el["F"] * w_xx + el["H1"] * w_x + el["H0"]
-    if cid == ClassId.LINEAR:
-        return w_t + el["a"] * w_xx + el["b"] * w_x + el["c"] * w
-    if cid == ClassId.LINZ_ABC:
-        a, b, f = el["a"], el["b"], el["f"]
-        return (
-            w_t
-            + a * w_xx
-            + (a * w + dx(a) + b) * w_x
-            + rat(1, 2) * dx(a) * w * w
-            + dx(b) * w
-            + f
-        )
-    if cid == ClassId.LINZ_BF:
-        b, f = el["b"], el["f"]
-        return w_t + w_xx + (w + b) * w_x + dx(b) * w + f
-    if cid == ClassId.LINZ_F:
-        return w_t + w_xx + w * w_x + el["f"]
-    if cid == ClassId.GBE_TX or cid == ClassId.GBE_T:
-        return w_t + w * w_x + el["f"] * w_xx
-    if cid in (ClassId.GBE_DIV, ClassId.GBE_DIV_NONDEG, ClassId.GBE_DIV_DEG):
-        f = el["f"]
-        return w_t + w * w_x + f * w_xx + dx(f) * w_x
-    raise ClassError(f"no equation shape for {cid}")
+    el = embed(inst, ClassId.SUPER, ctx).elements
+    H1, H0 = el["H1"], el["H0"]
+    dep = inst.dependent
+    if dep != "u":
+        w = ctx.fn(dep)
+        H1, H0 = [
+            substitute(e, {"u": w}, ctx) if contains_func(e, "u") else e
+            for e in (H1, H0)
+        ]
+    w_t, w_x, w_xx = _JETS[dep]
+    addends = H1.terms if isinstance(H1, Add) else (H1,)
+    held = [h * w_x for h in addends if contains_func(h, dep)]
+    free = add(*[h for h in addends if not contains_func(h, dep)])
+    return add(w_t, el["F"] * w_xx, *held, free * w_x, H0)
 
 
 def check_membership(
@@ -287,38 +282,35 @@ def deg_coefficients(f: Expr, ctx: Optional[Context] = None) -> Dict[int, Expr]:
 
 Embedding = Callable[[Dict[str, Expr], Context], Dict[str, Expr]]
 
+# SUPER's u, whatever the source class calls its dependent variable, and
+# u_t, u_x, u_xx of each dependent variable
+_U = func("u", _TX)
+_JETS = {
+    dep: tuple(func(dep, _TX, d) for d in ((1, 0), (0, 1), (0, 2)))
+    for dep in {spec.dependent for spec in CLASS_SPECS.values()}
+}
+
 
 def _embed_linz_f_to_bf(el, ctx):
     return {"b": ZERO, "f": el["f"]}
 
 
 def _embed_linz_bf_to_abc(el, ctx):
-    from .expr import ONE
-
     return {"a": ONE, "b": el["b"], "f": el["f"]}
 
 
 def _embed_linz_abc_to_super(el, ctx):
-    u = ctx.fn("u")
     a, b, f = el["a"], el["b"], el["f"]
     a_x = differentiate(a, "x", ctx)
     b_x = differentiate(b, "x", ctx)
     return {
         "F": a,
-        "H1": a * u + a_x + b,
-        "H0": rat(1, 2) * a_x * u * u + b_x * u + f,
+        "H1": a * _U + a_x + b,
+        "H0": rat(1, 2) * a_x * _U * _U + b_x * _U + f,
     }
 
 
-def _embed_burgers_to_super(el, ctx):
-    from .expr import ONE
-
-    return {"F": ONE, "H1": ctx.fn("u"), "H0": ZERO}
-
-
 def _embed_const_f(el, ctx):
-    from .expr import ONE
-
     return {"f": ONE}
 
 
@@ -327,32 +319,25 @@ def _embed_keep_f(el, ctx):
 
 
 def _embed_gbe_tx_to_super(el, ctx):
-    return {"F": el["f"], "H1": ctx.fn("u"), "H0": ZERO}
+    return {"F": el["f"], "H1": _U, "H0": ZERO}
 
 
 def _embed_gbe_div_to_super(el, ctx):
     f = el["f"]
-    return {
-        "F": f,
-        "H1": ctx.fn("u") + differentiate(f, "x", ctx),
-        "H0": ZERO,
-    }
+    return {"F": f, "H1": _U + differentiate(f, "x", ctx), "H0": ZERO}
 
 
 def _embed_linear_to_super(el, ctx):
-    return {"F": el["a"], "H1": el["b"], "H0": el["c"] * ctx.fn("u")}
+    return {"F": el["a"], "H1": el["b"], "H0": el["c"] * _U}
 
 
+# the covering steps: every other embedding is a chain of these
 EMBEDDINGS: Dict[Tuple[ClassId, ClassId], Embedding] = {
     (ClassId.LINZ_F, ClassId.LINZ_BF): _embed_linz_f_to_bf,
     (ClassId.LINZ_BF, ClassId.LINZ_ABC): _embed_linz_bf_to_abc,
     (ClassId.LINZ_ABC, ClassId.SUPER): _embed_linz_abc_to_super,
-    (ClassId.BURGERS, ClassId.SUPER): _embed_burgers_to_super,
-    (ClassId.BURGERS, ClassId.GBE_TX): _embed_const_f,
     (ClassId.BURGERS, ClassId.GBE_T): _embed_const_f,
-    (ClassId.BURGERS, ClassId.GBE_DIV): _embed_const_f,
     (ClassId.GBE_T, ClassId.GBE_TX): _embed_keep_f,
-    (ClassId.GBE_T, ClassId.GBE_DIV): _embed_keep_f,
     (ClassId.GBE_T, ClassId.GBE_DIV_DEG): _embed_keep_f,
     (ClassId.GBE_DIV_NONDEG, ClassId.GBE_DIV): _embed_keep_f,
     (ClassId.GBE_DIV_DEG, ClassId.GBE_DIV): _embed_keep_f,
@@ -362,36 +347,41 @@ EMBEDDINGS: Dict[Tuple[ClassId, ClassId], Embedding] = {
 }
 
 
-def embed(inst: EquationInstance, target: ClassId) -> EquationInstance:
+def embed(
+    inst: EquationInstance, target: ClassId, ctx: Optional[Context] = None
+) -> EquationInstance:
     """Rewrite an instance as a member of a wider class.
 
     Multi-step embeddings chain registered single steps along the
-    shortest path; the result is independent of the path taken.
+    shortest path; the result is independent of the path taken.  Every
+    step runs under ctx, the caller's context, or target's by default.
     """
     if inst.class_id == target:
         return inst
     path = _embedding_path(inst.class_id, target)
     if path is None:
         raise ClassError(f"no embedding from {inst.class_id} into {target}")
-    current = inst
-    for src, dst in zip(path, path[1:]):
-        ctx = class_context(dst)
-        new_elements = EMBEDDINGS[(src, dst)](current.elements, ctx)
-        current = EquationInstance(dst, new_elements)
-    return current
+    if ctx is None:
+        ctx = class_context(target)
+    elements = inst.elements
+    for step in zip(path, path[1:]):
+        elements = EMBEDDINGS[step](elements, ctx)
+    return EquationInstance(target, elements)
 
 
-def _embedding_path(src: ClassId, dst: ClassId) -> Optional[List[ClassId]]:
-    frontier = [[src]]
+@lru_cache(maxsize=None)
+def _embedding_path(src: ClassId, dst: ClassId) -> Optional[Tuple[ClassId, ...]]:
+    """The shortest chain of EMBEDDINGS steps from src to dst, or None."""
+    frontier = [(src,)]
     seen = {src}
     while frontier:
         path = frontier.pop(0)
         for (a, b) in EMBEDDINGS:
             if a == path[-1] and b not in seen:
                 if b == dst:
-                    return path + [b]
+                    return path + (b,)
                 seen.add(b)
-                frontier.append(path + [b])
+                frontier.append(path + (b,))
     return None
 
 

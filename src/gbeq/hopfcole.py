@@ -180,7 +180,7 @@ def verify_diagram(
     linear_res = apply_transform(tr, linear, tol=tol, seed=seed)
     linz_res = apply_transform(lifted, linz)
 
-    ctx = _merged_context(linear, "LINEAR")
+    ctx = _merged_context(ClassId.LINEAR, "LINEAR")
     ctx.add_function("u", ("t", "x"))
 
     conditions: List[ConditionReport] = []

@@ -329,10 +329,6 @@ class ImplicitInverseOf:
     def family(self) -> str:
         return self.of.family
 
-    @property
-    def param_names(self) -> Tuple[str, ...]:
-        return self.of.param_names
-
 
 _FAMILY_SIGNATURES: Dict[str, Dict[str, Tuple[str, ...]]] = {
     "GENERAL": {"T": ("t",), "X": ("t", "x"), "U1": ("t", "x"), "U0": ("t", "x")},
@@ -382,9 +378,9 @@ def _transform_template(family: str, sign_Tt: int) -> Context:
     return ctx
 
 
-def _merged_context(inst: EquationInstance, family: str, sign_Tt: int = 1) -> Context:
+def _merged_context(cid: ClassId, family: str, sign_Tt: int = 1) -> Context:
     """Class context plus family declarations and assumptions, as a fresh copy."""
-    return _merged_template(inst.class_id, family, sign_Tt).copy()
+    return _merged_template(cid, family, sign_Tt).copy()
 
 
 @lru_cache(maxsize=None)
@@ -718,13 +714,14 @@ def _proj_maps(tr: ProjectiveTuple, u: Expr) -> Tuple[Expr, Expr, Expr]:
     return T, X, U
 
 
-def _apply_projective(tr: ProjectiveTuple, inst: EquationInstance) -> ApplyResult:
-    """Transform a GBE_TX member by a projective tuple.
+def _apply_projective(
+    tr: ProjectiveTuple, inst: EquationInstance, ctx: Context
+) -> ApplyResult:
+    """Transform a GBE_TX member by a projective tuple, under ctx.
 
     Keeps its closed form f~ = kappa^2 f / det: through the general
     pullback a PROJECTIVE sweep item ran 2-3 times slower.
     """
-    ctx = _merged_context(inst, "PROJECTIVE")
     T, X, U = _proj_maps(tr, ctx.fn("u"))
     k = tr.kappa
     pullback = {"f": div(k * k * inst.elements["f"], tr.det)}
@@ -749,8 +746,8 @@ def constraint(
     solution, since v = 0 goes to v~ = V0 along the map.  apply_transform
     checks it on the lift it applies.
     """
-    ctx = _merged_context(inst, tr.family, getattr(tr, "sign_Tt", 1))
-    sup = embed(inst, ClassId.SUPER)
+    ctx = _merged_context(inst.class_id, tr.family, getattr(tr, "sign_Tt", 1))
+    sup = embed(inst, ClassId.SUPER, ctx)
     return _general_pullback(to_general(tr), sup, ClassId.LINZ_F, ctx)["f"]
 
 
@@ -764,7 +761,11 @@ _CONSTRAINT_FAILURES = {
 
 
 def apply_transform(
-    tr: Transform, inst: EquationInstance, tol: float = 1e-9, seed: int = 42
+    tr: Transform,
+    inst: EquationInstance,
+    tol: float = 1e-9,
+    seed: int = 42,
+    assumptions: Sequence[Tuple[str, str]] = (),
 ) -> ApplyResult:
     """Transform inst, embedded into the class tr acts on.
 
@@ -774,6 +775,8 @@ def apply_transform(
     and seed: if it fails to vanish, TransformError names the failure
     and the residual.  PROJECTIVE keeps its closed form; every other
     family applies its GENERAL lift, read off in inst's own class.
+    Assumptions are (name, flag) pairs on that class's or tr's family's
+    symbols, held in both embeddings; a pair naming neither stays behind.
     """
     if isinstance(tr, ImplicitInverseOf):
         raise TransformError(
@@ -782,13 +785,18 @@ def apply_transform(
         )
     if isinstance(tr, AffineDivTransform):
         tr = tr.to_div()
-    if tr.family != "DIV" or inst.class_id not in _DIV_CLASSES:
-        inst = embed(inst, tr.acts_on)
+    cid = inst.class_id
+    if tr.family != "DIV" or cid not in _DIV_CLASSES:
+        cid = tr.acts_on
+    ctx = _merged_context(cid, tr.family, getattr(tr, "sign_Tt", 1))
+    for name, flag in assumptions:
+        if name in ctx.functions or name in ctx.variables:
+            ctx.assume_name(name, flag)
+    inst = embed(inst, cid, ctx)
     if isinstance(tr, ProjectiveTuple):
-        return _apply_projective(tr, inst)
-    ctx = _merged_context(inst, tr.family, getattr(tr, "sign_Tt", 1))
+        return _apply_projective(tr, inst, ctx)
     g = to_general(tr)
-    sup = embed(inst, ClassId.SUPER)
+    sup = embed(inst, ClassId.SUPER, ctx)
     failure = _CONSTRAINT_FAILURES.get(tr.family)
     if failure is not None:
         residual = _general_pullback(g, sup, ClassId.LINZ_F, ctx)["f"]
@@ -1210,11 +1218,10 @@ def gauge_a_to_one(
     expression itself, by sampling, or from a (name, flag) assumption
     such as ("a", "positive").
     """
-    if inst.class_id != ClassId.LINZ_ABC:
-        inst = embed(inst, ClassId.LINZ_ABC)
-    ctx = _merged_context(inst, "LINZ")
+    ctx = _merged_context(ClassId.LINZ_ABC, "LINZ")
     for name, flag in assumptions:
         ctx.assume_name(name, flag)
+    inst = embed(inst, ClassId.LINZ_ABC, ctx)
     a = inst.elements["a"]
     if is_zero(a, ctx, tol=tol, seed=seed):
         raise TransformError("a must not vanish")
@@ -1225,7 +1232,7 @@ def gauge_a_to_one(
         X=integral(pow_(rat(s) * a, Fraction(-1, 2)), "x"),
         U0=ZERO,
     )
-    res = apply_transform(tr, inst)
+    res = apply_transform(tr, inst, assumptions=assumptions)
     gauge_check = is_zero(res.pullback["a"] - ONE, ctx, tol=tol, seed=seed)
     conditions = [
         ConditionReport(
@@ -1264,15 +1271,14 @@ def gauge_b_to_zero(
     assumptions: Sequence[Tuple[str, str]] = (),
 ) -> GaugeResult:
     """Reduce a LINZ_BF member to b = 0 by the shift u -> u + b."""
-    if inst.class_id != ClassId.LINZ_BF:
-        inst = embed(inst, ClassId.LINZ_BF)
-    ctx = _merged_context(inst, "GAUGED")
+    ctx = _merged_context(ClassId.LINZ_BF, "GAUGED")
     for name, flag in assumptions:
         ctx.assume_name(name, flag)
+    inst = embed(inst, ClassId.LINZ_BF, ctx)
     b = inst.elements["b"]
 
     tr = GaugedTransform(T=T_VAR, X0=ZERO, U0=b, eps=Fraction(1))
-    res = apply_transform(tr, inst)
+    res = apply_transform(tr, inst, assumptions=assumptions)
     gauge_check = is_zero(res.pullback["b"], ctx, tol=tol, seed=seed)
     conditions = [ConditionReport.of("transformed b vanishes", gauge_check)]
     narrowed = None

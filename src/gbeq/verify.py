@@ -298,7 +298,9 @@ def transport_check(
             tol, seed, "transform rejected: ",
         )
     try:
-        res = apply_transform(tr, source, tol=tol, seed=seed)
+        res = apply_transform(
+            tr, source, tol=tol, seed=seed, assumptions=assumptions
+        )
     except TransformError as exc:
         admissible = ConditionReport(
             "transform is admissible for the source member", False, REJECTED, str(exc)
@@ -316,7 +318,7 @@ def transport_check(
         )
 
     sign = getattr(tr, "sign_Tt", 1)
-    ctx = _merged_context(source, tr.family, sign)
+    ctx = _merged_context(source.class_id, tr.family, sign)
     for name, flag in assumptions:
         ctx.assume_name(name, flag)
     conditions: List[ConditionReport] = []

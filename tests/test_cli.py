@@ -304,6 +304,37 @@ def test_gauge_on_vanishing_a_is_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == "gauge a-to-one: REJECTED_PRECONDITION\n"
 
 
+_ABS_FILES = {
+    "id.tr": "family = DIV\nparam.T = t\nparam.X0 = 0\n",
+    "div.gbeq": "class = GBE_DIV\nelement.f = 1 + abs(x)\n",
+    "abc.gbeq": "class = LINZ_ABC\nelement.a = 1 + abs(x)\nelement.b = 0\nelement.f = 0\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (
+            ["transport", "id.tr", "div.gbeq", "div.gbeq", "--solution", "0"],
+            "transport: SYMBOLIC_ZERO",
+        ),
+        (["gauge", "a-to-one", "abc.gbeq"], "gauge a-to-one: SYMBOLIC_ZERO"),
+    ],
+    ids=["transport", "gauge"],
+)
+def test_assume_reaches_the_embedding(tmp_path, capsys, argv, status):
+    # the derivative of abs(x) in the element needs x > 0
+    for name, text in _ABS_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in _ABS_FILES else a for a in argv]
+    assert main(argv + ["--assume", "x>0"]) == EXIT_PASS
+    assert capsys.readouterr().err == status + "\n"
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "cannot differentiate abs(x) without a sign assumption" in err
+
+
 def test_linear_offset_off_the_solutions_exits_math(corpus, tmp_path):
     tmp, files = corpus
     out = tmp_path / "rep.json"

@@ -21,6 +21,7 @@ from gbeq.expr import (
     NUMERIC_ZERO,
     SYMBOLIC_ZERO,
     ZERO,
+    DifferentiationError,
     app,
     contains_func,
     contains_var,
@@ -55,6 +56,7 @@ from gbeq.transforms import (
     gauge_a_to_one,
     gauge_b_to_zero,
     identity_affine_div,
+    identity_div,
     identity_general,
     identity_linear,
     identity_linz,
@@ -186,6 +188,23 @@ def test_tol_and_seed_reach_the_constraint_check(monkeypatch):
         assert checked == [(1e-6, 9)], tr.family
 
 
+def test_assumptions_reach_both_embeddings():
+    # f_x of f = 1 + abs(x) needs the sign of x in the embedding into
+    # SUPER; a pair naming no symbol of GBE_DIV or DIV stays behind
+    cid = ClassId.GBE_DIV
+    inst = EquationInstance(cid, {"f": P("1 + abs(x)", cid)})
+    with pytest.raises(DifferentiationError, match="abs"):
+        apply_transform(identity_div(), inst)
+    res = apply_transform(
+        identity_div(), inst, assumptions=[("x", "positive"), ("a", "positive")]
+    )
+    assert format_expr(res.pullback["f"]) == "1 + x"
+    # through GBE_DIV_DEG into GBE_DIV, under the same context
+    burgers = EquationInstance(ClassId.BURGERS, {})
+    res = apply_transform(identity_div(), burgers, assumptions=[("x", "positive")])
+    assert res.source == EquationInstance(cid, {"f": rat(1)})
+
+
 # -- gauges -----------------------------------------------------------------
 
 
@@ -233,6 +252,23 @@ def test_gauge_b_to_zero():
     assert g.ok
     assert g.instance.class_id is ClassId.LINZ_F
     assert format_expr(g.instance.elements["f"]) == "-x"
+
+
+@pytest.mark.parametrize(
+    "gauge, cid, elements",
+    [
+        (gauge_a_to_one, ClassId.LINZ_ABC, {"a": "1 + abs(x)", "b": "0", "f": "0"}),
+        (gauge_b_to_zero, ClassId.LINZ_BF, {"b": "abs(x)", "f": "0"}),
+    ],
+    ids=["a-to-one", "b-to-zero"],
+)
+def test_gauges_pass_their_assumptions_on(gauge, cid, elements):
+    inst = EquationInstance(cid, {k: P(v, cid) for k, v in elements.items()})
+    with pytest.raises(DifferentiationError, match="abs"):
+        gauge(inst)
+    out = gauge(inst, assumptions=[("x", "positive")])
+    assert out.report.verdict == SYMBOLIC_ZERO
+    assert out.instance is not None
 
 
 # -- projective tuples ------------------------------------------------------
@@ -333,7 +369,7 @@ def test_div_constraint_matches_closed_form():
             T=P(T, cid), X0=P(X0, cid), kappa=Fraction(kappa), sign_Tt=sign
         )
         inst = EquationInstance(cid, {"f": P(f, cid)})
-        ctx = _merged_context(inst, "DIV", sign)
+        ctx = _merged_context(inst.class_id, "DIV", sign)
         T_t = _d(tr.T, "t", ctx)
         lifted = rat(2) * pow_(T_t, Fraction(3)) * constraint(tr, inst)
         zr = is_zero(lifted + div_closed_constraint(tr, inst, ctx), ctx)
@@ -786,7 +822,7 @@ def _linear_read(tr, inst, ctx):
 
 def test_linear_pullback_and_constraint_match_closed_forms():
     for i, (tr, inst) in enumerate(linear_oracle_cases()):
-        ctx = _merged_context(inst, "LINEAR")
+        ctx = _merged_context(inst.class_id, "LINEAR")
         want = linear_formula(tr, inst.elements, ctx)
         routes = [_linear_read(tr, inst, ctx)]
         if tr.V0 == ZERO:
@@ -806,7 +842,7 @@ def test_linear_pullback_and_constraint_match_closed_forms():
 def test_linear_c_is_free_of_v0():
     rng = random.Random(601)
     inst = opaque_members(ClassId.LINEAR)[-1]
-    ctx = _merged_context(inst, "LINEAR")
+    ctx = _merged_context(inst.class_id, "LINEAR")
     tr = dataclasses.replace(draw_linear(rng), V0=ctx.fn("V0"))
     assert not contains_func(_linear_read(tr, inst, ctx)["c"], "V0")
     assert contains_func(constraint(tr, inst), "V0")
@@ -1022,7 +1058,7 @@ def test_context_builders_hand_out_fresh_copies():
     builders = (
         lambda: class_context(ClassId.LINZ_F),
         lambda: transform_context("DIV", -1),
-        lambda: _merged_context(inst, "REDUCED"),
+        lambda: _merged_context(inst.class_id, "REDUCED"),
     )
     for build in builders:
         ctx = build()
