@@ -260,12 +260,12 @@ def deg_coefficients(f: Expr, ctx: Optional[Context] = None) -> Dict[int, Expr]:
     """Split a degenerate f into x-degree coefficients f0, f1, f2.
 
     Raises ClassError when f has x-degree above two or any coefficient
-    still involves x.
+    still involves x, and CollectError when f is not polynomial in x.
     """
     from .expr import var
 
     x = ctx.variables["x"] if ctx is not None and "x" in ctx.variables else var("x")
-    buckets = collect(f, x, ctx)
+    buckets = collect(f, x)
     out = {0: ZERO, 1: ZERO, 2: ZERO}
     for deg, coeff in buckets.items():
         if deg > 2:

@@ -235,7 +235,9 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     tr = _load_transform(args.transform)
     inst = _load_instance(args.instance)
     try:
-        res = apply_transform(tr, inst, tol=args.tol, seed=args.seed)
+        res = apply_transform(
+            tr, inst, tol=args.tol, seed=args.seed, assumptions=_parse_assume(args.assume)
+        )
         # the target is built on this first read
         target = res.target
     except TransformError as exc:
@@ -580,7 +582,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--map-out", metavar="PATH",
         help="also write the point maps (and inverse when closed-form)",
     )
-    _check_flags(p, assume=False)
+    _check_flags(p)
     p.set_defaults(handler=_cmd_transform)
 
     p = sub.add_parser(

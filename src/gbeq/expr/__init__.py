@@ -1,14 +1,6 @@
 """Exact symbolic expressions: nodes, parsing, calculus, zero tests."""
 
-from .calculus import (
-    CollectError,
-    DifferentiationError,
-    SubstitutionError,
-    collect,
-    diff_n,
-    differentiate,
-    substitute,
-)
+from .calculus import DifferentiationError, SubstitutionError, diff_n, differentiate, substitute
 from .context import Context, ContextError, NEGATIVE, NONZERO as NONZERO_FLAG, POSITIVE
 from .fmt import format_expr
 from .nodes import (
@@ -45,7 +37,15 @@ from .nodes import (
 )
 from .numeric import EvalError, Evaluator, evaluate
 from .parse import ParseError, parse
-from .simplify import expand, normal_form, normal_form_is_zero, ratio_normal, simplify
+from .simplify import (
+    CollectError,
+    collect,
+    expand,
+    normal_form,
+    normal_form_is_zero,
+    ratio_normal,
+    simplify,
+)
 from .zero import (
     NONZERO,
     NUMERIC_ZERO,

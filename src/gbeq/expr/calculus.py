@@ -1,4 +1,4 @@
-"""Differentiation, substitution, and polynomial collection.
+"""Differentiation and substitution.
 
 differentiate and substitute each keep a memo from node to result for
 one call, so a subtree that recurs is differentiated or substituted
@@ -23,13 +23,10 @@ from .nodes import (
     Var,
     ZERO,
     ONE,
-    _as_coeff_powers,
     add,
     app,
-    contains_func,
     func,
     integral,
-    mentions_var,
     mul,
     pow_,
     rat,
@@ -210,47 +207,3 @@ def _subst_node(
             )
         return integral(_substituted(e.body, mapping, ctx, memo), rep.name)
     return e.rebuild(lambda c: _substituted(c, mapping, ctx, memo))
-
-
-class CollectError(ExprError):
-    """Raised when an expression is not polynomial in the requested atom."""
-
-
-def collect(e: Expr, atom: Expr, ctx: Optional[Context] = None) -> Dict[int, Expr]:
-    """Coefficients of e as a polynomial in atom, keyed by degree.
-
-    The expression is expanded first.  Any occurrence of the atom with
-    a negative or fractional exponent, or buried inside another base,
-    raises CollectError.
-    """
-    from .simplify import expand
-
-    if isinstance(atom, Var):
-        occurs = lambda x: mentions_var(x, atom.name)
-    elif isinstance(atom, Func):
-        occurs = lambda x: contains_func(x, atom.name)
-    else:
-        raise CollectError(f"cannot collect in {atom!r}")
-
-    buckets: Dict[int, list] = {}
-    ex = expand(e)
-    terms = ex.terms if isinstance(ex, Add) else (ex,)
-    for term in terms:
-        if isinstance(term, Rat):
-            buckets.setdefault(0, []).append(term)
-            continue
-        coeff, powers = _as_coeff_powers(term)
-        degree = 0
-        rest = [rat(coeff)]
-        for b, exn in powers:
-            if b == atom:
-                if exn.denominator != 1 or exn < 0:
-                    raise CollectError(f"non-polynomial power {exn} of {atom!r}")
-                degree += int(exn)
-                continue
-            if occurs(b):
-                raise CollectError(f"{atom!r} occurs inside {b!r}")
-            rest.append(pow_(b, exn))
-        buckets.setdefault(degree, []).append(mul(*rest))
-    return {deg: add(*parts) for deg, parts in sorted(buckets.items())}
-

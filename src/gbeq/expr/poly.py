@@ -46,6 +46,9 @@ subtree to its polynomial, and each distinct denominator part to its
 quotient, once, so a residual that repeats the same nested denominator
 hundreds of times pays for it once, and they are dropped when the call
 returns.
+
+Readers take their answers off the packed monomials: tree, quotient,
+and degrees, which buckets them by one atom's field for collect.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Tuple, TypeVar, Union
 
 from .nodes import (
-    Add, App, Expr, Func, Int, Mul, ONE, Pow, Rat, Var, ZERO, _as_coeff_powers, _exact,
-    _make_mul, _rat_int_power, _scale_expr, _term_order, exp, pow_,
+    Add, App, Expr, ExprError, Func, Int, Mul, ONE, Pow, Rat, Var, ZERO, _as_coeff_powers,
+    _exact, _make_mul, _rat_int_power, _scale_expr, _term_order, exp, pow_,
 )
 
 Coeff = Union[int, Fraction]
@@ -75,6 +78,10 @@ _HEADROOM = 8
 
 class Widen(Exception):
     """args (width, den): the layout a call must be repeated on."""
+
+
+class CollectError(ExprError):
+    """Raised when an expression is not polynomial in the requested atom."""
 
 
 def run(task: Callable[["Kernel"], T]) -> T:
@@ -428,6 +435,26 @@ class Kernel:
         self.trees[id(p)] = (p, t)
         self.expanded.setdefault(t, p)
         return t
+
+    def degrees(self, p: Poly, atom: Expr, inside: Callable[[Expr], bool]) -> Dict[int, Poly]:
+        """p's monomials bucketed by atom's degree, each with atom's field cleared.
+
+        A negative digit, or one den does not divide, raises CollectError,
+        and so does an exp factor or another base that inside holds for.
+        """
+        (a, _), = self.expand(atom).items()
+        (pos, _), = self._digits(a)
+        buckets: Dict[int, Poly] = {}
+        for m, c in p.items():
+            digits = dict(self._digits(m))
+            d = digits.pop(pos, 0)
+            for b in (self.exp_node[m & self.mask], *(self.base[q] for q in digits)):
+                if inside(b):
+                    raise CollectError(f"{atom!r} occurs inside {b!r}")
+            if d < 0 or d % self.den:
+                raise CollectError(f"non-polynomial power {self._exponent(d)} of {atom!r}")
+            buckets.setdefault(d // self.den, {})[m - (d << self.width * pos)] = c
+        return buckets
 
     def _split(self, m: Mono) -> Mono:
         """The denominator part of m, its negative digits and its opaque

@@ -10,8 +10,8 @@ nodes.py, or it is skipped on every tree the bit does not mark.  Each
 call keeps a memo from marked node to result, so a subtree that
 recurs, however often, is simplified once; the memo dies with the call.
 
-expand, ratio_normal and normal_form go through the polynomial kernel
-of gbeq.expr.poly and back to a tree.  normal_form_is_zero answers
+expand, collect, ratio_normal and normal_form go through the polynomial
+kernel of gbeq.expr.poly and back to a tree.  normal_form_is_zero answers
 normal_form(e) == 0 in two steps.  An exact modular witness comes
 first: over +, * and integer powers of rationals, variables and
 unapplied function symbols, e is evaluated modulo the prime 2^61 - 1
@@ -49,11 +49,13 @@ from typing import Dict, List, Optional, Tuple
 
 from .context import Context
 from .nodes import (
+    INT,
     REWRITABLE,
     Add,
     App,
     Expr,
     Func,
+    Int,
     MINUS_ONE,
     Mul,
     ONE,
@@ -63,12 +65,14 @@ from .nodes import (
     Var,
     ZERO,
     app,
+    contains_func,
     holds,
+    mentions_var,
     mul,
     pow_,
     rat,
 )
-from .poly import Kernel, Poly, run
+from .poly import CollectError, Kernel, Poly, run
 
 
 def simplify(e: Expr, ctx: Optional[Context] = None) -> Expr:
@@ -199,6 +203,27 @@ def _pair_sign_factors(e: Expr, ctx: Optional[Context]) -> Expr:
 def expand(e: Expr) -> Expr:
     """Distribute products over sums and expand positive integer powers."""
     return run(lambda k: k.tree(k.expand(e)))
+
+
+def collect(e: Expr, atom: Expr) -> Dict[int, Expr]:
+    """Coefficients of e as a polynomial in a Var, Func or Int atom, by degree.
+
+    e is expanded and its monomials bucketed by atom's exponent
+    (Kernel.degrees); 0 gives {0: 0}.  A negative or fractional power of
+    atom, or atom inside another base, raises CollectError.  An Int
+    counts as inside any base holding an antiderivative in its variable.
+    """
+    if isinstance(atom, Var):
+        inside = lambda b: mentions_var(b, atom.name)
+    elif isinstance(atom, Func):
+        inside = lambda b: contains_func(b, atom.name)
+    elif isinstance(atom, Int):
+        inside = lambda b: holds(b, INT) and mentions_var(b, atom.var)
+    else:
+        raise CollectError(f"cannot collect in {atom!r}")
+    return run(lambda k: {
+        d: k.tree(p) for d, p in sorted(k.degrees(k.expand(e), atom, inside).items())
+    } or {0: ZERO})
 
 
 def ratio_normal(e: Expr) -> Tuple[Expr, Expr]:

@@ -50,7 +50,6 @@ from .nodes import (
     Var,
     ZERO,
     _as_coeff_powers,
-    _make_mul,
     add,
     atoms_of,
     holds,
@@ -61,7 +60,7 @@ from .nodes import (
     walk,
 )
 from .numeric import EvalError, Evaluator
-from .simplify import normal_form, normal_form_is_zero, ratio_normal
+from .simplify import CollectError, collect, normal_form, normal_form_is_zero, ratio_normal
 
 SYMBOLIC_ZERO = "SYMBOLIC_ZERO"
 NUMERIC_ZERO = "NUMERIC_ZERO"
@@ -127,8 +126,8 @@ def integral_identity(nf: Expr, ctx: Optional[Context] = None) -> bool:
     applies when nf holds exactly one distinct Int atom I = int(b, v),
     whose body b holds none, and I occurs there only as a factor of a
     term, to the power 1: never inside an exp argument, a sum, a
-    power's base or a function's argument.  Then nf is A + C*I with C a
-    nonempty sum of terms, and with H = -A/C and (N, D) =
+    power's base or a function's argument.  Then collect(nf, I) reads nf
+    as A + C*I with C not 0, and with H = -A/C and (N, D) =
     ratio_normal(H), nf is 0 when
 
     1. d(H)/dv - b has normal form 0, and
@@ -149,20 +148,13 @@ def integral_identity(nf: Expr, ctx: Optional[Context] = None) -> bool:
     if not ints or holds(ints[0].body, INT):
         return False
     atom = ints[0]
-    a_terms: List[Expr] = []
-    c_terms: List[Expr] = []
-    for term in terms:
-        coeff, powers = _as_coeff_powers(term)
-        rest = tuple(p for p in powers if p[0] != atom)
-        if any(holds(b, INT) for b, _ in rest):
-            return False
-        if len(rest) == len(powers):
-            a_terms.append(term)
-        elif (atom, 1) in powers:
-            c_terms.append(_make_mul(coeff, rest))
-        else:
-            return False
-    h = mul(MINUS_ONE, add(*a_terms), pow_(add(*c_terms), -1))
+    try:
+        parts = collect(nf, atom)
+    except CollectError:
+        return False
+    if max(parts) != 1 or any(holds(p, INT) for p in parts.values()):
+        return False
+    h = mul(MINUS_ONE, parts.get(0, ZERO), pow_(parts[1], -1))
     base = {atom.var: rat(INT_BASE)}
     try:
         if not normal_form_is_zero(differentiate(h, atom.var, ctx) - atom.body, ctx):

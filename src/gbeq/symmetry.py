@@ -173,8 +173,8 @@ def expand_in_basis(
             raise SymmetryError(
                 "field does not lie in the span of the basis"
             )
-    # consistency: rows above may still mismatch if the system was
-    # inconsistent within the pivot rows' columns; re-check directly
+    # in exact Gauss-Jordan the zero rows below the pivots decide
+    # consistency; this re-check of the original rows guards the solve
     for r in system:
         if sum(a * c for a, c in zip(r, coeffs)) != r[n]:
             raise SymmetryError("field does not lie in the span of the basis")

@@ -78,6 +78,7 @@ from .classes import (
 )
 from .expr import (
     Add,
+    CollectError,
     Context,
     Expr,
     NONZERO,
@@ -502,9 +503,8 @@ def _mobius_parts(T: Expr, ctx: Context) -> Optional[Tuple[Expr, Expr, Expr, Exp
     """Write T as (p t + q)/(r t + s) with coefficients constant in t, x."""
     n, d = ratio_normal(simplify(T, ctx))
     try:
-        cn = collect(n, T_VAR, ctx)
-        cd = collect(d, T_VAR, ctx)
-    except Exception:
+        cn, cd = collect(n, T_VAR), collect(d, T_VAR)
+    except CollectError:
         return None
     if max(cn, default=0) > 1 or max(cd, default=0) > 1:
         return None
@@ -1079,8 +1079,7 @@ def _affine_div_of(tr: DivTransform) -> AffineDivTransform:
 
     c1 is the rational root of T's t-coefficient, the positive one.
     """
-    ctx = transform_context("DIV")
-    T, X0 = collect(tr.T, T_VAR, ctx), collect(tr.X0, T_VAR, ctx)
+    T, X0 = collect(tr.T, T_VAR), collect(tr.X0, T_VAR)
     c0, c1, c2, c3 = (
         Fraction(c.value)
         for c in (T.get(0, ZERO), sqrt(T[1]), X0.get(1, ZERO), X0.get(0, ZERO))

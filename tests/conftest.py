@@ -62,14 +62,6 @@ settings.load_profile("suite")
 _ACCEPTANCE: Dict[int, Dict] = {}
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "acceptance(num, title): one acceptance criterion; reported as a "
-        "single PASS/FAIL line in the terminal summary",
-    )
-
-
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_makereport(item, call):
     outcome = yield

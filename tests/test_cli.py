@@ -335,6 +335,23 @@ def test_assume_reaches_the_embedding(tmp_path, capsys, argv, status):
     assert "cannot differentiate abs(x) without a sign assumption" in err
 
 
+def test_transform_takes_assume(tmp_path, capsys):
+    # under x > 0 the DIV map differentiates abs(x) in f = 1 + abs(x)
+    for name, text in _ABS_FILES.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "target.gbeq"
+    argv = ["transform", str(tmp_path / "id.tr"), str(tmp_path / "div.gbeq"), "--out", str(out)]
+    assert main(argv + ["--assume", "x>0"]) == EXIT_PASS
+    assert out.read_text() == "class = GBE_DIV\nelement.f = 1 + x\n"
+    assert capsys.readouterr().err == "transform: DIV applied to GBE_DIV\n"
+    out.unlink()
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "cannot differentiate abs(x) without a sign assumption" in err
+    assert not out.exists()
+
+
 def test_linear_offset_off_the_solutions_exits_math(corpus, tmp_path):
     tmp, files = corpus
     out = tmp_path / "rep.json"

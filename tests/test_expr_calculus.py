@@ -127,26 +127,43 @@ def test_substitute_replacements_enter_verbatim(ctx):
     assert format_expr(r) == "t*x"
 
 
-def test_collect_by_degree(ctx):
-    co = collect(parse("(2 + t)*x^2 + t*x + 1/2", ctx), var("x"), ctx)
-    assert {k: format_expr(v) for k, v in co.items()} == {
-        0: "1/2",
-        1: "t",
-        2: "2 + t",
-    }
+@pytest.mark.parametrize(
+    "text, atom, coefficients",
+    [
+        ("(2 + t)*x^2 + t*x + 1/2", "x", {0: "1/2", 1: "t", 2: "2 + t"}),
+        ("t*x + (1 + t)*int(f_x, x)", "int(f_x, x)", {0: "t*x", 1: "1 + t"}),
+        ("1 + t^2", "x", {0: "1 + t^2"}),
+        # t's half power puts the layout on den 2, so x's field holds 2*degree
+        ("t^(1/2)*x^2 + x", "x", {1: "1", 2: "t^(1/2)"}),
+        # 5000 does not fit the first layout's fields, so the call widens
+        ("x^5000 + t*x", "x", {1: "t", 5000: "1"}),
+    ],
+    ids=["polynomial", "int-atom", "no-occurrence", "radical-layout", "widen"],
+)
+def test_collect_by_degree(ctx, text, atom, coefficients):
+    co = collect(parse(text, ctx), parse(atom, ctx))
+    assert {k: format_expr(v) for k, v in co.items()} == coefficients
 
 
-def test_collect_rejects_non_polynomial(ctx):
-    with pytest.raises(CollectError, match="occurs inside"):
-        collect(parse("1/(1 + x)", ctx), var("x"), ctx)
-    with pytest.raises(CollectError, match="non-polynomial power"):
-        collect(parse("x^(1/2)", ctx), var("x"), ctx)
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1/(1 + x)", "occurs inside"),
+        ("x^(1/2)", "non-polynomial power"),
+        ("x^(3/2)*t", "non-polynomial power"),
+        ("exp(x)*x", "occurs inside"),
+    ],
+    ids=["sum-base", "half-power", "fractional-power", "exp-factor"],
+)
+def test_collect_rejects_non_polynomial(ctx, text, message):
+    with pytest.raises(CollectError, match=message):
+        collect(parse(text, ctx), var("x"))
 
 
 def test_collect_in_function_symbol(ctx):
     u = ctx.fn("u")
     e = parse("u^2*f + u*f_x + 1", ctx)
-    co = collect(e, u, ctx)
+    co = collect(e, u)
     assert format_expr(co[2]) == "f"
     assert format_expr(co[1]) == "f_x"
     assert format_expr(co[0]) == "1"

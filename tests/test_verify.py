@@ -270,6 +270,8 @@ def test_integral_identity_members_are_symbolic(h0):
         ("int(F_x, x) - F", NONZERO),
         ("int(F_x, x) - F + F(t, 0) + 1/10^6", NONZERO),
         ("int(F_x, x)^2 - (F - F(t, 0))^2", NUMERIC_ZERO),
+        # 0, but of degree 2 in the Int atom, where the rule takes A + C*I
+        ("int(F_x, x)*(int(F_x, x) - F + F(t, 0))", NUMERIC_ZERO),
     ],
 )
 def test_integral_members_the_rule_declines_are_sampled(h0, verdict):
