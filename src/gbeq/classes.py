@@ -52,6 +52,7 @@ from .expr import (
     parse,
     rat,
     substitute,
+    var,
 )
 from .report import ConditionReport, MEMBER, REJECTED, VerificationReport
 
@@ -226,7 +227,7 @@ def check_membership(
         )
 
     if inst.class_id == ClassId.GBE_DIV_DEG:
-        conditions.append(_deg_shape_condition(inst.elements["f"], ctx))
+        conditions.append(_deg_shape_condition(inst.elements["f"]))
 
     all_ok = all(c.ok for c in conditions)
     summary = (
@@ -244,10 +245,10 @@ def check_membership(
     )
 
 
-def _deg_shape_condition(f: Expr, ctx: Context) -> ConditionReport:
+def _deg_shape_condition(f: Expr) -> ConditionReport:
     description = "f must be quadratic in x"
     try:
-        coeffs = deg_coefficients(f, ctx)
+        coeffs = deg_coefficients(f)
     except (CollectError, ClassError) as err:
         return ConditionReport(description, False, REJECTED, str(err))
     detail = "; ".join(
@@ -256,16 +257,13 @@ def _deg_shape_condition(f: Expr, ctx: Context) -> ConditionReport:
     return ConditionReport(description, True, SYMBOLIC_ZERO, detail)
 
 
-def deg_coefficients(f: Expr, ctx: Optional[Context] = None) -> Dict[int, Expr]:
+def deg_coefficients(f: Expr) -> Dict[int, Expr]:
     """Split a degenerate f into x-degree coefficients f0, f1, f2.
 
     Raises ClassError when f has x-degree above two or any coefficient
     still involves x, and CollectError when f is not polynomial in x.
     """
-    from .expr import var
-
-    x = ctx.variables["x"] if ctx is not None and "x" in ctx.variables else var("x")
-    buckets = collect(f, x)
+    buckets = collect(f, var("x"))
     out = {0: ZERO, 1: ZERO, 2: ZERO}
     for deg, coeff in buckets.items():
         if deg > 2:

@@ -58,8 +58,6 @@ class Evaluator:
             variables.
         base_point: lower limit used for Int nodes; INT_BASE, where
             the Int node is defined to vanish, unless a caller moves it.
-        quad_tol: tolerance of the quadrature, used as both its absolute
-            and its relative tolerance.
         atom_values: values that Func nodes at their own signature
             variables take as they are, without a binding.
 
@@ -74,12 +72,10 @@ class Evaluator:
         self,
         bindings: Optional[Mapping[str, Expr]] = None,
         base_point: float = float(INT_BASE),
-        quad_tol: float = 1e-11,
         atom_values: Optional[Mapping[Expr, float]] = None,
     ):
         self.bindings = dict(bindings) if bindings else {}
         self.base_point = base_point
-        self.quad_tol = quad_tol
         self.atom_values = dict(atom_values) if atom_values else {}
         self._deriv_cache: Dict[Tuple[str, Tuple[int, ...]], _Tape] = {}
 
@@ -129,7 +125,7 @@ class Evaluator:
             inner[e.var] = s
             return self._run(body, inner)
 
-        value = _qags_first_step(f, self.base_point, upper, self.quad_tol, self.quad_tol)
+        value = _qags_first_step(f, self.base_point, upper, _QUAD_TOL, _QUAD_TOL)
         if value is None:
             from scipy.integrate import quad
 
@@ -137,7 +133,7 @@ class Evaluator:
             # flags the integral (ier > 0): divergent, not converged, or
             # spoiled by roundoff.  Such a value is not a sample.
             value, _, _, *message = quad(
-                f, self.base_point, upper, epsabs=self.quad_tol, epsrel=self.quad_tol,
+                f, self.base_point, upper, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
                 limit=_QAGS_LIMIT, full_output=1,
             )
             if message:
@@ -374,6 +370,8 @@ _WG = (
 _EPMACH = sys.float_info.epsilon  # d1mach(4)
 _UFLOW = sys.float_info.min  # d1mach(1)
 _QAGS_LIMIT = 200
+# the quadrature's absolute and relative tolerance
+_QUAD_TOL = 1e-11
 
 
 def _qk21(
@@ -494,7 +492,6 @@ def evaluate(
     e: Expr,
     point: Mapping[str, float],
     bindings: Optional[Mapping[str, Expr]] = None,
-    base_point: float = float(INT_BASE),
 ) -> float:
     """One-shot evaluation; see Evaluator for the conventions."""
-    return Evaluator(bindings, base_point)(e, point)
+    return Evaluator(bindings)(e, point)

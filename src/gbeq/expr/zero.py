@@ -103,7 +103,6 @@ def is_zero(
     e: Expr,
     ctx: Optional[Context] = None,
     tol: float = 1e-9,
-    n_samples: int = 30,
     seed: int = 42,
 ) -> ZeroResult:
     """Test whether e vanishes identically, symbolically then numerically.
@@ -116,7 +115,7 @@ def is_zero(
     nf = normal_form(e, ctx)
     if nf == ZERO or integral_identity(nf, ctx):
         return ZeroResult(SYMBOLIC_ZERO, nf, tol, seed)
-    return sampled_verdict(nf, ctx, tol, n_samples, seed)
+    return sampled_verdict(nf, ctx, tol, n_samples=30, seed=seed)
 
 
 def integral_identity(nf: Expr, ctx: Optional[Context] = None) -> bool:

@@ -50,16 +50,19 @@ inverts the map.  A mixed pair composes in GENERAL; tests check the
 restricted compositions and inverses against closed-form formulas in
 each family's parameters.
 
-Each transform keeps three values, each built on its first use: its
-coordinate change (T, X) (_coordinates), its GENERAL lift (to_general)
-and the closed-form inverse of (T, X) (_inverse), taken under the
-family's own context.  apply_transform, compose, invert and the lazy
-target all read them, so a transform that is applied, composed and
-inverted is lifted and inverted once.  An AFFINE_DIV member keeps the
-DIV member it names (to_div) the same way, so its apply and invert
-share that member's lift and inverse.  They live in the frozen
-instance's __dict__, which the dataclass eq, hash and repr do not
-read, and die with the transform.
+Each family is a frozen dataclass on one base, _Family, and states its
+tag, class, parameters and their signatures once.  Each transform keeps
+three values, cached properties of the base built on first read: its
+coordinate change (T, X) (_coordinates), its GENERAL lift (_lift, read
+through to_general) and the closed-form inverse of (T, X) (_inverse),
+taken under the family's own context.  apply_transform, compose, invert
+and the lazy target all read them, so a transform that is applied,
+composed and inverted is lifted and inverted once.  An AFFINE_DIV
+member keeps the DIV member it names (_div, read through to_div) the
+same way, so its apply and invert share that member's lift and inverse.
+They live in the frozen instance's __dict__, which the dataclass eq,
+hash and repr do not read, die with the transform, and are not carried
+into a dataclasses.replace copy.
 """
 
 from __future__ import annotations
@@ -122,8 +125,38 @@ class TransformError(Exception):
 # families
 
 
+class _Family:
+    """What every family states, and the values each transform keeps.
+
+    A family states its tag (family), the class it acts on (acts_on),
+    its parameters (param_names) and the arguments of those that are
+    functions (signatures); every other parameter is an exact number.
+    sign_Tt is +1 unless a DIV member sets it.
+
+    _coordinates, _lift and _inverse are built on first read, by the
+    module builders _coordinate_change, _lift and _closed_inverse_of,
+    and kept in the instance __dict__, where the dataclass eq, hash and
+    repr do not look.  A build that raises keeps nothing.
+    """
+
+    signatures: Dict[str, Tuple[str, ...]] = {}
+    sign_Tt = 1
+
+    @cached_property
+    def _coordinates(self) -> Tuple[Expr, Expr]:
+        return _coordinate_change(self)
+
+    @cached_property
+    def _lift(self) -> GeneralTransform:
+        return _lift(self)
+
+    @cached_property
+    def _inverse(self) -> Optional[Tuple[Expr, Expr]]:
+        return _closed_inverse_of(self)
+
+
 @dataclass(frozen=True)
-class GeneralTransform:
+class GeneralTransform(_Family):
     """t -> T(t), x -> X(t,x), u -> U1(t,x) u + U0(t,x)."""
 
     T: Expr
@@ -134,10 +167,11 @@ class GeneralTransform:
     family = "GENERAL"
     acts_on = ClassId.SUPER
     param_names = ("T", "X", "U1", "U0")
+    signatures = {"T": ("t",), "X": ("t", "x"), "U1": ("t", "x"), "U0": ("t", "x")}
 
 
 @dataclass(frozen=True)
-class LinzTransform:
+class LinzTransform(_Family):
     """t -> T(t), x -> X(t,x), u -> u / X_x + U0(t,x)."""
 
     T: Expr
@@ -147,10 +181,11 @@ class LinzTransform:
     family = "LINZ"
     acts_on = ClassId.LINZ_ABC
     param_names = ("T", "X", "U0")
+    signatures = {"T": ("t",), "X": ("t", "x"), "U0": ("t", "x")}
 
 
 @dataclass(frozen=True)
-class GaugedTransform:
+class GaugedTransform(_Family):
     """t -> T(t), x -> eps (sqrt(T_t) x + X0(t)), u -> eps (u / sqrt(T_t) + U0)."""
 
     T: Expr
@@ -161,6 +196,7 @@ class GaugedTransform:
     family = "GAUGED"
     acts_on = ClassId.LINZ_BF
     param_names = ("T", "X0", "U0", "eps")
+    signatures = {"T": ("t",), "X0": ("t",), "U0": ("t", "x")}
 
     def __post_init__(self) -> None:
         if self.eps not in (Fraction(1), Fraction(-1)):
@@ -168,7 +204,7 @@ class GaugedTransform:
 
 
 @dataclass(frozen=True)
-class ReducedTransform:
+class ReducedTransform(_Family):
     """The GAUGED subfamily generated by (T, X0) alone."""
 
     T: Expr
@@ -178,6 +214,7 @@ class ReducedTransform:
     family = "REDUCED"
     acts_on = ClassId.LINZ_F
     param_names = ("T", "X0", "eps")
+    signatures = {"T": ("t",), "X0": ("t",)}
 
     def __post_init__(self) -> None:
         if self.eps not in (Fraction(1), Fraction(-1)):
@@ -185,7 +222,7 @@ class ReducedTransform:
 
 
 @dataclass(frozen=True)
-class ProjectiveTuple:
+class ProjectiveTuple(_Family):
     """(alpha, beta, gamma, delta, kappa, mu0, mu1), scale-equivalent.
 
     t -> (alpha t + beta)/(gamma t + delta)
@@ -234,7 +271,7 @@ class ProjectiveTuple:
 
 
 @dataclass(frozen=True)
-class DivTransform:
+class DivTransform(_Family):
     """t -> T(t), x -> kappa (sign_Tt T_t)^(1/2) x + X0(t), sign_Tt = sign T_t."""
 
     T: Expr
@@ -245,16 +282,18 @@ class DivTransform:
     family = "DIV"
     acts_on = ClassId.GBE_DIV
     param_names = ("T", "X0", "kappa", "sign_Tt")
+    signatures = {"T": ("t",), "X0": ("t",)}
 
     def __post_init__(self) -> None:
         if self.kappa == 0:
             raise TransformError("kappa must not vanish")
         if self.sign_Tt not in (1, -1):
             raise TransformError("sign_Tt must be +1 or -1")
+        object.__setattr__(self, "sign_Tt", int(self.sign_Tt))
 
 
 @dataclass(frozen=True)
-class AffineDivTransform:
+class AffineDivTransform(_Family):
     """t -> c1^2 t + c0, x -> kappa c1 x + c2 t + c3, canonical c1 > 0."""
 
     c0: Fraction
@@ -277,14 +316,22 @@ class AffineDivTransform:
             object.__setattr__(self, "c1", -self.c1)
             object.__setattr__(self, "kappa", -self.kappa)
 
+    @cached_property
+    def _div(self) -> DivTransform:
+        return DivTransform(
+            T=rat(self.c1 * self.c1) * T_VAR + rat(self.c0),
+            X0=rat(self.c2) * T_VAR + rat(self.c3),
+            kappa=self.kappa,
+        )
+
     def to_div(self) -> DivTransform:
         """The DIV member this names, built once per transform, so that
         apply, compose and invert share its lift and inverse."""
-        return _kept(self, "_div", _div_member)
+        return self._div
 
 
 @dataclass(frozen=True)
-class LinearTransform:
+class LinearTransform(_Family):
     """t -> T(t), x -> X(t,x), v -> V1(t,x) v + V0(t,x)."""
 
     T: Expr
@@ -295,14 +342,14 @@ class LinearTransform:
     family = "LINEAR"
     acts_on = ClassId.LINEAR
     param_names = ("T", "X", "V1", "V0")
+    signatures = {"T": ("t",), "X": ("t", "x"), "V1": ("t", "x"), "V0": ("t", "x")}
 
 
 # eps, kappa and sign_Tt: the exact numbers beside a family's
 # expressions; optional in a file, multiplied under compose
 _FAMILY_NUMBERS = ("eps", "kappa", "sign_Tt")
 
-
-Transform = Union[
+_FAMILIES = (
     GeneralTransform,
     LinzTransform,
     GaugedTransform,
@@ -311,7 +358,9 @@ Transform = Union[
     DivTransform,
     AffineDivTransform,
     LinearTransform,
-]
+)
+Transform = Union[_FAMILIES]
+FAMILY_TYPES: Dict[str, type] = {cls.family: cls for cls in _FAMILIES}
 
 
 @dataclass(frozen=True)
@@ -331,18 +380,6 @@ class ImplicitInverseOf:
         return self.of.family
 
 
-_FAMILY_SIGNATURES: Dict[str, Dict[str, Tuple[str, ...]]] = {
-    "GENERAL": {"T": ("t",), "X": ("t", "x"), "U1": ("t", "x"), "U0": ("t", "x")},
-    "LINZ": {"T": ("t",), "X": ("t", "x"), "U0": ("t", "x")},
-    "GAUGED": {"T": ("t",), "X0": ("t",), "U0": ("t", "x")},
-    "REDUCED": {"T": ("t",), "X0": ("t",)},
-    "PROJECTIVE": {},
-    "DIV": {"T": ("t",), "X0": ("t",)},
-    "AFFINE_DIV": {},
-    "LINEAR": {"T": ("t",), "X": ("t", "x"), "V1": ("t", "x"), "V0": ("t", "x")},
-}
-
-
 def transform_context(family: str, sign_Tt: int = 1) -> Context:
     """Declarations and assumptions under which a family's params parse.
 
@@ -354,9 +391,9 @@ def transform_context(family: str, sign_Tt: int = 1) -> Context:
 @lru_cache(maxsize=None)
 def _transform_template(family: str, sign_Tt: int) -> Context:
     ctx = Context()
-    t = ctx.add_var("t")
+    ctx.add_var("t")
     ctx.add_var("x")
-    sigs = _FAMILY_SIGNATURES[family]
+    sigs = FAMILY_TYPES[family].signatures
     for name, sig in sigs.items():
         ctx.add_function(name, sig)
     if "T" in sigs:
@@ -484,18 +521,6 @@ def push_solution(
     )
 
 
-def _d(e: Expr, v: str, ctx: Context) -> Expr:
-    return differentiate(e, v, ctx)
-
-
-def _compose_tx(e: Expr, t_expr: Expr, x_expr: Optional[Expr], ctx: Context) -> Expr:
-    """Substitute t and, if given, x by expressions (simultaneously)."""
-    mapping: Dict[str, Expr] = {"t": t_expr}
-    if x_expr is not None:
-        mapping["x"] = x_expr
-    return substitute(e, mapping, ctx)
-
-
 # -- closed-form inversion of the coordinate change ------------------------
 
 
@@ -536,7 +561,7 @@ def _invert_t(T: Expr, ctx: Context) -> Optional[Expr]:
 
 def _affine_in_x(X: Expr, ctx: Context) -> Optional[Tuple[Expr, Expr]]:
     """Write X = P(t) x + Q(t); None when X is not affine in x."""
-    P = simplify(_d(X, "x", ctx), ctx)
+    P = simplify(differentiate(X, "x", ctx), ctx)
     if contains_var(P, "x"):
         return None
     Q = simplify(X - P * X_VAR, ctx)
@@ -567,8 +592,8 @@ def closed_inverse(
     P, Q = aff
     if P == ZERO:
         return None
-    PS = _compose_tx(P, S, None, ctx)
-    QS = _compose_tx(Q, S, None, ctx)
+    PS = substitute(P, {"t": S}, ctx)
+    QS = substitute(Q, {"t": S}, ctx)
     xi = simplify(div(X_VAR - QS, PS), ctx)
     return S, xi
 
@@ -588,7 +613,7 @@ def _finish_apply(
     """Build an ApplyResult of tr whose target, once read, is in inst's class.
 
     fmap's t and x are tr's coordinate change, so the target reads
-    tr's kept closed-form inverse (_inverse).  u_inverse_of(S, xi) must
+    tr's kept closed-form inverse (tr._inverse).  u_inverse_of(S, xi) must
     return the source dependent variable as an expression in the
     target coordinates (with the target dependent written through the
     same symbol name).  It runs only when the target, inverse or note
@@ -613,7 +638,7 @@ def _closed_form(
     u_inverse_of: Callable[[Expr, Expr], Expr],
 ) -> _Closed:
     """(target, inverse, note) of an ApplyResult: see _finish_apply."""
-    inv = _inverse(tr)
+    inv = tr._inverse
     if inv is None:
         return (
             None, None,
@@ -746,7 +771,7 @@ def constraint(
     solution, since v = 0 goes to v~ = V0 along the map.  apply_transform
     checks it on the lift it applies.
     """
-    ctx = _merged_context(inst.class_id, tr.family, getattr(tr, "sign_Tt", 1))
+    ctx = _merged_context(inst.class_id, tr.family, tr.sign_Tt)
     sup = embed(inst, ClassId.SUPER, ctx)
     return _general_pullback(to_general(tr), sup, ClassId.LINZ_F, ctx)["f"]
 
@@ -788,7 +813,7 @@ def apply_transform(
     cid = inst.class_id
     if tr.family != "DIV" or cid not in _DIV_CLASSES:
         cid = tr.acts_on
-    ctx = _merged_context(cid, tr.family, getattr(tr, "sign_Tt", 1))
+    ctx = _merged_context(cid, tr.family, tr.sign_Tt)
     for name, flag in assumptions:
         if name in ctx.functions or name in ctx.variables:
             ctx.assume_name(name, flag)
@@ -809,8 +834,8 @@ def apply_transform(
     fmap = PointMap(t=g.T, x=g.X, u=simplify(g.U1 * u + g.U0, ctx))
 
     def u_back(S: Expr, xi: Expr) -> Expr:
-        U1S = _compose_tx(g.U1, S, xi, ctx)
-        U0S = _compose_tx(g.U0, S, xi, ctx)
+        U1S = substitute(g.U1, {"t": S, "x": xi}, ctx)
+        U0S = substitute(g.U0, {"t": S, "x": xi}, ctx)
         return div(u - U0S, U1S)
 
     return _finish_apply(tr, inst, ctx, fmap, pullback, u_back)
@@ -854,49 +879,20 @@ def identity_linear() -> LinearTransform:
     return LinearTransform(T=T_VAR, X=X_VAR, V1=ONE, V0=ZERO)
 
 
-def _kept(tr: Transform, name: str, build: Callable[[Transform], object]):
-    """build(tr), computed on tr's first request and kept on tr.
-
-    The families are frozen dataclasses whose eq, hash and repr read
-    only their fields, so a value kept in the instance __dict__ is
-    invisible to them, dies with the transform, and is not carried
-    into a dataclasses.replace copy.  A build that raises keeps
-    nothing.
-    """
-    kept = tr.__dict__
-    try:
-        return kept[name]
-    except KeyError:
-        value = kept[name] = build(tr)
-        return value
-
-
-def _div_member(tr: AffineDivTransform) -> DivTransform:
-    """tr.to_div(), built afresh."""
-    return DivTransform(
-        T=rat(tr.c1 * tr.c1) * T_VAR + rat(tr.c0),
-        X0=rat(tr.c2) * T_VAR + rat(tr.c3),
-        kappa=tr.kappa,
-        sign_Tt=1,
-    )
-
-
 def to_general(tr: Transform) -> GeneralTransform:
     """Lift any family member to the widest family, once per transform."""
-    if isinstance(tr, GeneralTransform):
-        return tr
-    return _kept(tr, "_lift", _lift)
+    return tr if isinstance(tr, GeneralTransform) else tr._lift
 
 
 def _lift(tr: Transform) -> GeneralTransform:
-    """to_general(tr), built afresh."""
+    """to_general(tr), built afresh; tr._lift keeps it."""
     if isinstance(tr, LinzTransform):
         ctx = transform_context("LINZ")
-        X_x = _d(tr.X, "x", ctx)
+        X_x = differentiate(tr.X, "x", ctx)
         return GeneralTransform(T=tr.T, X=tr.X, U1=div(ONE, X_x), U0=tr.U0)
     if isinstance(tr, GaugedTransform):
         ctx = transform_context("GAUGED")
-        rootT = sqrt(_d(tr.T, "t", ctx))
+        rootT = sqrt(differentiate(tr.T, "t", ctx))
         eps = rat(tr.eps)
         return GeneralTransform(
             T=tr.T,
@@ -915,16 +911,16 @@ def _lift(tr: Transform) -> GeneralTransform:
         return GeneralTransform(T=T, X=X, U1=U1, U0=U0)
     if isinstance(tr, DivTransform):
         ctx = transform_context("DIV", tr.sign_Tt)
-        T, X = _coordinates(tr)
-        T_t = _d(T, "t", ctx)
-        T_tt = _d(T_t, "t", ctx)
-        X_x = _d(X, "x", ctx)  # kappa (sign_Tt T_t)^(1/2)
+        T, X = tr._coordinates
+        T_t = differentiate(T, "t", ctx)
+        T_tt = differentiate(T_t, "t", ctx)
+        X_x = differentiate(X, "x", ctx)  # kappa (sign_Tt T_t)^(1/2)
         return GeneralTransform(
             T=T,
             X=X,
             U1=div(X_x, T_t),
             U0=div(T_tt * X_x, rat(2) * T_t * T_t) * X_VAR
-            + div(_d(tr.X0, "t", ctx), T_t),
+            + div(differentiate(tr.X0, "t", ctx), T_t),
         )
     if isinstance(tr, AffineDivTransform):
         return to_general(tr.to_div())
@@ -933,8 +929,9 @@ def _lift(tr: Transform) -> GeneralTransform:
     raise TransformError(f"cannot lift {type(tr).__name__}")
 
 
-def _coordinates(tr: Transform) -> Tuple[Expr, Expr]:
-    """t -> T and x -> X of to_general(tr), once per transform.
+def _coordinate_change(tr: Transform) -> Tuple[Expr, Expr]:
+    """t -> T and x -> X of to_general(tr), built afresh; tr._coordinates
+    keeps it.
 
     REDUCED and DIV fix their u-map by (T, X), so compose and invert
     need no more of them, and their (T, X) is built here without it:
@@ -944,14 +941,9 @@ def _coordinates(tr: Transform) -> Tuple[Expr, Expr]:
     point maps, since its apply keeps its closed form and builds no
     lift.  DIV's lift reads its X from here.
     """
-    return _kept(tr, "_coordinates", _coordinate_change)
-
-
-def _coordinate_change(tr: Transform) -> Tuple[Expr, Expr]:
-    """_coordinates(tr), built afresh."""
     if isinstance(tr, DivTransform):
         ctx = transform_context("DIV", tr.sign_Tt)
-        root = sqrt(rat(tr.sign_Tt) * _d(tr.T, "t", ctx))
+        root = sqrt(rat(tr.sign_Tt) * differentiate(tr.T, "t", ctx))
         return tr.T, rat(tr.kappa) * root * X_VAR + tr.X0
     if isinstance(tr, ProjectiveTuple):
         return _proj_maps(tr, ZERO)[:2]
@@ -963,27 +955,23 @@ def _coordinate_change(tr: Transform) -> Tuple[Expr, Expr]:
     return g.T, g.X
 
 
-def _inverse(tr: Transform) -> Optional[Tuple[Expr, Expr]]:
-    """closed_inverse of tr's coordinate change, once per transform.
+def _closed_inverse_of(tr: Transform) -> Optional[Tuple[Expr, Expr]]:
+    """closed_inverse of tr's coordinate change, built afresh; tr._inverse
+    keeps it.
 
     It runs under the family's own context: T and X mention none of a
     class's element names, so no class context simplifies them
     differently.
     """
-    return _kept(tr, "_inverse", _closed_inverse_of)
-
-
-def _closed_inverse_of(tr: Transform) -> Optional[Tuple[Expr, Expr]]:
-    """_inverse(tr), built afresh."""
-    ctx = transform_context(tr.family, getattr(tr, "sign_Tt", 1))
-    return closed_inverse(*_coordinates(tr), ctx)
+    ctx = transform_context(tr.family, tr.sign_Tt)
+    return closed_inverse(*tr._coordinates, ctx)
 
 
 def to_gauged(tr: ReducedTransform) -> GaugedTransform:
     """The GAUGED member with U0 = T_tt/(2 T_t^(3/2)) x + X0_t/T_t."""
     ctx = transform_context("REDUCED")
-    T_t = _d(tr.T, "t", ctx)
-    T_tt, X0_t = _d(T_t, "t", ctx), _d(tr.X0, "t", ctx)
+    T_t = differentiate(tr.T, "t", ctx)
+    T_tt, X0_t = differentiate(T_t, "t", ctx), differentiate(tr.X0, "t", ctx)
     U0 = div(T_tt, rat(2) * pow_(T_t, Fraction(3, 2))) * X_VAR + div(X0_t, T_t)
     return GaugedTransform(T=tr.T, X0=tr.X0, U0=U0, eps=tr.eps)
 
@@ -1054,9 +1042,9 @@ def compose(second: Transform, first: Transform) -> Transform:
         return _unmat(prod)
     if isinstance(first, AffineDivTransform):
         return _affine_div_of(compose(second.to_div(), first.to_div()))
-    ctx = transform_context(first.family, getattr(first, "sign_Tt", 1))
-    (T2, X2), (T1, X1) = _coordinates(second), _coordinates(first)
-    comp = lambda e, x1=X1: simplify(_compose_tx(e, T1, x1, ctx), ctx)
+    ctx = transform_context(first.family, first.sign_Tt)
+    (T2, X2), (T1, X1) = second._coordinates, first._coordinates
+    comp = lambda e, x1=X1: simplify(substitute(e, {"t": T1, "x": x1}, ctx), ctx)
 
     def x_at(x: Expr) -> Expr:
         return comp(X2, X1 if x is X_VAR else substitute(X1, {"x": x}, ctx))
@@ -1070,7 +1058,7 @@ def compose(second: Transform, first: Transform) -> Transform:
         n: getattr(second, n) * getattr(first, n)
         for n in _FAMILY_NUMBERS if n in first.param_names
     }
-    T = simplify(_compose_tx(T2, T1, None, ctx), ctx)
+    T = simplify(substitute(T2, {"t": T1}, ctx), ctx)
     return _restrict(type(first), T, x_at, u_map, numbers)
 
 
@@ -1117,19 +1105,19 @@ def invert(tr: Transform) -> Union[Transform, ImplicitInverseOf]:
         return _unmat(adj)
     if isinstance(tr, AffineDivTransform):
         return _affine_div_of(invert(tr.to_div()))
-    inv = _inverse(tr)
+    inv = tr._inverse
     if inv is None:
         return ImplicitInverseOf(tr)
     S, xi = inv
-    ctx = transform_context(tr.family, getattr(tr, "sign_Tt", 1))
+    ctx = transform_context(tr.family, tr.sign_Tt)
 
     def x_at(x: Expr) -> Expr:
         return xi if x is X_VAR else simplify(substitute(xi, {"x": x}, ctx), ctx)
 
     def u_map() -> Tuple[Expr, Expr]:
         g = to_general(tr)
-        U1S = _compose_tx(g.U1, S, xi, ctx)
-        U0S = _compose_tx(g.U0, S, xi, ctx)
+        U1S = substitute(g.U1, {"t": S, "x": xi}, ctx)
+        U0S = substitute(g.U0, {"t": S, "x": xi}, ctx)
         return simplify(div(ONE, U1S), ctx), simplify(-div(U0S, U1S), ctx)
 
     # eps and sign_Tt are their own inverses
@@ -1300,18 +1288,6 @@ def gauge_b_to_zero(
 # file format
 
 
-FAMILY_TYPES: Dict[str, type] = {
-    "GENERAL": GeneralTransform,
-    "LINZ": LinzTransform,
-    "GAUGED": GaugedTransform,
-    "REDUCED": ReducedTransform,
-    "PROJECTIVE": ProjectiveTuple,
-    "DIV": DivTransform,
-    "AFFINE_DIV": AffineDivTransform,
-    "LINEAR": LinearTransform,
-}
-
-
 def parse_transform(text: str) -> Transform:
     """Read the `family = TAG` / `param.<name> = <value>` file format.
 
@@ -1354,29 +1330,24 @@ def parse_transform(text: str) -> Transform:
     if unknown:
         raise TransformError(f"unknown parameters for {family}: {sorted(unknown)}")
 
-    sign = 1
-    if "sign_Tt" in raw:
-        sign = int(Fraction(raw["sign_Tt"]))
-    ctx = transform_context(family, sign)
-    kwargs: Dict[str, Union[Expr, Fraction, int]] = {}
+    kwargs: Dict[str, Union[Expr, Fraction]] = {}
     for name in expected:
-        if name not in raw:
-            continue
-        value = raw[name]
-        if name not in _FAMILY_SIGNATURES[family]:
+        if name in raw and name not in cls.signatures:
             try:
-                num = Fraction(value)
+                kwargs[name] = Fraction(raw[name])
             except (ValueError, ZeroDivisionError):
                 raise TransformError(
-                    f"parameter {name} must be an exact number, got {value!r}"
+                    f"parameter {name} must be an exact number, got {raw[name]!r}"
                 ) from None
-            kwargs[name] = int(num) if name == "sign_Tt" else num
-        else:
-            kwargs[name] = parse(value, ctx)
+    # the numbers are read first, since sign_Tt sets the sign of T_t
+    ctx = transform_context(family, kwargs.get("sign_Tt", 1))
+    for name in cls.signatures:
+        if name in raw:
+            kwargs[name] = parse(raw[name], ctx)
     missing = [n for n in expected if n not in kwargs and n not in _FAMILY_NUMBERS]
     if missing:
         raise TransformError(f"{family} needs parameters {missing}")
-    if "T" in kwargs and normal_form_is_zero(_d(kwargs["T"], "t", ctx), ctx):
+    if "T" in kwargs and normal_form_is_zero(differentiate(kwargs["T"], "t", ctx), ctx):
         raise TransformError(
             f"T = {format_expr(kwargs['T'])} does not depend on t, "
             "so the map of t has no inverse"

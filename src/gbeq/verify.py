@@ -317,8 +317,7 @@ def transport_check(
             f"{sorted(claimed)}, but the transform produces {sorted(expected)}"
         )
 
-    sign = getattr(tr, "sign_Tt", 1)
-    ctx = _merged_context(source.class_id, tr.family, sign)
+    ctx = _merged_context(source.class_id, tr.family, tr.sign_Tt)
     for name, flag in assumptions:
         ctx.assume_name(name, flag)
     conditions: List[ConditionReport] = []

@@ -278,14 +278,14 @@ def test_linearizable_from_linear():
 
 def test_deg_coefficients_split():
     cid = ClassId.GBE_DIV_DEG
-    co = deg_coefficients(P("3*x^2 + t*x + 1", cid), class_context(cid))
+    co = deg_coefficients(P("3*x^2 + t*x + 1", cid))
     assert {k: format_expr(v) for k, v in co.items()} == {0: "1", 1: "t", 2: "3"}
 
 
 def test_deg_coefficients_reject_cubic():
     cid = ClassId.GBE_DIV_DEG
     with pytest.raises(ClassError, match="x-degree 3"):
-        deg_coefficients(P("x^3", cid), class_context(cid))
+        deg_coefficients(P("x^3", cid))
 
 
 def test_membership_nondegenerate_needs_fxxx():

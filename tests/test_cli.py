@@ -294,6 +294,57 @@ def test_constant_T_is_an_input_error(tmp_path, capsys, argv):
     )
 
 
+_DIV_ID = "family = DIV\nparam.T = t\nparam.X0 = 0\n"
+
+
+@pytest.mark.parametrize(
+    "transform_text, member_text, message",
+    [
+        # blank and comment lines are skipped but still counted
+        ("# a DIV map\n\n" + _DIV_ID + "param.T\n", None, "line 6: expected key = value"),
+        ("family = DIV\nimplicit = yes\n", None, "line 2: implicit must be true or false"),
+        ("family = DIV\nT = t\n", None, "line 2: unexpected key 'T'"),
+        ("param.T = t\n", None, "missing `family = <TAG>` line"),
+        (_DIV_ID + "param.Z = 1\n", None, "unknown parameters for DIV: ['Z']"),
+        (
+            _DIV_ID + "param.kappa = abc\n", None,
+            "parameter kappa must be an exact number, got 'abc'",
+        ),
+        (
+            _DIV_ID + "param.sign_Tt = abc\n", None,
+            "parameter sign_Tt must be an exact number, got 'abc'",
+        ),
+        # a fractional sign is rejected, not truncated to +1 or -1
+        (_DIV_ID + "param.sign_Tt = 3/2\n", None, "sign_Tt must be +1 or -1"),
+        (_DIV_ID + "param.sign_Tt = -3/2\n", None, "sign_Tt must be +1 or -1"),
+        ("family = DIV\nparam.T = t\n", None, "DIV needs parameters ['X0']"),
+        (
+            _DIV_ID, "# a GBE_DIV member\nclass = GBE_DIV\nf = 1\n",
+            "line 3: unknown key 'f'",
+        ),
+    ],
+    ids=[
+        "comment-and-blank-lines", "implicit-flag", "unexpected-key",
+        "missing-family", "unknown-parameter", "kappa-not-a-number",
+        "sign-not-a-number", "sign-three-halves", "sign-minus-three-halves",
+        "missing-parameter", "member-unknown-key",
+    ],
+)
+def test_file_format_errors_exit_2_with_one_line(
+    tmp_path, capsys, transform_text, member_text, message
+):
+    tr = tmp_path / "map.tr"
+    tr.write_text(transform_text)
+    if member_text is None:
+        argv, bad = ["invert", str(tr), "--out", str(tmp_path / "inv.tr")], tr
+    else:
+        bad = tmp_path / "member.gbeq"
+        bad.write_text(member_text)
+        argv = ["transform", str(tr), str(bad)]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"gbeq {argv[0]}: {bad}: {message}\n"
+
+
 def test_gauge_on_vanishing_a_is_rejected(tmp_path, capsys):
     path = tmp_path / "a_zero.gbeq"
     path.write_text("class = LINZ_ABC\nelement.a = 0\nelement.b = 0\nelement.f = 0\n")
