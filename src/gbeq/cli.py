@@ -16,10 +16,12 @@ Exit status partitions the outcomes:
        expressions or undefined arithmetic such as 1/0 (reported
        with their position), abs or sign that must be differentiated
        without a sign assumption, an expression with no valid sample
-       point in the domain (such as ln(-1-x^2)), a candidate that
+       point in the sampled box (such as ln(-1-x^2)), a candidate that
        divides by zero, takes the log of a rational at most 0 or an
        even root of a negative rational wherever the assumptions
-       hold, a transform whose T does not depend on t, unknown flags
+       hold, a transform whose T does not depend on t, a --tol that
+       is not a finite number >= 0 or a --constants or --t-span
+       number that is not finite, unknown flags
 
 Repeating an invocation with the same inputs and --seed reproduces
 the report byte for byte.  Expression-valued flags accept either the
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
@@ -179,9 +182,12 @@ def _parse_floats(text: str, n: int, what: str) -> List[float]:
     if len(parts) != n:
         raise InputError(f"{what}: expected {n} comma-separated numbers")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise InputError(f"{what}: {text!r} is not numeric")
+    if not all(map(math.isfinite, values)):
+        raise InputError(f"{what}: {text!r} holds a number that is not finite")
+    return values
 
 
 def _from_report(rep: VerificationReport) -> int:
@@ -737,6 +743,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # every subcommand with --tol grades against it; NaN fails this too
+        if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:
+            raise InputError(f"--tol {args.tol!r}: need a finite number >= 0")
         return args.handler(args)
     except (InputError, ExprError, ClassError, VerifyError) as exc:
         print(f"gbeq {args.command}: {exc}", file=sys.stderr)

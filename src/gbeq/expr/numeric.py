@@ -56,10 +56,12 @@ class Evaluator:
         bindings: closed forms for function symbols, keyed by name.
             Each value is an expression in the symbol's signature
             variables.
-        base_point: lower limit used for Int nodes; INT_BASE, where
-            the Int node is defined to vanish, unless a caller moves it.
         atom_values: values that Func nodes at their own signature
             variables take as they are, without a binding.
+
+    Every Int node is integrated from INT_BASE, where nodes.Int is
+    defined to vanish, so the value computed is the antiderivative the
+    symbolic stages prove things about.
 
     A call runs the expression's tape once (see _compile), so every
     distinct subtree is evaluated once per point, in the order of a
@@ -71,11 +73,9 @@ class Evaluator:
     def __init__(
         self,
         bindings: Optional[Mapping[str, Expr]] = None,
-        base_point: float = float(INT_BASE),
         atom_values: Optional[Mapping[Expr, float]] = None,
     ):
         self.bindings = dict(bindings) if bindings else {}
-        self.base_point = base_point
         self.atom_values = dict(atom_values) if atom_values else {}
         self._deriv_cache: Dict[Tuple[str, Tuple[int, ...]], _Tape] = {}
 
@@ -125,7 +125,7 @@ class Evaluator:
             inner[e.var] = s
             return self._run(body, inner)
 
-        value = _qags_first_step(f, self.base_point, upper, _QUAD_TOL, _QUAD_TOL)
+        value = _qags_first_step(f, INT_BASE, upper, _QUAD_TOL, _QUAD_TOL)
         if value is None:
             from scipy.integrate import quad
 
@@ -133,7 +133,7 @@ class Evaluator:
             # flags the integral (ier > 0): divergent, not converged, or
             # spoiled by roundoff.  Such a value is not a sample.
             value, _, _, *message = quad(
-                f, self.base_point, upper, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
+                f, INT_BASE, upper, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
                 limit=_QAGS_LIMIT, full_output=1,
             )
             if message:

@@ -16,7 +16,9 @@ stages in the same order.
 Both stages, and the residual sampler of gbeq.verify, run one loop,
 sample_zero: a seeded draw function proposes points, the loop skips
 points that cannot be evaluated, applies a relative-tolerance test to
-the sum of the terms, and stops at the first point that fails it.
+the sum of the terms, and stops at the first point that fails it.  The
+box (MAGNITUDE) and the count (SAMPLES) are fixed, so only the seed
+moves the points.
 """
 
 from __future__ import annotations
@@ -66,7 +68,11 @@ SYMBOLIC_ZERO = "SYMBOLIC_ZERO"
 NUMERIC_ZERO = "NUMERIC_ZERO"
 NONZERO = "NONZERO"
 
-_MAGNITUDE = (0.1, 2.0)
+# Every sampled coordinate has a magnitude in MAGNITUDE, of either sign
+# unless the context fixes it, and a NUMERIC_ZERO verdict rests on
+# SAMPLES points: one box and one count for every sampler.
+MAGNITUDE = (0.1, 2.0)
+SAMPLES = 30
 
 
 @dataclass
@@ -115,7 +121,7 @@ def is_zero(
     nf = normal_form(e, ctx)
     if nf == ZERO or integral_identity(nf, ctx):
         return ZeroResult(SYMBOLIC_ZERO, nf, tol, seed)
-    return sampled_verdict(nf, ctx, tol, n_samples=30, seed=seed)
+    return sampled_verdict(nf, ctx, tol, seed)
 
 
 def integral_identity(nf: Expr, ctx: Optional[Context] = None) -> bool:
@@ -215,9 +221,7 @@ def _rational(e: Expr) -> bool:
     )
 
 
-def sampled_verdict(
-    e: Expr, ctx: Optional[Context], tol: float, n_samples: int, seed: int
-) -> ZeroResult:
+def sampled_verdict(e: Expr, ctx: Optional[Context], tol: float, seed: int) -> ZeroResult:
     """The numeric stage of is_zero, for an e already known not to be symbolically 0.
 
     Constants are graded directly; otherwise e is sampled per jet
@@ -232,19 +236,19 @@ def sampled_verdict(
     rng = random.Random(seed)
     if holds(e, INT | APPLIED):
         result = sample_zero(
-            e, _standin_draw(e, ctx, rng), n_samples, n_samples * 30,
+            e, _standin_draw(e, ctx, rng), SAMPLES * 30,
             SamplingError("could not draw valid stand-in rounds"), tol, seed,
         )
         result.note = "stand-in sampling"
         return result
     return sample_zero(
-        e, _jet_draw(e, ctx, rng), n_samples, n_samples * 20,
+        e, _jet_draw(e, ctx, rng), SAMPLES * 20,
         SamplingError("could not draw valid sample points"), tol, seed,
     )
 
 
 def _draw_signed(rng: random.Random, sign: Optional[int]) -> float:
-    mag = rng.uniform(*_MAGNITUDE)
+    mag = rng.uniform(*MAGNITUDE)
     if sign is None:
         sign = rng.choice((1, -1))
     return sign * mag
@@ -262,38 +266,42 @@ Draw = Callable[[], Optional[Tuple[Evaluator, Dict[str, float]]]]
 def sample_zero(
     e: Expr,
     draw: Draw,
-    n_samples: int,
     max_attempts: int,
     failure: Exception,
     tol: float,
     seed: int,
 ) -> ZeroResult:
-    """Grade e on n_samples seeded points: NUMERIC_ZERO or NONZERO.
+    """Grade e on SAMPLES seeded points: NUMERIC_ZERO or NONZERO.
 
     draw returns an evaluator and the point to evaluate at, or None to
     reject the draw; points where a term raises EvalError are skipped
-    as well.  failure is raised once max_attempts draws have not
-    produced enough points.  A point passes when the sum of the terms
-    stays within tol times the largest term magnitude (at least 1);
-    the first point that does not makes e NONZERO.  So does a point
-    whose sum is not finite: past the float range nothing vouches for
-    zero.
+    as well.  Once max_attempts draws have not produced enough points,
+    an exception of failure's type is raised, its message failure's
+    with the last point's EvalError appended, so the report says what
+    failed.  A point passes when the sum of the terms stays within tol
+    times the largest term magnitude (at least 1); the first point that
+    does not makes e NONZERO.  So does a point whose sum is not finite:
+    past the float range nothing vouches for zero.
     """
     terms = e.terms if isinstance(e, Add) else (e,)
     samples: List[Tuple[Dict[str, float], float]] = []
     max_abs = 0.0
     attempts = 0
-    while len(samples) < n_samples:
+    error: Optional[EvalError] = None
+    while len(samples) < SAMPLES:
         attempts += 1
         if attempts > max_attempts:
-            raise failure
+            if error is None:
+                raise failure
+            raise type(failure)(f"{failure} (last: {error})")
         drawn = draw()
         if drawn is None:
             continue
         evaluator, point = drawn
         try:
             values = [evaluator(t, point) for t in terms]
-        except EvalError:
+        except EvalError as exc:
+            error = exc
             continue
         total = sum(values)
         samples.append((point, total))

@@ -2,8 +2,8 @@
 
 residual substitutes a candidate solution into the member's PDE and
 grades the outcome: SYMBOLIC_ZERO when the residual reduces to zero
-exactly, NUMERIC_ZERO when it merely stays within tolerance on a
-sampled domain, NONZERO with a witness point otherwise.
+exactly, NUMERIC_ZERO when it merely stays within tolerance at
+sampled points, NONZERO with a witness point otherwise.
 
 transport_check ties a transform, a source member, a claimed target
 member, and a source solution together: the transformed elements must
@@ -12,22 +12,22 @@ target PDE.  A transform whose own admissibility constraint fails
 (the divergence-form or linear families) is REJECTED_PRECONDITION
 before anything else runs.
 
-Sampling is governed by a SampleDomain: per-variable interval unions,
-named exclusion predicates (poles of a solution, say), a sample
-count, and a seed.  residual first asks normal_form_is_zero whether
-the residual is 0; for a rational residual the modular witness there
-usually shows it is not without expanding anything, and the verdict
-still comes from the samples, so a witnessed residual grades exactly
-as before.  A residual whose normal form is not 0 then goes through
-the exact stage is_zero runs next, the antiderivative rule
-(gbeq.expr.zero.integral_identity): a residual linear in one
-antiderivative atom is proved 0 by differentiating it, and reads
-SYMBOLIC_ZERO.  Only what that leaves is sampled.  Function-free
-residuals are sampled on the domain through the sampling loop of
-is_zero (gbeq.expr.zero.sample_zero);
-residuals with opaque symbols go through the numeric stage of is_zero
-(sampled_verdict), since the residual's normal form is already known
-not to be 0.  Identical inputs and seed give identical reports.
+residual first asks normal_form_is_zero whether the residual is 0;
+for a rational residual the modular witness there usually shows it is
+not without expanding anything, and the verdict still comes from the
+samples, so a witnessed residual grades exactly as before.  A residual
+whose normal form is not 0 then goes through the exact stage is_zero
+runs next, the antiderivative rule (gbeq.expr.zero.integral_identity):
+a residual linear in one antiderivative atom is proved 0 by
+differentiating it, and reads SYMBOLIC_ZERO.  Only what that leaves is
+sampled, always in one box and on one count, both fixed in
+gbeq.expr.zero: every coordinate has a magnitude in MAGNITUDE and
+either sign, and a verdict rests on SAMPLES points.
+Function-free residuals are sampled through the sampling loop of
+is_zero (gbeq.expr.zero.sample_zero); residuals with opaque symbols go
+through the numeric stage of is_zero (sampled_verdict), since the
+residual's normal form is already known not to be 0.  The seed alone
+picks the points, so identical inputs and seed give identical reports.
 
 transport_check alone needs gbeq.transforms and imports it in its
 body, so a residual check never loads the transformation layer.
@@ -36,14 +36,10 @@ body, so a residual check never loads the transformation layer.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union,
-)
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple, Union
 
 from .classes import CLASS_SPECS, EquationInstance, build_pde
 from .expr import (
-    EvalError,
     Evaluator,
     Expr,
     ExprError,
@@ -63,7 +59,9 @@ from .expr import (
     walk,
 )
 from .expr.nodes import APP, FUNC, INT, holds
-from .expr.zero import Draw, integral_identity, sample_zero, sampled_verdict
+from .expr.zero import (
+    MAGNITUDE, SAMPLES, Draw, integral_identity, sample_zero, sampled_verdict,
+)
 from .report import (
     ConditionReport,
     REJECTED,
@@ -76,103 +74,19 @@ from .report import (
 if TYPE_CHECKING:
     from .transforms import ImplicitInverseOf, Transform
 
-DEFAULT_PIECES = ((-2.0, -0.1), (0.1, 2.0))
+# the box's two halves: a draw picks one, then a point inside it
+_PIECES = ((-MAGNITUDE[1], -MAGNITUDE[0]), MAGNITUDE)
 
 
 class VerifyError(Exception):
     """Raised when sampling cannot produce the requested points."""
 
 
-@dataclass(frozen=True)
-class Exclusion:
-    """A named predicate accepted points must satisfy."""
-
-    name: str
-    predicate: Callable[[Dict[str, float]], bool]
-
-    def holds(self, point: Dict[str, float]) -> bool:
-        try:
-            return bool(self.predicate(point))
-        except (ArithmeticError, EvalError):
-            return False
-
-
-def magnitude_exclusion(
-    e: Expr, threshold: float = 0.1, name: str = ""
-) -> Exclusion:
-    """Keep only points where |e| >= threshold (a tube around poles)."""
-    ev = Evaluator()
-
-    def predicate(point: Dict[str, float]) -> bool:
-        return abs(ev(e, point)) >= threshold
-
-    return Exclusion(
-        name=name or f"|{format_expr(e)}| >= {threshold:g}",
-        predicate=predicate,
-    )
-
-
-@dataclass(frozen=True)
-class SampleDomain:
-    """Where and how densely residuals are sampled.
-
-    intervals maps a variable name to a union of closed intervals;
-    variables not listed use the default pieces, which keep every
-    coordinate away from zero.  Every accepted point satisfies all
-    exclusions.
-    """
-
-    intervals: Mapping[str, Tuple[Tuple[float, float], ...]] = field(
-        default_factory=dict
-    )
-    exclusions: Tuple[Exclusion, ...] = ()
-    count: int = 30
-    seed: int = 42
-
-    def pieces(self, name: str) -> Tuple[Tuple[float, float], ...]:
-        return tuple(self.intervals.get(name, DEFAULT_PIECES))
-
-    def draw(self, names: Sequence[str], rng: random.Random) -> Dict[str, float]:
-        """One point inside the intervals; exclusions are not consulted."""
-        point = {}
-        for name in names:
-            lo, hi = rng.choice(self.pieces(name))
-            point[name] = rng.uniform(lo, hi)
-        return point
-
-    def contains(self, point: Dict[str, float]) -> bool:
-        for name, value in point.items():
-            if not any(lo <= value <= hi for lo, hi in self.pieces(name)):
-                return False
-        return all(ex.holds(point) for ex in self.exclusions)
-
-    def sample(self, names: Sequence[str]) -> List[Dict[str, float]]:
-        """count points satisfying the intervals and all exclusions."""
-        rng = random.Random(self.seed)
-        out: List[Dict[str, float]] = []
-        attempts = 0
-        while len(out) < self.count:
-            attempts += 1
-            if attempts > max(1, self.count) * 50:
-                raise VerifyError(
-                    "could not draw enough points satisfying the exclusions"
-                )
-            point = self.draw(names, rng)
-            if all(ex.holds(point) for ex in self.exclusions):
-                out.append(point)
-        return out
-
-
-def default_domain(count: int = 30, seed: int = 42) -> SampleDomain:
-    return SampleDomain(count=count, seed=seed)
-
-
 def residual(
     inst: EquationInstance,
     candidate: Expr,
     tol: float = 1e-9,
-    seed: Optional[int] = None,
-    domain: Optional[SampleDomain] = None,
+    seed: int = 42,
     assumptions: Sequence[Tuple[str, str]] = (),
 ) -> VerificationReport:
     """Does the candidate solve the member's PDE?
@@ -183,13 +97,9 @@ def residual(
     judged by its sampled values, so approximate (float-contaminated)
     candidates that track a true solution to within tolerance still
     earn NUMERIC_ZERO.  When the member's elements are opaque symbols
-    the domain cannot steer the sampler and the stand-in machinery of
-    is_zero takes over; (name, flag) assumptions constrain how those
-    symbols simplify and sample.
+    the stand-in machinery of is_zero samples them; (name, flag)
+    assumptions constrain how those symbols simplify and sample.
     """
-    if domain is None:
-        domain = default_domain()
-    eff_seed = domain.seed if seed is None else seed
     ctx = inst.context()
     for name, flag in assumptions:
         ctx.assume_name(name, flag)
@@ -216,18 +126,17 @@ def residual(
             verdict=SYMBOLIC_ZERO,
             residual_text="0",
             tolerance=tol,
-            seed=eff_seed,
+            seed=seed,
             summary="residual reduced to 0 symbolically",
         )
     if holds(res_expr, APP | FUNC | INT):
-        zr = sampled_verdict(res_expr, ctx, tol, domain.count, eff_seed)
+        zr = sampled_verdict(res_expr, ctx, tol, seed)
         summary = "opaque symbols present; " + zr.summary()
     else:
         zr = sample_zero(
-            res_expr, _domain_draw(res_expr, domain, random.Random(eff_seed)),
-            domain.count, max(1, domain.count) * 50,
+            res_expr, _domain_draw(res_expr, random.Random(seed)), SAMPLES * 50,
             VerifyError("could not draw enough valid points for the residual"),
-            tol, eff_seed,
+            tol, seed,
         )
         if zr.verdict == NONZERO:
             point, total = zr.samples[-1]
@@ -243,21 +152,22 @@ def residual(
         verdict=zr.verdict,
         residual_text=format_expr(res_expr),
         tolerance=tol,
-        seed=eff_seed,
+        seed=seed,
         summary=summary,
         samples=list(zr.samples),
     )
 
 
-def _domain_draw(e: Expr, domain: SampleDomain, rng: random.Random) -> Draw:
-    """Points of the domain in e's variables; excluded points are rejected."""
+def _domain_draw(e: Expr, rng: random.Random) -> Draw:
+    """Points of the box in e's variables: magnitudes in MAGNITUDE, either sign."""
     names = sorted({a.name for a in atoms_of(e) if isinstance(a, Var)})
     ev = Evaluator()
 
-    def draw() -> Optional[Tuple[Evaluator, Dict[str, float]]]:
-        point = domain.draw(names, rng)
-        if not all(ex.holds(point) for ex in domain.exclusions):
-            return None
+    def draw() -> Tuple[Evaluator, Dict[str, float]]:
+        point = {}
+        for name in names:
+            lo, hi = rng.choice(_PIECES)
+            point[name] = rng.uniform(lo, hi)
         return ev, point
 
     return draw
@@ -270,7 +180,6 @@ def transport_check(
     solution: Expr,
     tol: float = 1e-9,
     seed: int = 42,
-    domain: Optional[SampleDomain] = None,
     assumptions: Sequence[Tuple[str, str]] = (),
 ) -> VerificationReport:
     """apply(tr, source) = target, and the pushed solution solves it.
@@ -349,7 +258,7 @@ def transport_check(
             known = set(CLASS_SPECS[target.class_id].elements)
             known |= {"t", "x", target.dependent}
             rep = residual(
-                target, pushed, tol=tol, seed=seed, domain=domain,
+                target, pushed, tol=tol, seed=seed,
                 assumptions=tuple(p for p in assumptions if p[0] in known),
             )
             samples = rep.samples

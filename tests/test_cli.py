@@ -625,8 +625,9 @@ def test_underivable_solution_is_an_input_error(corpus, capsys, solution):
 @pytest.mark.parametrize(
     "solution, message",
     [
-        ("ln(-1-x^2)", "could not draw valid sample points"),
-        ("(-1-x^2)^(1/2)", "could not draw enough valid points for the residual"),
+        ("ln(-1-x^2)", "could not draw valid sample points (last: ln of a non-positive value)"),
+        ("(-1-x^2)^(1/2)", "could not draw enough valid points for the residual "
+         "(last: negative base -4.768620327737803 under even root)"),
     ],
 )
 def test_solution_without_valid_sample_points_is_an_input_error(
@@ -654,7 +655,42 @@ def test_divergent_integral_in_the_member_is_an_input_error(tmp_path, capsys):
     assert code == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "gbeq verify-solution: could not draw valid stand-in rounds\n"
+    assert captured.err == (
+        "gbeq verify-solution: could not draw valid stand-in rounds (last: quadrature "
+        "of x up to -0.758091 failed: The integral is probably divergent, or slowly "
+        "convergent.)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["verify-solution", "burgers.gbeq", "--solution", "2/x", "--tol", "nan"], "--tol nan: "),
+        (["verify-solution", "burgers.gbeq", "--solution", "2/x", "--tol", "inf"], "--tol inf: "),
+        (["verify-solution", "burgers.gbeq", "--solution", "2/x", "--tol=-1"], "--tol -1.0: "),
+        (["membership", "burgers.gbeq", "--tol", "nan"], "--tol nan: "),
+        (["gauge", "a-to-one", "linz_abc.gbeq", "--tol", "inf"], "--tol inf: "),
+        (["deg-div-solve", "--f1", "0", "--f2", "0", "--tol", "nan"], "--tol nan: "),
+        (["deg-div-solve", "--f1", "0", "--f2", "0", "--constants", "nan,1,1,0,0"],
+         "--constants: 'nan,1,1,0,0' holds a number that is not finite"),
+        (["deg-div-solve", "--f1", "0", "--f2", "0", "--t-span", "0.1,inf"],
+         "--t-span: '0.1,inf' holds a number that is not finite"),
+    ],
+    ids=[
+        "verify-tol-nan", "verify-tol-inf", "verify-tol-negative", "membership-tol-nan",
+        "gauge-tol-inf", "deg-div-tol-nan", "deg-div-constants-nan", "deg-div-t-span-inf",
+    ],
+)
+def test_unusable_numbers_are_input_errors(corpus, capsys, argv, says):
+    # a NaN or infinite tolerance once reached the JSON report and raised
+    # there; a non-finite constant or span end was graded as if it were data
+    tmp, files = corpus
+    code = main([str(files.get(a, a)) for a in argv])
+    assert code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"gbeq {argv[0]}: {says}"), captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def strict_json(text):
