@@ -195,12 +195,12 @@ def check_membership(
     Every condition is evaluated.  The verdict is MEMBER when all of
     them hold and REJECTED otherwise, whatever evidence each condition
     carries; the conditions keep their own verdicts.  Assumptions are
-    (name, flag) pairs attached to declared symbols before testing,
-    so an opaque element can be promised nonzero or of one sign.
+    (name, flag) pairs attached to the class's symbols before testing,
+    so an opaque element can be promised nonzero or of one sign; a
+    pair naming no symbol of the class is left out.
     """
     ctx = inst.context()
-    for name, flag in assumptions:
-        ctx.assume_name(name, flag)
+    ctx.assume_declared(assumptions)
     conditions: List[ConditionReport] = []
     spec = CLASS_SPECS[inst.class_id]
 

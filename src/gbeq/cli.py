@@ -23,6 +23,11 @@ Exit status partitions the outcomes:
        is not a finite number >= 0 or a --constants or --t-span
        number that is not finite, unknown flags
 
+--assume must name a symbol of an input: the member's class (source's
+or target's for transport), the transform's family, or for hopf-cole
+the bridged member's class; any other name exits 2.  Each layer then
+keeps the pairs that name its own symbols.
+
 Repeating an invocation with the same inputs and --seed reproduces
 the report byte for byte.  Expression-valued flags accept either the
 expression itself or @PATH to read it from a file.
@@ -64,15 +69,7 @@ from .expr import (
     format_expr,
     parse,
 )
-from .report import (
-    ConditionReport,
-    OBSTRUCTION,
-    REJECTED,
-    VerificationReport,
-    combined_report,
-    held,
-    rejected_report,
-)
+from .report import REJECTED, VerificationReport, rejected_report
 from .verify import VerifyError, residual, transport_check
 
 if TYPE_CHECKING:
@@ -158,7 +155,10 @@ def _parse_expr(text: str, ctx: Context, what: str) -> Expr:
         raise InputError(f"{what}: {exc}")
 
 
-def _parse_assume(values: Sequence[str]) -> List[Tuple[str, str]]:
+def _parse_assume(
+    values: Sequence[str], *contexts: Context
+) -> List[Tuple[str, str]]:
+    """The --assume pairs, each naming a symbol one of contexts declares."""
     pairs: List[Tuple[str, str]] = []
     for text in values:
         for suffix, flag in (
@@ -173,6 +173,10 @@ def _parse_assume(values: Sequence[str]) -> List[Tuple[str, str]]:
             )
         if not name.isidentifier():
             raise InputError(f"--assume {text!r}: {name!r} is not a symbol name")
+        if not any(ctx.declares(name) for ctx in contexts):
+            raise InputError(
+                f"--assume {text!r}: no input declares the symbol {name!r}"
+            )
         pairs.append((name, flag))
     return pairs
 
@@ -215,7 +219,7 @@ def _cmd_membership(args: argparse.Namespace) -> int:
     inst = _load_instance(args.instance)
     rep = check_membership(
         inst, tol=args.tol, seed=args.seed,
-        assumptions=_parse_assume(args.assume),
+        assumptions=_parse_assume(args.assume, inst.context()),
     )
     _write_text(args.out, _report_json(rep))
     _status(f"membership: {rep.verdict}")
@@ -236,13 +240,16 @@ def _format_map(res: ApplyResult, dep: str) -> str:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    from .transforms import TransformError, apply_transform
+    from .transforms import TransformError, apply_transform, transform_context
 
     tr = _load_transform(args.transform)
     inst = _load_instance(args.instance)
+    assume = _parse_assume(
+        args.assume, inst.context(), transform_context(tr.family)
+    )
     try:
         res = apply_transform(
-            tr, inst, tol=args.tol, seed=args.seed, assumptions=_parse_assume(args.assume)
+            tr, inst, tol=args.tol, seed=args.seed, assumptions=assume
         )
         # the target is built on this first read
         target = res.target
@@ -301,12 +308,10 @@ def _cmd_gauge(args: argparse.Namespace) -> int:
     )
 
     inst = _load_instance(args.instance)
+    assume = _parse_assume(args.assume, inst.context())
     fn = gauge_a_to_one if args.mode == "a-to-one" else gauge_b_to_zero
     try:
-        g = fn(
-            inst, tol=args.tol, seed=args.seed,
-            assumptions=_parse_assume(args.assume),
-        )
+        g = fn(inst, tol=args.tol, seed=args.seed, assumptions=assume)
     except TransformError as exc:
         rep = rejected_report(str(exc), args.tol, args.seed, f"gauge {args.mode}: ")
         _write_text(args.out, _report_json(rep))
@@ -330,10 +335,8 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
 
 
 def _cmd_hopf_cole(args: argparse.Namespace) -> int:
-    from .hopfcole import (
-        BridgePair, HopfColeObstruction, cole_hopf_solution, verify_diagram,
-    )
-    from .transforms import LinearTransform, TransformError
+    from .hopfcole import hopf_cole_report
+    from .transforms import LinearTransform
 
     inst = _load_instance(args.instance)
     if inst.class_id != ClassId.LINEAR:
@@ -341,28 +344,11 @@ def _cmd_hopf_cole(args: argparse.Namespace) -> int:
             f"{args.instance}: hopf-cole needs a LINEAR member, "
             f"got {inst.class_id}"
         )
-    assume = _parse_assume(args.assume)
-    ctx = inst.context()
-    for name, flag in assume:
-        ctx.assume_name(name, flag)
-    v = _parse_expr(_expr_arg(args.v), ctx, "--v")
-    u = cole_hopf_solution(v, ctx)
-    pair = BridgePair.from_linear(inst)
-
-    rep_v = residual(inst, v, tol=args.tol, seed=args.seed, assumptions=assume)
-    rep_u = residual(
-        pair.linearizable, u, tol=args.tol, seed=args.seed, assumptions=assume
+    assume = _parse_assume(
+        args.assume, inst.context(), linearizable_from_linear(inst).context()
     )
-    conditions = [
-        ConditionReport(
-            "v solves the LINEAR member", rep_v.ok, rep_v.verdict, rep_v.summary
-        ),
-        ConditionReport(
-            "u = 2 v_x / v solves the bridged member",
-            rep_u.ok, rep_u.verdict, rep_u.summary,
-        ),
-    ]
-
+    v = _parse_expr(_expr_arg(args.v), inst.context(), "--v")
+    tr = None
     if args.transform:
         tr = _load_transform(args.transform)
         if not isinstance(tr, LinearTransform):
@@ -370,33 +356,8 @@ def _cmd_hopf_cole(args: argparse.Namespace) -> int:
                 f"{args.transform}: hopf-cole needs family = LINEAR, "
                 f"got {tr.family}"
             )
-        try:
-            diag = verify_diagram(
-                tr, pair=pair, solutions=[v], tol=args.tol, seed=args.seed
-            )
-            conditions.extend(diag.conditions)
-        except HopfColeObstruction as exc:
-            conditions.append(
-                ConditionReport(
-                    "transform descends across the bridge (V0 = 0)",
-                    False, OBSTRUCTION, str(exc),
-                )
-            )
-        except TransformError as exc:
-            conditions.append(
-                ConditionReport(
-                    "transform is admissible for the LINEAR member",
-                    False, REJECTED, str(exc),
-                )
-            )
-
-    rep = combined_report(
-        conditions,
-        "v residual, bridged u residual, and the bridge square",
-        args.tol,
-        args.seed,
-        f"u = {format_expr(u)}; {held(conditions)} conditions hold",
-        rep_u.samples,
+    rep, u = hopf_cole_report(
+        inst, v, tr, tol=args.tol, seed=args.seed, assumptions=assume
     )
     _write_text(args.out, _report_json(rep))
     if args.u_out:
@@ -410,7 +371,7 @@ def _cmd_verify_solution(args: argparse.Namespace) -> int:
     sol = _parse_expr(_expr_arg(args.solution), inst.context(), "--solution")
     rep = residual(
         inst, sol, tol=args.tol, seed=args.seed,
-        assumptions=_parse_assume(args.assume),
+        assumptions=_parse_assume(args.assume, inst.context()),
     )
     _write_text(args.out, _report_json(rep))
     _status(f"verify-solution: {rep.verdict}")
@@ -418,14 +379,20 @@ def _cmd_verify_solution(args: argparse.Namespace) -> int:
 
 
 def _cmd_transport(args: argparse.Namespace) -> int:
+    from .transforms import transform_context
+
     tr = _load_transform(args.transform)
     source = _load_instance(args.source)
     target = _load_instance(args.target)
+    assume = _parse_assume(
+        args.assume,
+        source.context(), transform_context(tr.family), target.context(),
+    )
     sol = _parse_expr(_expr_arg(args.solution), source.context(), "--solution")
     try:
         rep = transport_check(
             tr, source, target, sol, tol=args.tol, seed=args.seed,
-            assumptions=_parse_assume(args.assume),
+            assumptions=assume,
         )
     except ValueError as exc:
         raise InputError(str(exc))
@@ -452,8 +419,8 @@ def _cmd_symmetry_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_symmetry_check(args: argparse.Namespace) -> int:
-    from .symmetry import SymmetryGroupElement, is_symmetry
-    from .transforms import ProjectiveTuple
+    from .symmetry import is_symmetry, reflection
+    from .transforms import ProjectiveTuple, compose
 
     tr = _load_transform(args.transform)
     if not isinstance(tr, ProjectiveTuple):
@@ -461,8 +428,9 @@ def _cmd_symmetry_check(args: argparse.Namespace) -> int:
             f"{args.transform}: symmetry-check needs family = PROJECTIVE, "
             f"got {tr.family}"
         )
-    g = SymmetryGroupElement(tuple=tr, reflect=args.reflect)
-    rep = is_symmetry(g, tol=args.tol, seed=args.seed)
+    if args.reflect:
+        tr = compose(reflection(), tr)
+    rep = is_symmetry(tr, tol=args.tol, seed=args.seed)
     _write_text(args.out, _report_json(rep))
     _status(f"symmetry-check: {rep.verdict}")
     return _from_report(rep)

@@ -109,6 +109,15 @@ class Context:
         else:
             raise ContextError(f"{name} is not declared in this context")
 
+    def assume_declared(self, pairs: Sequence[Tuple[str, str]]) -> None:
+        """Attach each (name, flag) pair whose name is declared here; skip the rest."""
+        for name, flag in pairs:
+            if self.declares(name):
+                self.assume_name(name, flag)
+
+    def declares(self, name: str) -> bool:
+        return name in self.functions or name in self.variables
+
     def assume_positive(self, target: Expr) -> None:
         self.assume(target, POSITIVE)
 

@@ -14,12 +14,12 @@ see as an OBSTRUCTION.
 verify_diagram checks both faces of the square for a concrete LINEAR
 member and family map: that the two routes to the transformed LINZ_ABC
 elements agree, and that pushing a solution forward commutes with
-taking logarithmic derivatives.
+taking logarithmic derivatives.  hopf_cole_report grades one solution
+v across the bridge, with the square of a family map when one is given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .classes import (
@@ -44,6 +44,7 @@ from .expr import (
 from .report import (
     ConditionReport,
     OBSTRUCTION,
+    REJECTED,
     VerificationReport,
     combined_report,
     held,
@@ -51,11 +52,13 @@ from .report import (
 from .transforms import (
     LinearTransform,
     LinzTransform,
+    TransformError,
     _merged_context,
     apply_transform,
     push_solution,
     transform_context,
 )
+from .verify import residual
 
 
 class HopfColeObstruction(Exception):
@@ -76,11 +79,6 @@ def heat_instance() -> EquationInstance:
     return EquationInstance(
         ClassId.LINEAR, {"a": rat(1), "b": ZERO, "c": ZERO}
     )
-
-
-def burgers_bridge_instance() -> EquationInstance:
-    """The LINZ_ABC member the bridge pairs with heat_instance."""
-    return linearizable_from_linear(heat_instance())
 
 
 def heat_catalog() -> List[Expr]:
@@ -130,27 +128,9 @@ def lift_transform(
     )
 
 
-@dataclass(frozen=True)
-class BridgePair:
-    """A LINEAR member and the LINZ_ABC member it linearizes.
-
-    The coherence condition (linearizable carries the same a and b and
-    f = 2 c_x) is rechecked by verify_diagram rather than trusted.
-    """
-
-    linear: EquationInstance
-    linearizable: EquationInstance
-
-    @classmethod
-    def from_linear(cls, linear: EquationInstance) -> "BridgePair":
-        if linear.class_id != ClassId.LINEAR:
-            raise ValueError("BridgePair.from_linear expects a LINEAR instance")
-        return cls(linear=linear, linearizable=linearizable_from_linear(linear))
-
-
 def verify_diagram(
     tr: LinearTransform,
-    pair: Optional[BridgePair] = None,
+    linear: Optional[EquationInstance] = None,
     solutions: Optional[Sequence[Expr]] = None,
     tol: float = 1e-9,
     seed: int = 42,
@@ -167,11 +147,10 @@ def verify_diagram(
     and compare the pushed u with 2 v~_x~ / v~.  Skipped (with a note)
     when the coordinate change has no closed-form inverse.
 
-    Defaults to the heat/Burgers pair when pair is None.
+    The LINEAR member defaults to the heat member.
     """
-    if pair is None:
-        pair = BridgePair.from_linear(heat_instance())
-    linear = pair.linear
+    if linear is None:
+        linear = heat_instance()
     if linear.class_id != ClassId.LINEAR:
         raise ValueError("verify_diagram expects a LINEAR instance")
     lifted = lift_transform(tr, tol=tol, seed=seed)
@@ -184,18 +163,6 @@ def verify_diagram(
     ctx.add_function("u", ("t", "x"))
 
     conditions: List[ConditionReport] = []
-    for name in ("a", "b", "f"):
-        zr = is_zero(
-            pair.linearizable.elements[name] - linz.elements[name],
-            ctx, tol=tol, seed=seed,
-        )
-        if not zr:
-            conditions.append(
-                ConditionReport.of(
-                    f"pair coherence: {name} matches the bridge of the LINEAR member",
-                    zr,
-                )
-            )
     X_x = differentiate(tr.X, "x", ctx)
     route_b = {
         "a": linear_res.pullback["a"],
@@ -236,3 +203,65 @@ def verify_diagram(
         seed,
         f"{held(conditions)} bridge conditions hold" + (f" ({note})" if note else ""),
     )
+
+
+def hopf_cole_report(
+    linear: EquationInstance,
+    v: Expr,
+    tr: Optional[LinearTransform] = None,
+    tol: float = 1e-9,
+    seed: int = 42,
+    assumptions: Sequence[Tuple[str, str]] = (),
+) -> Tuple[VerificationReport, Expr]:
+    """(report, u) for a solution v of a LINEAR member and u = 2 v_x / v.
+
+    The report holds v's residual on the member, u's residual on the
+    bridged LINZ_ABC member and, when tr is given, the bridge square of
+    tr at v; a tr with V0 != 0 adds an OBSTRUCTION condition, and one
+    the member does not admit a REJECTED one.  Each layer keeps the
+    (name, flag) pairs that name its own symbols.
+    """
+    ctx = linear.context()
+    ctx.assume_declared(assumptions)
+    u = cole_hopf_solution(v, ctx)
+    rep_v = residual(linear, v, tol=tol, seed=seed, assumptions=assumptions)
+    rep_u = residual(
+        linearizable_from_linear(linear), u, tol=tol, seed=seed,
+        assumptions=assumptions,
+    )
+    conditions = [
+        ConditionReport(
+            "v solves the LINEAR member", rep_v.ok, rep_v.verdict, rep_v.summary
+        ),
+        ConditionReport(
+            "u = 2 v_x / v solves the bridged member",
+            rep_u.ok, rep_u.verdict, rep_u.summary,
+        ),
+    ]
+    if tr is not None:
+        try:
+            diag = verify_diagram(tr, linear, solutions=[v], tol=tol, seed=seed)
+            conditions.extend(diag.conditions)
+        except HopfColeObstruction as exc:
+            conditions.append(
+                ConditionReport(
+                    "transform descends across the bridge (V0 = 0)",
+                    False, OBSTRUCTION, str(exc),
+                )
+            )
+        except TransformError as exc:
+            conditions.append(
+                ConditionReport(
+                    "transform is admissible for the LINEAR member",
+                    False, REJECTED, str(exc),
+                )
+            )
+    rep = combined_report(
+        conditions,
+        "v residual, bridged u residual, and the bridge square",
+        tol,
+        seed,
+        f"u = {format_expr(u)}; {held(conditions)} conditions hold",
+        rep_u.samples,
+    )
+    return rep, u

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .classes import ClassId, EquationInstance, build_pde, class_context
 from .expr import (
@@ -50,7 +50,6 @@ from .transforms import (
     ProjectiveTuple,
     _proj_maps,
     apply_transform,
-    compose,
     push_solution,
 )
 
@@ -326,20 +325,6 @@ def reflection() -> ProjectiveTuple:
     return ProjectiveTuple(1, 0, 0, 1, -1, 0, 0)
 
 
-@dataclass(frozen=True)
-class SymmetryGroupElement:
-    """A projective tuple, optionally pre-composed with the reflection."""
-
-    tuple: ProjectiveTuple
-    reflect: bool = False
-
-    def effective(self) -> ProjectiveTuple:
-        """The single tuple this element acts as (reflection folded in)."""
-        if self.reflect:
-            return compose(reflection(), self.tuple)
-        return self.tuple
-
-
 def satisfies_group_constraint(p: ProjectiveTuple) -> ZeroResult:
     """alpha delta - beta gamma = kappa^2, as a ZeroResult (truthy when it holds)."""
     return is_zero(p.det - p.kappa * p.kappa)
@@ -361,19 +346,19 @@ def solution_catalog() -> List[Expr]:
 
 
 def is_symmetry(
-    g: Union[ProjectiveTuple, SymmetryGroupElement],
+    p: ProjectiveTuple,
     tol: float = 1e-9,
     seed: int = 42,
     solutions: Optional[Sequence[Expr]] = None,
 ) -> VerificationReport:
-    """Whether g preserves the constant-coefficient member.
+    """Whether p preserves the constant-coefficient member.
 
     Checks the group constraint alpha delta - beta gamma = kappa^2
     first; a violation rejects the candidate outright.  Otherwise the
-    catalog solutions are pushed through g's point maps and the PDE
-    residual of each image is tested.
+    catalog solutions are pushed through p's point maps and the PDE
+    residual of each image is tested.  A reflected element is the
+    tuple compose(reflection(), p).
     """
-    p = g.effective() if isinstance(g, SymmetryGroupElement) else g
     if solutions is None:
         solutions = solution_catalog()
     inst = EquationInstance(ClassId.BURGERS, {})

@@ -8,8 +8,8 @@ one equation class:
     LINZ        on LINZ_ABC: u -> u / X_x + U0
     GAUGED      on LINZ_BF:  t -> T, x -> eps (T_t^(1/2) x + X0),
                              u -> eps (u / T_t^(1/2) + U0),  T_t > 0
-    REDUCED     on LINZ_F:   the GAUGED subfamily whose U0 is
-                             T_tt/(2 T_t^(3/2)) x + X0_t/T_t
+    REDUCED     on LINZ_F:   the GAUGED coordinate change, with u moved
+                             as its velocity (to_gauged names the member)
     PROJECTIVE  on GBE_TX:   fractional-linear in t, affine in x, with
                              exact constant entries defined up to scale
     DIV         on GBE_DIV:  t -> T, x -> kappa (sign_Tt T_t)^(1/2) x + X0,
@@ -26,8 +26,12 @@ in SUPER, and the elements of the member's own class are read off the
 result.  compose and invert work the same way: they compose or invert
 the GENERAL lifts, and one restriction, _restrict, reads the family's
 own parameters back (X0 is X at x = 0; eps, kappa and sign_Tt come
-from the factors).  REDUCED and DIV fix their u-map by their
-coordinate change, so for them only (T, X) is composed or inverted.
+from the factors).  Each family states its coordinate change (T, X)
+once, in _coordinate_change, and its lift reads the u-map off it:
+REDUCED, DIV, AFFINE_DIV and PROJECTIVE move u as the velocity of the
+coordinate change, u~ = (X_x u + X_t)/T_t, GAUGED too but for its free
+shift eps U0, LINZ by 1/X_x plus U0, and LINEAR by (V1, V0).  So
+REDUCED and DIV compose and invert as (T, X) alone.
 AFFINE_DIV applies, composes and inverts as the DIV member it names
 (to_div), and its constants are read back off T and X0.  DIV and
 LINEAR check one constraint before the lifted apply: H0~ of the lift
@@ -814,9 +818,7 @@ def apply_transform(
     if tr.family != "DIV" or cid not in _DIV_CLASSES:
         cid = tr.acts_on
     ctx = _merged_context(cid, tr.family, tr.sign_Tt)
-    for name, flag in assumptions:
-        if name in ctx.functions or name in ctx.variables:
-            ctx.assume_name(name, flag)
+    ctx.assume_declared(assumptions)
     inst = embed(inst, cid, ctx)
     if isinstance(tr, ProjectiveTuple):
         return _apply_projective(tr, inst, ctx)
@@ -885,74 +887,48 @@ def to_general(tr: Transform) -> GeneralTransform:
 
 
 def _lift(tr: Transform) -> GeneralTransform:
-    """to_general(tr), built afresh; tr._lift keeps it."""
-    if isinstance(tr, LinzTransform):
-        ctx = transform_context("LINZ")
-        X_x = differentiate(tr.X, "x", ctx)
-        return GeneralTransform(T=tr.T, X=tr.X, U1=div(ONE, X_x), U0=tr.U0)
-    if isinstance(tr, GaugedTransform):
-        ctx = transform_context("GAUGED")
-        rootT = sqrt(differentiate(tr.T, "t", ctx))
-        eps = rat(tr.eps)
-        return GeneralTransform(
-            T=tr.T,
-            X=eps * (rootT * X_VAR + tr.X0),
-            U1=div(eps, rootT),
-            U0=eps * tr.U0,
-        )
-    if isinstance(tr, ReducedTransform):
-        return _lift(to_gauged(tr))
-    if isinstance(tr, ProjectiveTuple):
-        ctx = transform_context("PROJECTIVE")
-        ctx.add_function("u", ("t", "x"))
-        T, X, U = _proj_maps(tr, ctx.fn("u"))
-        U0 = simplify(substitute(U, {"u": ZERO}, ctx), ctx)
-        U1 = simplify(substitute(U - U0, {"u": ONE}, ctx), ctx)
-        return GeneralTransform(T=T, X=X, U1=U1, U0=U0)
-    if isinstance(tr, DivTransform):
-        ctx = transform_context("DIV", tr.sign_Tt)
-        T, X = tr._coordinates
-        T_t = differentiate(T, "t", ctx)
-        T_tt = differentiate(T_t, "t", ctx)
-        X_x = differentiate(X, "x", ctx)  # kappa (sign_Tt T_t)^(1/2)
-        return GeneralTransform(
-            T=T,
-            X=X,
-            U1=div(X_x, T_t),
-            U0=div(T_tt * X_x, rat(2) * T_t * T_t) * X_VAR
-            + div(differentiate(tr.X0, "t", ctx), T_t),
-        )
+    """to_general(tr), built afresh; tr._lift keeps it.
+
+    The u-map is read off tr._coordinates, by the velocity rule unless
+    the family states its own (see the module docstring); to_general
+    hands a GENERAL member back itself.
+    """
     if isinstance(tr, AffineDivTransform):
         return to_general(tr.to_div())
+    T, X = tr._coordinates
     if isinstance(tr, LinearTransform):
-        return GeneralTransform(T=tr.T, X=tr.X, U1=tr.V1, U0=tr.V0)
-    raise TransformError(f"cannot lift {type(tr).__name__}")
+        return GeneralTransform(T=T, X=X, U1=tr.V1, U0=tr.V0)
+    ctx = transform_context(tr.family, tr.sign_Tt)
+    X_x = differentiate(X, "x", ctx)
+    if isinstance(tr, LinzTransform):
+        return GeneralTransform(T=T, X=X, U1=div(ONE, X_x), U0=tr.U0)
+    T_t = differentiate(T, "t", ctx)
+    if isinstance(tr, GaugedTransform):
+        U0 = rat(tr.eps) * tr.U0
+    else:
+        U0 = div(differentiate(X, "t", ctx), T_t)
+    return GeneralTransform(T=T, X=X, U1=div(X_x, T_t), U0=U0)
 
 
 def _coordinate_change(tr: Transform) -> Tuple[Expr, Expr]:
     """t -> T and x -> X of to_general(tr), built afresh; tr._coordinates
     keeps it.
 
-    REDUCED and DIV fix their u-map by (T, X), so compose and invert
-    need no more of them, and their (T, X) is built here without it:
-    read off the lift, a REDUCED member that is only composed or
-    inverted, such as an identity or an inverse in the groupoid laws,
-    would build its u-map for nothing.  PROJECTIVE reads (T, X) off its
-    point maps, since its apply keeps its closed form and builds no
-    lift.  DIV's lift reads its X from here.
+    Each family states its (T, X) here once, and _lift reads every u-map
+    off it, so a member that is only composed or inverted, such as an
+    identity or an inverse in the groupoid laws, builds no u-map.
     """
-    if isinstance(tr, DivTransform):
-        ctx = transform_context("DIV", tr.sign_Tt)
-        root = sqrt(rat(tr.sign_Tt) * differentiate(tr.T, "t", ctx))
-        return tr.T, rat(tr.kappa) * root * X_VAR + tr.X0
+    if isinstance(tr, (GaugedTransform, ReducedTransform, DivTransform)):
+        ctx = transform_context(tr.family, tr.sign_Tt)
+        T_t = differentiate(tr.T, "t", ctx)
+        if isinstance(tr, DivTransform):
+            return tr.T, rat(tr.kappa) * sqrt(rat(tr.sign_Tt) * T_t) * X_VAR + tr.X0
+        return tr.T, rat(tr.eps) * (sqrt(T_t) * X_VAR + tr.X0)
     if isinstance(tr, ProjectiveTuple):
         return _proj_maps(tr, ZERO)[:2]
-    if isinstance(tr, ReducedTransform):
-        # the GAUGED member with U0 = 0 has the same coordinate change
-        g = _lift(GaugedTransform(T=tr.T, X0=tr.X0, U0=ZERO, eps=tr.eps))
-    else:
-        g = to_general(tr)
-    return g.T, g.X
+    if isinstance(tr, AffineDivTransform):
+        return tr.to_div()._coordinates
+    return tr.T, tr.X
 
 
 def _closed_inverse_of(tr: Transform) -> Optional[Tuple[Expr, Expr]]:
@@ -990,7 +966,7 @@ def _restrict(
     read X = x_at(x) and the u-map as they are.  GAUGED, REDUCED and
     DIV read X0 = x_at(0), and GAUGED reads U0, both times eps.  eps,
     kappa and sign_Tt come in numbers, from the factors.  REDUCED and
-    DIV fix their u-map by (T, X), so they never call u_map.
+    DIV move u as the velocity of (T, X), so they never call u_map.
     """
     names = family.param_names
     eps = numbers.get("eps", 1)
@@ -1206,8 +1182,7 @@ def gauge_a_to_one(
     such as ("a", "positive").
     """
     ctx = _merged_context(ClassId.LINZ_ABC, "LINZ")
-    for name, flag in assumptions:
-        ctx.assume_name(name, flag)
+    ctx.assume_declared(assumptions)
     inst = embed(inst, ClassId.LINZ_ABC, ctx)
     a = inst.elements["a"]
     if is_zero(a, ctx, tol=tol, seed=seed):
@@ -1259,8 +1234,7 @@ def gauge_b_to_zero(
 ) -> GaugeResult:
     """Reduce a LINZ_BF member to b = 0 by the shift u -> u + b."""
     ctx = _merged_context(ClassId.LINZ_BF, "GAUGED")
-    for name, flag in assumptions:
-        ctx.assume_name(name, flag)
+    ctx.assume_declared(assumptions)
     inst = embed(inst, ClassId.LINZ_BF, ctx)
     b = inst.elements["b"]
 

@@ -98,11 +98,11 @@ def residual(
     candidates that track a true solution to within tolerance still
     earn NUMERIC_ZERO.  When the member's elements are opaque symbols
     the stand-in machinery of is_zero samples them; (name, flag)
-    assumptions constrain how those symbols simplify and sample.
+    assumptions constrain how those symbols simplify and sample, and a
+    pair naming no symbol of the member's class is left out.
     """
     ctx = inst.context()
-    for name, flag in assumptions:
-        ctx.assume_name(name, flag)
+    ctx.assume_declared(assumptions)
     pde = build_pde(inst, ctx)
     # the candidate alone first: a base the assumptions make 0 under a
     # negative power raises DivisionByZero here, a log of a rational <= 0
@@ -227,8 +227,7 @@ def transport_check(
         )
 
     ctx = _merged_context(source.class_id, tr.family, tr.sign_Tt)
-    for name, flag in assumptions:
-        ctx.assume_name(name, flag)
+    ctx.assume_declared(assumptions)
     conditions: List[ConditionReport] = []
     mismatch = False
     # the dependent symbol joins the mapping because superclass-style
@@ -253,13 +252,8 @@ def transport_check(
         if pushed is None:
             note = "; solution condition skipped (no closed-form inverse)"
         else:
-            # the target context only declares the class symbols, so
-            # assumptions about transform parameters stay behind
-            known = set(CLASS_SPECS[target.class_id].elements)
-            known |= {"t", "x", target.dependent}
             rep = residual(
-                target, pushed, tol=tol, seed=seed,
-                assumptions=tuple(p for p in assumptions if p[0] in known),
+                target, pushed, tol=tol, seed=seed, assumptions=assumptions
             )
             samples = rep.samples
             conditions.append(

@@ -403,6 +403,50 @@ def test_transform_takes_assume(tmp_path, capsys):
     assert not out.exists()
 
 
+_ASSUME_FILES = {
+    "id.tr": "family = DIV\nparam.T = t\nparam.X0 = 0\n",
+    "div.gbeq": "class = GBE_DIV\nelement.f = 1 + x^2\n",
+    "abc.gbeq": "class = LINZ_ABC\nelement.a = 4\nelement.b = 0\nelement.f = 0\n",
+    "heat.gbeq": format_instance(heat_instance()),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["membership", "div.gbeq"],
+        ["transform", "id.tr", "div.gbeq"],
+        ["gauge", "a-to-one", "abc.gbeq"],
+        ["hopf-cole", "heat.gbeq", "--v", "1"],
+        ["verify-solution", "div.gbeq", "--solution", "0"],
+        ["transport", "id.tr", "div.gbeq", "div.gbeq", "--solution", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_assume_on_a_symbol_no_input_declares_is_an_input_error(tmp_path, capsys, argv):
+    for name, text in _ASSUME_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in _ASSUME_FILES else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_PASS
+    capsys.readouterr()
+    assert main(argv + ["--assume", "zz>0"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "--assume 'zz>0'" in captured.err
+
+
+def test_hopf_cole_keeps_an_assumption_on_the_linear_member(corpus, tmp_path):
+    # c is LINEAR's symbol; the bridged LINZ_ABC member has none of that name
+    tmp, files = corpus
+    code = main([
+        "hopf-cole", str(files["heat.gbeq"]), "--v", "1 + exp(x - t)",
+        "--assume", "c>0", "--out", str(tmp_path / "rep.json"),
+    ])
+    assert code == EXIT_PASS
+    assert json.loads((tmp_path / "rep.json").read_text())["verdict"] == "SYMBOLIC_ZERO"
+
+
 def test_linear_offset_off_the_solutions_exits_math(corpus, tmp_path):
     tmp, files = corpus
     out = tmp_path / "rep.json"

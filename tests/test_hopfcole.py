@@ -2,12 +2,10 @@
 
 import pytest
 
-from gbeq.classes import ClassId, EquationInstance
+from gbeq.classes import ClassId, EquationInstance, linearizable_from_linear
 from gbeq.expr import ZERO, format_expr, is_zero, parse, rat, var
 from gbeq.hopfcole import (
-    BridgePair,
     HopfColeObstruction,
-    burgers_bridge_instance,
     burgers_catalog,
     cole_hopf_solution,
     heat_catalog,
@@ -32,7 +30,7 @@ def test_heat_instance_is_the_unit_diffusion_member():
 
 
 def test_bridge_instance_is_potential_free():
-    inst = burgers_bridge_instance()
+    inst = linearizable_from_linear(heat_instance())
     out = {k: format_expr(v) for k, v in inst.elements.items()}
     assert out == {"a": "1", "b": "0", "f": "0"}
     assert inst.class_id is ClassId.LINZ_ABC
@@ -102,9 +100,3 @@ def test_diagram_defaults_to_heat_pair(hctx):
     rep = verify_diagram(ident)
     assert rep.ok
 
-
-def test_bridge_pair_from_linear():
-    heat = heat_instance()
-    pair = BridgePair.from_linear(heat)
-    assert pair.linear == heat
-    assert pair.linearizable.class_id is ClassId.LINZ_ABC

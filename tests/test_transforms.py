@@ -509,6 +509,56 @@ def test_projective_member_lifts_with_its_point_maps():
             assert zr.verdict == SYMBOLIC_ZERO, (name, format_expr(getattr(g, name)))
 
 
+def _lift_matches(tr, want, ctx):
+    """Each of to_general(tr)'s T, X, U1, U0 equals want's, proved exactly."""
+    got = to_general(tr)
+    for name, w in zip(("T", "X", "U1", "U0"), want):
+        zr = is_zero(getattr(got, name) - w, ctx)
+        assert zr.verdict == SYMBOLIC_ZERO, (name, format_expr(getattr(got, name)))
+
+
+@pytest.mark.parametrize("sign_Tt", [1, -1])
+@pytest.mark.parametrize("kappa", [Fraction(1), Fraction(-3, 2)])
+def test_div_lift_moves_u_as_the_velocity(sign_Tt, kappa):
+    # the oracle is DIV's own u-map, written out by hand:
+    # U1 = X_x/T_t and U0 = T_tt X_x/(2 T_t^2) x + X0_t/T_t
+    ctx = transform_context("DIV", sign_Tt)
+    T, X0 = ctx.fn("T"), ctx.fn("X0")
+    T_t, T_tt, X0_t = ctx.fn("T", (1,)), ctx.fn("T", (2,)), ctx.fn("X0", (1,))
+    X_x = rat(kappa) * sqrt(rat(sign_Tt) * T_t)
+    U0 = div(T_tt * X_x, rat(2) * T_t * T_t) * var("x") + div(X0_t, T_t)
+    tr = DivTransform(T=T, X0=X0, kappa=kappa, sign_Tt=sign_Tt)
+    _lift_matches(tr, (T, X_x * var("x") + X0, div(X_x, T_t), U0), ctx)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1), Fraction(-1)])
+@pytest.mark.parametrize("T, X0", [("T", "X0"), ("4*t + 1", "t^2")])
+def test_reduced_lift_is_its_gauged_members(eps, T, X0):
+    # the oracle is the GAUGED member to_gauged names, lifted by hand:
+    # x -> eps (T_t^(1/2) x + X0), u -> eps (u / T_t^(1/2) + U0)
+    ctx = transform_context("REDUCED")
+    tr = ReducedTransform(T=parse(T, ctx), X0=parse(X0, ctx), eps=eps)
+    gauged = to_gauged(tr)
+    root, e = sqrt(differentiate(tr.T, "t", ctx)), rat(eps)
+    hand = (tr.T, e * (root * var("x") + tr.X0), div(e, root), e * gauged.U0)
+    _lift_matches(tr, hand, ctx)
+    _lift_matches(gauged, hand, ctx)
+    g = to_general(gauged)
+    _lift_matches(tr, (g.T, g.X, g.U1, g.U0), ctx)
+
+
+@pytest.mark.parametrize("entries", [(1, 0, 1, 1, 1, 0, 0), (2, 1, -1, 3, -3, 1, 2)])
+def test_projective_lift_is_its_tuples_u_map(entries):
+    # the oracle reads U0 and U1 off the tuple's u-map at u = 0 and u = 1
+    p = ProjectiveTuple(*map(Fraction, entries))
+    ctx = transform_context("PROJECTIVE")
+    ctx.add_function("u", ("t", "x"))
+    T, X, U = transforms._proj_maps(p, ctx.fn("u"))
+    U0 = substitute(U, {"u": ZERO}, ctx)
+    U1 = substitute(U, {"u": rat(1)}, ctx) - U0
+    _lift_matches(p, (T, X, U1, U0), ctx)
+
+
 def test_affine_div_applies_and_lifts_as_its_div_member():
     ad = AffineDivTransform(
         c0=Fraction(1), c1=Fraction(2), c2=Fraction(1), c3=Fraction(0),
