@@ -42,7 +42,6 @@ from .expr import (
     SYMBOLIC_ZERO,
     ZERO,
     add,
-    collect,
     contains_func,
     contains_var,
     differentiate,
@@ -51,6 +50,7 @@ from .expr import (
     is_zero,
     parse,
     rat,
+    split,
     substitute,
     var,
 )
@@ -263,9 +263,8 @@ def deg_coefficients(f: Expr) -> Dict[int, Expr]:
     Raises ClassError when f has x-degree above two or any coefficient
     still involves x, and CollectError when f is not polynomial in x.
     """
-    buckets = collect(f, var("x"))
     out = {0: ZERO, 1: ZERO, 2: ZERO}
-    for deg, coeff in buckets.items():
+    for (deg,), coeff in split(f, (var("x"),)).items():
         if deg > 2:
             raise ClassError(f"f has x-degree {deg}, expected at most 2")
         if contains_var(coeff, "x"):

@@ -263,7 +263,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         return EXIT_MATH
     note = ""
     if target is None:
-        target = EquationInstance(inst.class_id, dict(res.pullback))
+        target = EquationInstance(res.source.class_id, dict(res.pullback))
         note = " (elements in source coordinates; no closed-form inverse)"
     _write_text(args.out, format_instance(target))
     if args.map_out:

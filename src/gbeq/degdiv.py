@@ -31,7 +31,7 @@ where either is undefined only when it is one of them.  A coefficient
 rational in t as written is sampled in one numpy pass, and is also
 checked exactly: for each base under a negative exponent, as written,
 the real zeros of its cleared numerator, a polynomial in t whose
-coefficients collect reads off, are counted on the span with a Sturm
+coefficients split reads off, are counted on the span with a Sturm
 sequence over Fractions, so a pole between nodes is found too, even
 one that clearing would cancel.
 """
@@ -54,10 +54,10 @@ from .expr import (
     Var,
     ZERO,
     as_expr,
-    collect,
     contains_var,
     format_expr,
     ratio_normal,
+    split,
     var,
     walk,
 )
@@ -200,7 +200,7 @@ def _check_poles(name: str, e: Expr, t_lo: float, t_hi: float) -> None:
 
     e is undefined wherever a base under a negative exponent vanishes,
     so e is walked as written: each such base's cleared numerator is a
-    polynomial in t, whose coefficients collect reads off, and its real
+    polynomial in t, whose coefficients split reads off, and its real
     zeros on the span are counted exactly.  (ratio_normal(e)'s own
     denominator would lose an inner denominator that clearing cancels,
     as in 1/(1 + 1/(t - 1/2)).)
@@ -216,8 +216,8 @@ def _check_poles(name: str, e: Expr, t_lo: float, t_hi: float) -> None:
             bases.extend(b for b, k in n.powers if k < 0)
     for base in bases:
         num, _ = ratio_normal(base)
-        coeffs = collect(num, var("t"))
-        p = [coeffs.get(k, ZERO).value for k in range(max(coeffs) + 1)]
+        coeffs = split(num, (var("t"),))
+        p = [coeffs.get((k,), ZERO).value for k in range(max(coeffs)[0] + 1)]
         zero = _zero_on(p, Fraction(t_lo), Fraction(t_hi))
         if zero is not None:
             raise EvalError(

@@ -39,12 +39,12 @@ from .numeric import EvalError, Evaluator, evaluate
 from .parse import ParseError, parse
 from .simplify import (
     CollectError,
-    collect,
     expand,
     normal_form,
     normal_form_is_zero,
     ratio_normal,
     simplify,
+    split,
 )
 from .zero import (
     NONZERO,
@@ -61,10 +61,9 @@ __all__ = [
     "Func", "Int", "MINUS_ONE", "Mul", "NEGATIVE", "NONZERO", "NONZERO_FLAG",
     "NUMERIC_ZERO", "ONE", "POSITIVE", "ParseError", "Pow", "Rat",
     "SamplingError", "SubstitutionError", "SYMBOLIC_ZERO", "Var", "ZERO",
-    "ZeroResult", "add", "app", "as_expr", "atoms_of", "collect",
-    "contains_func", "contains_var", "diff_n", "differentiate", "div",
-    "evaluate", "exp", "expand", "format_expr", "func", "integral",
-    "is_zero", "ln", "mul", "normal_form", "normal_form_is_zero", "parse",
-    "pow_", "rat", "ratio_normal", "simplify", "sqrt", "substitute", "var",
-    "walk",
+    "ZeroResult", "add", "app", "as_expr", "atoms_of", "contains_func",
+    "contains_var", "diff_n", "differentiate", "div", "evaluate", "exp",
+    "expand", "format_expr", "func", "integral", "is_zero", "ln", "mul",
+    "normal_form", "normal_form_is_zero", "parse", "pow_", "rat",
+    "ratio_normal", "simplify", "split", "sqrt", "substitute", "var", "walk",
 ]

@@ -48,14 +48,15 @@ hundreds of times pays for it once, and they are dropped when the call
 returns.
 
 Readers take their answers off the packed monomials: tree, quotient,
-and degrees, which buckets them by one atom's field for collect.
+and degrees, which buckets them by several atoms' fields at once for
+simplify.split.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple, TypeVar, Union
+from typing import Callable, Dict, List, Sequence, Tuple, TypeVar, Union
 
 from .nodes import (
     Add, App, Expr, ExprError, Func, Int, Mul, ONE, Pow, Rat, Var, ZERO, _as_coeff_powers,
@@ -81,7 +82,7 @@ class Widen(Exception):
 
 
 class CollectError(ExprError):
-    """Raised when an expression is not polynomial in the requested atom."""
+    """Raised when an expression is not polynomial in the requested atoms."""
 
 
 def run(task: Callable[["Kernel"], T]) -> T:
@@ -436,24 +437,29 @@ class Kernel:
         self.expanded.setdefault(t, p)
         return t
 
-    def degrees(self, p: Poly, atom: Expr, inside: Callable[[Expr], bool]) -> Dict[int, Poly]:
-        """p's monomials bucketed by atom's degree, each with atom's field cleared.
+    def degrees(self, p: Poly, atoms: Sequence[Expr], inside: Sequence) -> Dict[tuple, Poly]:
+        """p's monomials bucketed by the atoms' degrees, their fields cleared.
 
-        A negative digit, or one den does not divide, raises CollectError,
-        and so does an exp factor or another base that inside holds for.
+        inside holds one test per atom.  A negative digit, or one den does
+        not divide, raises CollectError, and so does an exp factor or
+        another base, other atoms included, that an atom's test holds for.
         """
-        (a, _), = self.expand(atom).items()
-        (pos, _), = self._digits(a)
-        buckets: Dict[int, Poly] = {}
+        fields = [self._digits(next(iter(self.expand(a))))[0][0] for a in atoms]
+        buckets: Dict[tuple, Poly] = {}
         for m, c in p.items():
             digits = dict(self._digits(m))
-            d = digits.pop(pos, 0)
-            for b in (self.exp_node[m & self.mask], *(self.base[q] for q in digits)):
-                if inside(b):
-                    raise CollectError(f"{atom!r} occurs inside {b!r}")
-            if d < 0 or d % self.den:
-                raise CollectError(f"non-polynomial power {self._exponent(d)} of {atom!r}")
-            buckets.setdefault(d // self.den, {})[m - (d << self.width * pos)] = c
+            bases = [(0, self.exp_node[m & self.mask])] + [(q, self.base[q]) for q in digits]
+            key = []
+            for atom, pos, test in zip(atoms, fields, inside):
+                for q, b in bases:
+                    if q != pos and test(b):
+                        raise CollectError(f"{atom!r} occurs inside {b!r}")
+                d = digits.get(pos, 0)
+                if d < 0 or d % self.den:
+                    raise CollectError(f"non-polynomial power {self._exponent(d)} of {atom!r}")
+                key.append(d // self.den)
+                m -= d << self.width * pos
+            buckets.setdefault(tuple(key), {})[m] = c
         return buckets
 
     def _split(self, m: Mono) -> Mono:

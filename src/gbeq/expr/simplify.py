@@ -10,8 +10,9 @@ nodes.py, or it is skipped on every tree the bit does not mark.  Each
 call keeps a memo from marked node to result, so a subtree that
 recurs, however often, is simplified once; the memo dies with the call.
 
-expand, collect, ratio_normal and normal_form go through the polynomial
-kernel of gbeq.expr.poly and back to a tree.  normal_form_is_zero answers
+expand, split, ratio_normal and normal_form go through the polynomial
+kernel of gbeq.expr.poly and back to a tree; split buckets the monomials
+by several atoms' degrees in one pass.  normal_form_is_zero answers
 normal_form(e) == 0 in two steps.  An exact modular witness comes
 first: over +, * and integer powers of rationals, variables and
 unapplied function symbols, e is evaluated modulo the prime 2^61 - 1
@@ -45,7 +46,7 @@ denominators this way decides every rational identity exactly.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .context import Context
 from .nodes import (
@@ -205,25 +206,28 @@ def expand(e: Expr) -> Expr:
     return run(lambda k: k.tree(k.expand(e)))
 
 
-def collect(e: Expr, atom: Expr) -> Dict[int, Expr]:
-    """Coefficients of e as a polynomial in a Var, Func or Int atom, by degree.
+def split(e: Expr, atoms: Sequence[Expr]) -> Dict[Tuple[int, ...], Expr]:
+    """Coefficients of e as a polynomial in Var, Func or Int atoms, by degrees.
 
-    e is expanded and its monomials bucketed by atom's exponent
-    (Kernel.degrees); 0 gives {0: 0}.  A negative or fractional power of
-    atom, or atom inside another base, raises CollectError.  An Int
-    counts as inside any base holding an antiderivative in its variable.
+    e is expanded once and its monomials bucketed by the tuple of the
+    atoms' exponents (Kernel.degrees), in sorted order; 0 gives
+    {(0, ...): 0}.  A negative or fractional power of an atom, or an atom
+    inside another base, raises CollectError.  An Int counts as inside
+    any base holding an antiderivative in its variable.
     """
-    if isinstance(atom, Var):
-        inside = lambda b: mentions_var(b, atom.name)
-    elif isinstance(atom, Func):
-        inside = lambda b: contains_func(b, atom.name)
-    elif isinstance(atom, Int):
-        inside = lambda b: holds(b, INT) and mentions_var(b, atom.var)
-    else:
-        raise CollectError(f"cannot collect in {atom!r}")
+    atoms, inside = tuple(atoms), []
+    for atom in atoms:
+        if isinstance(atom, Var):
+            inside.append(lambda b, name=atom.name: mentions_var(b, name))
+        elif isinstance(atom, Func):
+            inside.append(lambda b, name=atom.name: contains_func(b, name))
+        elif isinstance(atom, Int):
+            inside.append(lambda b, name=atom.var: holds(b, INT) and mentions_var(b, name))
+        else:
+            raise CollectError(f"cannot collect in {atom!r}")
     return run(lambda k: {
-        d: k.tree(p) for d, p in sorted(k.degrees(k.expand(e), atom, inside).items())
-    } or {0: ZERO})
+        d: k.tree(p) for d, p in sorted(k.degrees(k.expand(e), atoms, inside).items())
+    } or {(0,) * len(atoms): ZERO})
 
 
 def ratio_normal(e: Expr) -> Tuple[Expr, Expr]:

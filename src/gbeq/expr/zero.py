@@ -4,14 +4,14 @@ The symbolic route (simplify, expand, clear denominators) settles
 every rational identity exactly; the exp constructor has already
 turned exp(c_1 ln a_1 + ... + r) into a_1^c_1 ... exp(r).  When the
 normal form is not zero, one exact stage follows: integral_identity
-proves an expression linear in a single antiderivative atom zero by
-differentiating it (the antiderivative rule).  What that stage does
-not decide is sampled: either per jet coordinate, treating each
-derivative atom as an independent unknown, or, when function symbols
-appear with explicit arguments or under antiderivatives, by binding
-every symbol to a random polynomial stand-in so that all occurrences
-stay consistent.  is_zero and gbeq.verify.residual run the same
-stages in the same order.
+splits an expression linear in a single antiderivative atom I as
+A + C*I (simplify.split) and proves it zero by differentiating -A/C
+(the antiderivative rule).  What that stage does not decide is
+sampled: either per jet coordinate, treating each derivative atom as
+an independent unknown, or, when function symbols appear with explicit
+arguments or under antiderivatives, by binding every symbol to a
+random polynomial stand-in so that all occurrences stay consistent.
+is_zero and gbeq.verify.residual run the same stages in the same order.
 
 Both stages, and the residual sampler of gbeq.verify, run one loop,
 sample_zero: a seeded draw function proposes points, the loop skips
@@ -62,7 +62,7 @@ from .nodes import (
     walk,
 )
 from .numeric import EvalError, Evaluator
-from .simplify import CollectError, collect, normal_form, normal_form_is_zero, ratio_normal
+from .simplify import CollectError, normal_form, normal_form_is_zero, ratio_normal, split
 
 SYMBOLIC_ZERO = "SYMBOLIC_ZERO"
 NUMERIC_ZERO = "NUMERIC_ZERO"
@@ -131,7 +131,7 @@ def integral_identity(nf: Expr, ctx: Optional[Context] = None) -> bool:
     applies when nf holds exactly one distinct Int atom I = int(b, v),
     whose body b holds none, and I occurs there only as a factor of a
     term, to the power 1: never inside an exp argument, a sum, a
-    power's base or a function's argument.  Then collect(nf, I) reads nf
+    power's base or a function's argument.  Then split(nf, (I,)) reads nf
     as A + C*I with C not 0, and with H = -A/C and (N, D) =
     ratio_normal(H), nf is 0 when
 
@@ -154,12 +154,12 @@ def integral_identity(nf: Expr, ctx: Optional[Context] = None) -> bool:
         return False
     atom = ints[0]
     try:
-        parts = collect(nf, atom)
+        parts = split(nf, (atom,))
     except CollectError:
         return False
-    if max(parts) != 1 or any(holds(p, INT) for p in parts.values()):
+    if max(parts) != (1,) or any(holds(p, INT) for p in parts.values()):
         return False
-    h = mul(MINUS_ONE, parts.get(0, ZERO), pow_(parts[1], -1))
+    h = mul(MINUS_ONE, parts.get((0,), ZERO), pow_(parts[(1,)], -1))
     base = {atom.var: rat(INT_BASE)}
     try:
         if not normal_form_is_zero(differentiate(h, atom.var, ctx) - atom.body, ctx):

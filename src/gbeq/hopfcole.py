@@ -105,7 +105,8 @@ def burgers_catalog() -> List[Tuple[Expr, Expr]]:
 
 
 def lift_transform(
-    tr: LinearTransform, tol: float = 1e-9, seed: int = 42
+    tr: LinearTransform, tol: float = 1e-9, seed: int = 42,
+    assumptions: Sequence[Tuple[str, str]] = (),
 ) -> LinzTransform:
     """The LINZ family map matching tr across the bridge.
 
@@ -114,6 +115,7 @@ def lift_transform(
     alone.
     """
     ctx = transform_context("LINEAR")
+    ctx.assume_declared(assumptions)
     v0_zero = is_zero(tr.V0, ctx, tol=tol, seed=seed)
     if not v0_zero:
         raise HopfColeObstruction(
@@ -134,6 +136,7 @@ def verify_diagram(
     solutions: Optional[Sequence[Expr]] = None,
     tol: float = 1e-9,
     seed: int = 42,
+    assumptions: Sequence[Tuple[str, str]] = (),
 ) -> VerificationReport:
     """Check that the bridge commutes with the family maps.
 
@@ -147,20 +150,22 @@ def verify_diagram(
     and compare the pushed u with 2 v~_x~ / v~.  Skipped (with a note)
     when the coordinate change has no closed-form inverse.
 
-    The LINEAR member defaults to the heat member.
+    The LINEAR member defaults to the heat member.  Each context keeps
+    the (name, flag) pairs of assumptions that name its own symbols.
     """
     if linear is None:
         linear = heat_instance()
     if linear.class_id != ClassId.LINEAR:
         raise ValueError("verify_diagram expects a LINEAR instance")
-    lifted = lift_transform(tr, tol=tol, seed=seed)
+    lifted = lift_transform(tr, tol=tol, seed=seed, assumptions=assumptions)
     linz = linearizable_from_linear(linear)
 
-    linear_res = apply_transform(tr, linear, tol=tol, seed=seed)
-    linz_res = apply_transform(lifted, linz)
+    linear_res = apply_transform(tr, linear, tol=tol, seed=seed, assumptions=assumptions)
+    linz_res = apply_transform(lifted, linz, assumptions=assumptions)
 
     ctx = _merged_context(ClassId.LINEAR, "LINEAR")
     ctx.add_function("u", ("t", "x"))
+    ctx.assume_declared(assumptions)
 
     conditions: List[ConditionReport] = []
     X_x = differentiate(tr.X, "x", ctx)
@@ -182,6 +187,7 @@ def verify_diagram(
             note = "solution face skipped: no closed-form inverse"
         else:
             sol_ctx = class_context(ClassId.LINEAR)
+            sol_ctx.assume_declared(assumptions)
             for idx, v in enumerate(solutions):
                 u = cole_hopf_solution(v, sol_ctx)
                 v_pushed = push_solution(linear_res, v, sol_ctx)
@@ -240,7 +246,9 @@ def hopf_cole_report(
     ]
     if tr is not None:
         try:
-            diag = verify_diagram(tr, linear, solutions=[v], tol=tol, seed=seed)
+            diag = verify_diagram(
+                tr, linear, solutions=[v], tol=tol, seed=seed, assumptions=assumptions
+            )
             conditions.extend(diag.conditions)
         except HopfColeObstruction as exc:
             conditions.append(

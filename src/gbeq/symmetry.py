@@ -9,10 +9,13 @@ fields on (t, x, u) space:
     e4 = d_x
     e5 = t d_x + d_u
 
-This module computes brackets and structure constants exactly, builds
-the one-parameter flows of the basis fields as exact projective tuples
-(e2 scales by exp(eps)), and decides membership of a tuple in the
-symmetry group by the criterion
+This module computes brackets exactly and reads the structure
+constants off one elimination: every basis field and every bracket is
+split by its monomials in t, x, u (simplify.split), and the rational
+system is reduced once over the basis columns.  It also builds the
+one-parameter flows of the basis fields as exact projective tuples (e2
+scales by exp(eps)), and decides membership of a tuple in the symmetry
+group by the criterion
 
     alpha delta - beta gamma = kappa^2 > 0,
 
@@ -27,9 +30,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .classes import ClassId, EquationInstance, build_pde, class_context
 from .expr import (
+    CollectError,
     Context,
     Expr,
     ONE,
+    Rat,
     ZERO,
     ZeroResult,
     as_expr,
@@ -39,11 +44,11 @@ from .expr import (
     is_zero,
     rat,
     simplify,
+    split,
     substitute,
     var,
 )
 from .expr.nodes import ExprLike
-from .expr.poly import run
 from .hopfcole import cole_hopf_solution
 from .report import ConditionReport, REJECTED, VerificationReport, combined_report, held
 from .transforms import (
@@ -54,10 +59,11 @@ from .transforms import (
 )
 
 _COORDS = ("t", "x", "u")
+_ATOMS = tuple(var(c) for c in _COORDS)
 
 
 class SymmetryError(Exception):
-    """Raised when a field leaves the polynomial setting or a solve fails."""
+    """Raised when a field leaves the polynomial setting or a basis is dependent."""
 
 
 def symmetry_context() -> Context:
@@ -117,67 +123,39 @@ def bracket(v: VectorField, w: VectorField, ctx: Optional[Context] = None) -> Ve
     return VectorField(*out)
 
 
-def expand_in_basis(
-    v: VectorField,
-    basis: Sequence[VectorField],
-    ctx: Optional[Context] = None,
-) -> List[Fraction]:
-    """Exact coefficients c with v = sum c_k basis_k, else SymmetryError.
+def _system(fields: Sequence[VectorField], ctx: Context) -> List[List[Fraction]]:
+    """One row per (component, monomial in t, x, u), in sorted order, one
+    column per field; an entry that is no exact rational raises SymmetryError."""
+    columns: List[Dict[tuple, Fraction]] = [{} for _ in fields]
+    for field, column in zip(fields, columns):
+        for i, comp in enumerate(field.components()):
+            try:
+                parts = split(simplify(comp, ctx), _ATOMS)
+            except CollectError as exc:
+                raise SymmetryError(f"{field.describe()}: {exc}") from None
+            for degrees, coeff in parts.items():
+                if not isinstance(coeff, Rat):
+                    raise SymmetryError(f"{field.describe()}: {format_expr(coeff)} is no rational")
+                column[(i, degrees)] = Fraction(coeff.value)
+    keys = sorted({key for column in columns for key in column})
+    return [[column.get(key, Fraction(0)) for column in columns] for key in keys]
 
-    Each component is expanded by one polynomial Kernel (the whole
-    expansion repeats on a wider one if an exponent outgrows it); the
-    rows of the linear system are the (component, monomial) pairs in the
-    order first seen, with the monomials as the kernel's opaque keys.
-    """
-    if ctx is None:
-        ctx = symmetry_context()
-    trees = [
-        [simplify(c, ctx) for c in field.components()] for field in list(basis) + [v]
-    ]
-    fields = run(lambda k: [[k.expand(c) for c in comps] for comps in trees])
-    keys = dict.fromkeys(
-        (i, m) for polys in fields for i, p in enumerate(polys) for m in p
-    )
-    # row r reads sum_k c_k basis_k = v at one (component, monomial) key
-    system = [[Fraction(polys[i].get(m, 0)) for polys in fields] for i, m in keys]
 
-    # solve by Gauss-Jordan elimination on a copy
-    n = len(basis)
-    m = len(system)
-    aug = [list(r) for r in system]
-    pivots: List[int] = []
-    row = 0
+def _reduce(rows: List[List[Fraction]], n: int) -> Tuple[List[List[Fraction]], List[int]]:
+    """Gauss-Jordan elimination over the first n columns, the rest riding
+    along: the reduced rows, and the pivot columns of the rows in order."""
+    aug, pivots = [list(r) for r in rows], []
     for col in range(n):
-        sel = None
-        for r in range(row, m):
-            if aug[r][col] != 0:
-                sel = r
-                break
+        row = len(pivots)
+        sel = next((r for r in range(row, len(aug)) if aug[r][col]), None)
         if sel is None:
             continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
+        aug[sel], aug[row] = aug[row], [a / aug[sel][col] for a in aug[sel]]
+        for r in range(len(aug)):
+            if r != row and (f := aug[r][col]):
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
         pivots.append(col)
-        row += 1
-    coeffs = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        coeffs[col] = aug[r][n]
-    for r in range(row, m):
-        if aug[r][n] != 0:
-            raise SymmetryError(
-                "field does not lie in the span of the basis"
-            )
-    # in exact Gauss-Jordan the zero rows below the pivots decide
-    # consistency; this re-check of the original rows guards the solve
-    for r in system:
-        if sum(a * c for a, c in zip(r, coeffs)) != r[n]:
-            raise SymmetryError("field does not lie in the span of the basis")
-    return coeffs
+    return aug, pivots
 
 
 @dataclass
@@ -218,32 +196,40 @@ def structure_constants(
 ) -> StructureTable:
     """c^k_{ij} with [e_i, e_j] = sum_k c^k_{ij} e_k, plus closure.
 
-    The basis must be linearly independent (checked over the monomial
-    coefficients); a bracket that falls outside the span is recorded
-    as a failure rather than raised.
+    The basis and the brackets of all pairs form one linear system over
+    the monomial coefficients, eliminated once over the basis columns.
+    The basis must be linearly independent: otherwise SymmetryError
+    names the first field that is a combination of the ones before it.
+    A bracket with a nonzero entry below the pivots falls outside the
+    span and is recorded as a failure rather than raised.
     """
     if basis is None:
         basis = burgers_algebra()
     ctx = symmetry_context()
-    for k in range(len(basis)):
-        try:
-            expand_in_basis(basis[k], list(basis[:k]) + list(basis[k + 1:]), ctx)
-        except SymmetryError:
-            continue
+    n = len(basis)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = [bracket(basis[i], basis[j], ctx) for i, j in pairs]
+    rows = _system([*basis, *brackets], ctx)
+    aug, pivots = _reduce(rows, n)
+    if len(pivots) < n:
+        k = next(k for k in range(n) if k not in pivots)
         raise SymmetryError(
             f"basis field {k + 1} is a combination of the others: "
             + basis[k].describe()
         )
     constants: Dict[Tuple[int, int], List[Fraction]] = {}
     failures: List[Tuple[int, int, str]] = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            br = bracket(basis[i], basis[j], ctx)
-            try:
-                constants[(i + 1, j + 1)] = expand_in_basis(br, basis, ctx)
-            except SymmetryError:
-                failures.append((i + 1, j + 1, br.describe()))
-    return StructureTable(n=len(basis), constants=constants, failures=failures)
+    for col, ((i, j), br) in enumerate(zip(pairs, brackets), start=n):
+        coeffs = [aug[r][col] for r in range(n)]
+        # in exact elimination the rows below the pivots decide the span;
+        # the re-check against the original rows guards the solve
+        if any(r[col] for r in aug[n:]) or any(
+            sum(a * c for a, c in zip(r, coeffs)) != r[col] for r in rows
+        ):
+            failures.append((i + 1, j + 1, br.describe()))
+        else:
+            constants[(i + 1, j + 1)] = coeffs
+    return StructureTable(n=n, constants=constants, failures=failures)
 
 
 def format_structure_table(table: Optional[StructureTable] = None) -> str:

@@ -95,7 +95,6 @@ from .expr import (
     add,
     app,
     as_expr,
-    collect,
     contains_var,
     differentiate,
     div,
@@ -108,6 +107,7 @@ from .expr import (
     rat,
     ratio_normal,
     simplify,
+    split,
     sqrt,
     substitute,
     var,
@@ -532,18 +532,16 @@ def _mobius_parts(T: Expr, ctx: Context) -> Optional[Tuple[Expr, Expr, Expr, Exp
     """Write T as (p t + q)/(r t + s) with coefficients constant in t, x."""
     n, d = ratio_normal(simplify(T, ctx))
     try:
-        cn, cd = collect(n, T_VAR), collect(d, T_VAR)
+        cn, cd = split(n, (T_VAR, X_VAR)), split(d, (T_VAR, X_VAR))
     except CollectError:
         return None
-    if max(cn, default=0) > 1 or max(cd, default=0) > 1:
+    if not {*cn, *cd} <= {(0, 0), (1, 0)}:
         return None
-    p = cn.get(1, ZERO)
-    q = cn.get(0, ZERO)
-    r = cd.get(1, ZERO)
-    s = cd.get(0, ZERO)
-    for coeff in (p, q, r, s):
-        if contains_var(coeff, "t") or contains_var(coeff, "x"):
-            return None
+    p, q = cn.get((1, 0), ZERO), cn.get((0, 0), ZERO)
+    r, s = cd.get((1, 0), ZERO), cd.get((0, 0), ZERO)
+    # a function symbol's signature still ties a coefficient to t or x
+    if any(contains_var(c, v) for c in (p, q, r, s) for v in "tx"):
+        return None
     det = simplify(p * s - q * r, ctx)
     if isinstance(det, Rat):
         if det.value == 0:
@@ -1043,10 +1041,10 @@ def _affine_div_of(tr: DivTransform) -> AffineDivTransform:
 
     c1 is the rational root of T's t-coefficient, the positive one.
     """
-    T, X0 = collect(tr.T, T_VAR), collect(tr.X0, T_VAR)
+    T, X0 = split(tr.T, (T_VAR,)), split(tr.X0, (T_VAR,))
     c0, c1, c2, c3 = (
         Fraction(c.value)
-        for c in (T.get(0, ZERO), sqrt(T[1]), X0.get(1, ZERO), X0.get(0, ZERO))
+        for c in (T.get((0,), ZERO), sqrt(T[(1,)]), X0.get((1,), ZERO), X0.get((0,), ZERO))
     )
     return AffineDivTransform(c0=c0, c1=c1, c2=c2, c3=c3, kappa=tr.kappa)
 
@@ -1267,8 +1265,8 @@ def parse_transform(text: str) -> Transform:
 
     A parameter the family declares no function for (eps, kappa,
     sign_Tt, tuple entries, affine constants) is an exact number; every
-    other parses as an expression in t, x with the family's own symbols
-    in scope.
+    other parses as an expression in the variables of its signature,
+    with the family's own symbols in scope.
     """
     family: Optional[str] = None
     implicit = False
@@ -1315,9 +1313,12 @@ def parse_transform(text: str) -> Transform:
                 ) from None
     # the numbers are read first, since sign_Tt sets the sign of T_t
     ctx = transform_context(family, kwargs.get("sign_Tt", 1))
-    for name in cls.signatures:
+    for name, sig in cls.signatures.items():
         if name in raw:
             kwargs[name] = parse(raw[name], ctx)
+            for v in "tx":
+                if v not in sig and contains_var(kwargs[name], v):
+                    raise TransformError(f"parameter {name}({', '.join(sig)}) cannot depend on {v}")
     missing = [n for n in expected if n not in kwargs and n not in _FAMILY_NUMBERS]
     if missing:
         raise TransformError(f"{family} needs parameters {missing}")

@@ -561,6 +561,66 @@ def test_hopf_cole_applies_assumptions_before_the_bridge(corpus, tmp_path):
     assert u_path.read_text().strip() == "2/x"
 
 
+def test_hopf_cole_transform_keeps_assumptions(corpus, tmp_path, capsys):
+    # V1 = 1 + abs(x) has a derivative only under a sign of x, so the
+    # assumption must reach the lift and both sides of the bridge square
+    tmp, files = corpus
+    tr = tmp_path / "abs.tr"
+    tr.write_text(
+        "family = LINEAR\nparam.T = t\nparam.X = x\nparam.V1 = 1 + abs(x)\nparam.V0 = 0\n"
+    )
+    argv = ["hopf-cole", str(files["heat.gbeq"]), "--v", "1", "--transform", str(tr)]
+    out = tmp_path / "rep.json"
+    assert main(argv + ["--assume", "x>0", "--out", str(out)]) == EXIT_PASS
+    rep = json.loads(out.read_text())
+    assert [c["verdict"] for c in rep["conditions"]] == ["SYMBOLIC_ZERO"] * 6
+    capsys.readouterr()
+    assert main(argv) == EXIT_INPUT
+    assert "cannot differentiate abs(x)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "family, source, target",
+    [
+        ("LINZ\nparam.X = x\nparam.U0 = 0", "class = LINZ_F\nelement.f = x\n", "LINZ_ABC"),
+        (
+            "GENERAL\nparam.X = x\nparam.U1 = 1\nparam.U0 = 0",
+            "class = BURGERS\n",
+            "SUPER",
+        ),
+    ],
+    ids=["linz-on-linz-f", "general-on-burgers"],
+)
+def test_transform_without_inverse_writes_the_pullback_class(tmp_path, family, source, target):
+    # T = t^3 + t has no closed-form inverse, so the target stays in
+    # source coordinates, in the class the pullback is in
+    tr, inst, out = tmp_path / "cubic.tr", tmp_path / "src.gbeq", tmp_path / "out.gbeq"
+    tr.write_text(f"family = {family}\nparam.T = t^3 + t\n")
+    inst.write_text(source)
+    assert main(["transform", str(tr), str(inst), "--out", str(out)]) == EXIT_PASS
+    assert out.read_text().startswith(f"class = {target}\n")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("GAUGED\nparam.T = t\nparam.X0 = x\nparam.U0 = 0", "X0(t) cannot depend on x"),
+        (
+            "GENERAL\nparam.T = t + x\nparam.X = x\nparam.U1 = 1\nparam.U0 = 0",
+            "T(t) cannot depend on x",
+        ),
+    ],
+    ids=["gauged-x0", "general-t"],
+)
+def test_parameter_outside_its_signature_is_an_input_error(tmp_path, capsys, text, message):
+    tr = tmp_path / "bad.tr"
+    tr.write_text(f"family = {text}\n")
+    assert main(["invert", str(tr), "--out", str(tmp_path / "inv.tr")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not (tmp_path / "inv.tr").exists()
+
+
 def test_verify_solution_exit_partition(corpus, tmp_path):
     tmp, files = corpus
     assert main(["verify-solution", str(files["burgers.gbeq"]), "--solution", "2/x"]) == EXIT_PASS

@@ -1,4 +1,4 @@
-"""Differentiation, substitution, and polynomial collection."""
+"""Differentiation, substitution, and splitting by polynomial coefficients."""
 
 import math
 
@@ -9,7 +9,6 @@ from gbeq.expr import (
     CollectError,
     DifferentiationError,
     app,
-    collect,
     contains_func,
     diff_n,
     differentiate,
@@ -22,6 +21,7 @@ from gbeq.expr import (
     parse,
     rat,
     simplify,
+    split,
     substitute,
     var,
 )
@@ -128,45 +128,59 @@ def test_substitute_replacements_enter_verbatim(ctx):
 
 
 @pytest.mark.parametrize(
-    "text, atom, coefficients",
+    "text, atoms, coefficients",
     [
-        ("(2 + t)*x^2 + t*x + 1/2", "x", {0: "1/2", 1: "t", 2: "2 + t"}),
-        ("t*x + (1 + t)*int(f_x, x)", "int(f_x, x)", {0: "t*x", 1: "1 + t"}),
-        ("1 + t^2", "x", {0: "1 + t^2"}),
+        ("(2 + t)*x^2 + t*x + 1/2", ["x"], {(0,): "1/2", (1,): "t", (2,): "2 + t"}),
+        ("t*x + (1 + t)*int(f_x, x)", ["int(f_x, x)"], {(0,): "t*x", (1,): "1 + t"}),
+        ("1 + t^2", ["x"], {(0,): "1 + t^2"}),
         # t's half power puts the layout on den 2, so x's field holds 2*degree
-        ("t^(1/2)*x^2 + x", "x", {1: "1", 2: "t^(1/2)"}),
+        ("t^(1/2)*x^2 + x", ["x"], {(1,): "1", (2,): "t^(1/2)"}),
         # 5000 does not fit the first layout's fields, so the call widens
-        ("x^5000 + t*x", "x", {1: "t", 5000: "1"}),
+        ("x^5000 + t*x", ["x"], {(1,): "t", (5000,): "1"}),
+        ("(1 + t)*x^2 + t^2*x", ["t", "x"], {(0, 2): "1", (1, 2): "1", (2, 1): "1"}),
+        (
+            "t*u^2*int(f_x, x) + 2*u + t^3 + f",
+            ["t", "u", "int(f_x, x)"],
+            {(0, 0, 0): "f", (0, 1, 0): "2", (1, 2, 1): "1", (3, 0, 0): "1"},
+        ),
+        ("x^2*t + 3", ["x", "u"], {(0, 0): "3", (2, 0): "t"}),
+        ("0", ["t", "x"], {(0, 0): "0"}),
     ],
-    ids=["polynomial", "int-atom", "no-occurrence", "radical-layout", "widen"],
+    ids=[
+        "polynomial", "int-atom", "no-occurrence", "radical-layout", "widen",
+        "two-atoms", "var-func-int", "absent-atom", "zero",
+    ],
 )
-def test_collect_by_degree(ctx, text, atom, coefficients):
-    co = collect(parse(text, ctx), parse(atom, ctx))
+def test_collect_by_degree(ctx, text, atoms, coefficients):
+    co = split(parse(text, ctx), [parse(a, ctx) for a in atoms])
     assert {k: format_expr(v) for k, v in co.items()} == coefficients
+    assert list(co) == sorted(co)
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "text, atoms, message",
     [
-        ("1/(1 + x)", "occurs inside"),
-        ("x^(1/2)", "non-polynomial power"),
-        ("x^(3/2)*t", "non-polynomial power"),
-        ("exp(x)*x", "occurs inside"),
+        ("1/(1 + x)", ["x"], "occurs inside"),
+        ("x^(1/2)", ["x"], "non-polynomial power"),
+        ("x^(3/2)*t", ["x"], "non-polynomial power"),
+        ("exp(x)*x", ["x"], "occurs inside"),
+        # t is split first and passes; x, the second atom, sits in exp
+        ("t*exp(x)", ["t", "x"], r"^x occurs inside exp\(x\)$"),
     ],
-    ids=["sum-base", "half-power", "fractional-power", "exp-factor"],
+    ids=["sum-base", "half-power", "fractional-power", "exp-factor", "second-atom-inside"],
 )
-def test_collect_rejects_non_polynomial(ctx, text, message):
+def test_collect_rejects_non_polynomial(ctx, text, atoms, message):
     with pytest.raises(CollectError, match=message):
-        collect(parse(text, ctx), var("x"))
+        split(parse(text, ctx), [parse(a, ctx) for a in atoms])
 
 
 def test_collect_in_function_symbol(ctx):
     u = ctx.fn("u")
     e = parse("u^2*f + u*f_x + 1", ctx)
-    co = collect(e, u)
-    assert format_expr(co[2]) == "f"
-    assert format_expr(co[1]) == "f_x"
-    assert format_expr(co[0]) == "1"
+    co = split(e, (u,))
+    assert format_expr(co[(2,)]) == "f"
+    assert format_expr(co[(1,)]) == "f_x"
+    assert format_expr(co[(0,)]) == "1"
 
 
 def test_contains_func(ctx):

@@ -17,7 +17,6 @@ from gbeq.expr import (
     SYMBOLIC_ZERO,
     SamplingError,
     Rat,
-    collect,
     differentiate,
     exp,
     func,
@@ -27,6 +26,7 @@ from gbeq.expr import (
     parse,
     pow_,
     rat,
+    split,
     substitute,
     var,
 )
@@ -137,7 +137,7 @@ def test_stand_ins_obey_sign_assumptions(ctx):
 def test_constrained_stand_in_and_its_check():
     # the x^2 coefficient carries the sign of f_xx, halved as f_xx doubles it
     p = _random_standin(random.Random(5), ("t", "x"), {(0, 2): NEGATIVE})
-    c = collect(p, var("x"))[2]
+    c = split(p, (var("x"),))[(2,)]
     assert isinstance(c, Rat) and -0.7 <= c.value <= -0.45
     ev = Evaluator(bindings={"f": rat(1) - var("x")})
     funcs = {"f": ("t", "x")}

@@ -10,6 +10,7 @@ from gbeq.expr import (
     ONE,
     ZERO,
     ZeroResult,
+    exp,
     format_expr,
     is_zero,
     ln,
@@ -18,6 +19,7 @@ from gbeq.expr import (
     var,
 )
 from gbeq.symmetry import (
+    SymmetryError,
     VectorField,
     bracket,
     burgers_algebra,
@@ -63,6 +65,46 @@ def test_structure_constants_close():
         coeffs = tab.coefficients(i, j)
         got = {k + 1: c for k, c in enumerate(coeffs) if c != 0}
         assert got == {k: Fraction(v) for k, v in want.items()}, (i, j)
+
+
+def test_structure_constants_reproduce_every_bracket():
+    basis = burgers_algebra()
+    tab = structure_constants(basis)
+    for i, j in itertools.combinations(range(1, 6), 2):
+        br = bracket(basis[i - 1], basis[j - 1])
+        for k, comp in enumerate(br.components()):
+            combo = sum(
+                (rat(c) * e.components()[k] for c, e in zip(tab.coefficients(i, j), basis)),
+                ZERO,
+            )
+            assert is_zero(combo - comp).verdict == "SYMBOLIC_ZERO", (i, j, k)
+
+
+def test_dependent_basis_names_its_first_dependent_field():
+    t, x = var("t"), var("x")
+    basis = [
+        VectorField(ONE, ZERO, ZERO),
+        VectorField(ZERO, ONE, ZERO),
+        VectorField(t, x, ZERO),
+        VectorField(rat(2), rat(3), ZERO),
+    ]
+    with pytest.raises(SymmetryError, match=r"^basis field 4 is a combination"):
+        structure_constants(basis)
+
+
+def test_bracket_outside_the_span_is_a_failure():
+    x = var("x")
+    tab = structure_constants([VectorField(ZERO, ONE, ZERO), VectorField(ZERO, x * x, ZERO)])
+    assert not tab.closed
+    assert tab.constants == {}
+    assert tab.failures == [(1, 2, "(2*x) d_x")]
+
+
+def test_field_that_is_no_rational_polynomial_is_refused():
+    t = var("t")
+    for comp, message in ((exp(t), "t occurs inside exp"), (var("a") * t, "a is no rational")):
+        with pytest.raises(SymmetryError, match=message):
+            structure_constants([VectorField(ONE, ZERO, ZERO), VectorField(comp, ZERO, ZERO)])
 
 
 def test_structure_table_formats():
