@@ -44,6 +44,7 @@ from .expr import (
     add,
     contains_func,
     contains_var,
+    diff_n,
     differentiate,
     format_expr,
     func,
@@ -216,11 +217,7 @@ def check_membership(
         conditions.append(ConditionReport.of("f must not depend on x", zr))
 
     if inst.class_id == ClassId.GBE_DIV_NONDEG:
-        fxxx = differentiate(
-            differentiate(differentiate(inst.elements["f"], "x", ctx), "x", ctx),
-            "x",
-            ctx,
-        )
+        fxxx = diff_n(inst.elements["f"], "x", 3, ctx)
         zr = is_zero(fxxx, ctx, tol=tol, seed=seed)
         conditions.append(
             ConditionReport.of("f_xxx must not vanish", zr, ok=zr.verdict == NONZERO)

@@ -16,7 +16,8 @@ Exit status partitions the outcomes:
        expressions or undefined arithmetic such as 1/0 (reported
        with their position), abs or sign that must be differentiated
        without a sign assumption, an expression with no valid sample
-       point in the sampled box (such as ln(-1-x^2)), a candidate that
+       point in the sampled box, whose signs follow --assume (such as
+       ln(-1-x^2), or x^(1/2) with --assume 'x<0'), a candidate that
        divides by zero, takes the log of a rational at most 0 or an
        even root of a negative rational wherever the assumptions
        hold, a transform whose T does not depend on t, a --tol that
@@ -70,7 +71,7 @@ from .expr import (
     parse,
 )
 from .report import REJECTED, VerificationReport, rejected_report
-from .verify import VerifyError, residual, transport_check
+from .verify import residual, transport_check
 
 if TYPE_CHECKING:
     from .degdiv import DegDivQuadrature
@@ -715,7 +716,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not 0.0 <= getattr(args, "tol", 0.0) < math.inf:
             raise InputError(f"--tol {args.tol!r}: need a finite number >= 0")
         return args.handler(args)
-    except (InputError, ExprError, ClassError, VerifyError) as exc:
+    except (InputError, ExprError, ClassError) as exc:
         print(f"gbeq {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -191,8 +191,7 @@ def _subst_node(
             return e.rebuild(lambda a: _substituted(a, mapping, ctx, memo))
         deriv = rep
         for name, count in zip(e.argnames, e.didx):
-            for _ in range(count):
-                deriv = differentiate(deriv, name, ctx)
+            deriv = diff_n(deriv, name, count, ctx)
         if e.args is None:
             return deriv
         new_args = tuple(_substituted(a, mapping, ctx, memo) for a in e.args)

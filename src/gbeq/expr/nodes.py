@@ -645,7 +645,7 @@ def mul(*factors: ExprLike) -> Expr:
     return _make_mul(coeff, tuple(powers))
 
 
-def _int_root_split(n: int, root: int) -> Iterable[Tuple[int, int]]:
+def _int_root_split(n: int) -> Iterable[Tuple[int, int]]:
     """Factor n >= 2 into primes, yielding (prime, multiplicity)."""
     m = n
     p = 2
@@ -696,7 +696,7 @@ def _rat_power_parts(value: RationalLike, exponent: Fraction) -> tuple:
         if n > 10**12:
             parts.append((rat(n), exponent * e_sign))
             continue
-        for p, k in _int_root_split(n, exponent.denominator):
+        for p, k in _int_root_split(n):
             total = exponent * k * e_sign
             whole = total.numerator // total.denominator
             fracpart = total - whole

@@ -27,7 +27,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from .calculus import differentiate
+from .calculus import diff_n
 from .nodes import (
     INT_BASE,
     MEMO_SIZE,
@@ -99,8 +99,7 @@ class Evaluator:
         if tape is None:
             deriv = binding
             for argname, count in zip(e.argnames, e.didx):
-                for _ in range(count):
-                    deriv = differentiate(deriv, argname)
+                deriv = diff_n(deriv, argname, count)
             tape = self._deriv_cache[key] = _tape(deriv)
         return tape
 

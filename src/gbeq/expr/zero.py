@@ -7,18 +7,20 @@ normal form is not zero, one exact stage follows: integral_identity
 splits an expression linear in a single antiderivative atom I as
 A + C*I (simplify.split) and proves it zero by differentiating -A/C
 (the antiderivative rule).  What that stage does not decide is
-sampled: either per jet coordinate, treating each derivative atom as
-an independent unknown, or, when function symbols appear with explicit
-arguments or under antiderivatives, by binding every symbol to a
-random polynomial stand-in so that all occurrences stay consistent.
-is_zero and gbeq.verify.residual run the same stages in the same order.
+sampled by sampled_verdict: either per jet coordinate, treating each
+derivative atom as an independent unknown, or, when function symbols
+appear with explicit arguments or under antiderivatives, by binding
+every symbol to a random polynomial stand-in so that all occurrences
+stay consistent.  is_zero and gbeq.verify.residual run the same
+stages in the same order, and the same sampler.
 
-Both stages, and the residual sampler of gbeq.verify, run one loop,
-sample_zero: a seeded draw function proposes points, the loop skips
-points that cannot be evaluated, applies a relative-tolerance test to
-the sum of the terms, and stops at the first point that fails it.  The
-box (MAGNITUDE) and the count (SAMPLES) are fixed, so only the seed
-moves the points.
+Every draw runs one loop, sample_zero: a seeded draw function proposes
+points, the loop skips points that cannot be evaluated, applies a
+relative-tolerance test to the sum of the terms, and stops at the first
+point that fails it.  The box (MAGNITUDE), the count (SAMPLES) and the
+attempt budget (ATTEMPTS) are fixed, and a coordinate takes the sign
+the context gives it, so only the seed and the context's signs move
+the points.
 """
 
 from __future__ import annotations
@@ -70,9 +72,11 @@ NONZERO = "NONZERO"
 
 # Every sampled coordinate has a magnitude in MAGNITUDE, of either sign
 # unless the context fixes it, and a NUMERIC_ZERO verdict rests on
-# SAMPLES points: one box and one count for every sampler.
+# SAMPLES points, drawn in at most ATTEMPTS tries: one box, one count and
+# one budget for every draw.
 MAGNITUDE = (0.1, 2.0)
 SAMPLES = 30
+ATTEMPTS = 30 * SAMPLES
 
 
 @dataclass
@@ -121,6 +125,10 @@ def is_zero(
     nf = normal_form(e, ctx)
     if nf == ZERO or integral_identity(nf, ctx):
         return ZeroResult(SYMBOLIC_ZERO, nf, tol, seed)
+    if isinstance(nf, Rat):
+        # a nonzero constant is decided exactly, whatever the tolerance
+        value = Evaluator()(nf, {})
+        return ZeroResult(NONZERO, nf, tol, seed, samples=[({}, value)], max_abs=abs(value))
     return sampled_verdict(nf, ctx, tol, seed)
 
 
@@ -224,25 +232,23 @@ def _rational(e: Expr) -> bool:
 def sampled_verdict(e: Expr, ctx: Optional[Context], tol: float, seed: int) -> ZeroResult:
     """The numeric stage of is_zero, for an e already known not to be symbolically 0.
 
-    Constants are graded directly; otherwise e is sampled per jet
-    coordinate, or with polynomial stand-ins when symbols appear with
-    explicit arguments or under antiderivatives.
+    e is sampled per jet coordinate, or with polynomial stand-ins when
+    symbols appear with explicit arguments or under antiderivatives;
+    either way each coordinate takes the sign ctx gives it.  A constant
+    e is graded like any other expression, within tolerance, so a
+    float-contaminated candidate whose residual is a tiny constant
+    still reads NUMERIC_ZERO.
     """
-    if isinstance(e, Rat):
-        value = Evaluator()(e, {})
-        return ZeroResult(
-            NONZERO, e, tol, seed, samples=[({}, value)], max_abs=abs(value)
-        )
     rng = random.Random(seed)
     if holds(e, INT | APPLIED):
         result = sample_zero(
-            e, _standin_draw(e, ctx, rng), SAMPLES * 30,
+            e, _standin_draw(e, ctx, rng),
             SamplingError("could not draw valid stand-in rounds"), tol, seed,
         )
         result.note = "stand-in sampling"
         return result
     return sample_zero(
-        e, _jet_draw(e, ctx, rng), SAMPLES * 20,
+        e, _jet_draw(e, ctx, rng),
         SamplingError("could not draw valid sample points"), tol, seed,
     )
 
@@ -266,7 +272,6 @@ Draw = Callable[[], Optional[Tuple[Evaluator, Dict[str, float]]]]
 def sample_zero(
     e: Expr,
     draw: Draw,
-    max_attempts: int,
     failure: Exception,
     tol: float,
     seed: int,
@@ -275,7 +280,7 @@ def sample_zero(
 
     draw returns an evaluator and the point to evaluate at, or None to
     reject the draw; points where a term raises EvalError are skipped
-    as well.  Once max_attempts draws have not produced enough points,
+    as well.  Once ATTEMPTS draws have not produced enough points,
     an exception of failure's type is raised, its message failure's
     with the last point's EvalError appended, so the report says what
     failed.  A point passes when the sum of the terms stays within tol
@@ -290,7 +295,7 @@ def sample_zero(
     error: Optional[EvalError] = None
     while len(samples) < SAMPLES:
         attempts += 1
-        if attempts > max_attempts:
+        if attempts > ATTEMPTS:
             if error is None:
                 raise failure
             raise type(failure)(f"{failure} (last: {error})")

@@ -19,15 +19,12 @@ samples, so a witnessed residual grades exactly as before.  A residual
 whose normal form is not 0 then goes through the exact stage is_zero
 runs next, the antiderivative rule (gbeq.expr.zero.integral_identity):
 a residual linear in one antiderivative atom is proved 0 by
-differentiating it, and reads SYMBOLIC_ZERO.  Only what that leaves is
-sampled, always in one box and on one count, both fixed in
-gbeq.expr.zero: every coordinate has a magnitude in MAGNITUDE and
-either sign, and a verdict rests on SAMPLES points.
-Function-free residuals are sampled through the sampling loop of
-is_zero (gbeq.expr.zero.sample_zero); residuals with opaque symbols go
-through the numeric stage of is_zero (sampled_verdict), since the
-residual's normal form is already known not to be 0.  The seed alone
-picks the points, so identical inputs and seed give identical reports.
+differentiating it, and reads SYMBOLIC_ZERO.  What that leaves goes
+through the numeric stage of is_zero (gbeq.expr.zero.sampled_verdict),
+with its box, count and attempt budget, and with the signs that the
+member's context and the assumptions give each coordinate.  The seed
+and those signs alone pick the points, so identical inputs and seed
+give identical reports.
 
 transport_check alone needs gbeq.transforms and imports it in its
 body, so a residual check never loads the transformation layer.
@@ -35,21 +32,17 @@ body, so a residual check never loads the transformation layer.
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple, Union
 
 from .classes import CLASS_SPECS, EquationInstance, build_pde
 from .expr import (
-    Evaluator,
     Expr,
     ExprError,
     NONZERO,
     Pow,
     Rat,
     SYMBOLIC_ZERO,
-    Var,
     ZERO,
-    atoms_of,
     format_expr,
     is_zero,
     normal_form,
@@ -59,9 +52,7 @@ from .expr import (
     walk,
 )
 from .expr.nodes import APP, FUNC, INT, holds
-from .expr.zero import (
-    MAGNITUDE, SAMPLES, Draw, integral_identity, sample_zero, sampled_verdict,
-)
+from .expr.zero import integral_identity, sampled_verdict
 from .report import (
     ConditionReport,
     REJECTED,
@@ -73,13 +64,6 @@ from .report import (
 
 if TYPE_CHECKING:
     from .transforms import ImplicitInverseOf, Transform
-
-# the box's two halves: a draw picks one, then a point inside it
-_PIECES = ((-MAGNITUDE[1], -MAGNITUDE[0]), MAGNITUDE)
-
-
-class VerifyError(Exception):
-    """Raised when sampling cannot produce the requested points."""
 
 
 def residual(
@@ -96,10 +80,12 @@ def residual(
     residual linear in one integral atom 0.  Otherwise the residual is
     judged by its sampled values, so approximate (float-contaminated)
     candidates that track a true solution to within tolerance still
-    earn NUMERIC_ZERO.  When the member's elements are opaque symbols
-    the stand-in machinery of is_zero samples them; (name, flag)
-    assumptions constrain how those symbols simplify and sample, and a
-    pair naming no symbol of the member's class is left out.
+    earn NUMERIC_ZERO.  The sampling is is_zero's numeric stage: when
+    the member's elements are opaque symbols its stand-in machinery
+    samples them.  (name, flag) assumptions constrain how the member's
+    symbols and variables simplify and sample, so every point honours
+    the signs they give, and a pair naming no symbol of the member's
+    class is left out.
     """
     ctx = inst.context()
     ctx.assume_declared(assumptions)
@@ -129,25 +115,19 @@ def residual(
             seed=seed,
             summary="residual reduced to 0 symbolically",
         )
+    zr = sampled_verdict(res_expr, ctx, tol, seed)
     if holds(res_expr, APP | FUNC | INT):
-        zr = sampled_verdict(res_expr, ctx, tol, seed)
         summary = "opaque symbols present; " + zr.summary()
-    else:
-        zr = sample_zero(
-            res_expr, _domain_draw(res_expr, random.Random(seed)), SAMPLES * 50,
-            VerifyError("could not draw enough valid points for the residual"),
-            tol, seed,
+    elif zr.verdict == NONZERO:
+        point, total = zr.samples[-1]
+        summary = f"residual nonzero: |{total:.6g}| at " + ", ".join(
+            f"{k} = {v:.6g}" for k, v in sorted(point.items())
         )
-        if zr.verdict == NONZERO:
-            point, total = zr.samples[-1]
-            summary = f"residual nonzero: |{total:.6g}| at " + ", ".join(
-                f"{k} = {v:.6g}" for k, v in sorted(point.items())
-            )
-        else:
-            summary = (
-                f"residual within tolerance on {len(zr.samples)} points "
-                f"(max |value| {zr.max_abs:.3g})"
-            )
+    else:
+        summary = (
+            f"residual within tolerance on {len(zr.samples)} points "
+            f"(max |value| {zr.max_abs:.3g})"
+        )
     return VerificationReport(
         verdict=zr.verdict,
         residual_text=format_expr(res_expr),
@@ -156,21 +136,6 @@ def residual(
         summary=summary,
         samples=list(zr.samples),
     )
-
-
-def _domain_draw(e: Expr, rng: random.Random) -> Draw:
-    """Points of the box in e's variables: magnitudes in MAGNITUDE, either sign."""
-    names = sorted({a.name for a in atoms_of(e) if isinstance(a, Var)})
-    ev = Evaluator()
-
-    def draw() -> Tuple[Evaluator, Dict[str, float]]:
-        point = {}
-        for name in names:
-            lo, hi = rng.choice(_PIECES)
-            point[name] = rng.uniform(lo, hi)
-        return ev, point
-
-    return draw
 
 
 def transport_check(

@@ -727,19 +727,23 @@ def test_underivable_solution_is_an_input_error(corpus, capsys, solution):
 
 
 @pytest.mark.parametrize(
-    "solution, message",
+    "solution, message, assume",
     [
-        ("ln(-1-x^2)", "could not draw valid sample points (last: ln of a non-positive value)"),
-        ("(-1-x^2)^(1/2)", "could not draw enough valid points for the residual "
-         "(last: negative base -4.768620327737803 under even root)"),
+        ("ln(-1-x^2)", "could not draw valid sample points (last: ln of a non-positive value)", []),
+        ("(-1-x^2)^(1/2)", "could not draw valid sample points "
+         "(last: negative base -1.5747014742232923 under even root)", []),
+        # defined only at x >= 0, which the assumption rules out: the box
+        # once ignored it and graded the residual at x = 0.565
+        ("x^(1/2)", "could not draw valid sample points "
+         "(last: negative base -1.1921426673394258 under even root)", ["--assume", "x<0"]),
     ],
 )
 def test_solution_without_valid_sample_points_is_an_input_error(
-    corpus, capsys, solution, message
+    corpus, capsys, solution, message, assume
 ):
     # no real point makes the solution defined, so nothing can be sampled
     tmp, files = corpus
-    argv = ["verify-solution", str(files["burgers.gbeq"]), "--solution", solution]
+    argv = ["verify-solution", str(files["burgers.gbeq"]), "--solution", solution, *assume]
     assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err == f"gbeq verify-solution: {message}\n"
@@ -877,6 +881,22 @@ def test_solution_can_come_from_a_file(corpus, capsys):
     ])
     assert code == EXIT_PASS
     assert json.loads(capsys.readouterr().out)["verdict"] == "SYMBOLIC_ZERO"
+
+
+def test_nonzero_witness_honours_the_assumption(corpus, tmp_path):
+    # the witness point was once drawn at either sign, whatever --assume
+    # said: x = -1.952 here
+    tmp, files = corpus
+    out = tmp_path / "rep.json"
+    argv = [
+        "verify-solution", str(files["burgers.gbeq"]), "--solution", "x",
+        "--assume", "x>0", "--out", str(out),
+    ]
+    assert main(argv) == EXIT_MATH
+    report = strict_json(out.read_text())
+    assert report["verdict"] == "NONZERO"
+    assert all(s["point"]["x"] > 0 for s in report["samples"])
+    assert float(report["summary"].rsplit("x = ", 1)[1]) > 0
 
 
 def test_repeated_runs_are_byte_identical(corpus, tmp_path):

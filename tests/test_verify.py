@@ -10,11 +10,11 @@ import pytest
 from gbeq.classes import ClassId, EquationInstance, class_context, parse_instance
 from gbeq.expr import (
     NEGATIVE, NONZERO, NUMERIC_ZERO, POSITIVE, SYMBOLIC_ZERO, ZERO, ExprError,
-    format_expr, normal_form, parse, rat, var,
+    format_expr, is_zero, normal_form, parse, rat, var,
 )
 from gbeq.expr.nodes import DivisionByZero
 from gbeq.expr.poly import Kernel
-from gbeq.expr.zero import integral_identity
+from gbeq.expr.zero import integral_identity, sampled_verdict
 from gbeq.report import worst_verdict
 from gbeq.symmetry import solution_catalog
 from gbeq.transforms import (
@@ -61,13 +61,54 @@ def test_report_is_deterministic():
 
 
 def test_residual_samples_inside_the_box():
-    # 2/x is singular at 0; every coordinate keeps a magnitude of 0.1 to 2
-    rep = residual(BURGERS, parse("2/x + 1/10^15", BCTX))
-    assert rep.verdict == "NUMERIC_ZERO"
-    assert len(rep.samples) == 30
-    for point, _ in rep.samples:
-        assert set(point) == {"x"}
-        assert 0.1 <= abs(point["x"]) <= 2.0
+    # 2/x is singular at 0; every coordinate keeps a magnitude of 0.1 to 2,
+    # and the sign the assumptions give it (once half the points of x > 0
+    # fell at x < 0)
+    for assumptions, signs in [
+        ([], {1, -1}), ([("x", POSITIVE)], {1}), ([("x", NEGATIVE)], {-1}),
+    ]:
+        rep = residual(BURGERS, parse("2/x + 1/10^15", BCTX), assumptions=assumptions)
+        assert rep.verdict == "NUMERIC_ZERO"
+        assert len(rep.samples) == 30
+        for point, _ in rep.samples:
+            assert set(point) == {"x"}
+            assert 0.1 <= abs(point["x"]) <= 2.0
+        assert {1 if point["x"] > 0 else -1 for point, _ in rep.samples} == signs
+
+
+@pytest.mark.parametrize(
+    "text, assumptions, seed",
+    [
+        ("x", [], 42),
+        ("x", [("x", POSITIVE)], 7),
+        ("2/x + 1/10^15", [("x", NEGATIVE)], 42),
+        ("x^2*t + 2/x", [], 3),
+        ("(x + t)^(1/2)", [("t", POSITIVE), ("x", POSITIVE)], 5),
+    ],
+)
+def test_residual_samples_through_the_numeric_stage_of_is_zero(text, assumptions, seed):
+    # a function-free residual is sampled by is_zero's own numeric stage:
+    # the same points and values for the same residual, context and seed
+    ctx = BURGERS.context()
+    ctx.assume_declared(assumptions)
+    res = residual_expr(BURGERS, parse(text, ctx), ctx)
+    rep = residual(BURGERS, parse(text, BCTX), seed=seed, assumptions=assumptions)
+    zr = sampled_verdict(res, ctx, 1e-9, seed)
+    assert rep.verdict == zr.verdict
+    assert rep.samples == zr.samples
+
+
+def test_constant_residual_is_graded_within_tolerance():
+    # u = -t solves u_t + 1 = 0; a float-contaminated candidate leaves the
+    # constant residual 10^-11, which the tolerance accepts, while is_zero
+    # still decides that exact constant NONZERO
+    inst = parse_instance("class = SUPER\nelement.F = 1\nelement.H1 = u\nelement.H0 = 1\n")
+    ctx = inst.context()
+    rep = residual(inst, parse("-0.99999999999*t", ctx))
+    assert rep.verdict == NUMERIC_ZERO
+    assert rep.residual_text == "1/100000000000"
+    assert rep.samples == [({}, 1e-11)] * 30
+    assert is_zero(rat(Fraction(1, 10**11)), ctx).verdict == NONZERO
 
 
 def test_push_solution_through_closed_map():
