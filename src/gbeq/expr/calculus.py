@@ -67,32 +67,16 @@ def _derived(e: Expr, wrt: str, ctx: Optional[Context], memo: Dict[Expr, Expr]) 
 
 def _diff_node(e: Expr, wrt: str, ctx: Optional[Context], memo: Dict[Expr, Expr]) -> Expr:
     """differentiate of one node, its children differentiated through the memo."""
-    if isinstance(e, Rat):
+    cls = e.__class__
+    if cls is Rat:
         return ZERO
-    if isinstance(e, Var):
+    if cls is Var:
         return ONE if e.name == wrt else ZERO
-    if isinstance(e, Func):
-        if e.args is None:
-            if wrt not in e.argnames:
-                return ZERO
-            i = e.argnames.index(wrt)
-            didx = e.didx[:i] + (e.didx[i] + 1,) + e.didx[i + 1 :]
-            return Func(e.name, e.argnames, didx, None)
-        parts = []
-        for i, a in enumerate(e.args):
-            da = _derived(a, wrt, ctx, memo)
-            if da == ZERO:
-                continue
-            didx = e.didx[:i] + (e.didx[i] + 1,) + e.didx[i + 1 :]
-            parts.append(mul(Func(e.name, e.argnames, didx, e.args), da))
-        return add(*parts)
-    if isinstance(e, Add):
-        return add(*[_derived(t, wrt, ctx, memo) for t in e.terms])
-    if isinstance(e, Mul):
+    if cls is Mul:
         parts = []
         for i, (b, ex) in enumerate(e.powers):
             db = _derived(b, wrt, ctx, memo)
-            if db == ZERO:
+            if db is ZERO:
                 continue
             rest = [(b2, ex2) for j, (b2, ex2) in enumerate(e.powers) if j != i]
             factor = mul(
@@ -103,14 +87,31 @@ def _diff_node(e: Expr, wrt: str, ctx: Optional[Context], memo: Dict[Expr, Expr]
             )
             parts.append(factor)
         return mul(rat(e.coeff), add(*parts)) if parts else ZERO
-    if isinstance(e, Pow):
+    if cls is Add:
+        return add(*[_derived(t, wrt, ctx, memo) for t in e.terms])
+    if cls is Func:
+        if e.args is None:
+            if wrt not in e.argnames:
+                return ZERO
+            i = e.argnames.index(wrt)
+            didx = e.didx[:i] + (e.didx[i] + 1,) + e.didx[i + 1 :]
+            return Func(e.name, e.argnames, didx, None)
+        parts = []
+        for i, a in enumerate(e.args):
+            da = _derived(a, wrt, ctx, memo)
+            if da is ZERO:
+                continue
+            didx = e.didx[:i] + (e.didx[i] + 1,) + e.didx[i + 1 :]
+            parts.append(mul(Func(e.name, e.argnames, didx, e.args), da))
+        return add(*parts)
+    if cls is Pow:
         db = _derived(e.base, wrt, ctx, memo)
-        if db == ZERO:
+        if db is ZERO:
             return ZERO
         return mul(rat(e.exponent), pow_(e.base, e.exponent - 1), db)
-    if isinstance(e, App):
+    if cls is App:
         da = _derived(e.arg, wrt, ctx, memo)
-        if da == ZERO:
+        if da is ZERO:
             return ZERO
         if e.fn == "exp":
             return mul(e, da)
@@ -137,7 +138,7 @@ def _diff_node(e: Expr, wrt: str, ctx: Optional[Context], memo: Dict[Expr, Expr]
             raise DifferentiationError(
                 f"cannot differentiate sign({e.arg!r}) without a nonzero assumption"
             )
-    if isinstance(e, Int):
+    if cls is Int:
         if e.var == wrt:
             return e.body
         return integral(_derived(e.body, wrt, ctx, memo), e.var)
@@ -178,9 +179,10 @@ def _subst_node(
     e: Expr, mapping: Dict[str, Expr], ctx: Optional[Context], memo: Dict[Expr, Expr]
 ) -> Expr:
     """substitute of one node, its children substituted through the memo."""
-    if isinstance(e, Var):
+    cls = e.__class__
+    if cls is Var:
         return mapping.get(e.name, e)
-    if isinstance(e, Func):
+    if cls is Func:
         rep = mapping.get(e.name)
         if rep is None:
             if e.args is None and any(n in mapping for n in e.argnames):
@@ -197,9 +199,9 @@ def _subst_node(
         new_args = tuple(_substituted(a, mapping, ctx, memo) for a in e.args)
         # a new mapping, so a memo of its own
         return substitute(deriv, dict(zip(e.argnames, new_args)), ctx)
-    if isinstance(e, Int) and e.var in mapping:
+    if cls is Int and e.var in mapping:
         rep = mapping[e.var]
-        if not isinstance(rep, Var):
+        if rep.__class__ is not Var:
             raise SubstitutionError(
                 f"cannot substitute a non-variable for the antiderivative "
                 f"variable {e.var}"

@@ -23,8 +23,9 @@ Every rational a node stores (Rat.value, Mul.coeff, Mul and Pow
 exponents) is a plain int when it is integral and a Fraction only
 otherwise, so the common integer case never pays for Fraction
 arithmetic, hashing or comparison; the intern table keys a Fraction by
-its (numerator, denominator) pair.  Integer powers of rationals go
-through _rat_int_power, because int ** -n is a float.
+its (numerator, denominator) pair, and a product with no Fraction in it
+by its sort key.  Integer powers of rationals go through _rat_int_power,
+because int ** -n is a float.
 
 Rewrites that are only valid under positivity or nonvanishing
 assumptions are *not* performed here; see simplify.simplify, which
@@ -53,12 +54,20 @@ arguments.  The bound is set by peak RSS, since the caches keep their
 argument and result trees alive: 1024 entries add under 2 MB to the
 peak RSS of each benchmark workload, 16384 took sweep-light from 37 to
 65 MB.
+
+The eight node classes are final: none has a subclass, and no other
+class derives from Expr.  The constructors, the calculus walkers and
+the polynomial kernel dispatch on node.__class__ is Mul (and so on), an
+identity test, where isinstance would walk the class hierarchy on every
+node; a subclass would fall through those tests unseen.  A number
+argument of add, mul or pow_ goes through as_expr, which refuses floats.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 from weakref import ref
 
@@ -105,36 +114,37 @@ class Expr:
 
     __slots__ = ("_key", "_summary", "__weakref__")
 
-    # Arithmetic sugar so formula code reads like the mathematics.
+    # Arithmetic sugar so formula code reads like the mathematics; add and
+    # mul coerce a number operand themselves.
     def __add__(self, other: "ExprLike") -> "Expr":
-        return add(self, as_expr(other))
+        return add(self, other)
 
     def __radd__(self, other: "ExprLike") -> "Expr":
-        return add(as_expr(other), self)
+        return add(other, self)
 
     def __sub__(self, other: "ExprLike") -> "Expr":
-        return add(self, mul(rat(-1), as_expr(other)))
+        return add(self, mul(MINUS_ONE, other))
 
     def __rsub__(self, other: "ExprLike") -> "Expr":
-        return add(as_expr(other), mul(rat(-1), self))
+        return add(other, mul(MINUS_ONE, self))
 
     def __mul__(self, other: "ExprLike") -> "Expr":
-        return mul(self, as_expr(other))
+        return mul(self, other)
 
     def __rmul__(self, other: "ExprLike") -> "Expr":
-        return mul(as_expr(other), self)
+        return mul(other, self)
 
     def __truediv__(self, other: "ExprLike") -> "Expr":
-        return div(self, as_expr(other))
+        return div(self, other)
 
     def __rtruediv__(self, other: "ExprLike") -> "Expr":
-        return div(as_expr(other), self)
+        return div(other, self)
 
     def __pow__(self, other: RationalLike) -> "Expr":
         return pow_(self, other)
 
     def __neg__(self) -> "Expr":
-        return mul(rat(-1), self)
+        return mul(MINUS_ONE, self)
 
     def __lt__(self, other: "Expr") -> bool:
         return self._key < other._key  # the canonical order (module docstring)
@@ -376,13 +386,20 @@ class Mul(Expr):
     __slots__ = ("coeff", "powers")
 
     def __new__(cls, coeff: RationalLike, powers: Tuple[Tuple[Expr, RationalLike], ...]):
-        key = (_KIND_MUL, _q(coeff)) + tuple([(b, _q(e)) for b, e in powers])
+        # the sort key is the intern key too, unless it holds a Fraction
+        sort_key = key = (_KIND_MUL, coeff) + powers
+        for _, e in powers:
+            if e.__class__ is not int:
+                key = None
+                break
+        if key is None or coeff.__class__ is not int:
+            key = (_KIND_MUL, _q(coeff)) + tuple([(b, _q(e)) for b, e in powers])
         node = _live(key)
         if node is None:
             summary = 0
             for b, _ in powers:
                 summary |= b._summary
-            node = _intern(cls, key, (_KIND_MUL, coeff) + powers, summary)
+            node = _intern(cls, key, sort_key, summary)
             node.coeff, node.powers = coeff, powers
         return node
 
@@ -391,6 +408,11 @@ class Mul(Expr):
 
     def rebuild(self, f: Callable[[Expr], Expr]) -> Expr:
         return mul(rat(self.coeff), *[pow_(f(b), ex) for b, ex in self.powers])
+
+
+# the node classes; none has a subclass, so the hot paths below dispatch
+# on a node's __class__
+_NODE_CLASSES = frozenset((Rat, Var, Func, App, Int, Pow, Add, Mul))
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +482,11 @@ def _as_coeff_powers(
     e: Expr,
 ) -> Tuple[RationalLike, Tuple[Tuple[Expr, RationalLike], ...]]:
     """Split a canonical node into (coefficient, monomial)."""
-    if isinstance(e, Rat):
-        return e.value, ()
-    if isinstance(e, Mul):
+    cls = e.__class__
+    if cls is Mul:
         return e.coeff, e.powers
+    if cls is Rat:
+        return e.value, ()
     return 1, ((e, 1),)
 
 
@@ -473,56 +496,66 @@ def add(*terms: ExprLike) -> Expr:
 
     A term that merges with no other is kept as the same object.
     """
+    const = 0
     # monomial -> (summed coefficient, the term itself while it is alone)
     acc: dict = {}
-    const = 0
-    stack = [as_expr(t) for t in terms]
-    stack.reverse()
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Add):
-            stack.extend(reversed(node.terms))
-            continue
-        if isinstance(node, Rat):
-            const += node.value
-            continue
-        coeff, powers = _as_coeff_powers(node)
-        prev = acc.get(powers)
-        acc[powers] = (coeff, node) if prev is None else (prev[0] + coeff, None)
-    out = []
-    for powers, (coeff, node) in acc.items():
-        if node is not None:
-            out.append(node)
-        elif coeff != 0:
-            out.append(_make_mul(coeff, powers))
-    if const != 0:
-        out.append(rat(const))
-    if not out:
-        return ZERO
-    if len(out) == 1:
-        return out[0]
-    out.sort(key=_term_order)
-    return Add(tuple(out))
+    for term in terms:
+        for node in term.terms if term.__class__ is Add else (term,):
+            cls = node.__class__
+            if cls is Mul:
+                coeff, powers = node.coeff, node.powers
+            elif cls is Rat:
+                const += node.value
+                continue
+            elif cls is Add:  # a sum built raw holds a sum: flatten a level
+                return add(*[n for s in terms for n in (s.terms if s.__class__ is Add else (s,))])
+            elif cls in _NODE_CLASSES:
+                coeff, powers = 1, ((node, 1),)
+            else:
+                const += as_expr(node).value  # a number, or a TypeError
+                continue
+            prev = acc.get(powers)
+            acc[powers] = (coeff, node) if prev is None else (prev[0] + coeff, None)
+    # a constant sorts first: its monomial () precedes every other
+    out = [rat(const)] if const != 0 else []
+    items = sorted(acc.items(), key=_first) if len(acc) > 1 else acc.items()
+    for powers, (coeff, node) in items:
+        if node is None:
+            if coeff == 0:
+                continue
+            node = _make_mul(coeff, powers)
+        out.append(node)
+    if len(out) > 1:
+        return Add(tuple(out))
+    return out[0] if out else ZERO
+
+
+_first = itemgetter(0)
 
 
 def _term_order(term: Expr) -> tuple:
     """Order terms of a sum by their monomial part, constants first."""
-    if isinstance(term, Rat):
-        return ()
     return _as_coeff_powers(term)[1]
+
+
+def _base_order(power: Tuple[Expr, RationalLike]) -> tuple:
+    """Order the factors of a product by their bases."""
+    return power[0]._key
 
 
 def _make_mul(
     coeff: RationalLike, powers: Tuple[Tuple[Expr, RationalLike], ...]
 ) -> Expr:
     """coeff * powers as a canonical node; powers must be canonical already."""
-    coeff = _exact(coeff)
-    if coeff == 0:
+    if coeff.__class__ is not int:
+        if coeff.denominator == 1:
+            return _make_mul(coeff.numerator, powers)
+    elif coeff == 0:
         return ZERO
+    elif coeff == 1 and len(powers) == 1 and powers[0][1].__class__ is int and powers[0][1] == 1:
+        return powers[0][0]
     if not powers:
         return rat(coeff)
-    if coeff == 1 and len(powers) == 1 and powers[0][1] == 1:
-        return powers[0][0]
     return Mul(coeff, powers)
 
 
@@ -533,18 +566,16 @@ def _scale_expr(coeff: RationalLike, e: Expr) -> Expr:
     the merged-argument path.  Unwraps a bare scalar-times-sum first;
     those arrive from exp(c * (...)) built elsewhere.
     """
-    if (
-        isinstance(e, Mul)
-        and len(e.powers) == 1
-        and e.powers[0][1] == 1
-        and isinstance(e.powers[0][0], Add)
-    ):
-        coeff = coeff * e.coeff
-        e = e.powers[0][0]
+    if e.__class__ is Mul and len(e.powers) == 1:
+        b, k = e.powers[0]
+        if b.__class__ is Add and k == 1:
+            coeff = coeff * e.coeff
+            e = b
     if coeff == 1:
         return e
-    if isinstance(e, Add):
-        return add(*(mul(rat(coeff), term) for term in e.terms))
+    if e.__class__ is Add:
+        c = rat(coeff)
+        return add(*[mul(c, term) for term in e.terms])
     return mul(rat(coeff), e)
 
 
@@ -559,85 +590,90 @@ def mul(*factors: ExprLike) -> Expr:
     it, so mul(r, r) and pow_(r, 2) build the same node.
     """
     coeff: RationalLike = 1
-    acc: dict = {}
-    order: list = []
-    exp_arg_terms: list = []
-
-    def push(base: Expr, exponent: RationalLike) -> None:
-        nonlocal coeff
-        if exponent == 0:
-            return
-        if isinstance(base, Rat):
-            if exponent.denominator == 1:
-                coeff *= _rat_int_power(base.value, exponent)
-                return
-            # non-integer power of a rational: keep prime bases
-            for b2, e2 in _rat_power_parts(base.value, exponent):
-                if isinstance(b2, Rat) and e2.denominator == 1:
-                    coeff *= _rat_int_power(b2.value, e2)
-                else:
-                    _accumulate(b2, e2)
-            return
-        if isinstance(base, App) and base.fn == "exp":
-            exp_arg_terms.append(_scale_expr(exponent, base.arg))
-            return
-        if isinstance(base, Mul):
-            # only reachable with exponent 1 via flattening below
-            raise ExprError("internal: Mul base must be flattened before push")
-        _accumulate(base, exponent)
-
-    def _accumulate(base: Expr, exponent: RationalLike) -> None:
-        if base in acc:
-            acc[base] += exponent
+    acc: dict = {}  # base -> summed exponent, bases in first-seen order
+    exp_args: list = []  # the exponent-weighted arguments of exp factors
+    for f in factors:
+        cls = f.__class__
+        if cls is Mul:
+            c = f.coeff
+            coeff = c if coeff == 1 else coeff * c
+            pairs = f.powers
+        elif cls is Rat:
+            c = f.value
+            coeff = c if coeff == 1 else coeff * c
+            continue
+        elif cls in _NODE_CLASSES:
+            pairs = ((f, 1),)
         else:
-            acc[base] = exponent
-            order.append(base)
-
-    stack = [as_expr(f) for f in factors]
-    stack.reverse()
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Rat):
-            coeff *= node.value
+            coeff *= as_expr(f).value  # a number, or a TypeError
             continue
-        if isinstance(node, Mul):
-            coeff *= node.coeff
-            for b, e in node.powers:
-                push(b, e)
-            continue
-        push(node, 1)
+        for b, e in pairs:
+            cls = b.__class__
+            if cls is App and b.fn == "exp":
+                exp_args.append(_scale_expr(e, b.arg))
+            elif cls is Rat:
+                if e.__class__ is int or e.denominator == 1:
+                    coeff *= _rat_int_power(b.value, e)
+                    continue
+                # non-integer power of a rational: keep prime bases
+                for b2, e2 in _rat_power_parts(b.value, e):
+                    if b2.__class__ is Rat and e2.denominator == 1:
+                        coeff *= _rat_int_power(b2.value, e2)
+                    else:
+                        prev = acc.get(b2)
+                        acc[b2] = e2 if prev is None else prev + e2
+            elif cls is Mul:
+                if e != 0:
+                    raise ExprError("internal: a product's base is a product")
+            else:
+                prev = acc.get(b)
+                acc[b] = e if prev is None else prev + e
 
     if coeff == 0:
         return ZERO
 
     # fold all exponential factors into one
-    if exp_arg_terms:
-        e = exp(add(*exp_arg_terms))
-        if isinstance(e, Rat):
+    if exp_args:
+        e = exp(add(*exp_args))
+        if e.__class__ is Rat:
             coeff *= e.value
-        elif isinstance(e, Mul):
+        elif e.__class__ is Mul:
             # a logarithm folded out, as in exp(x + ln(2*x)) * exp(-x)
             coeff *= e.coeff
-            for b, ee in e.powers:
-                _accumulate(b, ee)
+            for b, k in e.powers:
+                acc[b] = acc.get(b, 0) + k
         else:
-            _accumulate(e, 1)
+            acc[e] = acc.get(e, 0) + 1
 
     powers = []
     folded = []
-    for base in order:
-        e = acc[base]
-        if e == 0:
-            continue
-        e = _exact(e)
-        if isinstance(base, Rat) and e.__class__ is int:
-            coeff *= _rat_int_power(base.value, e)
-            continue
-        if isinstance(base, Pow) and e != 1:
+    for base, e in acc.items():
+        if e.__class__ is not int and e.denominator == 1:
+            e = e.numerator
+        if e.__class__ is int:
+            if e == 0:
+                continue
+            if base.__class__ is Rat:
+                coeff *= _rat_int_power(base.value, e)
+                continue
+            if e != 1 and base.__class__ is Pow:
+                folded.append(_pow_single(base, e))
+                continue
+        elif base.__class__ is Pow:
             folded.append(_pow_single(base, e))
             continue
+        elif base.__class__ is Rat:
+            # a radical of a rational splits as pow_ splits it: exponents
+            # of one prime that summed past 1 leave a whole power
+            for b2, e2 in _rat_power_parts(base.value, e):
+                if e2.__class__ is int:
+                    coeff *= _rat_int_power(b2.value, e2)
+                else:
+                    powers.append((b2, e2))
+            continue
         powers.append((base, e))
-    powers.sort(key=lambda be: be[0]._key)
+    if len(powers) > 1:
+        powers.sort(key=_base_order)
     if coeff == 0:
         return ZERO
     if folded:
@@ -711,15 +747,16 @@ def _rat_power_parts(value: RationalLike, exponent: Fraction) -> tuple:
 
 def _is_surely_positive(e: Expr) -> bool:
     """Positivity decidable without a context: exp nodes and positive rationals."""
-    if isinstance(e, Rat):
+    cls = e.__class__
+    if cls is Rat:
         return e.value > 0
-    if isinstance(e, App) and e.fn == "exp":
-        return True
-    if isinstance(e, Mul):
+    if cls is App:
+        return e.fn == "exp"
+    if cls is Mul:
         return e.coeff > 0 and all(
             _is_surely_positive(b) for b, _ in e.powers
         )
-    if isinstance(e, Pow):
+    if cls is Pow:
         return _is_surely_positive(e.base)
     return False
 
@@ -734,26 +771,29 @@ def pow_(base: ExprLike, exponent: RationalLike) -> Expr:
     node is produced and left for assumption-aware simplification.  A
     float exponent is refused with a TypeError, never rationalized.
     """
-    base = as_expr(base)
+    if base.__class__ not in _NODE_CLASSES:
+        base = as_expr(base)
     if exponent.__class__ is not int:
         if not isinstance(exponent, (int, Fraction)):
             raise TypeError(f"cannot take an exact power {exponent!r}")
         exponent = _exact(exponent)
-    if exponent == 0:
-        return ONE
-    if exponent == 1:
-        return base
-    if isinstance(base, Rat):
-        if exponent.__class__ is int:
+    whole = exponent.__class__ is int  # else a Fraction that is not integral
+    if whole:
+        if exponent == 0:
+            return ONE
+        if exponent == 1:
+            return base
+    cls = base.__class__
+    if cls is Rat:
+        if whole:
             return rat(_rat_int_power(base.value, exponent))
         if base.value == 0:
             raise ExprError("zero raised to a fractional power")
-        return mul(*[_make_mul(1, ((b, e),)) if not (isinstance(b, Rat) and e == 1) else b for b, e in _rat_power_parts(base.value, exponent)])
-    if isinstance(base, Mul):
-        ok = exponent.__class__ is int or (
+        return mul(*[_make_mul(1, ((b, e),)) if not (b.__class__ is Rat and e == 1) else b for b, e in _rat_power_parts(base.value, exponent)])
+    if cls is Mul:
+        if whole or (
             base.coeff > 0 and all(_merge_ok(b, e, exponent) for b, e in base.powers)
-        )
-        if ok:
+        ):
             parts = [pow_(rat(base.coeff), exponent)]
             for b, e in base.powers:
                 parts.append(_pow_single(b, _exact(e * exponent)))
@@ -764,7 +804,7 @@ def pow_(base: ExprLike, exponent: RationalLike) -> Expr:
 
 def _merge_ok(b: Expr, inner: RationalLike, outer: RationalLike) -> bool:
     """Is (b^inner)^outer -> b^(inner*outer) valid without assumptions?"""
-    if outer.denominator == 1:
+    if outer.__class__ is int or outer.denominator == 1:
         return True
     if inner == 1:
         return True
@@ -772,14 +812,19 @@ def _merge_ok(b: Expr, inner: RationalLike, outer: RationalLike) -> bool:
 
 
 def _pow_single(base: Expr, exponent: RationalLike) -> Expr:
-    """Power of a non-Rat, non-Mul base with exponent folding guards."""
-    if exponent == 0:
-        return ONE
-    if exponent == 1:
-        return base
-    if isinstance(base, App) and base.fn == "exp":
+    """Power of a non-Rat, non-Mul base with exponent folding guards.
+
+    The exponent is exact: an int, or a Fraction that is not integral.
+    """
+    if exponent.__class__ is int:
+        if exponent == 0:
+            return ONE
+        if exponent == 1:
+            return base
+    cls = base.__class__
+    if cls is App and base.fn == "exp":
         return exp(mul(rat(exponent), base.arg))
-    if isinstance(base, Pow):
+    if cls is Pow:
         if _merge_ok(base.base, base.exponent, exponent):
             return pow_(base.base, base.exponent * exponent)
         return Pow(base, exponent)
@@ -797,22 +842,23 @@ def app(fn: str, arg: ExprLike) -> Expr:
         return pow_(arg, Fraction(1, 2))
     if fn == "exp":
         return exp(arg)
+    cls = arg.__class__
     if fn == "ln":
-        if isinstance(arg, Rat) and arg.value <= 0:
+        if cls is Rat and arg.value <= 0:
             raise ExprError(f"ln({arg.value}) is undefined")
-        if arg == ONE:
+        if arg is ONE:
             return ZERO
-        if isinstance(arg, App) and arg.fn == "exp":
+        if cls is App and arg.fn == "exp":
             return arg.arg
         return App("ln", arg)
     if fn == "abs":
-        if isinstance(arg, Rat):
+        if cls is Rat:
             return rat(abs(arg.value))
         if _is_surely_positive(arg):
             return arg
-        if isinstance(arg, App) and arg.fn == "abs":
+        if cls is App and arg.fn == "abs":
             return arg
-        if isinstance(arg, App) and arg.fn == "sign":
+        if cls is App and arg.fn == "sign":
             # sign is defined away from zeros, where its modulus is 1
             return ONE
         coeff, powers = _as_coeff_powers(arg)
@@ -823,15 +869,15 @@ def app(fn: str, arg: ExprLike) -> Expr:
             return mul(rat(abs(coeff)), App("abs", inner))
         return App("abs", inner)
     if fn == "sign":
-        if isinstance(arg, Rat):
+        if cls is Rat:
             if arg.value == 0:
                 raise ExprError("sign(0) is undefined here")
             return ONE if arg.value > 0 else MINUS_ONE
         if _is_surely_positive(arg):
             return ONE
-        if isinstance(arg, App) and arg.fn == "abs":
+        if cls is App and arg.fn == "abs":
             return ONE
-        if isinstance(arg, App) and arg.fn == "sign":
+        if cls is App and arg.fn == "sign":
             return arg
         coeff, powers = _as_coeff_powers(arg)
         if coeff < 0:
@@ -840,11 +886,11 @@ def app(fn: str, arg: ExprLike) -> Expr:
             return app("sign", _make_mul(1, powers))
         return App("sign", arg)
     if fn == "sin":
-        if arg == ZERO:
+        if arg is ZERO:
             return ZERO
         return App("sin", arg)
     if fn == "cos":
-        if arg == ZERO:
+        if arg is ZERO:
             return ONE
         return App("cos", arg)
     raise ExprError(f"unknown function {fn}")
@@ -870,7 +916,7 @@ def exp(arg: ExprLike) -> Expr:
     as a term.
     """
     arg = as_expr(arg)
-    if arg == ZERO:
+    if arg is ZERO:
         return ONE
     terms = arg.terms if arg.__class__ is Add else (arg,)
     if not any(map(_log_term, terms)):
@@ -895,7 +941,7 @@ def sqrt(arg: ExprLike) -> Expr:
 
 def integral(body: ExprLike, var_name: str) -> Expr:
     body = as_expr(body)
-    if body == ZERO:
+    if body is ZERO:
         return ZERO
     if not contains_var(body, var_name):
         # canonical antiderivative of a constant-in-var body

@@ -60,7 +60,7 @@ from typing import Callable, Dict, List, Sequence, Tuple, TypeVar, Union
 
 from .nodes import (
     Add, App, Expr, ExprError, Func, Int, Mul, ONE, Pow, Rat, Var, ZERO, _as_coeff_powers,
-    _exact, _make_mul, _rat_int_power, _scale_expr, _term_order, exp, pow_,
+    _base_order, _exact, _make_mul, _rat_int_power, _scale_expr, _term_order, exp, pow_,
 )
 
 Coeff = Union[int, Fraction]
@@ -104,10 +104,6 @@ def _clean(p: Poly) -> Poly:
                 c = c.numerator
             out[m] = c
     return out
-
-
-def _base_order(power: Tuple[Expr, Coeff]):
-    return power[0]._key
 
 
 def _add_into(acc: Poly, p: Poly) -> None:
@@ -174,7 +170,7 @@ class Kernel:
         pos = self.slot.get(node)
         if pos is None:
             pos = len(self.base)
-            if isinstance(node, Pow):
+            if node.__class__ is Pow:
                 kind = _POW
                 if node.exponent < 0:
                     self.pow_denominators |= self.mask << (self.width * pos)
@@ -202,7 +198,7 @@ class Kernel:
 
     def _exp(self, node: Expr) -> Union[int, Poly]:
         """Index of an exp node, or the polynomial it folded to."""
-        if isinstance(node, App) and node.fn == "exp":
+        if node.__class__ is App and node.fn == "exp":
             i = self.exp_index.get(node)
             if i is None:
                 i = self.exp_index[node] = len(self.exp_node)
@@ -362,30 +358,32 @@ class Kernel:
         return p
 
     def _expand(self, e: Expr) -> Poly:
-        if isinstance(e, Rat):
-            return {_CONST: e.value} if e.value else {}
-        if isinstance(e, Var):
-            return self._atom(e, _PLAIN)
-        if isinstance(e, Add):
-            out: Poly = {}
-            for t in e.terms:
-                _add_into(out, self.expand(t))
-            return _clean(out)
-        if isinstance(e, Mul):
+        cls = e.__class__
+        if cls is Mul:
             p: Poly = {_CONST: e.coeff}
             for b, ex in e.powers:
                 p = self.mul(p, self.factor(b, ex))
             return p
+        if cls is Add:
+            out: Poly = {}
+            for t in e.terms:
+                _add_into(out, self.expand(t))
+            return _clean(out)
+        if cls is Var:
+            return self._atom(e, _PLAIN)
+        if cls is Rat:
+            return {_CONST: e.value} if e.value else {}
         r = e.rebuild(lambda a: self.tree(self.expand(a)))
-        if isinstance(r, App) and r.fn == "exp":
+        cls = r.__class__
+        if cls is App and r.fn == "exp":
             return self._exp_poly(self._exp(r))
-        if isinstance(r, (App, Func, Int, Pow)):
+        if cls is App or cls is Func or cls is Int or cls is Pow:
             return self._atom(r, _PLAIN)
         return self.expand(r)
 
     def factor(self, b: Expr, ex: Coeff) -> Poly:
         """The polynomial of b**ex for a base b of a canonical product."""
-        if isinstance(b, Rat):
+        if b.__class__ is Rat:
             return self._monomial(pow_(b, ex))
         p = self.expand(b)
         if len(p) > 1:
@@ -397,7 +395,7 @@ class Kernel:
         if not p:
             return self._monomial(pow_(ZERO, ex))  # raises for ex < 0
         (m, c), = p.items()
-        if ex.denominator == 1:
+        if ex.__class__ is int or ex.denominator == 1:
             return self._mono_power(m, c, int(ex))
         digits = self._digits(m)
         if c == 1 and not m & self.mask and len(digits) == 1 and digits[0][1] == self.den:
@@ -408,11 +406,11 @@ class Kernel:
 
     def _monomial(self, p: Expr) -> Poly:
         """The polynomial of a product tree, factor by factor."""
-        if not isinstance(p, Mul):
+        if p.__class__ is not Mul:
             return self.expand(p)
         out: Poly = {_CONST: p.coeff}
         for b, ex in p.powers:
-            f = self._atom(b, _RADICAL, ex) if isinstance(b, Rat) else self.factor(b, ex)
+            f = self._atom(b, _RADICAL, ex) if b.__class__ is Rat else self.factor(b, ex)
             out = self.mul(out, f)
         return out
 
@@ -531,7 +529,7 @@ class Kernel:
             c, powers = _as_coeff_powers(d)
             out: Dict[Expr, Coeff] = {}
             for b, x in powers:
-                if isinstance(b, Add) and x.denominator == 1:
+                if b.__class__ is Add and x.denominator == 1:
                     coeffs = [_as_coeff_powers(t)[0] for t in b.terms]
                     g = Fraction(
                         math.gcd(*(k.numerator for k in coeffs)),

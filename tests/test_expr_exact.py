@@ -167,11 +167,28 @@ def test_floats_are_refused_not_rationalized():
     assert pow_(x, Fraction(1, 2)) == sqrt(x)
     assert pow_(x, Fraction(2)) == mul(x, x)
     assert rat(Fraction(1, 10)) == rat(1, 10)
+    assert add(x, Fraction(1, 2)) == x + rat(1, 2)
+    assert mul(Fraction(1, 2), x) == rat(1, 2) * x
     for make in (
         lambda: rat(0.1),
         lambda: rat(0.5, 2),
         lambda: pow_(x, 0.5),
         lambda: x ** 2.0,
+        # add and mul coerce a number operand themselves, arithmetic sugar too
+        lambda: add(x, 0.5),
+        lambda: mul(0.5, x),
+        lambda: x + 0.5,
+        lambda: 0.5 * x,
+        lambda: x - 0.5,
+        lambda: 0.5 / x,
     ):
         with pytest.raises(TypeError):
             make()
+    # a bool or an integral Fraction operand is stored as a plain int
+    assert mul(True, x) is x
+    assert mul(True, 3, x).coeff.__class__ is int
+    two_x = mul(Fraction(4, 2), x)
+    assert two_x is mul(2, x) and two_x.coeff.__class__ is int
+    shifted = add(Fraction(4, 2), x)
+    assert shifted is add(2, x) and shifted.terms[0].value.__class__ is int
+    assert add(True, x).terms[0].value.__class__ is int

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import itertools
 import random
 from fractions import Fraction
 
@@ -79,6 +80,38 @@ def test_mul_merges_powers():
     assert mul(x, t) == mul(t, x)
 
 
+# numbers, radicals of variables and of rationals, an opaque power, exps
+# that merge or fold, and products and sums that flatten into others
+OPERANDS = [
+    0, 1, -1, 3, Fraction(1, 2), Fraction(-2, 3),
+    sqrt(x), pow_(t, Fraction(-1, 2)), pow_(1 + t, -1),
+    sqrt(rat(-2)), sqrt(rat(2)), exp(x), exp(-x), exp(2 * ln(x)),
+    ln(1 + x), pow_(x * t, Fraction(1, 3)), 1 / (x - t),
+]
+
+
+@given(st.integers(0, 10**6))
+def test_sums_and_products_ignore_order_and_grouping(seed):
+    rng = random.Random(seed)
+    p = rng.choices(OPERANDS, k=rng.randint(2, 5))
+    for op in (add, mul):
+        want = op(*p)
+        for perm in itertools.permutations(p):
+            assert op(*perm) is want, (op.__name__, p, perm)
+            for i in range(1, len(perm)):
+                assert op(op(*perm[:i]), *perm[i:]) is want, (op.__name__, perm, i)
+
+
+def test_the_node_classes_are_final():
+    # the constructors and walkers dispatch on node.__class__ is Mul and
+    # so on, so a subclass would slip past them
+    classes = (Rat, Var, Func, App, Int, Pow, Add, Mul)
+    assert set(Expr.__subclasses__()) == set(classes)
+    for cls in classes:
+        assert cls.__subclasses__() == [], cls
+    assert nodes._NODE_CLASSES == frozenset(classes)
+
+
 def test_rational_powers_fold():
     assert pow_(rat(2), 3) == rat(8)
     assert pow_(rat(4), Fraction(1, 2)) == rat(2)
@@ -86,6 +119,11 @@ def test_rational_powers_fold():
     # partial extraction of square factors
     assert sqrt(rat(8)) == mul(2, sqrt(rat(2)))
     assert format_expr(sqrt(rat(2))) == "2^(1/2)"
+    # radicals of one prime whose exponents sum past 1 split as pow_
+    # splits: three factors 2^(1/2) are 2*2^(1/2), not 2^(3/2)
+    root2 = sqrt(rat(2))
+    assert mul(root2, root2, root2) is mul(2, root2) is pow_(rat(2), Fraction(3, 2))
+    assert mul(root2, root2, root2, pow_(t, -1)) is mul(2, root2, pow_(t, -1))
 
 
 def test_negative_radicals_keep_only_the_fractional_exponent_opaque():
